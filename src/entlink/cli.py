@@ -364,24 +364,30 @@ def build_parser():
     return ap
 
 
-def _apply_config(args):
-    if not args.config:
-        return
-    with open(args.config) as fh:
+def _apply_config(ap, path):
+    """Make the JSON object in `path` the defaults of `ap` and of every
+    subcommand parser, so options given on the command line still win."""
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ModelError("--config: expected a JSON object")
-    for key, val in cfg.items():
-        dest = key.replace("-", "_")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, val)
+    cfg = {key.replace("-", "_"): val for key, val in cfg.items()}
+    parsers = [ap]
+    for parser in parsers:  # grows as subcommand parsers are found
+        parsers.extend(sub for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)
+                       for sub in action.choices.values())
+        parser.set_defaults(**{k: v for k, v in cfg.items()
+                               if any(a.dest == k for a in parser._actions)})
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _apply_config(ap, args.config)
+            args = ap.parse_args(argv)
         if args.selftest:
             return run_selftest(args)
         if not getattr(args, "func", None):

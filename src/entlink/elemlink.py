@@ -188,7 +188,7 @@ def forward_recursion_decision(model: ElemLinkModel) -> DecisionFunction:
 
 def lp_optimal_steady(model: ElemLinkModel):
     """Best stationary steady-state expected value via the occupation LP."""
-    return _lp.mdp_steady_state_lp(build_mdp(model), model.f)
+    return _lp.mdp_occupation_lp(build_mdp(model), model.f, "max")
 
 
 def optimal_backward(model: ElemLinkModel, t: int):

@@ -1,10 +1,20 @@
-"""Small dense LP solver (bounded-variable primal simplex) and the three
-generic MDP linear programs: optimal steady-state value, optimal value at
-absorption, and minimum expected absorption time.
+"""Occupation-measure linear programs for MDPs, solved with HiGHS.
 
-The solver is deliberately self-contained and deterministic: Dantzig
-pricing with a switch to Bland's rule after a degeneracy streak, ratio-test
-ties broken by lowest variable index.
+`mdp_occupation_lp` builds the one LP every model here needs (Puterman
+1994, *Markov Decision Processes*, ch. 6-8).  Its variables z_a(s) >= 0
+are the occupation of state s under action a:
+
+- steady state (`initial=None`): the long-run fraction of steps spent in
+  s choosing a, with sum_a (I - T^a) z_a = 0 and sum z = 1; the objective
+  is the average reward;
+- absorbing (`initial` given): the expected number of visits to the
+  transient state s choosing a, with sum_a (I - Q^a) z_a = the transient
+  part of `initial`; the objective is the total reward until absorption.
+
+The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform where a
+state carries no mass.  `solve` passes any `LinearProgram`, dense or
+`scipy.sparse`, to `scipy.optimize.linprog(method="highs")` and checks the
+primal residual of the answer.
 """
 
 from __future__ import annotations
@@ -12,39 +22,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy import sparse
+from scipy.optimize import linprog
 
-from .markov import (
-    DecisionFunction,
-    Mdp,
-    ModelError,
-    ProbVector,
-    absorbing_states,
-)
+from .markov import DecisionFunction, Mdp, ModelError, absorbing_states
 
 FEAS_TOL = 1e-8
-OPT_TOL = 1e-9
-_PIV_TOL = 1e-10
-_MAX_ITER = 200_000
-_DEGEN_STREAK = 50
+# HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
+# from the exact value of the decision they return
+PRIMAL_FEAS_TOL = 1e-10
+DUAL_FEAS_TOL = 1e-10
 
-_LOWER, _UPPER, _BASIC = 0, 1, 2
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, lo <= x <= hi."""
+    """maximize/minimize c.x subject to A x = b, lo <= x <= hi; A may be a
+    dense array or a scipy.sparse matrix."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
-    A: np.ndarray
+    A: np.ndarray | sparse.csr_matrix
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        if sparse.issparse(self.A):
+            self.A = sparse.csr_matrix(self.A, dtype=float)
+        else:
+            self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
@@ -68,344 +77,66 @@ class LpSolution:
     objective_value: float | None
 
 
-class _Simplex:
-    """Revised bounded-variable simplex on min c.x, A x = b."""
-
-    def __init__(self, A, b, lo, hi):
-        m, n = A.shape
-        # flip rows so b >= 0, then append signed artificial columns
-        sgn = np.where(b < 0, -1.0, 1.0)
-        self.A = np.hstack([A * sgn[:, None], np.eye(m)])
-        self.b = b * sgn
-        self.lo = np.concatenate([lo, np.zeros(m)])
-        self.hi = np.concatenate([hi, np.full(m, np.inf)])
-        self.m, self.n = m, n
-        self.ntot = n + m
-        self.status = np.full(self.ntot, _LOWER, dtype=int)
-        self.x = self.lo.copy()
-        self.basis = list(range(n, n + m))
-        for j in self.basis:
-            self.status[j] = _BASIC
-        self.x[n:] = self.b - self.A[:, :n] @ self.x[:n]
-        self.degen_streak = 0
-        self.bland = False
-
-    def _xb(self):
-        return self.x[self.basis]
-
-    def solve_phase(self, c):
-        A, lo, hi = self.A, self.lo, self.hi
-        for _ in range(_MAX_ITER):
-            B = A[:, self.basis]
-            try:
-                lu = lu_factor(B)
-                y = lu_solve(lu, c[self.basis], trans=1)
-            except (np.linalg.LinAlgError, ValueError):
-                lu = None
-                y = np.linalg.lstsq(B.T, c[self.basis], rcond=None)[0]
-            rc = c - y @ A
-            free = lo < hi
-            elig_lo = (self.status == _LOWER) & free & (rc < -OPT_TOL)
-            elig_hi = (self.status == _UPPER) & free & (rc > OPT_TOL)
-            elig = elig_lo | elig_hi
-            if not elig.any():
-                return "optimal"
-            if self.bland:
-                entering = int(np.nonzero(elig)[0][0])
-            else:
-                viol = np.where(elig, np.abs(rc), -np.inf)
-                entering = int(np.argmax(viol))
-            s = 1.0 if self.status[entering] == _LOWER else -1.0
-            if lu is not None:
-                d = lu_solve(lu, A[:, entering])
-            else:
-                d = np.linalg.lstsq(B, A[:, entering], rcond=None)[0]
-            # ratio test: how far can the entering variable move
-            xb = self._xb()
-            basis_arr = np.asarray(self.basis)
-            lob = lo[basis_arr]
-            hib = hi[basis_arr]
-            sd = s * d
-            lims = np.full(self.m, np.inf)
-            pos = sd > _PIV_TOL
-            neg = sd < -_PIV_TOL
-            lims[pos] = (xb[pos] - lob[pos]) / sd[pos]
-            lims[neg] = (hib[neg] - xb[neg]) / (-sd[neg])
-            lims = np.clip(lims, 0.0, None)
-            own = hi[entering] - lo[entering]
-            blk_min = lims.min() if self.m else np.inf
-            t_max = min(own, blk_min)
-            if not np.isfinite(t_max):
-                return "unbounded"
-            leave_pos = -1  # -1 means a bound flip of the entering variable
-            if blk_min <= own + 1e-12 and np.isfinite(blk_min):
-                near = np.nonzero(lims <= blk_min + 1e-12)[0]
-                leave_pos = int(near[np.argmin(basis_arr[near])])
-                t_max = max(lims[leave_pos], 0.0)
-                if t_max > own:
-                    leave_pos = -1
-                    t_max = own
-            if t_max <= 1e-12:
-                self.degen_streak += 1
-                if self.degen_streak > _DEGEN_STREAK:
-                    self.bland = True
-            else:
-                self.degen_streak = 0
-            # apply the step
-            self.x[self.basis] = xb - s * d * t_max
-            self.x[entering] += s * t_max
-            if leave_pos < 0:
-                # entering moved across to its other bound; basis unchanged
-                self.status[entering] = (
-                    _UPPER if self.status[entering] == _LOWER else _LOWER
-                )
-            else:
-                leaving = self.basis[leave_pos]
-                sdl = s * d[leave_pos]
-                self.status[leaving] = _LOWER if sdl > 0 else _UPPER
-                self.x[leaving] = lo[leaving] if sdl > 0 else hi[leaving]
-                self.basis[leave_pos] = entering
-                self.status[entering] = _BASIC
-        raise ModelError("simplex: iteration cap exceeded")
-
-    def run(self, c_user):
-        # phase 1: drive artificials to zero
-        c1 = np.zeros(self.ntot)
-        c1[self.n:] = 1.0
-        st = self.solve_phase(c1)
-        if st != "optimal" or self.x[self.n:].sum() > FEAS_TOL:
-            return "infeasible"
-        # pin artificials; any still basic sit at value ~0 and stay there
-        self.hi[self.n:] = 0.0
-        self.x[self.n:] = np.clip(self.x[self.n:], 0.0, 0.0)
-        c2 = np.concatenate([c_user, np.zeros(self.m)])
-        self.bland = False
-        self.degen_streak = 0
-        return self.solve_phase(c2)
-
-
-def solve(lp: LinearProgram, tol: float = FEAS_TOL) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     sign = -1.0 if lp.sense == "max" else 1.0
-    spx = _Simplex(lp.A.copy(), lp.b.copy(), lp.lo.copy(), lp.hi.copy())
-    status = spx.run(sign * lp.objective)
+    res = linprog(sign * lp.objective, A_eq=lp.A, b_eq=lp.b,
+                  bounds=np.column_stack([lp.lo, lp.hi]), method="highs",
+                  options={"primal_feasibility_tolerance": PRIMAL_FEAS_TOL,
+                           "dual_feasibility_tolerance": DUAL_FEAS_TOL})
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise ModelError(f"solve: HiGHS stopped early: {res.message}")
     if status != "optimal":
         return LpSolution(status, None, None)
-    x = spx.x[: lp.objective.size]
+    x = res.x
     resid = np.max(np.abs(lp.A @ x - lp.b)) if lp.b.size else 0.0
-    if resid > max(tol, FEAS_TOL) * 10:
+    if resid > FEAS_TOL * 10:
         return LpSolution("infeasible", None, None)
-    x = np.clip(x, lp.lo, np.where(np.isfinite(lp.hi), lp.hi, np.inf))
+    x = np.clip(x, lp.lo, lp.hi)
     return LpSolution("optimal", x, float(lp.objective @ x))
 
 
-# ---------------------------------------------------------------------------
-# generic MDP linear programs
+def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
+                      ) -> tuple[float, DecisionFunction]:
+    """Best stationary average reward (`initial=None`), or best total reward
+    until absorption from `initial`, and a decision that attains it.
 
-
-def _ratio_decision(numerators, denominator, n_actions, zero_tol=1e-9):
-    """Row-normalize per-action mass into a decision table; uniform rows
-    wherever the denominator carries no mass."""
-    n = denominator.size
-    table = np.full((n, n_actions), 1.0 / n_actions)
-    for s in range(n):
-        if denominator[s] > zero_tol:
-            row = np.array([numerators[a][s] for a in range(n_actions)])
-            row = np.clip(row, 0.0, None)
-            tot = row.sum()
-            if tot > 0:
-                table[s] = row / tot
-    return table
-
-
-def mdp_steady_state_lp(mdp: Mdp, f) -> tuple[float, DecisionFunction]:
-    """Best stationary steady-state expected value of f, with the decision
-    recovered from the occupation-measure split w_a of the stationary v."""
-    f = np.asarray(f, dtype=float)
-    n, na = mdp.n, len(mdp.actions)
-    if f.size != n:
-        raise ModelError("mdp_steady_state_lp: f size mismatch")
-    nvar = n + na * n  # v, then w_a blocks
-
-    def wslice(a):
-        return slice(n + a * n, n + (a + 1) * n)
-
-    A_rows = []
-    b_rows = []
-    # sum_a w_a = v
-    blk = np.zeros((n, nvar))
-    blk[:, :n] = -np.eye(n)
-    for a in range(na):
-        blk[:, wslice(a)] += np.eye(n)
-    A_rows.append(blk)
-    b_rows.append(np.zeros(n))
-    # sum_a T^a w_a = v
-    blk = np.zeros((n, nvar))
-    blk[:, :n] = -np.eye(n)
-    for a, lbl in enumerate(mdp.actions):
-        blk[:, wslice(a)] += mdp.transitions[lbl].entries
-    A_rows.append(blk)
-    b_rows.append(np.zeros(n))
-    # normalization <gamma|v> = 1
-    row = np.zeros((1, nvar))
-    row[0, :n] = 1.0
-    A_rows.append(row)
-    b_rows.append(np.ones(1))
-
-    c = np.zeros(nvar)
-    c[:n] = f
-    lo = np.zeros(nvar)
-    hi = np.ones(nvar)
-    lp = LinearProgram(c, "max", np.vstack(A_rows), np.concatenate(b_rows), lo, hi)
+    `reward` is r(s), or r(a, s) with one row per action, over all states.
+    In the absorbing case only transient states are read, and mass that
+    `initial` puts on absorbing states earns nothing.
+    """
+    na, n = len(mdp.actions), mdp.n
+    reward = np.asarray(reward, dtype=float)
+    if reward.shape not in ((n,), (na, n)):
+        raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
+                         "(actions, n)")
+    if initial is None:
+        keep = np.arange(n)
+        rhs = np.zeros(n)
+    else:
+        abs_idx = absorbing_states(mdp)
+        if not abs_idx:
+            raise ModelError("mdp_occupation_lp: no absorbing states")
+        keep = np.setdiff1d(np.arange(n), abs_idx)
+        init = np.asarray(getattr(initial, "entries", initial), dtype=float)
+        if init.size != n:
+            raise ModelError("mdp_occupation_lp: initial size mismatch")
+        rhs = init[keep]
+    k = keep.size
+    A = sparse.hstack([
+        sparse.csr_matrix(np.eye(k) - mdp.transitions[a].entries[np.ix_(keep, keep)])
+        for a in mdp.actions], format="csr")
+    if initial is None:
+        A = sparse.vstack([A, np.ones((1, na * k))], format="csr")
+        rhs = np.append(rhs, 1.0)
+    c = np.broadcast_to(reward, (na, n))[:, keep].reshape(-1)
+    lp = LinearProgram(c, sense, A, rhs, np.zeros(na * k), np.full(na * k, np.inf))
     sol = solve(lp)
     if sol.status != "optimal":
-        raise ModelError(f"mdp_steady_state_lp: LP {sol.status}")
-    v = sol.values[:n]
-    ws = [sol.values[wslice(a)] for a in range(na)]
-    d = DecisionFunction(_ratio_decision(ws, v, na))
-    return sol.objective_value, d
-
-
-def mdp_absorbing_value_lp(mdp: Mdp, f, initial: ProbVector
-                           ) -> tuple[float, DecisionFunction]:
-    """Best stationary long-run expected value of f for an MDP with
-    absorbing states, starting from `initial` (a distribution over the full
-    state set; mass on absorbing states contributes f directly)."""
-    f = np.asarray(f, dtype=float)
-    abs_idx = absorbing_states(mdp)
-    if not abs_idx:
-        raise ModelError("mdp_absorbing_value_lp: no absorbing states")
-    tra_idx = [i for i in range(mdp.n) if i not in abs_idx]
-    na = len(mdp.actions)
-    nt, nb = len(tra_idx), len(abs_idx)
-
-    init_full = np.asarray(
-        initial.entries if isinstance(initial, ProbVector) else initial,
-        dtype=float)
-    init_tra = init_full[tra_idx]
-    init_abs = init_full[abs_idx]
-
-    Qs, Rs = [], []
-    for lbl in mdp.actions:
-        T = mdp.transitions[lbl].entries
-        Qs.append(T[np.ix_(tra_idx, tra_idx)])
-        Rs.append(T[np.ix_(abs_idx, tra_idx)])
-
-    # variable layout: x (nb), y (nt), w_a (nb each), v_a (nt each)
-    off_x = 0
-    off_y = nb
-    off_w = nb + nt
-    off_v = off_w + na * nb
-    nvar = off_v + na * nt
-
-    def wsl(a):
-        return slice(off_w + a * nb, off_w + (a + 1) * nb)
-
-    def vsl(a):
-        return slice(off_v + a * nt, off_v + (a + 1) * nt)
-
-    rows, rhs = [], []
-    # sum_a w_a = x (the split of the absorbed mass; decision there is free)
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    for a in range(na):
-        blk[:, wsl(a)] += np.eye(nb)
-    rows.append(blk); rhs.append(np.zeros(nb))
-    # y - sum_a Q^a v_a = init_tra
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = np.eye(nt)
-    for a in range(na):
-        blk[:, vsl(a)] -= Qs[a]
-    rows.append(blk); rhs.append(init_tra)
-    # sum_a v_a = y
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = -np.eye(nt)
-    for a in range(na):
-        blk[:, vsl(a)] += np.eye(nt)
-    rows.append(blk); rhs.append(np.zeros(nt))
-    # sum_a R^a v_a = x - init_abs  (mass arriving at absorbing states)
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    for a in range(na):
-        blk[:, vsl(a)] += Rs[a]
-    rows.append(blk); rhs.append(-init_abs)
-
-    c = np.zeros(nvar)
-    c[off_x:off_x + nb] = f[abs_idx]
-    lo = np.zeros(nvar)
-    hi = np.full(nvar, np.inf)
-    hi[off_x:off_x + nb] = 1.0
-    hi[off_w:off_w + na * nb] = 1.0
-    lp = LinearProgram(c, "max", np.vstack(rows), np.concatenate(rhs), lo, hi)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"mdp_absorbing_value_lp: LP {sol.status}")
-
-    y = sol.values[off_y:off_y + nt]
-    x = sol.values[off_x:off_x + nb]
-    vs = [sol.values[vsl(a)] for a in range(na)]
-    ws = [sol.values[wsl(a)] for a in range(na)]
-    table = np.full((mdp.n, na), 1.0 / na)
-    tra_table = _ratio_decision(vs, y, na)
-    for k, i in enumerate(tra_idx):
-        table[i] = tra_table[k]
-    abs_table = _ratio_decision(ws, x, na)
-    for k, i in enumerate(abs_idx):
-        table[i] = abs_table[k]
-    return sol.objective_value, DecisionFunction(table)
-
-
-def mdp_min_absorption_lp(mdp: Mdp, initial: ProbVector
-                          ) -> tuple[float, DecisionFunction]:
-    """Minimum expected time to reach the absorbing set from `initial`
-    (distribution over the full state set; absorbed mass waits 0 steps)."""
-    abs_idx = absorbing_states(mdp)
-    if not abs_idx:
-        raise ModelError("mdp_min_absorption_lp: no absorbing states")
-    tra_idx = [i for i in range(mdp.n) if i not in abs_idx]
-    na = len(mdp.actions)
-    nt = len(tra_idx)
-    init_full = np.asarray(
-        initial.entries if isinstance(initial, ProbVector) else initial,
-        dtype=float)
-    init_tra = init_full[tra_idx]
-
-    Qs = []
-    for lbl in mdp.actions:
-        T = mdp.transitions[lbl].entries
-        Qs.append(T[np.ix_(tra_idx, tra_idx)])
-
-    # layout: x (nt), w_a (nt each)
-    nvar = nt + na * nt
-
-    def wsl(a):
-        return slice(nt + a * nt, nt + (a + 1) * nt)
-
-    rows, rhs = [], []
-    # x - sum_a Q^a w_a = init_tra
-    blk = np.zeros((nt, nvar))
-    blk[:, :nt] = np.eye(nt)
-    for a in range(na):
-        blk[:, wsl(a)] -= Qs[a]
-    rows.append(blk); rhs.append(init_tra)
-    # sum_a w_a = x
-    blk = np.zeros((nt, nvar))
-    blk[:, :nt] = -np.eye(nt)
-    for a in range(na):
-        blk[:, wsl(a)] += np.eye(nt)
-    rows.append(blk); rhs.append(np.zeros(nt))
-
-    c = np.zeros(nvar)
-    c[:nt] = 1.0  # <gamma|x>
-    lo = np.zeros(nvar)
-    hi = np.full(nvar, np.inf)
-    lp = LinearProgram(c, "min", np.vstack(rows), np.concatenate(rhs), lo, hi)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"mdp_min_absorption_lp: LP {sol.status}")
-    x = sol.values[:nt]
-    ws = [sol.values[wsl(a)] for a in range(na)]
-    table = np.full((mdp.n, na), 1.0 / na)
-    tra_table = _ratio_decision(ws, x, na)
-    for k, i in enumerate(tra_idx):
-        table[i] = tra_table[k]
+        raise ModelError(f"mdp_occupation_lp: LP {sol.status}")
+    z = sol.values.reshape(na, k)
+    mass = z.sum(axis=0)
+    table = np.full((n, na), 1.0 / na)
+    hit = mass > 0
+    table[keep[hit]] = (z[:, hit] / mass[hit]).T
     return sol.objective_value, DecisionFunction(table)

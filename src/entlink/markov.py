@@ -78,14 +78,6 @@ class StochasticMatrix:
     def n(self):
         return self.entries.shape[0]
 
-    def __matmul__(self, other):
-        if isinstance(other, StochasticMatrix):
-            return StochasticMatrix(self.entries @ other.entries)
-        return self.entries @ other
-
-    def apply(self, vec: ProbVector) -> ProbVector:
-        return ProbVector(self.entries @ vec.entries, vec.states)
-
 
 @dataclass(frozen=True)
 class Mdp:
@@ -108,9 +100,6 @@ class Mdp:
     @property
     def n(self):
         return len(self.states)
-
-    def state_index(self, s):
-        return self.states.index(s)
 
 
 class DecisionFunction:
@@ -182,12 +171,6 @@ class Policy:
                 raise ModelError(f"Policy horizon too short for step {t}")
             return ds[t - 1]
         raise ModelError("history-dependent policies have no per-time marginal decision")
-
-    @property
-    def history_table(self):
-        if self.kind != "history":
-            raise ModelError("not a history-dependent policy")
-        return self._payload[0]
 
     @property
     def horizon(self):

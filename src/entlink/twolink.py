@@ -24,6 +24,7 @@ from .markov import (
     decompose_absorbing,
 )
 from . import lp as _lp
+from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import DensityOperator, KrausChannel, fidelity_to_pure, swap_chain_channel
 
 ACTIONS = ("00", "01", "10", "11", "swap")
@@ -88,25 +89,18 @@ def uniform_f_table(m1_star, m2_star, value=1.0):
     return f
 
 
-def _single_link_blocks(p, m_star):
-    n = m_star + 2
-    T0 = np.zeros((n, n))
-    T0[0, 0] = 1.0
-    for m in range(m_star):
-        T0[m + 2, m + 1] = 1.0
-    T0[0, n - 1] = 1.0
-    T1 = np.zeros((n, n))
-    T1[0, :] = 1 - p
-    T1[1, :] = p
-    g = np.zeros(n)
-    g[0], g[1] = 1 - p, p
-    return T0, T1, g
+def _link_blocks(p, m_star):
+    """Wait and request matrices and post-request vector of one link."""
+    link = ElemLinkModel(p, m_star, np.zeros(m_star + 2))
+    mdp = build_mdp(link)
+    return (mdp.transitions[WAIT].entries, mdp.transitions[REQUEST].entries,
+            g_vector(link).entries)
 
 
 def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
     n1, n2 = model.n1, model.n2
-    T10, T11, g1 = _single_link_blocks(model.p1, model.m1_star)
-    T20, T21, g2 = _single_link_blocks(model.p2, model.m2_star)
+    T10, T11, g1 = _link_blocks(model.p1, model.m1_star)
+    T20, T21, g2 = _link_blocks(model.p2, model.m2_star)
     eye_block = np.eye(n1 * n2)
     mats = {}
     for a in ("00", "01", "10", "11"):
@@ -149,8 +143,8 @@ def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
 
 def initial_distribution(model: TwoLinkModel) -> ProbVector:
     """Both links freshly requested at t=1, end-to-end link not yet formed."""
-    *_, g1 = _single_link_blocks(model.p1, model.m1_star)
-    *_, g2 = _single_link_blocks(model.p2, model.m2_star)
+    *_, g1 = _link_blocks(model.p1, model.m1_star)
+    *_, g2 = _link_blocks(model.p2, model.m2_star)
     v = np.zeros(model.n)
     v[: model.n1 * model.n2] = np.kron(g1, g2)
     return ProbVector(v, model.states)
@@ -221,67 +215,15 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
 
 
 def lp_optimal_value(model: TwoLinkModel):
-    """Best stationary expected f at absorption, via the generic
-    absorbing-MDP occupation LP."""
+    """Best stationary expected f at absorption, via the absorbing
+    occupation LP."""
     mdp = build_two_link_mdp(model)
-    return _lp.mdp_absorbing_value_lp(mdp, model.f_flat(), initial_distribution(model))
-
-
-def lp_optimal_value_displayed(model: TwoLinkModel):
-    """Same optimum built from the constraint blocks as displayed for this
-    model (absorption fed only by the swap action); kept as an independent
-    transcription guard against the generic builder."""
-    mdp = build_two_link_mdp(model)
-    half = model.n1 * model.n2
-    tra = list(range(half))
-    ab = list(range(half, model.n))
-    na = len(ACTIONS)
-    nt = nb = half
-    Qs, Rs = {}, {}
-    for a in ACTIONS:
-        T = mdp.transitions[a].entries
-        Qs[a] = T[np.ix_(tra, tra)]
-        Rs[a] = T[np.ix_(ab, tra)]
-    init = initial_distribution(model).entries[tra]
-
-    off_x, off_y, off_w, off_v = 0, nb, nb + nt, nb + nt + na * nb
-    nvar = off_v + na * nt
-    wsl = lambda k: slice(off_w + k * nb, off_w + (k + 1) * nb)
-    vsl = lambda k: slice(off_v + k * nt, off_v + (k + 1) * nt)
-
-    rows, rhs = [], []
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    for k in range(na):
-        blk[:, wsl(k)] += np.eye(nb)
-    rows.append(blk); rhs.append(np.zeros(nb))
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = np.eye(nt)
-    for k, a in enumerate(ACTIONS):
-        blk[:, vsl(k)] -= Qs[a]
-    rows.append(blk); rhs.append(init)
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = -np.eye(nt)
-    for k in range(na):
-        blk[:, vsl(k)] += np.eye(nt)
-    rows.append(blk); rhs.append(np.zeros(nt))
-    # only the swap action reaches x=1, per the model definition
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    blk[:, vsl(ACTIONS.index("swap"))] += Rs["swap"]
-    rows.append(blk); rhs.append(np.zeros(nb))
-
-    c = np.zeros(nvar)
-    c[off_x:off_x + nb] = model.f_flat()[ab]
-    lo = np.zeros(nvar)
-    hi = np.full(nvar, np.inf)
-    hi[off_x:off_x + nb] = 1.0
-    hi[off_w:off_w + na * nb] = 1.0
-    lp = _lp.LinearProgram(c, "max", np.vstack(rows), np.concatenate(rhs), lo, hi)
-    sol = _lp.solve(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"lp_optimal_value_displayed: LP {sol.status}")
-    return sol.objective_value
+    init = initial_distribution(model).entries
+    # f vanishes on x=0 states, so f @ T^a is the f collected on absorption
+    f = model.f_flat()
+    reward = [f @ mdp.transitions[a].entries for a in ACTIONS]
+    value, d = _lp.mdp_occupation_lp(mdp, reward, "max", init)
+    return value + float(f @ init), d
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):
@@ -290,7 +232,8 @@ def lp_optimal_waiting_time(model: TwoLinkModel):
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError("lp_optimal_waiting_time: needs q, p1, p2 > 0")
     mdp = build_two_link_mdp(model)
-    return _lp.mdp_min_absorption_lp(mdp, initial_distribution(model))
+    return _lp.mdp_occupation_lp(mdp, np.ones(model.n), "min",
+                                 initial_distribution(model))
 
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:

@@ -87,3 +87,23 @@ def test_simulate_collective_seeded():
     assert a.returncode == 0 and a.stdout == b.stdout
     rows = list(csv.DictReader(a.stdout.splitlines()))
     assert rows[0]["rng"] == "PCG64"
+
+
+def test_config_overrides_option_defaults(tmp_path):
+    # options that have parser defaults (global and per subcommand) must
+    # take their value from the config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 300, "fs": 0.9, "format": "json"}))
+    r = run_cli(["--config", str(cfg), "satlink", "link", "--d", "1000"])
+    want = run_cli(["--format", "json", "satlink", "link", "--d", "1000",
+                    "--h", "300", "--fs", "0.9"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == want.stdout
+    row = json.loads(r.stdout)["data"][0]
+    assert abs(row["path_length_km"] - 592.980) < 0.01
+    assert abs(row["phi_plus"] - 0.9) < 1e-12
+    # the command line still beats the config file
+    r = run_cli(["--config", str(cfg), "--format", "csv", "satlink", "link",
+                 "--d", "1000", "--h", "500", "--fs", "1"])
+    default = run_cli(["satlink", "link", "--d", "1000"])
+    assert r.stdout == default.stdout

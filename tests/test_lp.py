@@ -1,45 +1,62 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment
 
 from entlink import lp as L
 from entlink.markov import (
-    ProbVector,
     absorption_distribution,
     absorption_time,
     decompose_absorbing,
     policy_matrix,
     stationary_distribution,
 )
+from entlink.oracles import policy_iteration_absorbing
 
 from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
 
 
-def _scipy_ref(prob):
-    hi = [None if not np.isfinite(h) else h for h in prob.hi]
-    sign = -1.0 if prob.sense == "max" else 1.0
-    return linprog(sign * prob.objective, A_eq=prob.A, b_eq=prob.b,
-                   bounds=list(zip(prob.lo, hi)), method="highs")
+def _vertices(A, b, lo, hi):
+    """Every basic feasible solution of A x = b, lo <= x <= hi (A of full
+    row rank): pick the basic columns, put every other variable at one of
+    its finite bounds, solve for the basic ones."""
+    m, n = A.shape
+    out = []
+    for basis in itertools.combinations(range(n), m):
+        rest = [j for j in range(n) if j not in basis]
+        choices = [[v for v in np.unique([lo[j], hi[j]]) if np.isfinite(v)]
+                   for j in rest]
+        for at in itertools.product(*choices):
+            x = np.empty(n)
+            x[rest] = at
+            x[list(basis)] = np.linalg.solve(A[:, basis], b - A[:, rest] @ x[rest])
+            if np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9):
+                out.append(x)
+    return out
 
 
-def test_random_lps_match_scipy(rng):
+def test_random_lps_match_vertex_enumeration(rng):
     for trial in range(60):
-        n = int(rng.integers(3, 14))
+        n = int(rng.integers(3, 9))
         m = int(rng.integers(1, n))
         A = rng.normal(size=(m, n))
         b = A @ rng.uniform(0, 1, n)  # feasible by construction
         c = rng.normal(size=n)
         lo = np.zeros(n)
         hi = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3), np.inf)
-        prob = L.LinearProgram(c, "min", A, b, lo, hi)
-        sol = L.solve(prob)
-        ref = _scipy_ref(prob)
-        if ref.status == 0:
-            assert sol.status == "optimal", trial
-            assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7)
-            assert np.max(np.abs(A @ sol.values - b)) < 1e-8
-        elif ref.status == 3:
+        sol = L.solve(L.LinearProgram(c, "min", A, b, lo, hi))
+        # extreme rays of the recession cone: A d = 0, d >= 0, sum d = 1,
+        # d = 0 on every variable with a finite upper bound
+        rays = _vertices(np.vstack([A, np.ones(n)]), np.append(np.zeros(m), 1.0),
+                         lo, np.where(np.isfinite(hi), 0.0, np.inf))
+        if any(c @ d < -1e-9 for d in rays):
             assert sol.status == "unbounded", trial
+        else:
+            assert sol.status == "optimal", trial
+            best = min(c @ x for x in _vertices(A, b, lo, hi))
+            assert sol.objective_value == pytest.approx(best, abs=1e-7)
+            assert np.max(np.abs(A @ sol.values - b)) < 1e-8
 
 
 def test_infeasible_detected():
@@ -64,7 +81,7 @@ def test_max_sense():
 
 
 def test_degenerate_lp_terminates():
-    # heavily degenerate assignment-like LP; exercises the Bland switch
+    # heavily degenerate assignment LP: x[i*n + j] assigns row i to column j
     n = 6
     A = np.zeros((2 * n, n * n))
     for i in range(n):
@@ -75,8 +92,9 @@ def test_degenerate_lp_terminates():
     c = rng.integers(0, 3, n * n).astype(float)
     prob = L.LinearProgram(c, "min", A, b, np.zeros(n * n), np.ones(n * n))
     sol = L.solve(prob)
-    ref = _scipy_ref(prob)
-    assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+    cost = c.reshape(n, n)
+    rows, cols = linear_sum_assignment(cost)
+    assert sol.objective_value == pytest.approx(cost[rows, cols].sum(), abs=1e-8)
 
 
 def test_steady_state_lp_vs_exhaustive(rng):
@@ -84,7 +102,7 @@ def test_steady_state_lp_vs_exhaustive(rng):
         n, na = int(rng.integers(2, 5)), 2
         mdp = random_mdp(rng, n, na)
         f = rng.uniform(0, 1, n)
-        value, d = L.mdp_steady_state_lp(mdp, f)
+        value, d = L.mdp_occupation_lp(mdp, f, "max")
         best = -np.inf
         for dd in deterministic_decisions(n, na):
             s = stationary_distribution(policy_matrix(mdp, dd))
@@ -95,6 +113,11 @@ def test_steady_state_lp_vs_exhaustive(rng):
         assert float(f @ s.entries) == pytest.approx(value, abs=1e-7)
 
 
+def _absorbed_f_reward(mdp, f):
+    # f vanishes on transient states: f @ T^a is the f collected on absorption
+    return [f @ mdp.transitions[a].entries for a in mdp.actions]
+
+
 def test_absorbing_value_lp_vs_exhaustive(rng):
     for _ in range(6):
         nt, nb, na = int(rng.integers(2, 4)), 2, 2
@@ -103,13 +126,16 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
         f[nt:] = rng.uniform(0, 1, nb)
         init = np.zeros(nt + nb)
         init[:nt] = rng.dirichlet(np.ones(nt))
-        value, d = L.mdp_absorbing_value_lp(mdp, f, init)
+        reward = _absorbed_f_reward(mdp, f)
+        value, d = L.mdp_occupation_lp(mdp, reward, "max", init)
         best = -np.inf
         for dd in deterministic_decisions(nt + nb, na):
             dec = decompose_absorbing(mdp, dd)
             dist = absorption_distribution(dec, init[:nt])
             best = max(best, float(f[nt:] @ dist))
         assert value == pytest.approx(best, abs=1e-7)
+        assert policy_iteration_absorbing(mdp, reward, "max", init) == pytest.approx(
+            best, abs=1e-9)
         dec = decompose_absorbing(mdp, d)
         dist = absorption_distribution(dec, init[:nt])
         assert float(f[nt:] @ dist) == pytest.approx(value, abs=1e-7)
@@ -121,12 +147,14 @@ def test_min_absorption_lp_vs_exhaustive(rng):
         mdp = random_absorbing_mdp(rng, nt, nb, na)
         init = np.zeros(nt + nb)
         init[:nt] = rng.dirichlet(np.ones(nt))
-        value, d = L.mdp_min_absorption_lp(mdp, init)
+        value, d = L.mdp_occupation_lp(mdp, np.ones(nt + nb), "min", init)
         best = np.inf
         for dd in deterministic_decisions(nt + nb, na):
             dec = decompose_absorbing(mdp, dd)
             best = min(best, absorption_time(dec, init[:nt]))
         assert value == pytest.approx(best, abs=1e-7)
+        assert policy_iteration_absorbing(
+            mdp, np.ones(nt + nb), "min", init) == pytest.approx(best, abs=1e-9)
         dec = decompose_absorbing(mdp, d)
         assert absorption_time(dec, init[:nt]) == pytest.approx(value, abs=1e-7)
 
@@ -134,6 +162,22 @@ def test_min_absorption_lp_vs_exhaustive(rng):
 def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     mdp = random_absorbing_mdp(rng, 2, 2, 2)
     f = np.array([0.0, 0.0, 0.3, 0.9])
-    init = np.array([0.0, 0.0, 0.0, 1.0])  # all mass already absorbed
-    value, _ = L.mdp_absorbing_value_lp(mdp, f, init)
-    assert value == pytest.approx(0.9, abs=1e-9)
+    reward = _absorbed_f_reward(mdp, f)
+    # all mass already absorbed: the LP earns nothing, f @ init is the value
+    init = np.array([0.0, 0.0, 0.0, 1.0])
+    value, _ = L.mdp_occupation_lp(mdp, reward, "max", init)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert value + f @ init == pytest.approx(0.9, abs=1e-9)
+    # part absorbed: LP value plus the absorbed f is the exhaustive optimum
+    init = np.array([0.3, 0.2, 0.4, 0.1])
+    value, _ = L.mdp_occupation_lp(mdp, reward, "max", init)
+    best = max(float(f[2:] @ (init[2:] + absorption_distribution(
+        decompose_absorbing(mdp, dd), init[:2])))
+        for dd in deterministic_decisions(4, 2))
+    assert value + f @ init == pytest.approx(best, abs=1e-7)
+
+
+def test_reward_shape_checked():
+    mdp = random_mdp(np.random.default_rng(1), 3, 2)
+    with pytest.raises(L.ModelError):
+        L.mdp_occupation_lp(mdp, np.ones(4), "max")

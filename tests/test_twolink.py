@@ -3,6 +3,7 @@ import pytest
 
 from entlink import qstate
 from entlink import twolink as TL
+from entlink.oracles import lp_optimal_value_displayed, policy_iteration_absorbing
 from entlink.markov import ModelError, absorbing_states
 
 
@@ -103,7 +104,7 @@ def test_lp_value_generic_equals_displayed(rng):
         model = TL.TwoLinkModel(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
                                 rng.uniform(0.3, 1.0), m1, m2, f)
         v1, d = TL.lp_optimal_value(model)
-        v2 = TL.lp_optimal_value_displayed(model)
+        v2 = lp_optimal_value_displayed(model)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
@@ -120,6 +121,41 @@ def test_lp_value_beats_every_cutoff(rng):
         for t2 in range(m_star + 1):
             _, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, t1, t2))
             assert f_abs <= v + 1e-8
+
+
+def _damped_bell_model(p1, p2, q, gamma, m_star):
+    """Bell pairs whose two memory qubits both decay by amplitude damping."""
+    phi = qstate.bell(2)
+    sigma0 = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
+    ad = qstate.amplitude_damping(gamma)
+    memory = qstate.KrausChannel([np.kron(a, b) for a in ad.kraus for b in ad.kraus])
+    f = TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, phi,
+                                   m_star, m_star)
+    return TL.TwoLinkModel(p1, p2, q, m_star, m_star, f)
+
+
+def test_lp_waiting_tight_solver_tolerance():
+    # at HiGHS's default 1e-7 feasibility tolerances this LP value sits
+    # 2.2e-8 relative away from the value of its own decision
+    model = _damped_bell_model(0.8765, 0.4115, 0.9837, 0.0421, 8)
+    t_lp, d = TL.lp_optimal_waiting_time(model)
+    assert t_lp == pytest.approx(TL.evaluate_policy(model, d)[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("m_star", [2, 4, 6])
+def test_lps_vs_policy_iteration(rng, m_star):
+    model = _damped_bell_model(*rng.uniform(0.1, 0.9, 2), rng.uniform(0.3, 1.0),
+                               rng.uniform(0.005, 0.05), m_star)
+    mdp = TL.build_two_link_mdp(model)
+    init = TL.initial_distribution(model).entries
+    t_lp, _ = TL.lp_optimal_waiting_time(model)
+    t_pi = policy_iteration_absorbing(mdp, np.ones(model.n), "min", init)
+    assert t_lp == pytest.approx(t_pi, rel=1e-10)
+    f = model.f_flat()
+    v_lp, _ = TL.lp_optimal_value(model)
+    v_pi = policy_iteration_absorbing(
+        mdp, [f @ mdp.transitions[a].entries for a in TL.ACTIONS], "max", init)
+    assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
 def test_two_link_f_from_physics_ideal_memories():
