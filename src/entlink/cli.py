@@ -89,11 +89,8 @@ def cmd_elem_steady(args):
 def cmd_elem_optimal(args):
     model = _elem_model(args)
     value, d = elemlink.lp_optimal_steady(model)
-    rows = [{"state": s, "wait": d.table[i, 0], "request": d.table[i, 1]}
-            for i, s in enumerate(model.states)]
-    _emit([{"optimal_ftilde": value}], args)
-    if args.format == "csv" and not args.out:
-        _emit(rows, args)
+    _emit([{"state": s, "wait": d.table[i, 0], "request": d.table[i, 1],
+            "optimal_ftilde": value} for i, s in enumerate(model.states)], args)
 
 
 def cmd_elem_backward(args):

@@ -8,7 +8,7 @@ pair).  Action 0 = wait, action 1 = request a fresh generation attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,42 +214,3 @@ def optimal_backward(model: ElemLinkModel, t: int):
     policy = Policy.time_indexed(decisions) if decisions else Policy.stationary(
         cutoff_decision(model, math.inf))
     return value, policy
-
-
-_HISTORY_T_CAP = 8
-
-
-def optimal_backward_history(model: ElemLinkModel, t: int):
-    """Literal history-indexed backward recursion.  Exponential in t; capped
-    so it stays a cross-check rather than a workhorse."""
-    if t < 1:
-        raise ModelError("optimal_backward_history: t must be >= 1")
-    if t > _HISTORY_T_CAP:
-        raise ModelError(f"optimal_backward_history: t capped at {_HISTORY_T_CAP}")
-    mdp = build_mdp(model)
-    T = {a: mdp.transitions[a].entries for a in (WAIT, REQUEST)}
-    g = g_vector(model).entries
-    states = range(model.n)
-    policy_table = {}
-
-    def w(history):
-        # history: tuple (m_1, a_1, m_2, a_2, ..., m_j) of state/action indices,
-        # carrying the probability of the path implicitly through recursion
-        j = (len(history) + 1) // 2
-        m_j = history[-1]
-        if j == t:
-            return model.f[m_j]
-        best, best_a = -1.0, WAIT
-        for a in (REQUEST, WAIT):  # wait checked last so ties keep wait
-            total = 0.0
-            for m_next in states:
-                pr = T[a][m_next, m_j]
-                if pr > 0:
-                    total += pr * w(history + (a, m_next))
-            if total > best or (a == WAIT and total >= best):
-                best, best_a = total, a
-        policy_table[history] = best_a
-        return best
-
-    value = sum(g[m1] * w((m1,)) for m1 in states if g[m1] > 0)
-    return float(value), policy_table

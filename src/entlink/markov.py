@@ -6,12 +6,15 @@ entry (s', s) is the transition probability s -> s'.  Columns sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 PROB_TOL = 1e-12
+STATIONARY_TOL = 1e-12  # power-iteration stop: max |Pv - v|
+STATIONARY_MAX_ITER = 10_000  # then fall back to the direct solve
+MASS_RTOL = 1e-8  # absorbed mass may differ from initial mass by this share
 
 
 class ModelError(ValueError):
@@ -128,18 +131,10 @@ class DecisionFunction:
     def uniform(cls, n_states, n_actions):
         return cls(np.full((n_states, n_actions), 1.0 / n_actions))
 
-    def action_probs(self, s_idx):
-        return self.table[s_idx]
-
 
 class Policy:
-    """Stationary, time-indexed, or history-dependent policy.
-
-    Only one of the three constructor classmethods should be used.
-    History-dependent policies map tuples of (state, action, state, ...)
-    observations to action distributions; they are consumed by the
-    elementary-link backward recursion and the simulators.
-    """
+    """Stationary or time-indexed policy; build it with one of the two
+    constructor classmethods."""
 
     def __init__(self, kind, payload):
         self.kind = kind
@@ -156,29 +151,14 @@ class Policy:
             raise ModelError("Policy.time_indexed: empty decision list")
         return cls("time_indexed", ds)
 
-    @classmethod
-    def history_dependent(cls, table, horizon):
-        # table: dict mapping history tuples -> action distribution arrays
-        return cls("history", (dict(table), int(horizon)))
-
     def decision_at(self, t) -> DecisionFunction:
         """Decision function applied between time t and t+1 (t >= 1)."""
         if self.kind == "stationary":
             return self._payload
-        if self.kind == "time_indexed":
-            ds = self._payload
-            if t - 1 >= len(ds):
-                raise ModelError(f"Policy horizon too short for step {t}")
-            return ds[t - 1]
-        raise ModelError("history-dependent policies have no per-time marginal decision")
-
-    @property
-    def horizon(self):
-        if self.kind == "stationary":
-            return None  # unbounded
-        if self.kind == "time_indexed":
-            return len(self._payload)
-        return self._payload[1]
+        ds = self._payload
+        if t - 1 >= len(ds):
+            raise ModelError(f"Policy horizon too short for step {t}")
+        return ds[t - 1]
 
 
 @dataclass(frozen=True)
@@ -189,12 +169,10 @@ class AbsorbingDecomposition:
     both with columns indexed by transient states.
     """
 
-    transient: tuple
-    absorbing: tuple
     Q: np.ndarray
     R: np.ndarray
-    transient_idx: tuple = field(default=())
-    absorbing_idx: tuple = field(default=())
+    transient_idx: tuple
+    absorbing_idx: tuple
 
 
 def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
@@ -216,8 +194,6 @@ def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
         raise ModelError("evolve: t must be >= 1")
     if len(initial) != mdp.n:
         raise ModelError("evolve: initial vector size mismatch")
-    if policy.kind == "history":
-        raise ModelError("evolve: use the elemlink/mc machinery for history policies")
     v = initial.entries
     for step in range(1, t):
         P = policy_matrix(mdp, policy.decision_at(step))
@@ -225,8 +201,7 @@ def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
     return ProbVector(v, initial.states)
 
 
-def stationary_distribution(P: StochasticMatrix, tol: float = 1e-12,
-                            max_iter: int = 10**6) -> ProbVector:
+def stationary_distribution(P: StochasticMatrix) -> ProbVector:
     """Unit-eigenvalue probability vector of P by power iteration.
 
     Falls back to a direct solve of (P - I)v = 0 with sum(v) = 1 when the
@@ -235,21 +210,18 @@ def stationary_distribution(P: StochasticMatrix, tol: float = 1e-12,
     n = P.n
     v = np.full(n, 1.0 / n)
     A = P.entries
-    for it in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         w = A @ v
-        if np.max(np.abs(w - v)) <= tol:
+        if np.max(np.abs(w - v)) <= STATIONARY_TOL:
             w = np.clip(w, 0.0, None)
             return ProbVector(w / w.sum())
         v = w
-        # periodically try the direct solve instead of grinding on
-        if it == 10_000:
-            break
     M = np.vstack([A - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     resid = np.max(np.abs(A @ sol - sol))
-    if resid > max(tol, 1e-10) or np.any(sol < -1e-9):
+    if resid > 1e-10 or np.any(sol < -1e-9):
         raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")
     sol = np.clip(sol, 0.0, None)
     return ProbVector(sol / sol.sum())
@@ -274,8 +246,6 @@ def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition
     Q = P[np.ix_(tra_idx, tra_idx)]
     R = P[np.ix_(abs_idx, tra_idx)]
     return AbsorbingDecomposition(
-        transient=tuple(mdp.states[i] for i in tra_idx),
-        absorbing=tuple(mdp.states[i] for i in abs_idx),
         Q=Q,
         R=R,
         transient_idx=tuple(tra_idx),
@@ -283,34 +253,40 @@ def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition
     )
 
 
-def absorption_time(dec: AbsorbingDecomposition, initial_transient) -> float:
-    """Expected steps to absorption: <gamma| (I - Q)^{-1} |init>.
-
-    `initial_transient` is a distribution over the transient states (it may
-    sum to less than 1 if some initial mass starts absorbed; the result is
-    then the contribution of the transient mass).
-    """
+def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
+    """Expected visits y = (I - Q)^{-1} |init> to the transient states, or
+    ModelError when absorption is unreachable or the solve breaks the mass
+    balance 1^T R y = 1^T init.  `init` may sum to less than 1."""
     init = np.asarray(
         initial_transient.entries if isinstance(initial_transient, ProbVector)
         else initial_transient, dtype=float)
     nQ = dec.Q.shape[0]
     if init.size != nQ:
-        raise ModelError("absorption_time: initial vector size mismatch")
-    A = np.eye(nQ) - dec.Q
+        raise ModelError("absorbing solve: initial vector size mismatch")
     try:
-        lu = lu_factor(A)
+        lu = lu_factor(np.eye(nQ) - dec.Q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ModelError("absorption_time: I - Q singular") from exc
+        raise ModelError("absorbing solve: I - Q singular") from exc
     y = lu_solve(lu, init)
-    if not np.all(np.isfinite(y)) or np.any(y < -1e-6):
-        raise ModelError("absorption_time: absorption unreachable from initial mass")
-    return float(y.sum())
+    if not np.all(np.isfinite(y)):
+        raise ModelError("absorbing solve: absorption unreachable from initial mass")
+    mass = init.sum()
+    absorbed = dec.R.sum(axis=0) @ y
+    if abs(absorbed - mass) > MASS_RTOL * mass:
+        raise ModelError(
+            f"absorbing solve: ill-conditioned, absorbed mass {absorbed:.12g} "
+            f"differs from initial mass {mass:.12g}")
+    if np.any(y < -1e-9 * np.abs(y).max(initial=0.0)):
+        raise ModelError("absorbing solve: absorption unreachable from initial mass")
+    return y
+
+
+def absorption_time(dec: AbsorbingDecomposition, initial_transient) -> float:
+    """Expected steps to absorption: <gamma| (I - Q)^{-1} |init>; with some
+    initial mass already absorbed, the contribution of the transient mass."""
+    return float(_expected_visits(dec, initial_transient).sum())
 
 
 def absorption_distribution(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
     """Distribution over absorbing states at absorption: R (I - Q)^{-1} |init>."""
-    init = np.asarray(
-        initial_transient.entries if isinstance(initial_transient, ProbVector)
-        else initial_transient, dtype=float)
-    lu = lu_factor(np.eye(dec.Q.shape[0]) - dec.Q)
-    return dec.R @ lu_solve(lu, init)
+    return dec.R @ _expected_visits(dec, initial_transient)

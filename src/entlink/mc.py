@@ -39,9 +39,6 @@ def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
     rng = cfg.rng()
     n = model.n
     t_max = cfg.horizon
-    if policy.kind == "history":
-        raise ModelError("simulate_elem: sample history policies via their "
-                         "time-indexed equivalent")
     # per-step transition cumulatives for each decision function seen
     g = g_vector(model).entries
     mdp = build_mdp(model)

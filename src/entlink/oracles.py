@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the selftest and the test
 suite.  Nothing here shares code paths with the implementations it checks:
 stationary vectors come from an eigendecomposition, optimal policies from
-exhaustive enumeration or Howard's policy iteration, and the heralded
+exhaustive enumeration or Howard's policy iteration, finite-horizon
+optima from a literal history-indexed recursion, and the heralded
 satellite link from an explicit beamsplitter dilation on truncated Fock
 spaces.  `lp_optimal_value_displayed` transcribes the two-link constraint
 blocks as displayed, as a check on the generic occupation-LP builder.
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import lp as _lp
-from .elemlink import ElemLinkModel, build_mdp, g_vector
+from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix, absorbing_states
 from .twolink import ACTIONS, TwoLinkModel, build_two_link_mdp, initial_distribution
 from .qstate import bell, partial_trace, permute_subsystems
@@ -54,6 +55,45 @@ def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
         if val > best:
             best = val
     return best
+
+
+_HISTORY_T_CAP = 8
+
+
+def optimal_backward_history(model: ElemLinkModel, t: int):
+    """Literal history-indexed backward recursion.  Exponential in t; capped
+    so it stays a cross-check rather than a workhorse."""
+    if t < 1:
+        raise ModelError("optimal_backward_history: t must be >= 1")
+    if t > _HISTORY_T_CAP:
+        raise ModelError(f"optimal_backward_history: t capped at {_HISTORY_T_CAP}")
+    mdp = build_mdp(model)
+    T = {a: mdp.transitions[a].entries for a in (WAIT, REQUEST)}
+    g = g_vector(model).entries
+    states = range(model.n)
+    policy_table = {}
+
+    def w(history):
+        # history: tuple (m_1, a_1, m_2, a_2, ..., m_j) of state/action indices,
+        # carrying the probability of the path implicitly through recursion
+        j = (len(history) + 1) // 2
+        m_j = history[-1]
+        if j == t:
+            return model.f[m_j]
+        best, best_a = -1.0, WAIT
+        for a in (REQUEST, WAIT):  # wait checked last so ties keep wait
+            total = 0.0
+            for m_next in states:
+                pr = T[a][m_next, m_j]
+                if pr > 0:
+                    total += pr * w(history + (a, m_next))
+            if total > best or (a == WAIT and total >= best):
+                best, best_a = total, a
+        policy_table[history] = best_a
+        return best
+
+    value = sum(g[m1] * w((m1,)) for m1 in states if g[m1] > 0)
+    return float(value), policy_table
 
 
 def random_decision(rng, n_states: int, n_actions: int) -> DecisionFunction:

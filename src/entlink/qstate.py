@@ -212,27 +212,6 @@ def partial_trace(mat, dims, keep):
     return np.einsum("ajbj->ab", m)
 
 
-def apply_on(channel: KrausChannel, rho: DensityOperator, targets) -> DensityOperator:
-    """Apply a square-Kraus channel to the listed subsystems of rho."""
-    dims = list(rho.dims)
-    n = len(dims)
-    targets = list(targets)
-    rest = [i for i in range(n) if i not in targets]
-    perm = targets + rest
-    m, nd = permute_subsystems(rho.mat, dims, perm)
-    dt = int(np.prod([dims[i] for i in targets]))
-    dr = m.shape[0] // dt
-    out = np.zeros_like(m)
-    for K in channel.kraus:
-        if K.shape != (dt, dt):
-            raise QuantumError("apply_on: Kraus dimension mismatch with targets")
-        Kfull = np.kron(K, np.eye(dr))
-        out += Kfull @ m @ Kfull.conj().T
-    inv = np.argsort(perm)
-    back, _ = permute_subsystems(out, nd, inv)
-    return DensityOperator(back, rho.dims)
-
-
 def fidelity_to_pure(rho, psi):
     mat = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)

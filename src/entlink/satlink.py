@@ -169,10 +169,9 @@ def memory_f_vector(m_star: int, t_coh: float, alpha: float, beta: float) -> np.
 
 
 def _geom_exp_sum(t_star, t_coh):
-    # sum_{m=0}^{t*} e^{-m/t_coh} written with sinh for stability
-    return (math.exp(-t_star / (2 * t_coh))
-            * math.sinh((1 + t_star) / (2 * t_coh))
-            / math.sinh(1 / (2 * t_coh)))
+    # sum_{m=0}^{t*} e^{-m/t_coh} as an expm1 ratio, which cannot overflow
+    # for small t_coh as a sinh ratio does
+    return math.expm1(-(t_star + 1) / t_coh) / math.expm1(-1 / t_coh)
 
 
 def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,

@@ -238,7 +238,7 @@ def criterion_backward_recursion(seed=20260824):
             f = np.concatenate([[0.0], rng.uniform(0, 1, m_star + 1)])
             model = elemlink.ElemLinkModel(p, m_star, f)
             v_dp, _ = elemlink.optimal_backward(model, t)
-            v_h, _ = elemlink.optimal_backward_history(model, t)
+            v_h, _ = oracles.optimal_backward_history(model, t)
             hist_err = max(hist_err, abs(v_dp - v_h))
     dt = time.perf_counter() - t0
     return _record("backward recursion vs exhaustive search",

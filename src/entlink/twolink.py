@@ -89,62 +89,38 @@ def uniform_f_table(m1_star, m2_star, value=1.0):
     return f
 
 
-def _link_blocks(p, m_star):
-    """Wait and request matrices and post-request vector of one link."""
-    link = ElemLinkModel(p, m_star, np.zeros(m_star + 2))
-    mdp = build_mdp(link)
-    return (mdp.transitions[WAIT].entries, mdp.transitions[REQUEST].entries,
-            g_vector(link).entries)
+def _links(model: TwoLinkModel):
+    """The two elementary links; f = 0 because only their dynamics are used."""
+    return [ElemLinkModel(p, m_star, np.zeros(m_star + 2))
+            for p, m_star in ((model.p1, model.m1_star), (model.p2, model.m2_star))]
 
 
 def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
-    n1, n2 = model.n1, model.n2
-    T10, T11, g1 = _link_blocks(model.p1, model.m1_star)
-    T20, T21, g2 = _link_blocks(model.p2, model.m2_star)
-    eye_block = np.eye(n1 * n2)
+    """Kronecker products of the links' matrices on x=0: "ab" applies a to
+    link 1 and b to link 2; "swap" waits on both unless both are active,
+    then succeeds with probability q (to x=1) or regenerates both."""
+    half = model.n1 * model.n2
+    (T1, g1), (T2, g2) = [(build_mdp(link).transitions, g_vector(link).entries)
+                          for link in _links(model)]
+    step = {"0": WAIT, "1": REQUEST}
+    tops = {a: np.kron(T1[step[a[0]]].entries, T2[step[a[1]]].entries)
+            for a in ACTIONS[:4]}
+    tops["swap"] = np.kron(T1[WAIT].entries, T2[WAIT].entries)
+    both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
+    tops["swap"][:, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
     mats = {}
-    for a in ("00", "01", "10", "11"):
-        A1 = T10 if a[0] == "0" else T11
-        A2 = T20 if a[1] == "0" else T21
-        M = np.zeros((model.n, model.n))
-        M[: n1 * n2, : n1 * n2] = np.kron(A1, A2)
-        M[n1 * n2:, n1 * n2:] = eye_block
+    for a, top in tops.items():
+        M = np.eye(model.n)
+        M[:half, :half] = top
+        if a == "swap":
+            M[half + both, both] = model.q
         mats[a] = StochasticMatrix(M)
-
-    # swap action
-    gamma1 = np.zeros(n1); gamma1[1:] = 1.0  # functional over active ages of link 1
-    gamma2 = np.zeros(n2); gamma2[1:] = 1.0
-    act1 = np.diag(gamma1)
-    act2 = np.diag(gamma2)
-    S1 = np.zeros((n1, n1))
-    for m in range(model.m1_star):
-        S1[m + 2, m + 1] = 1.0
-    S2 = np.zeros((n2, n2))
-    for m in range(model.m2_star):
-        S2[m + 2, m + 1] = 1.0
-    e1_m = np.zeros(n1); e1_m[0] = 1.0  # |-1> of link 1
-    e2_m = np.zeros(n2); e2_m[0] = 1.0
-    top = ((1 - model.q) * np.outer(np.kron(g1, g2), np.kron(gamma1, gamma2))
-           + np.kron(S1, np.outer(e2_m, e2_m))
-           + np.kron(np.outer(e1_m, e1_m), S2)
-           + np.outer(np.kron(e1_m, e2_m), np.kron(e1_m, e2_m)))
-    # a link at its storage bound with the partner inactive gets discarded
-    e1_top = np.zeros(n1); e1_top[-1] = 1.0
-    e2_top = np.zeros(n2); e2_top[-1] = 1.0
-    top += np.outer(np.kron(e1_m, e2_m), np.kron(e1_m, e2_top))
-    top += np.outer(np.kron(e1_m, e2_m), np.kron(e1_top, e2_m))
-    M = np.zeros((model.n, model.n))
-    M[: n1 * n2, : n1 * n2] = top
-    M[n1 * n2:, : n1 * n2] = model.q * np.kron(act1, act2)
-    M[n1 * n2:, n1 * n2:] = eye_block
-    mats["swap"] = StochasticMatrix(M)
     return Mdp(states=model.states, actions=ACTIONS, transitions=mats)
 
 
 def initial_distribution(model: TwoLinkModel) -> ProbVector:
     """Both links freshly requested at t=1, end-to-end link not yet formed."""
-    *_, g1 = _link_blocks(model.p1, model.m1_star)
-    *_, g2 = _link_blocks(model.p2, model.m2_star)
+    g1, g2 = [g_vector(link).entries for link in _links(model)]
     v = np.zeros(model.n)
     v[: model.n1 * model.n2] = np.kron(g1, g2)
     return ProbVector(v, model.states)

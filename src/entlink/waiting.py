@@ -7,8 +7,6 @@ t_req + 1 attempts.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .markov import ModelError, policy_matrix
@@ -34,17 +32,29 @@ def collective_pmf_infty(M: int, p: float, t_req: int, t: int) -> float:
     return hi - lo
 
 
+def _binomial_rows(M, p):
+    """Yield the Bin(j; m, p) weights, j = 0..m, for m = 1..M.  Pascal's rule
+    builds each weight as a sum of non-negative terms."""
+    w = np.ones(1)
+    for _ in range(M):
+        w = np.append(w * (1 - p), 0.0) + np.insert(w * p, 0, 0.0)
+        yield w
+
+
 def collective_expected_infty(M: int, p: float, t_req: int) -> float:
-    """Expected collective waiting time, inclusion-exclusion closed form."""
+    """Expected collective waiting time from non-negative terms only: the
+    wait E_m for m links still down solves E_m (1 - (1-p)^m) =
+    1 + sum_{j>=1} Bin(j; m, p) E_{m-j}, and E[W] = 1 + sum_k Bin(k; M, head)
+    E_{M-k} with head = 1 - (1-p)^(t_req+1) the share up at the first step."""
     if not 0 < p <= 1:
         raise ModelError("collective_expected_infty: p must lie in (0, 1]")
     if M < 1 or t_req < 0:
         raise ModelError("collective_expected_infty: bad M or t_req")
-    total = 0.0
-    for k in range(1, M + 1):
-        pk = _pk(p, k)
-        total += comb(M, k) * (-1) ** (k + 1) * (1 + (1 - pk) ** (t_req + 1) / pk)
-    return total
+    E = np.zeros(M + 1)
+    for m, w in enumerate(_binomial_rows(M, p), start=1):
+        E[m] = (1 + w[1:] @ E[m - 1::-1]) / w[1:].sum()
+    *_, head = _binomial_rows(M, _pk(p, t_req + 1))
+    return float(1 + head @ E[::-1])
 
 
 def hazard_trace(mdp, policy, initial, t_req: int, inactive_index: int = 0):

@@ -107,3 +107,20 @@ def test_config_overrides_option_defaults(tmp_path):
                  "--d", "1000", "--h", "500", "--fs", "1"])
     default = run_cli(["satlink", "link", "--d", "1000"])
     assert r.stdout == default.stdout
+
+
+def test_elem_optimal_writes_one_table():
+    args = ["elem", "optimal", "--p", "0.4", "--m-star", "3",
+            "--f", "1,0.95,0.85,0.7"]
+    r = run_cli(args)
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.DictReader(r.stdout.splitlines()))
+    assert [row["state"] for row in rows] == ["-1", "0", "1", "2", "3"]
+    assert list(rows[0]) == ["state", "wait", "request", "optimal_ftilde"]
+    assert len({row["optimal_ftilde"] for row in rows}) == 1
+    for row in rows:
+        assert float(row["wait"]) + float(row["request"]) == 1.0
+    j = run_cli(["--format", "json", *args])
+    assert j.returncode == 0, j.stderr
+    data = json.loads(j.stdout)["data"]
+    assert [{k: str(v) for k, v in row.items()} for row in data] == rows

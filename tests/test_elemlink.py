@@ -135,14 +135,14 @@ def test_history_equals_markov(rng):
             m = E.ElemLinkModel(p, ms,
                                 np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
             v1, _ = E.optimal_backward(m, t)
-            v2, _ = E.optimal_backward_history(m, t)
+            v2, _ = oracles.optimal_backward_history(m, t)
             assert v1 == pytest.approx(v2, abs=1e-12)
 
 
 def test_history_cap():
     m = model(0.5, [1.0])
     with pytest.raises(ModelError):
-        E.optimal_backward_history(m, 9)
+        oracles.optimal_backward_history(m, 9)
 
 
 def test_backward_policy_achieves_its_value(rng):

@@ -55,13 +55,6 @@ def test_elem_transient_matches_closed_form():
         assert abs(res["ftilde"][t - 1] - ft) < 4 * res["ftilde_se"][t - 1] + 1e-9
 
 
-def test_elem_rejects_history_policy():
-    m = elem_model()
-    pol = Policy.history_dependent({}, 3)
-    with pytest.raises(ModelError):
-        mc.simulate_elem(m, pol, mc.SimConfig(seed=1, trials=10))
-
-
 def test_two_link_matches_analytic():
     model = twolink.TwoLinkModel(0.5, 0.5, 0.5, 2, 2, twolink.uniform_f_table(2, 2))
     d = twolink.cutoff_decision(model, 2, 2)

@@ -118,6 +118,17 @@ def test_cutoff_steady_sinh_matches_elemlink(rng):
         assert fr == pytest.approx(fr2, abs=1e-12)
 
 
+def test_cutoff_steady_sinh_vs_direct_sum():
+    # coherence times of 1e-3 and below used to overflow sinh
+    p, al, be = 0.3, 0.45, 0.5
+    for t_coh in (1e-4, 1e-3, 0.5, 50.0, 1e6):
+        for ts in (0, 1, 7, 40):
+            fsum = sum(S.memory_f(m, t_coh, al, be) for m in range(ts + 1))
+            ft, fr = S.cutoff_steady_sinh(ts, t_coh, al, be, p)
+            assert fr == pytest.approx(fsum / (ts + 1), rel=1e-12)
+            assert ft == pytest.approx(p * fsum / (1 + ts * p), rel=1e-12)
+
+
 def test_ftilde_infty_closed_vs_direct_sum(rng):
     for _ in range(10):
         p = rng.uniform(0.05, 1.0)

@@ -66,6 +66,67 @@ def test_swap_on_inactive_links_shifts_ages():
     assert T[model.idx(0, -1, -1), src] == pytest.approx(1.0)
 
 
+def _rule_matrices(model):
+    """The two-link transition rules written out state by state."""
+
+    def link_next(p, m, m_star, request):
+        if request:
+            return {-1: 1 - p, 0: p}
+        if m == -1 or m == m_star:
+            return {-1: 1.0}  # inactive stays so; a pair at the bound is discarded
+        return {m + 1: 1.0}
+
+    mats = {a: np.zeros((model.n, model.n)) for a in TL.ACTIONS}
+    for x, m1, m2 in model.states:
+        src = model.idx(x, m1, m2)
+        for a in TL.ACTIONS:
+            T = mats[a]
+            if x == 1:
+                T[src, src] = 1.0
+                continue
+            if a == "swap" and m1 >= 0 and m2 >= 0:
+                T[model.idx(1, m1, m2), src] += model.q
+                req = (True, True)
+                weight = 1 - model.q
+            else:
+                req = (False, False) if a == "swap" else (a[0] == "1", a[1] == "1")
+                weight = 1.0
+            nxt1 = link_next(model.p1, m1, model.m1_star, req[0])
+            nxt2 = link_next(model.p2, m2, model.m2_star, req[1])
+            for n1, pr1 in nxt1.items():
+                for n2, pr2 in nxt2.items():
+                    T[model.idx(0, n1, n2), src] += weight * (pr1 * pr2)
+    return mats
+
+
+def test_build_matches_state_by_state_rules():
+    rng = np.random.default_rng(20260824)
+    cases = [(1.0, 1.0, 1.0, 0, 0), (1.0, 0.3, 1.0, 2, 0), (0.4, 1.0, 0.6, 0, 3)]
+    for _ in range(20):
+        cases.append((*rng.uniform(0, 1, 3), *rng.integers(0, 5, 2)))
+    for p1, p2, q, m1, m2 in cases:
+        model = TL.TwoLinkModel(p1, p2, q, int(m1), int(m2),
+                                TL.uniform_f_table(int(m1), int(m2)))
+        mdp = TL.build_two_link_mdp(model)
+        for a, T in _rule_matrices(model).items():
+            np.testing.assert_allclose(mdp.transitions[a].entries, T,
+                                       rtol=0, atol=1e-15)
+
+
+def test_evaluate_policy_raises_when_solve_loses_mass():
+    # at p = 1e-6 the waiting time is ~4e11 steps and the solve loses 3e-5
+    # of the absorbed mass; it used to return 3.99989e11 and f 0.99997
+    model = sym_model(1e-6, 0.5, 2)
+    d = TL.cutoff_decision(model, 2, 2)
+    with pytest.raises(ModelError, match="ill-conditioned"):
+        TL.evaluate_policy(model, d)
+    model = sym_model(1e-3, 0.5, 2)
+    wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
+    assert wait == pytest.approx(TL.analytic_symmetric_waiting_time(1e-3, 0.5, 2),
+                                 rel=1e-9)
+    assert f_abs == pytest.approx(1.0, rel=1e-9)
+
+
 def test_evaluate_cutoff_matches_analytic():
     for p in (0.3, 0.6, 1.0):
         for q in (0.4, 1.0):

@@ -26,6 +26,18 @@ def test_expected_equals_pmf_sum():
                     s, abs=1e-8)
 
 
+def test_expected_equals_pmf_sum_many_links():
+    # inclusion-exclusion over M terms cancelled catastrophically here
+    # (524.40 instead of 466.14 at M=60, p=0.01; -2.07e42 at M=200)
+    for M in (20, 60, 200):
+        for p, t_req in ((0.01, 0), (0.01, 30), (0.3, 2)):
+            s = sum(t * W.collective_pmf_infty(M, p, t_req, t)
+                    for t in range(1, 9000))
+            assert W.collective_expected_infty(M, p, t_req) == pytest.approx(
+                s, rel=1e-10)
+    assert W.collective_expected_infty(60, 0.01, 0) == pytest.approx(466.14, abs=0.01)
+
+
 def test_single_link_is_geometric():
     for p in (0.1, 0.37, 1.0):
         assert W.collective_expected_infty(1, p, 0) == pytest.approx(1 / p, abs=1e-12)
