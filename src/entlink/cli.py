@@ -226,6 +226,14 @@ def cmd_waiting_collective(args):
     _emit([row], args)
 
 
+def _mean_se(samples, what):
+    """Sample mean and standard error; fewer than two samples is an error."""
+    if samples.size < 2:
+        raise ModelError(f"{what}: {samples.size} usable samples, "
+                         "a standard error needs at least 2")
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
+
+
 def cmd_simulate_elem(args):
     model = _elem_model(args)
     ts = math.inf if args.t_star is None else args.t_star
@@ -243,20 +251,18 @@ def cmd_simulate_twolink(args):
     d = twolink.cutoff_decision(model, args.t1_star, args.t2_star)
     cfg = mc.SimConfig(seed=args.seed, trials=args.trials, horizon=args.horizon)
     res = mc.simulate_two_link(model, d, cfg)
-    w = res["wait_samples"]
-    f = res["f_samples"]
-    _emit([{"mean_waiting": w.mean(), "waiting_se": w.std(ddof=1) / math.sqrt(w.size),
-            "mean_f": f.mean(), "exhausted": res["exhausted"],
-            "rng": res["rng"]}], args)
+    mean, se = _mean_se(res["wait_samples"],
+                        f"simulate twolink: {res['exhausted']} of {args.trials} trajectories "
+                        f"exhausted --horizon {args.horizon}")
+    _emit([{"mean_waiting": mean, "waiting_se": se, "mean_f": res["f_samples"].mean(),
+            "exhausted": res["exhausted"], "rng": res["rng"]}], args)
 
 
 def cmd_simulate_collective(args):
     cfg = mc.SimConfig(seed=args.seed, trials=args.trials)
     res = mc.simulate_collective(args.M, args.p, args.t_req, cfg)
-    w = res["wait_samples"]
-    _emit([{"mean_waiting": w.mean(),
-            "waiting_se": w.std(ddof=1) / math.sqrt(w.size),
-            "rng": res["rng"]}], args)
+    mean, se = _mean_se(res["wait_samples"], f"simulate collective: --trials {args.trials}")
+    _emit([{"mean_waiting": mean, "waiting_se": se, "rng": res["rng"]}], args)
 
 
 def run_selftest(args):

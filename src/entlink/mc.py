@@ -1,9 +1,10 @@
 """Seeded Monte Carlo trajectory sampling: the independent statistical
 oracle for the analytic results.
 
-RNG: numpy PCG64 via default_rng.  Parallel use splits (seed, stream)
-through SeedSequence spawn keys; the serial path is bit-reproducible for a
-fixed seed.
+RNG: numpy PCG64 via default_rng; a fixed seed gives the same bytes.  A step
+moves each trajectory to the first successor whose running transition
+probability reaches its uniform draw, looked up in a table that holds only
+each state's positive-probability successors (`_successor_table`).
 """
 
 from __future__ import annotations
@@ -33,30 +34,56 @@ class SimConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(stream,)))
 
 
+def _successor_table(P: np.ndarray):
+    """Inverse-CDF table of a column-stochastic P, one column per state.
+
+    cum[k, s] is the running sum of column s over its first k+1 nonzeros in
+    index order, inf past the last; nxt[k, s] is the k-th successor, and the
+    later rows (one more than cum has) repeat the last.  Exact zeros leave a
+    running sum unchanged, so this picks the state the dense cumsum picks for
+    any 0 < u <= sum; u = 0 gives the first successor, u > sum the last.
+    """
+    cols, rows = np.nonzero(P.T > 0)  # by state, then successor index
+    width = np.bincount(cols, minlength=P.shape[1])
+    ends = np.cumsum(width)
+    rank = np.arange(cols.size) - np.repeat(ends - width, width)
+    cum = np.zeros((width.max(), P.shape[1]))
+    cum[rank, cols] = P[rows, cols]
+    cum = np.cumsum(cum, axis=0)  # sequential adds, as in the dense cumsum
+    cum[np.arange(len(cum))[:, None] >= width] = np.inf
+    nxt = np.tile(rows[ends - 1], (len(cum) + 1, 1))
+    nxt[rank, cols] = rows
+    return cum, nxt.ravel()
+
+
+def _step(table, states, u):
+    """Next states of trajectories in `states` for uniform draws u."""
+    cum, nxt = table
+    k = np.zeros(states.size, dtype=np.intp)
+    for row in cum:
+        k += u > row[states]
+    return nxt[k * cum.shape[1] + states]
+
+
 def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
     """Sample trajectories of the single-link chain; returns per-time
     estimates of the state distribution, F~ and X with standard errors."""
     rng = cfg.rng()
     n = model.n
     t_max = cfg.horizon
-    # per-step transition cumulatives for each decision function seen
     g = g_vector(model).entries
     mdp = build_mdp(model)
     counts = np.zeros((t_max, n), dtype=np.int64)
     states = rng.choice(n, size=cfg.trials, p=g)
-    cum_cache = {}
+    tables = {}  # successor table per decision function seen
     for t in range(1, t_max + 1):
-        np.add.at(counts[t - 1], states, 1)
+        counts[t - 1] = np.bincount(states, minlength=n)
         if t == t_max:
             break
         d = policy.decision_at(t)
-        key = id(d)
-        if key not in cum_cache:
-            P = policy_matrix(mdp, d).entries
-            cum_cache[key] = np.cumsum(P.T, axis=1)  # row s: cdf over next states
-        cum = cum_cache[key]
-        u = rng.random(cfg.trials)
-        states = (u[:, None] > cum[states]).sum(axis=1)
+        if id(d) not in tables:
+            tables[id(d)] = _successor_table(policy_matrix(mdp, d).entries)
+        states = _step(tables[id(d)], states, rng.random(cfg.trials))
     freq = counts / cfg.trials
     ftilde = freq @ model.f
     x = 1.0 - freq[:, 0]
@@ -73,8 +100,7 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
     that exhaust the horizon are reported, never silently dropped."""
     rng = cfg.rng()
     mdp = build_two_link_mdp(model)
-    P = policy_matrix(mdp, d).entries
-    cum = np.cumsum(P.T, axis=1)
+    table = _successor_table(policy_matrix(mdp, d).entries)
     half = model.n1 * model.n2
     init = initial_distribution(model).entries
     f_flat = model.f_flat()
@@ -86,7 +112,7 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
         if not active.any():
             break
         u = rng.random(int(active.sum()))
-        nxt = (u[:, None] > cum[states[active]]).sum(axis=1)
+        nxt = _step(table, states[active], u)
         states[active] = nxt
         newly = active.copy()
         newly[active] = nxt >= half

@@ -1,9 +1,17 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entlink
 from entlink.markov import DecisionFunction, Mdp, StochasticMatrix
+
+# The CLI tests run `python -m entlink.cli` in subprocesses: point them at the
+# package these tests import, also when pytest alone put `src` on sys.path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(entlink.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -124,3 +124,27 @@ def test_elem_optimal_writes_one_table():
     assert j.returncode == 0, j.stderr
     data = json.loads(j.stdout)["data"]
     assert [{k: str(v) for k, v in row.items()} for row in data] == rows
+
+
+def test_simulate_twolink_fails_when_trajectories_exhaust_the_horizon():
+    r = run_cli(["--seed", "1", "simulate", "twolink", "--p1", "0.01", "--p2", "0.01",
+                 "--q", "0.5", "--m1-star", "2", "--m2-star", "2", "--t1-star", "2",
+                 "--t2-star", "2", "--horizon", "1", "--trials", "1000"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "1000 of 1000 trajectories exhausted" in r.stderr
+    assert "Warning" not in r.stderr
+
+
+def test_simulate_needs_two_samples_for_a_standard_error():
+    twolink = ["simulate", "twolink", "--p1", "0.5", "--p2", "0.5", "--q", "0.5",
+               "--m1-star", "2", "--m2-star", "2", "--t1-star", "2", "--t2-star", "2"]
+    collective = ["simulate", "collective", "--M", "2", "--p", "0.5"]
+    for args in (twolink, collective):
+        r = run_cli([*args, "--trials", "1"])
+        assert r.returncode == 2
+        assert r.stdout == "" and "nan" not in r.stderr
+        assert "1 usable samples" in r.stderr
+        ok = run_cli([*args, "--trials", "2"])
+        assert ok.returncode == 0, ok.stderr
+        assert "nan" not in ok.stdout

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from entlink import elemlink, mc, twolink, waiting
-from entlink.markov import ModelError, Policy
+from entlink.markov import DecisionFunction, ModelError, Policy
 
 
 def elem_model(p=0.5, f_vals=(1.0, 0.9, 0.8)):
@@ -84,3 +85,69 @@ def test_collective_validation():
         mc.simulate_collective(0, 0.5, 0, cfg)
     with pytest.raises(ModelError):
         mc.simulate_collective(1, 0.0, 0, cfg)
+
+
+def _digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+
+def test_golden_bytes():
+    # same seed, same bytes: these digests are the dense-cumsum sampler's
+    # output, which the successor tables reproduce exactly
+    m = elemlink.ElemLinkModel(0.3, 4, [0, 1, .9, .8, .7, .6])
+    pol = Policy.time_indexed([elemlink.cutoff_decision(m, t % 5) for t in range(40)])
+    res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=20_000, horizon=40))
+    assert _digest(res["freq"]) == "ce82152241862908"
+    # the uniform decision mixes all five actions: the widest successor lists
+    model = twolink.TwoLinkModel(0.4, 0.6, 0.7, 3, 4, twolink.uniform_f_table(3, 4, 0.9))
+    res = mc.simulate_two_link(model, DecisionFunction.uniform(model.n, 5),
+                               mc.SimConfig(seed=5, trials=20_000, horizon=2_000))
+    assert res["exhausted"] == 0
+    assert _digest(res["wait_samples"], res["f_samples"]) == "de7e3e10c0709c19"
+
+
+def _dense_index(column, u):
+    return int((u > np.cumsum(column)).sum())
+
+
+def _edge_matrix():
+    P = np.zeros((10, 10))
+    P[[1, 4, 6], 0] = [0.2, 0.5, 0.3]  # zeros before, between and after
+    P[[0, 2, 3, 5, 6, 8, 9], 1] = 1 / 7  # running sum ends at 1 - 2**-52
+    P[9, 2:] = 1.0
+    return P
+
+
+def test_successor_table_edge_draws():
+    P = _edge_matrix()
+    top = np.nextafter(1.0, 0.0)  # the largest draw of Generator.random
+    assert np.cumsum(P[:, 1])[-1] < top
+    table = mc._successor_table(P)
+    for s in (0, 1):
+        col = P[:, s]
+        sums = np.cumsum(col)[col > 0]
+        draws = [0.0, top]
+        for c in sums:
+            draws += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
+        for u in draws:
+            got = int(mc._step(table, np.array([s]), np.array([u]))[0])
+            assert col[got] > 0, (s, u)
+            dense = _dense_index(col, u)
+            if dense < col.size and col[dense] > 0:
+                assert got == dense, (s, u)
+    # where the dense rule fails, the table gives the first or last successor
+    assert mc._step(table, np.array([0]), np.array([0.0]))[0] == 1
+    assert _dense_index(P[:, 1], top) == 10
+    assert mc._step(table, np.array([1]), np.array([top]))[0] == 9
+
+
+def test_successor_table_matches_dense_rule(rng):
+    n = 30
+    P = rng.random((n, n)) * (rng.random((n, n)) < 0.15)
+    P[rng.integers(n, size=n), np.arange(n)] += 0.01  # every column nonzero
+    P /= P.sum(axis=0)
+    states = rng.integers(n, size=20_000)
+    u = rng.random(states.size)
+    got = mc._step(mc._successor_table(P), states, u)
+    dense = (u[:, None] > np.cumsum(P.T, axis=1)[states]).sum(axis=1)
+    assert np.array_equal(got, dense)
