@@ -80,14 +80,20 @@ def build_mdp(model: ElemLinkModel) -> Mdp:
                             REQUEST: StochasticMatrix(T1)})
 
 
+def aged_states(sigma0: DensityOperator, memory: KrausChannel, m_star: int):
+    """Density matrices of the link after 0, 1, ..., m_star steps in memory."""
+    states = [sigma0.mat]
+    for _ in range(m_star):
+        states.append(memory(states[-1]))
+    return states
+
+
 def f_from_physics(sigma0: DensityOperator, memory: KrausChannel,
                    target, m_star: int) -> np.ndarray:
     """f(m) = overlap of the m-times-decohered link state with the target."""
     f = np.zeros(m_star + 2)
-    state = sigma0.mat
-    for m in range(m_star + 1):
+    for m, state in enumerate(aged_states(sigma0, memory, m_star)):
         f[m + 1] = np.clip(fidelity_to_pure(state, target), 0.0, 1.0)
-        state = memory(state)
     return f
 
 

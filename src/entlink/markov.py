@@ -166,13 +166,15 @@ class AbsorbingDecomposition:
     """Block structure of P^d with transient states listed before absorbing.
 
     Q: transient -> transient block, R: transient -> absorbing block,
-    both with columns indexed by transient states.
+    both with columns indexed by transient states; lu: the LU factors of
+    I - Q, shared by every solve on this decomposition.
     """
 
     Q: np.ndarray
     R: np.ndarray
     transient_idx: tuple
     absorbing_idx: tuple
+    lu: tuple
 
 
 def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
@@ -228,15 +230,10 @@ def stationary_distribution(P: StochasticMatrix) -> ProbVector:
 
 
 def absorbing_states(mdp: Mdp):
-    """States s with T^a|s> = |s> for every action a."""
-    out = []
-    for i, s in enumerate(mdp.states):
-        col_fixed = all(
-            mdp.transitions[a].entries[i, i] == 1.0 for a in mdp.actions
-        )
-        if col_fixed:
-            out.append(i)
-    return out
+    """States s with T^a|s> = |s> for every action a, up to PROB_TOL (a
+    self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16)."""
+    diag = np.array([np.diag(mdp.transitions[a].entries) for a in mdp.actions])
+    return np.flatnonzero(np.all(diag >= 1 - PROB_TOL, axis=0)).tolist()
 
 
 def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition:
@@ -250,6 +247,7 @@ def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition
         R=R,
         transient_idx=tuple(tra_idx),
         absorbing_idx=tuple(abs_idx),
+        lu=lu_factor(np.eye(len(tra_idx)) - Q),
     )
 
 
@@ -260,14 +258,9 @@ def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarr
     init = np.asarray(
         initial_transient.entries if isinstance(initial_transient, ProbVector)
         else initial_transient, dtype=float)
-    nQ = dec.Q.shape[0]
-    if init.size != nQ:
+    if init.size != dec.Q.shape[0]:
         raise ModelError("absorbing solve: initial vector size mismatch")
-    try:
-        lu = lu_factor(np.eye(nQ) - dec.Q)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ModelError("absorbing solve: I - Q singular") from exc
-    y = lu_solve(lu, init)
+    y = lu_solve(dec.lu, init)
     if not np.all(np.isfinite(y)):
         raise ModelError("absorbing solve: absorption unreachable from initial mass")
     mass = init.sum()

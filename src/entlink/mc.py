@@ -30,8 +30,8 @@ class SimConfig:
         if self.trials < 1 or self.horizon < 1:
             raise ModelError("SimConfig: trials and horizon must be >= 1")
 
-    def rng(self, stream: int = 0):
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(stream,)))
+    def rng(self):
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
 
 
 def _successor_table(P: np.ndarray):

@@ -24,10 +24,12 @@ from .markov import (
     decompose_absorbing,
 )
 from . import lp as _lp
-from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .qstate import DensityOperator, KrausChannel, fidelity_to_pure, swap_chain_channel
+from .elemlink import REQUEST, WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
+from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
+                     bell_overlap_table, swap_fidelity)
 
 ACTIONS = ("00", "01", "10", "11", "swap")
+TARGET_TOL = 1e-10  # |Phi> up to a phase: unit norm and |<Phi|target>| = 1
 
 
 @dataclass(frozen=True)
@@ -129,26 +131,22 @@ def initial_distribution(model: TwoLinkModel) -> ProbVector:
 def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
                             sigma2_0: DensityOperator, mem2: KrausChannel,
                             target, m1_star: int, m2_star: int) -> np.ndarray:
-    """f(1, m1, m2) = post-swap overlap with the target when link j has aged
-    m_j steps; computed by the exact one-intermediate-node channel."""
+    """f(1, m1, m2) = fidelity to the target of the link swapped from link j
+    aged m_j steps: the closed form `swap_fidelity` over the two links'
+    Bell-overlap tables.  The target must be |Phi> = bell(d) up to a phase."""
     d = int(round(math.sqrt(sigma1_0.dim)))
-    states1 = []
-    s = sigma1_0.mat
-    for _ in range(m1_star + 1):
-        states1.append(s)
-        s = mem1(s)
-    states2 = []
-    s = sigma2_0.mat
-    for _ in range(m2_star + 1):
-        states2.append(s)
-        s = mem2(s)
+    phi, target = bell(d), np.asarray(target, dtype=complex)
+    if (target.shape != phi.shape or abs(np.linalg.norm(target) - 1) > TARGET_TOL
+            or abs(abs(np.vdot(phi, target)) - 1) > TARGET_TOL):
+        raise QuantumError("two_link_f_from_physics: target must be bell(d) "
+                           "up to a global phase")
+    T1, T2 = [[bell_overlap_table(s, d) for s in aged_states(sigma, mem, m_star)]
+              for sigma, mem, m_star in ((sigma1_0, mem1, m1_star),
+                                         (sigma2_0, mem2, m2_star))]
     f = np.zeros((2, m1_star + 2, m2_star + 2))
-    for m1 in range(m1_star + 1):
-        for m2 in range(m2_star + 1):
-            joint = DensityOperator(np.kron(states1[m1], states2[m2]),
-                                    (d, d, d, d))
-            out = swap_chain_channel(joint, 1, d)
-            f[1, m1 + 1, m2 + 1] = np.clip(fidelity_to_pure(out, target), 0.0, 1.0)
+    for m1, t1 in enumerate(T1):
+        for m2, t2 in enumerate(T2):
+            f[1, m1 + 1, m2 + 1] = np.clip(swap_fidelity([t1, t2]), 0.0, 1.0)
     return f
 
 

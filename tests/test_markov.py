@@ -112,6 +112,21 @@ def test_absorption_time_geometric(rng):
     assert absorption_distribution(dec, [1.0]) == pytest.approx([1.0])
 
 
+def test_absorbing_state_with_rounded_self_loop():
+    # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0
+    from entlink.lp import mdp_occupation_lp
+    from entlink.markov import Mdp
+    loop = 0.7 + 0.2 + 0.1
+    assert loop != 1.0
+    T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
+    mdp = Mdp(states=(0, 1), actions=(0,), transitions={0: T})
+    assert absorbing_states(mdp) == [1]
+    dec = decompose_absorbing(mdp, DecisionFunction(np.ones((2, 1))))
+    assert absorption_time(dec, [1.0]) == pytest.approx(2.0, abs=1e-12)
+    value, _ = mdp_occupation_lp(mdp, np.ones(2), "min", [1.0, 0.0])
+    assert value == pytest.approx(2.0, abs=1e-9)
+
+
 def test_absorption_distribution_sums_to_one(rng):
     mdp = random_absorbing_mdp(rng, 4, 3, 2)
     d = DecisionFunction.uniform(7, 2)

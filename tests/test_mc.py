@@ -30,11 +30,6 @@ def test_same_seed_bitwise_reproducible():
     assert a["rng"] == "PCG64"
 
 
-def test_different_streams_differ():
-    cfg = mc.SimConfig(seed=7, trials=100)
-    assert cfg.rng(0).random() != cfg.rng(1).random()
-
-
 def test_elem_matches_steady_state():
     m = elem_model(0.5)
     pol = Policy.stationary(elemlink.cutoff_decision(m, 2))

@@ -50,13 +50,28 @@ def test_partial_trace(rng=np.random.default_rng(3)):
     assert np.allclose(Q.partial_trace(np.kron(a, b), (2, 3), keep=[1]), b, atol=1e-13)
 
 
+def _cz_graph_state(n, edges):
+    """CZ(G)|+...+> as a product of two-qubit CZ gates, I - 2|11><11| on
+    qubits i, j and identities elsewhere."""
+    plus = np.full(2, 1 / np.sqrt(2))
+    v = Q.tensor(*[plus[:, None]] * n)[:, 0]
+    one = np.diag([0.0, 1.0])
+    for i, j in edges:
+        proj = Q.tensor(*[one if k in (i, j) else np.eye(2) for k in range(n)])
+        v = (np.eye(2 ** n) - 2 * proj) @ v
+    return v
+
+
 def test_graph_state_matches_cz_construction():
-    # the constructor cross-checks internally; exercise a few graphs
-    for A in (np.zeros((2, 2), dtype=int),
-              np.array([[0, 1], [1, 0]]),
-              np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])):
-        v = Q.graph_state(A)
-        assert abs(np.linalg.norm(v) - 1) < 1e-12
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            A = np.zeros((n, n), dtype=int)
+            for i, j in edges:
+                A[i, j] = A[j, i] = 1
+            assert np.allclose(Q.graph_state(A), _cz_graph_state(n, edges),
+                               rtol=0, atol=1e-12)
 
 
 def test_graph_state_two_vertices_is_bell_like():
@@ -210,7 +225,5 @@ def test_fidelity_bounds_property(seed):
 def test_kraus_channel_validation():
     with pytest.raises(Q.QuantumError):
         Q.KrausChannel([np.eye(2) * 2])  # not trace preserving
-    # instrument branch below identity is fine
-    Q.KrausChannel([np.eye(2) * 0.5], trace_preserving=False)
     with pytest.raises(Q.QuantumError):
-        Q.KrausChannel([np.eye(2) * 2], trace_preserving=False)
+        Q.KrausChannel([np.eye(2) * 0.5])  # trace decreasing

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from entlink import qstate
+from scipy.linalg import lu_factor
+
+from entlink import markov, qstate
 from entlink import twolink as TL
 from entlink.oracles import lp_optimal_value_displayed, policy_iteration_absorbing
 from entlink.markov import ModelError, absorbing_states
@@ -184,12 +186,17 @@ def test_lp_value_beats_every_cutoff(rng):
             assert f_abs <= v + 1e-8
 
 
+def _damped_memory(gamma):
+    """Amplitude damping on both memory qubits of a stored pair."""
+    ad = qstate.amplitude_damping(gamma)
+    return qstate.KrausChannel([np.kron(a, b) for a in ad.kraus for b in ad.kraus])
+
+
 def _damped_bell_model(p1, p2, q, gamma, m_star):
     """Bell pairs whose two memory qubits both decay by amplitude damping."""
     phi = qstate.bell(2)
     sigma0 = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
-    ad = qstate.amplitude_damping(gamma)
-    memory = qstate.KrausChannel([np.kron(a, b) for a in ad.kraus for b in ad.kraus])
+    memory = _damped_memory(gamma)
     f = TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, phi,
                                    m_star, m_star)
     return TL.TwoLinkModel(p1, p2, q, m_star, m_star, f)
@@ -226,6 +233,73 @@ def test_two_link_f_from_physics_ideal_memories():
     f = TL.two_link_f_from_physics(sigma0, ident, sigma0, ident, phi, 1, 1)
     assert np.allclose(f[1, 1:, 1:], 1.0, atol=1e-12)
     assert np.all(f[0] == 0) and np.all(f[1, 0, :] == 0)
+
+
+def _channel_f_table(sigma1_0, mem1, sigma2_0, mem2, m1_star, m2_star):
+    """The f table by brute force: joint state -> swap channel -> overlap."""
+    def aged(sigma, mem, m_star):
+        out = [sigma.mat]
+        for _ in range(m_star):
+            out.append(mem(out[-1]))
+        return out
+
+    d = 2
+    f = np.zeros((2, m1_star + 2, m2_star + 2))
+    for m1, r1 in enumerate(aged(sigma1_0, mem1, m1_star)):
+        for m2, r2 in enumerate(aged(sigma2_0, mem2, m2_star)):
+            joint = qstate.DensityOperator(np.kron(r1, r2), (d, d, d, d))
+            out = qstate.swap_chain_channel(joint, 1, d)
+            f[1, m1 + 1, m2 + 1] = np.clip(
+                qstate.fidelity_to_pure(out, qstate.bell(d)), 0.0, 1.0)
+    return f
+
+
+def _dephased_memory(lam):
+    Z = np.diag([1.0, -1.0])
+    return qstate.KrausChannel([np.sqrt(1 - lam) * np.eye(4),
+                                np.sqrt(lam) * np.kron(Z, np.eye(2))])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.005, 0.05, 0.3])
+def test_two_link_f_matches_swap_channel(gamma):
+    phi = qstate.bell(2)
+    bell_pair = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
+    noisy = qstate.DensityOperator(
+        0.85 * bell_pair.mat + 0.15 * np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
+    cases = [(bell_pair, _damped_memory(gamma), bell_pair, _damped_memory(gamma), 8, 8),
+             (bell_pair, _damped_memory(gamma), noisy, _dephased_memory(gamma), 3, 7),
+             (noisy, _dephased_memory(gamma / 2), bell_pair, _damped_memory(gamma), 6, 0)]
+    for s1, mem1, s2, mem2, m1, m2 in cases:
+        f = TL.two_link_f_from_physics(s1, mem1, s2, mem2, phi, m1, m2)
+        assert np.max(np.abs(f - _channel_f_table(s1, mem1, s2, mem2, m1, m2))) <= 1e-14
+
+
+def test_two_link_f_needs_the_phi_target():
+    phi = qstate.bell(2)
+    sigma0 = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
+    memory = _damped_memory(0.05)
+    f = TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, phi, 2, 2)
+    # a global phase is fine
+    assert np.array_equal(
+        TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, 1j * phi, 2, 2), f)
+    for target in (qstate.bell(2, 1, 0), qstate.bell(2, 0, 1), 2 * phi,
+                   (phi + qstate.bell(2, 1, 1)) / np.sqrt(2), phi[:2]):
+        with pytest.raises(qstate.QuantumError):
+            TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, target, 2, 2)
+
+
+def test_evaluate_policy_factors_once(monkeypatch):
+    calls = []
+
+    def counting_lu_factor(a, *args, **kwargs):
+        calls.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(markov, "lu_factor", counting_lu_factor)
+    model = sym_model(0.4, 0.5, 4)
+    wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 3))
+    assert len(calls) == 1
+    assert np.isfinite(wait) and f_abs == pytest.approx(1.0)
 
 
 def test_initial_distribution():
