@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, elemlink, mc, satlink, selftest, twolink, waiting
-from .markov import ModelError, Policy
+from .markov import ModelError, NumericalError, Policy
 from .qstate import QuantumError
 from .satlink import SatError
 
@@ -398,13 +398,13 @@ def main(argv=None):
             return 2
         args.func(args)
         return 0
-    except (ModelError, SatError, QuantumError, OSError, json.JSONDecodeError) as exc:
-        print(f"entlink: {exc}", file=sys.stderr)
-        return 2
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         diag = {"error": "numerical", "detail": str(exc)}
         print(json.dumps(diag), file=sys.stderr)
         return 3
+    except (ModelError, SatError, QuantumError, OSError, json.JSONDecodeError) as exc:
+        print(f"entlink: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

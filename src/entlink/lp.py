@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .markov import DecisionFunction, Mdp, ModelError, absorbing_states
+from .markov import DecisionFunction, Mdp, ModelError, NumericalError, absorbing_states
 
 FEAS_TOL = 1e-8
 # HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
@@ -85,7 +85,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                            "dual_feasibility_tolerance": DUAL_FEAS_TOL})
     status = _STATUS.get(res.status)
     if status is None:
-        raise ModelError(f"solve: HiGHS stopped early: {res.message}")
+        raise NumericalError(f"solve: HiGHS stopped early: {res.message}")
     if status != "optimal":
         return LpSolution(status, None, None)
     x = res.x

@@ -21,6 +21,11 @@ class ModelError(ValueError):
     """Raised on malformed probabilistic inputs (bad sums, shape mismatch)."""
 
 
+class NumericalError(ModelError):
+    """Raised when a well-posed model defeats the numerics: an
+    ill-conditioned solve or a solver that stops early."""
+
+
 def _check_prob_entries(a, what):
     if np.any(a < -PROB_TOL) or np.any(a > 1 + PROB_TOL):
         raise ModelError(f"{what}: entries outside [0, 1]")
@@ -266,7 +271,7 @@ def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarr
     mass = init.sum()
     absorbed = dec.R.sum(axis=0) @ y
     if abs(absorbed - mass) > MASS_RTOL * mass:
-        raise ModelError(
+        raise NumericalError(
             f"absorbing solve: ill-conditioned, absorbed mass {absorbed:.12g} "
             f"differs from initial mass {mass:.12g}")
     if np.any(y < -1e-9 * np.abs(y).max(initial=0.0)):

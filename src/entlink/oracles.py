@@ -4,8 +4,7 @@ stationary vectors come from an eigendecomposition, optimal policies from
 exhaustive enumeration or Howard's policy iteration, finite-horizon
 optima from a literal history-indexed recursion, and the heralded
 satellite link from an explicit beamsplitter dilation on truncated Fock
-spaces.  `lp_optimal_value_displayed` transcribes the two-link constraint
-blocks as displayed, as a check on the generic occupation-LP builder.
+spaces.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from . import lp as _lp
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix, absorbing_states
-from .twolink import ACTIONS, TwoLinkModel, build_two_link_mdp, initial_distribution
 from .qstate import bell, partial_trace, permute_subsystems
 
 
@@ -124,63 +121,6 @@ def policy_iteration_absorbing(mdp: Mdp, reward, sense: str, initial) -> float:
             return sign * float(np.asarray(initial, dtype=float)[tra] @ v)
         table[better] = np.eye(na)[best[better]]
     raise ModelError("policy_iteration_absorbing: no convergence")
-
-
-def lp_optimal_value_displayed(model: TwoLinkModel):
-    """Same optimum built from the constraint blocks as displayed for this
-    model (absorption fed only by the swap action); kept as an independent
-    transcription guard against the generic builder."""
-    mdp = build_two_link_mdp(model)
-    half = model.n1 * model.n2
-    tra = list(range(half))
-    ab = list(range(half, model.n))
-    na = len(ACTIONS)
-    nt = nb = half
-    Qs, Rs = {}, {}
-    for a in ACTIONS:
-        T = mdp.transitions[a].entries
-        Qs[a] = T[np.ix_(tra, tra)]
-        Rs[a] = T[np.ix_(ab, tra)]
-    init = initial_distribution(model).entries[tra]
-
-    off_x, off_y, off_w, off_v = 0, nb, nb + nt, nb + nt + na * nb
-    nvar = off_v + na * nt
-    wsl = lambda k: slice(off_w + k * nb, off_w + (k + 1) * nb)
-    vsl = lambda k: slice(off_v + k * nt, off_v + (k + 1) * nt)
-
-    rows, rhs = [], []
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    for k in range(na):
-        blk[:, wsl(k)] += np.eye(nb)
-    rows.append(blk); rhs.append(np.zeros(nb))
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = np.eye(nt)
-    for k, a in enumerate(ACTIONS):
-        blk[:, vsl(k)] -= Qs[a]
-    rows.append(blk); rhs.append(init)
-    blk = np.zeros((nt, nvar))
-    blk[:, off_y:off_y + nt] = -np.eye(nt)
-    for k in range(na):
-        blk[:, vsl(k)] += np.eye(nt)
-    rows.append(blk); rhs.append(np.zeros(nt))
-    # only the swap action reaches x=1, per the model definition
-    blk = np.zeros((nb, nvar))
-    blk[:, off_x:off_x + nb] = -np.eye(nb)
-    blk[:, vsl(ACTIONS.index("swap"))] += Rs["swap"]
-    rows.append(blk); rhs.append(np.zeros(nb))
-
-    c = np.zeros(nvar)
-    c[off_x:off_x + nb] = model.f_flat()[ab]
-    lo = np.zeros(nvar)
-    hi = np.full(nvar, np.inf)
-    hi[off_x:off_x + nb] = 1.0
-    hi[off_w:off_w + na * nb] = 1.0
-    lp = _lp.LinearProgram(c, "max", np.vstack(rows), np.concatenate(rhs), lo, hi)
-    sol = _lp.solve(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"lp_optimal_value_displayed: LP {sol.status}")
-    return sol.objective_value
 
 
 # ---------------------------------------------------------------------------

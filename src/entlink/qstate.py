@@ -1,10 +1,15 @@
 """Exact finite-dimensional quantum states and channels.
 
 Everything here is dense complex linear algebra: Bell/GHZ/graph states,
-the three joining protocols as Kraus-sum channels, their closed-form
+the three joining protocols as brute-force channels, their closed-form
 output fidelities, BBPSSW distillation, amplitude damping, and the d-rail
 pure-loss map.  Subsystems are ordered as written: A, R_1^1, R_1^2, ...,
-R_n^1, R_n^2, B for swapping chains.
+R_n^1, R_n^2, B for swapping chains.  The swap and GHZ chains apply each
+node's measurement to the reshaped joint state by tensor contraction, one
+node at a time, and never form a Kraus matrix of the whole chain.
+
+Only numpy's linear algebra is used here: scipy's LAPACK wrappers bring a
+second OpenBLAS thread pool, which slows the other one down.
 """
 
 from __future__ import annotations
@@ -32,13 +37,25 @@ class DensityOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QuantumError("DensityOperator: not square")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
+        work = np.conj(mat.T)  # the one work buffer of the checks below
+        np.subtract(mat, work, out=work)
+        if np.max(np.abs(work)) > HERM_TOL:
             raise QuantumError("DensityOperator: not Hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
             raise QuantumError(f"DensityOperator: trace {np.trace(mat).real!r}")
-        ev = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        if ev.min() < EIG_FLOOR:
-            raise QuantumError(f"DensityOperator: min eigenvalue {ev.min():g}")
+        # positive semidefinite down to EIG_FLOOR iff the Hermitian part plus
+        # |EIG_FLOOR| I has a Cholesky factor; eigvalsh decides only the
+        # near-misses Cholesky refuses
+        np.conj(mat.T, out=work)
+        work += mat
+        work *= 0.5
+        work.flat[::mat.shape[0] + 1] -= EIG_FLOOR
+        try:
+            np.linalg.cholesky(work)
+        except np.linalg.LinAlgError:
+            ev = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+            if ev.min() < EIG_FLOOR:
+                raise QuantumError(f"DensityOperator: min eigenvalue {ev.min():g}") from None
         self.mat = mat
         self.mat.setflags(write=False)
         self.dims = tuple(dims) if dims is not None else (mat.shape[0],)
@@ -90,7 +107,7 @@ class BellDiagCoeffs:
 
     def to_density(self) -> DensityOperator:
         mat = sum(c * np.outer(b, b.conj())
-                  for c, b in zip(self.as_array(), _bell_basis_2()))
+                  for c, b in zip(self.as_array(), bell_basis(2)))
         return DensityOperator(mat, (2, 2))
 
     def overlap_table(self):
@@ -119,19 +136,22 @@ def weyl_x(d):
 
 
 def bell(d, z=0, x=0):
-    """(Z^z X^x (x) 1)|Phi>, |Phi> = d^{-1/2} sum_k |k,k>."""
+    """(Z^z X^x (x) 1)|Phi>, |Phi> = d^{-1/2} sum_k |k,k>: the entry at
+    |k+x, k> is omega^{z(k+x)} / sqrt(d)."""
     if not (0 <= z < d and 0 <= x < d):
         raise QuantumError("bell: z, x must lie in [0, d)")
+    omega_z = np.diag(np.linalg.matrix_power(weyl_z(d), z))
+    k = np.arange(d)
+    row = (k + x) % d
     phi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        phi[k * d + k] = 1.0 / np.sqrt(d)
-    op = np.kron(np.linalg.matrix_power(weyl_z(d), z)
-                 @ np.linalg.matrix_power(weyl_x(d), x), np.eye(d))
-    return op @ phi
+    phi[row * d + k] = omega_z[row] * (1.0 / np.sqrt(d))
+    return phi
 
 
-def _bell_basis_2():
-    return [bell(2, 0, 0), bell(2, 1, 0), bell(2, 0, 1), bell(2, 1, 1)]
+def bell_basis(d):
+    """The d^2 Bell vectors as rows, row x*d + z holding bell(d, z, x); for
+    d = 2 that is Phi+, Phi-, Psi+, Psi- (up to phase)."""
+    return np.array([bell(d, z, x) for x in range(d) for z in range(d)])
 
 
 def ghz(n):
@@ -208,6 +228,35 @@ def amplitude_damping(gamma) -> KrausChannel:
 # ---------------------------------------------------------------------------
 # joining protocols
 
+def _measure_nodes(mat, dim_done, n, key0, node):
+    """Apply n measuring nodes in turn to the operator `mat`, keeping each
+    outcome branch unnormalized and summing branches that share a key.
+
+    Every node acts on the next P = d^2 dimensions after the first
+    `dim_done` ones.  `node(key)` gives, for a branch with that key, the
+    node factors F of shape (outcomes, m, P) and the key of each outcome's
+    new branch; outcome o maps the branch's operator M to F_o M F_o^dag,
+    so the node leaves m dimensions behind (m = 1 for a Bell measurement).
+    Returns {key: operator}; the first branch has key `key0`.
+    """
+    branches = {key0: mat}
+    for _ in range(n):
+        new = {}
+        for key, M in branches.items():
+            F, keys = node(key)
+            n_out, m, P = F.shape
+            rest = M.shape[0] // (dim_done * P)
+            # ket side for every outcome at once, then each outcome's bra side
+            U = np.matmul(F.reshape(n_out * m, P), M.reshape(dim_done, P, -1))
+            U = U.reshape(dim_done, n_out, m, rest * dim_done, P, rest)
+            V = np.einsum("aoirqs,onq->oairns", U, F.conj())
+            for k, part in zip(keys, V.reshape(n_out, dim_done * m * rest, -1)):
+                new[k] = new[k] + part if k in new else part
+        branches = new
+        dim_done *= m
+    return branches
+
+
 def swap_chain_channel(rho_joint: DensityOperator, n: int, d: int) -> DensityOperator:
     """Entanglement swapping over n intermediate nodes.
 
@@ -221,18 +270,16 @@ def swap_chain_channel(rho_joint: DensityOperator, n: int, d: int) -> DensityOpe
     if any(dims[i] != d for i in range(1, 2 * n + 1)) or dB != d:
         raise QuantumError("swap_chain_channel: middle/B factors must have dimension d")
     Z, X = weyl_z(d), weyl_x(d)
+    bras = bell_basis(d).conj()[:, None, :]  # outcome x*d + z -> <Phi^{z,x}|
+
+    def node(key):
+        s, t = key
+        return bras, [((s + z) % d, (t + x) % d) for x in range(d) for z in range(d)]
+
     out = np.zeros((dA * dB, dA * dB), dtype=complex)
-    bells = {(z, x): bell(d, z, x) for z in range(d) for x in range(d)}
-    for zs in itertools.product(range(d), repeat=n):
-        for xs in itertools.product(range(d), repeat=n):
-            W = (np.linalg.matrix_power(Z, sum(zs) % d)
-                 @ np.linalg.matrix_power(X, sum(xs) % d))
-            factors = [np.eye(dA)]
-            for j in range(n):
-                factors.append(bells[(zs[j], xs[j])].conj()[None, :])
-            factors.append(W)
-            K = tensor(*factors)
-            out += K @ rho_joint.mat @ K.conj().T
+    for (s, t), M in _measure_nodes(rho_joint.mat, dA, n, (0, 0), node).items():
+        W = np.kron(np.eye(dA), np.linalg.matrix_power(Z, s) @ np.linalg.matrix_power(X, t))
+        out += W @ M @ W.conj().T
     return DensityOperator(out, (dA, dB))
 
 
@@ -280,18 +327,15 @@ def ghz_swap_channel(rho_joint: DensityOperator, n: int) -> DensityOperator:
     if len(dims) != 2 * n + 2 or any(di != 2 for di in dims):
         raise QuantumError("ghz_swap_channel: expected 2n+2 qubit subsystems")
     X = weyl_x(2).real
+    # node j's factor (one per outcome x_j) after the correction X^{x_{j-1}}
+    # that node j-1's outcome asks of R_j^1
+    factors = [np.array([_K_meas(x) @ np.kron(np.linalg.matrix_power(X, k), np.eye(2))
+                         for x in (0, 1)]) for k in (0, 1)]
     dim_out = 2 ** (n + 2)
     out = np.zeros((dim_out, dim_out), dtype=complex)
-    for xs in itertools.product(range(2), repeat=n):
-        factors = [np.eye(2)]  # A
-        for j in range(n):
-            blk = _K_meas(xs[j])
-            if j > 0:
-                blk = blk @ np.kron(np.linalg.matrix_power(X, xs[j - 1]), np.eye(2))
-            factors.append(blk)
-        factors.append(np.linalg.matrix_power(X, xs[-1]))  # correction on B
-        K = tensor(*factors)
-        out += K @ rho_joint.mat @ K.conj().T
+    for x, M in _measure_nodes(rho_joint.mat, 2, n, 0, lambda k: (factors[k], [0, 1])).items():
+        W = np.kron(np.eye(dim_out // 2), np.linalg.matrix_power(X, x))  # correction on B
+        out += W @ M @ W.conj().T
     return DensityOperator(out, tuple([2] * (n + 2)))
 
 
@@ -354,11 +398,9 @@ def graph_dist_fidelity(overlap_tables, adjacency) -> float:
 
 def bell_overlap_table(rho, d: int) -> np.ndarray:
     """[z, x] -> <Phi^{z,x}|rho|Phi^{z,x}>; rho a DensityOperator or matrix."""
-    t = np.empty((d, d))
-    for z in range(d):
-        for x in range(d):
-            t[z, x] = fidelity_to_pure(rho, bell(d, z, x))
-    return t
+    basis = bell_basis(d)
+    return np.array([[fidelity_to_pure(rho, basis[x * d + z]) for x in range(d)]
+                     for z in range(d)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "entlink.cli", *args],
@@ -70,6 +72,19 @@ def test_invalid_input_exit_code_2():
     r = run_cli(["elem", "steady", "--p", "2", "--m-star", "0", "--f", "1"])
     assert r.returncode == 2
     assert "entlink:" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["twolink", "evaluate", "--p1", "1e-6", "--p2", "1e-6", "--q", "0.5", "--m1-star", "2",
+     "--m2-star", "2", "--t1-star", "2", "--t2-star", "2"],
+    ["twolink", "lp-waiting", "--p1", "1e-4", "--p2", "1e-4", "--q", "0.5", "--m1-star", "2",
+     "--m2-star", "2"],
+], ids=["ill-conditioned-absorbing-solve", "highs-stopped-early"])
+def test_numerical_failure_exit_code_3(args):
+    # valid input whose solve breaks down at small p is a numerical failure
+    r = run_cli(args)
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stderr)["error"] == "numerical"
 
 
 def test_bad_config_exit_code_2(tmp_path):

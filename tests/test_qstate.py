@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 
 import numpy as np
@@ -14,6 +16,85 @@ def random_density(rng, d):
     return rho / np.trace(rho).real
 
 
+def _bell_reference(d, z, x):
+    """(Z^z X^x (x) 1)|Phi> by matrix products."""
+    phi = np.zeros(d * d, dtype=complex)
+    for k in range(d):
+        phi[k * d + k] = 1.0 / np.sqrt(d)
+    op = np.kron(np.linalg.matrix_power(Q.weyl_z(d), z)
+                 @ np.linalg.matrix_power(Q.weyl_x(d), x), np.eye(d))
+    return op @ phi
+
+
+def test_bell_closed_form_is_bitwise_the_operator_product():
+    for d in range(1, 6):
+        for z in range(d):
+            for x in range(d):
+                assert Q.bell(d, z, x).tobytes() == _bell_reference(d, z, x).tobytes()
+        basis = Q.bell_basis(d)
+        for x in range(d):
+            for z in range(d):
+                assert basis[x * d + z].tobytes() == _bell_reference(d, z, x).tobytes()
+
+
+def _swap_chain_kraus(mat, n, d, dA):
+    """Swap chain as the dense Kraus sum over all d^(2n) outcomes."""
+    Z, X = Q.weyl_z(d), Q.weyl_x(d)
+    out = np.zeros((dA * d, dA * d), dtype=complex)
+    for zs in itertools.product(range(d), repeat=n):
+        for xs in itertools.product(range(d), repeat=n):
+            W = (np.linalg.matrix_power(Z, sum(zs) % d)
+                 @ np.linalg.matrix_power(X, sum(xs) % d))
+            factors = [np.eye(dA)]
+            for z, x in zip(zs, xs):
+                factors.append(Q.bell(d, z, x).conj()[None, :])
+            factors.append(W)
+            K = Q.tensor(*factors)
+            out += K @ mat @ K.conj().T
+    return out
+
+
+def _ghz_swap_kraus(mat, n):
+    """GHZ chain as the dense Kraus sum over all 2^n outcomes."""
+    X = Q.weyl_x(2).real
+    out = np.zeros((2 ** (n + 2),) * 2, dtype=complex)
+    for xs in itertools.product(range(2), repeat=n):
+        factors = [np.eye(2)]  # A
+        for j in range(n):
+            blk = Q._K_meas(xs[j])
+            if j > 0:
+                blk = blk @ np.kron(np.linalg.matrix_power(X, xs[j - 1]), np.eye(2))
+            factors.append(blk)
+        factors.append(np.linalg.matrix_power(X, xs[-1]))  # correction on B
+        K = Q.tensor(*factors)
+        out += K @ mat @ K.conj().T
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2]), st.booleans())
+def test_swap_chain_channel_equals_kraus_sum(seed, d, n, trivial_a):
+    # a random joint state, entangled across the links, not just a product
+    rng = np.random.default_rng(seed)
+    dA = 1 if trivial_a else d
+    joint = Q.DensityOperator(random_density(rng, dA * d ** (2 * n + 1)),
+                              (dA,) + (d,) * (2 * n + 1))
+    out = Q.swap_chain_channel(joint, n, d)
+    assert out.dims == (dA, d)
+    assert np.allclose(out.mat, _swap_chain_kraus(joint.mat, n, d, dA), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2]))
+def test_ghz_swap_channel_equals_kraus_sum(seed, n):
+    rng = np.random.default_rng(seed)
+    joint = Q.DensityOperator(random_density(rng, 2 ** (2 * n + 2)), (2,) * (2 * n + 2))
+    out = Q.ghz_swap_channel(joint, n)
+    assert out.dims == (2,) * (n + 2)
+    assert np.allclose(out.mat, _ghz_swap_kraus(joint.mat, n), rtol=0, atol=1e-14)
+
+
 def test_bell_basis_orthonormal():
     for d in (2, 3):
         vecs = [Q.bell(d, z, x) for z in range(d) for x in range(d)]
@@ -28,6 +109,42 @@ def test_density_operator_validation():
         Q.DensityOperator(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
     with pytest.raises(Q.QuantumError):
         Q.DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _with_lowest_eigenvalue(rng, dim, lowest):
+    """U diag(lowest, positive rest) U^dag with unit trace, U random unitary."""
+    U, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    ev = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
+    return (U * ev) @ U.conj().T
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+def test_density_operator_eigenvalue_floor(dim):
+    # the floor is EIG_FLOOR = -1e-9, on the lowest eigenvalue
+    rng = np.random.default_rng(dim)
+    for lowest in (-0.5e-9, -0.99e-9):
+        Q.DensityOperator(_with_lowest_eigenvalue(rng, dim, lowest))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    Q.DensityOperator(np.outer(psi, psi.conj()))  # rank 1
+    for lowest in (-1.01e-9, -2e-9):
+        with pytest.raises(Q.QuantumError, match="min eigenvalue"):
+            Q.DensityOperator(_with_lowest_eigenvalue(rng, dim, lowest))
+
+
+def test_qstate_does_not_import_scipy():
+    # scipy's LAPACK wrappers run on scipy's own OpenBLAS thread pool; with
+    # numpy's pool also live, the two contend for the cores.  A Cholesky
+    # through scipy.linalg.lapack.zpotrf in DensityOperator took the
+    # selftest's joining-fidelity criterion from 0.35 s to 0.64 s at
+    # default BLAS threads on a 2-core host; np.linalg.cholesky did not.
+    tree = ast.parse(inspect.getsource(Q))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_permute_subsystems_roundtrip(rng=np.random.default_rng(1)):

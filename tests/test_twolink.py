@@ -5,7 +5,7 @@ from scipy.linalg import lu_factor
 
 from entlink import markov, qstate
 from entlink import twolink as TL
-from entlink.oracles import lp_optimal_value_displayed, policy_iteration_absorbing
+from entlink.oracles import policy_iteration_absorbing
 from entlink.markov import ModelError, absorbing_states
 
 
@@ -159,7 +159,7 @@ def test_lp_waiting_equals_analytic_grid():
             assert wait == pytest.approx(t_lp, abs=1e-6)
 
 
-def test_lp_value_generic_equals_displayed(rng):
+def test_lp_value_equals_policy_iteration_on_random_models(rng):
     for _ in range(4):
         m1, m2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         f = np.zeros((2, m1 + 2, m2 + 2))
@@ -167,7 +167,10 @@ def test_lp_value_generic_equals_displayed(rng):
         model = TL.TwoLinkModel(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
                                 rng.uniform(0.3, 1.0), m1, m2, f)
         v1, d = TL.lp_optimal_value(model)
-        v2 = lp_optimal_value_displayed(model)
+        mdp = TL.build_two_link_mdp(model)
+        v2 = policy_iteration_absorbing(
+            mdp, [model.f_flat() @ mdp.transitions[a].entries for a in TL.ACTIONS],
+            "max", TL.initial_distribution(model).entries)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
