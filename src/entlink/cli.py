@@ -192,6 +192,8 @@ def cmd_satlink_link(args):
 
 
 def cmd_satlink_sweep(args):
+    if args.steps < 1:
+        raise ModelError("satlink sweep: --steps must be >= 1")
     rows = []
     for d in np.linspace(args.d_min, args.d_max, args.steps):
         args.d = float(d)

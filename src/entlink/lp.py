@@ -39,11 +39,11 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 @dataclass
 class LinearProgram:
     """maximize/minimize c.x subject to A x = b, lo <= x <= hi; A may be a
-    dense array or a scipy.sparse matrix."""
+    dense array or a scipy.sparse matrix, which is kept as CSC."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
-    A: np.ndarray | sparse.csr_matrix
+    A: np.ndarray | sparse.csc_array
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -51,7 +51,7 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if sparse.issparse(self.A):
-            self.A = sparse.csr_matrix(self.A, dtype=float)
+            self.A = sparse.csc_array(self.A, dtype=float)
         else:
             self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float)
@@ -123,12 +123,20 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
             raise ModelError("mdp_occupation_lp: initial size mismatch")
         rhs = init[keep]
     k = keep.size
-    A = sparse.hstack([
-        sparse.csr_matrix(np.eye(k) - mdp.transitions[a].entries[np.ix_(keep, keep)])
-        for a in mdp.actions], format="csr")
+    # column a*k + s of A is (I - T^a)[keep, s]; exact zeros are not stored
+    blocks = np.stack([-mdp.transitions[a].entries[np.ix_(keep, keep)]
+                       for a in mdp.actions])
+    blocks[:, np.arange(k), np.arange(k)] += 1.0
+    act, row, col = np.nonzero(blocks)
+    data, col = blocks[act, row, col], act * k + col
     if initial is None:
-        A = sparse.vstack([A, np.ones((1, na * k))], format="csr")
+        row = np.append(row, np.full(na * k, k))
+        col = np.append(col, np.arange(na * k))
+        data = np.append(data, np.ones(na * k))
         rhs = np.append(rhs, 1.0)
+    # int32 indices, as scipy's CSR and COO conversions would hand to HiGHS
+    A = sparse.csc_array((data, (row.astype(np.int32), col.astype(np.int32))),
+                         shape=(rhs.size, na * k))
     c = np.broadcast_to(reward, (na, n))[:, keep].reshape(-1)
     lp = LinearProgram(c, sense, A, rhs, np.zeros(na * k), np.full(na * k, np.inf))
     sol = solve(lp)

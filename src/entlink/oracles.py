@@ -32,26 +32,28 @@ def stationary_eig(P: StochasticMatrix) -> np.ndarray:
 
 def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
     """Best expected figure of merit at horizon t over every deterministic
-    time-indexed Markov policy, by full enumeration."""
+    time-indexed Markov policy, by full enumeration.  Each of the
+    n_actions**n step matrices is built once, and policies that share a
+    prefix share its propagated distribution."""
+    if t < 1:
+        raise ModelError("exhaustive_markov_policy_value: t must be >= 1")
     mdp = build_mdp(model)
     T = [mdp.transitions[a].entries for a in mdp.actions]
     n = model.n
-    g = g_vector(model).entries
-    best = -np.inf
     n_actions = len(T)
-    per_step = n_actions ** n
-    for assignment in itertools.product(range(per_step), repeat=t - 1):
-        dist = g
-        for code in assignment:
-            P = np.empty((n, n))
-            for s in range(n):
-                a = (code // n_actions ** s) % n_actions
-                P[:, s] = T[a][:, s]
-            dist = P @ dist
-        val = float(model.f @ dist)
-        if val > best:
-            best = val
-    return best
+    steps = []
+    for code in range(n_actions ** n):
+        P = np.empty((n, n))
+        for s in range(n):
+            P[:, s] = T[(code // n_actions ** s) % n_actions][:, s]
+        steps.append(P)
+
+    def best(dist, remaining):
+        if remaining == 0:
+            return float(model.f @ dist)
+        return max(best(P @ dist, remaining - 1) for P in steps)
+
+    return best(g_vector(model).entries, t - 1)
 
 
 _HISTORY_T_CAP = 8

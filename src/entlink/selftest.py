@@ -152,12 +152,12 @@ def criterion_collective_waiting(seed=20260824):
     """Collective waiting closed form vs pmf summation and Monte Carlo."""
     t0 = time.perf_counter()
     max_err = 0.0
+    t = np.arange(1, 2500)
     for M in range(1, 7):
         for p in [round(0.1 * k, 1) for k in range(1, 10)]:
             for t_req in (0, 1, 5):
                 exp_cf = waiting.collective_expected_infty(M, p, t_req)
-                s = sum(t * waiting.collective_pmf_infty(M, p, t_req, t)
-                        for t in range(1, 2500))
+                s = math.fsum(t * waiting.collective_pmf_infty(M, p, t_req, t))
                 max_err = max(max_err, abs(exp_cf - s))
     exact = abs(waiting.collective_expected_infty(1, 0.5, 0) - 2.0)
     for p in (0.2, 0.5, 0.9):

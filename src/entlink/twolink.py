@@ -212,8 +212,10 @@ def lp_optimal_waiting_time(model: TwoLinkModel):
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:
     """Known closed form for equal links under the joint cutoff rule."""
-    if p <= 0 or q <= 0:
-        raise ModelError("analytic_symmetric_waiting_time: p, q must be > 0")
+    if not (0 < p <= 1 and 0 < q <= 1):
+        raise ModelError("analytic_symmetric_waiting_time: p, q must lie in (0, 1]")
+    if not isinstance(t_star, (int, np.integer)) or t_star < 0:
+        raise ModelError("analytic_symmetric_waiting_time: t_star must be an integer >= 0")
     r = (1 - p) ** t_star
     num = 3 - 2 * p * (1 - r) - 2 * r
     den = q * p * (2 - p * (1 - 2 * r) - 2 * r)

@@ -18,18 +18,19 @@ def _pk(p, k):
     return 1 - (1 - p) ** k
 
 
-def collective_pmf_infty(M: int, p: float, t_req: int, t: int) -> float:
-    """Pr[all M links first simultaneously active t steps after the request]."""
-    if t < 1:
+def collective_pmf_infty(M: int, p: float, t_req: int, t):
+    """Pr[all M links first simultaneously active t steps after the request],
+    a float for an integer t and an array for an integer array t."""
+    t = np.asarray(t)
+    if np.any(t < 1):
         raise ModelError("collective_pmf_infty: t must be >= 1")
     if M < 1 or t_req < 0:
         raise ModelError("collective_pmf_infty: bad M or t_req")
     head = _pk(p, t_req + 1)
-    if t == 1:
-        return head ** M
     hi = (1 - (1 - head) * (1 - p) ** (t - 1)) ** M
-    lo = (1 - (1 - head) * (1 - p) ** (t - 2)) ** M
-    return hi - lo
+    lo = (1 - (1 - head) * (1 - p) ** np.maximum(t - 2, 0)) ** M
+    pmf = np.where(t == 1, head ** M, hi - lo)
+    return pmf if pmf.ndim else float(pmf)
 
 
 def _binomial_rows(M, p):

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from entlink import cli
+
 
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "entlink.cli", *args],
@@ -163,3 +165,25 @@ def test_simulate_needs_two_samples_for_a_standard_error():
         ok = run_cli([*args, "--trials", "2"])
         assert ok.returncode == 0, ok.stderr
         assert "nan" not in ok.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "0.5", "--q", "0.5", "--t-star", "-1"],
+    ["--p", "1.5", "--q", "0.5", "--t-star", "0"],
+    ["--p", "0.5", "--q", "1.5", "--t-star", "0"],
+    ["--p", "0", "--q", "0.5", "--t-star", "0"],
+], ids=["negative-t-star", "p-above-one", "q-above-one", "p-zero"])
+def test_twolink_analytic_rejects_invalid_input(args, capsys):
+    assert cli.main(["twolink", "analytic", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "analytic_symmetric_waiting_time" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_satlink_sweep_rejects_fewer_than_one_step(steps, capsys):
+    args = ["satlink", "sweep", "--d-min", "100", "--d-max", "2000", "--steps", steps]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--steps must be >= 1" in err
+    assert cli.main([*args[:-1], "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2

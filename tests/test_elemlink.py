@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +127,35 @@ def test_backward_vs_exhaustive(rng):
             v, _ = E.optimal_backward(m, t)
             assert v == pytest.approx(
                 oracles.exhaustive_markov_policy_value(m, t), abs=1e-12)
+
+
+def _exhaustive_literal(model, t):
+    """Every deterministic time-indexed Markov policy enumerated on its own:
+    one step matrix per step, one propagation from g per policy."""
+    mdp = E.build_mdp(model)
+    T = [mdp.transitions[a].entries for a in mdp.actions]
+    n, n_actions = model.n, len(T)
+    best = -np.inf
+    for assignment in itertools.product(range(n_actions ** n), repeat=t - 1):
+        dist = E.g_vector(model).entries
+        for code in assignment:
+            P = np.empty((n, n))
+            for s in range(n):
+                P[:, s] = T[(code // n_actions ** s) % n_actions][:, s]
+            dist = P @ dist
+        best = max(best, float(model.f @ dist))
+    return best
+
+
+def test_exhaustive_oracle_equals_literal_enumeration(rng):
+    for ms in range(3):
+        for t in range(1, 5):
+            p = rng.uniform(0.1, 1.0)
+            m = E.ElemLinkModel(p, ms,
+                                np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
+            assert oracles.exhaustive_markov_policy_value(m, t) == _exhaustive_literal(m, t)
+    with pytest.raises(ModelError):
+        oracles.exhaustive_markov_policy_value(m, 0)
 
 
 def test_history_equals_markov(rng):

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from entlink import lp as L
 from entlink.markov import (
+    Mdp,
+    StochasticMatrix,
     absorption_distribution,
     absorption_time,
     decompose_absorbing,
@@ -181,3 +184,62 @@ def test_reward_shape_checked():
     mdp = random_mdp(np.random.default_rng(1), 3, 2)
     with pytest.raises(L.ModelError):
         L.mdp_occupation_lp(mdp, np.ones(4), "max")
+
+
+def _dense_reference_matrix(mdp, keep, steady):
+    """The constraint matrix as first built: a dense I - T^a block per action,
+    side by side, plus the row of ones in steady state."""
+    k = keep.size
+    A = np.hstack([np.eye(k) - mdp.transitions[a].entries[np.ix_(keep, keep)]
+                   for a in mdp.actions])
+    if steady:
+        A = np.vstack([A, np.ones((1, A.shape[1]))])
+    return sparse.csc_array(A)
+
+
+def _sparsify(mdp, rng, s_loop):
+    """Zero some entries of every column (exact zeros in the LP blocks) and
+    make action 0 keep state `s_loop` where it is (a zero diagonal entry)."""
+    mats = {}
+    for a in mdp.actions:
+        T = mdp.transitions[a].entries.copy()
+        for s in range(T.shape[1]):
+            col = T[:, s] * (rng.uniform(size=T.shape[0]) < 0.6)
+            if col.sum() > 0 and T[s, s] < 1:
+                T[:, s] = col / col.sum()
+        if a == 0:
+            T[:, s_loop] = 0.0
+            T[s_loop, s_loop] = 1.0
+        mats[a] = StochasticMatrix(T)
+    return Mdp(states=mdp.states, actions=mdp.actions, transitions=mats)
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "absorbing"])
+def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
+    seen = []
+    real_solve = L.solve
+
+    def capture(lp):
+        seen.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(L, "solve", capture)
+    for _ in range(10):
+        na = int(rng.integers(2, 4))
+        if steady:
+            n = int(rng.integers(2, 7))
+            mdp = _sparsify(random_mdp(rng, n, na), rng, int(rng.integers(n)))
+            keep, init = np.arange(n), None
+        else:
+            nt, nb = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+            n = nt + nb
+            mdp = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng,
+                            int(rng.integers(nt)))
+            keep, init = np.arange(nt), np.append(rng.dirichlet(np.ones(nt)), np.zeros(nb))
+        # absorbing: "min" of the time spent keeps the self-looping action bounded
+        L.mdp_occupation_lp(mdp, np.ones(n), "min" if init is not None else "max", init)
+        got, want = seen[-1].A, _dense_reference_matrix(mdp, keep, steady)
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -117,3 +117,35 @@ def test_argument_validation():
         W.collective_pmf_infty(1, 0.5, 0, 0)
     with pytest.raises(ModelError):
         W.collective_expected_infty(1, 0.0, 0)
+
+
+def _pmf_scalar_reference(M, p, t_req, t):
+    """The pmf for one integer t, term by term as first written."""
+    head = 1 - (1 - p) ** (t_req + 1)
+    if t == 1:
+        return head ** M
+    hi = (1 - (1 - head) * (1 - p) ** (t - 1)) ** M
+    lo = (1 - (1 - head) * (1 - p) ** (t - 2)) ** M
+    return hi - lo
+
+
+def test_pmf_over_an_array_of_t_matches_scalar_formula():
+    t = np.arange(1, 600)
+    for M in (1, 6, 200):
+        for p in (0.01, 0.3, 0.9, 1.0):
+            for t_req in (0, 1, 5):
+                got = W.collective_pmf_infty(M, p, t_req, t)
+                want = [_pmf_scalar_reference(M, p, t_req, int(k)) for k in t]
+                assert got.shape == t.shape
+                assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_pmf_scalar_t_gives_float_and_bad_t_raises():
+    for t in (1, 3, np.int64(7)):
+        v = W.collective_pmf_infty(3, 0.4, 1, t)
+        assert type(v) is float
+        assert v == pytest.approx(_pmf_scalar_reference(3, 0.4, 1, int(t)), abs=1e-15)
+    with pytest.raises(ModelError):
+        W.collective_pmf_infty(2, 0.5, 0, np.array([3, 0, 5]))
+    with pytest.raises(ModelError):
+        W.collective_pmf_infty(2, 0.5, 0, np.array([-1]))
