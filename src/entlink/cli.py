@@ -142,7 +142,6 @@ def cmd_twolink_lp_fidelity(args):
 
 
 def cmd_twolink_lp_waiting(args):
-    args.t_coh = None
     model = _two_link_model(args)
     value, _ = twolink.lp_optimal_waiting_time(model)
     _emit([{"min_expected_waiting": value}], args)

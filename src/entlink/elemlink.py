@@ -62,7 +62,7 @@ def g_vector(model: ElemLinkModel) -> ProbVector:
     v = np.zeros(model.n)
     v[0] = 1 - model.p
     v[1] = model.p
-    return ProbVector(v, model.states)
+    return ProbVector(v)
 
 
 def build_mdp(model: ElemLinkModel) -> Mdp:
@@ -75,7 +75,7 @@ def build_mdp(model: ElemLinkModel) -> Mdp:
     T1 = np.zeros((n, n))
     T1[0, :] = 1 - model.p
     T1[1, :] = model.p
-    return Mdp(states=model.states, actions=(WAIT, REQUEST),
+    return Mdp(actions=(WAIT, REQUEST),
                transitions={WAIT: StochasticMatrix(T0),
                             REQUEST: StochasticMatrix(T1)})
 
@@ -103,22 +103,14 @@ def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
     table = np.zeros((model.n, 2))
     table[0, REQUEST] = 1.0
     for m in range(0, model.m_star + 1):
-        if t_star is math.inf or math.isinf(t_star):
-            table[m + 1, WAIT] = 1.0
-        elif m < t_star:
-            table[m + 1, WAIT] = 1.0
-        else:
-            table[m + 1, REQUEST] = 1.0
+        table[m + 1, WAIT if m < t_star else REQUEST] = 1.0
     return DecisionFunction(table)
 
 
-def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int,
-               initial: ProbVector | None = None):
+def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
     """Expected figure of merit, activity probability, and their ratio at
     time t, starting from the post-request distribution at t=1."""
-    if initial is None:
-        initial = g_vector(model)
-    dist = evolve(build_mdp(model), policy, initial, t)
+    dist = evolve(build_mdp(model), policy, g_vector(model), t)
     ftilde = float(model.f @ dist.entries)
     x = float(1.0 - dist.entries[0])
     if x <= 0:
@@ -147,7 +139,7 @@ def steady_state_closed_form(model: ElemLinkModel, d: DecisionFunction):
         raise ModelError("steady_state_closed_form: degenerate normalization")
     s /= norm
     ftilde_inf = float(model.f @ s)
-    return ProbVector(s, model.states), ftilde_inf
+    return ProbVector(s), ftilde_inf
 
 
 def cutoff_steady_values(model: ElemLinkModel, t_star: int):

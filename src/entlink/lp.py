@@ -12,9 +12,9 @@ are the occupation of state s under action a:
   part of `initial`; the objective is the total reward until absorption.
 
 The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform where a
-state carries no mass.  `solve` passes any `LinearProgram`, dense or
-`scipy.sparse`, to `scipy.optimize.linprog(method="highs")` and checks the
-primal residual of the answer.
+state carries no mass.  `solve` passes a `LinearProgram` to
+`scipy.optimize.linprog(method="highs")` and checks the primal residual of
+the answer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .markov import DecisionFunction, Mdp, ModelError, NumericalError, absorbing_states
+from .markov import DecisionFunction, Mdp, ModelError, NumericalError, absorbing_mask
 
 FEAS_TOL = 1e-8
 # HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
@@ -38,22 +38,19 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, lo <= x <= hi; A may be a
-    dense array or a scipy.sparse matrix, which is kept as CSC."""
+    """maximize/minimize c.x subject to A x = b, lo <= x <= hi; A, dense or
+    scipy.sparse, is stored as a CSC array."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
-    A: np.ndarray | sparse.csc_array
+    A: sparse.csc_array
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        if sparse.issparse(self.A):
-            self.A = sparse.csc_array(self.A, dtype=float)
-        else:
-            self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.A = sparse.csc_array(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
@@ -91,7 +88,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     x = res.x
     resid = np.max(np.abs(lp.A @ x - lp.b)) if lp.b.size else 0.0
     if resid > FEAS_TOL * 10:
-        return LpSolution("infeasible", None, None)
+        raise NumericalError(f"solve: HiGHS reported optimal, but the primal "
+                             f"residual is {resid:.3g}")
     x = np.clip(x, lp.lo, lp.hi)
     return LpSolution("optimal", x, float(lp.objective @ x))
 
@@ -101,9 +99,11 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
     """Best stationary average reward (`initial=None`), or best total reward
     until absorption from `initial`, and a decision that attains it.
 
-    `reward` is r(s), or r(a, s) with one row per action, over all states.
-    In the absorbing case only transient states are read, and mass that
-    `initial` puts on absorbing states earns nothing.
+    `reward` is r(s), or r(a, s) with one row per action, and `initial` an
+    array, both over all states.  In the absorbing case only transient
+    states are read, and mass that `initial` puts on absorbing states earns
+    nothing.  The models here give feasible, bounded LPs (two links once
+    p1, p2, q > 0), so a non-optimal status raises NumericalError.
     """
     na, n = len(mdp.actions), mdp.n
     reward = np.asarray(reward, dtype=float)
@@ -114,11 +114,11 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
         keep = np.arange(n)
         rhs = np.zeros(n)
     else:
-        abs_idx = absorbing_states(mdp)
-        if not abs_idx:
+        absorbing = absorbing_mask(mdp)
+        if not absorbing.any():
             raise ModelError("mdp_occupation_lp: no absorbing states")
-        keep = np.setdiff1d(np.arange(n), abs_idx)
-        init = np.asarray(getattr(initial, "entries", initial), dtype=float)
+        keep = np.flatnonzero(~absorbing)
+        init = np.asarray(initial, dtype=float)
         if init.size != n:
             raise ModelError("mdp_occupation_lp: initial size mismatch")
         rhs = init[keep]
@@ -141,7 +141,7 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
     lp = LinearProgram(c, sense, A, rhs, np.zeros(na * k), np.full(na * k, np.inf))
     sol = solve(lp)
     if sol.status != "optimal":
-        raise ModelError(f"mdp_occupation_lp: LP {sol.status}")
+        raise NumericalError(f"mdp_occupation_lp: HiGHS reports the LP {sol.status}")
     z = sol.values.reshape(na, k)
     mass = z.sum(axis=0)
     table = np.full((n, na), 1.0 / na)

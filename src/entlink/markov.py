@@ -32,15 +32,15 @@ def _check_prob_entries(a, what):
 
 
 class ProbVector:
-    """Probability distribution over a fixed finite state set.
+    """Probability distribution over the states 0..n-1 of a finite chain.
 
     Inputs violating the simplex constraints (beyond 1e-12) are rejected
     rather than renormalized, so modeling bugs surface early.
     """
 
-    __slots__ = ("entries", "states")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, states=None):
+    def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 1:
             raise ModelError("ProbVector: expected a 1-d array")
@@ -49,15 +49,9 @@ class ProbVector:
             raise ModelError(f"ProbVector: entries sum to {entries.sum()!r}, not 1")
         self.entries = entries
         self.entries.setflags(write=False)
-        self.states = tuple(states) if states is not None else tuple(range(entries.size))
-        if len(self.states) != entries.size:
-            raise ModelError("ProbVector: state labels do not match entry count")
 
     def __len__(self):
         return self.entries.size
-
-    def __getitem__(self, state):
-        return self.entries[self.states.index(state)]
 
     def __repr__(self):
         return f"ProbVector({np.array2string(self.entries, precision=6)})"
@@ -89,25 +83,22 @@ class StochasticMatrix:
 
 @dataclass(frozen=True)
 class Mdp:
-    """State set, action set, and one column-stochastic matrix per action."""
+    """Action set and one column-stochastic matrix per action, all n x n;
+    the states are the positions 0..n-1."""
 
-    states: tuple
     actions: tuple
     transitions: dict  # action label -> StochasticMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(self.actions))
-        n = len(self.states)
         if set(self.transitions) != set(self.actions):
             raise ModelError("Mdp: transitions must cover exactly the action set")
-        for a, T in self.transitions.items():
-            if T.n != n:
-                raise ModelError(f"Mdp: transition matrix for action {a!r} has wrong size")
+        if len({T.n for T in self.transitions.values()}) != 1:
+            raise ModelError("Mdp: transition matrices differ in size")
 
     @property
     def n(self):
-        return len(self.states)
+        return self.transitions[self.actions[0]].n
 
 
 class DecisionFunction:
@@ -168,17 +159,18 @@ class Policy:
 
 @dataclass(frozen=True)
 class AbsorbingDecomposition:
-    """Block structure of P^d with transient states listed before absorbing.
+    """Block structure of P^d over the transient and absorbing states, each
+    in index order.
 
     Q: transient -> transient block, R: transient -> absorbing block,
-    both with columns indexed by transient states; lu: the LU factors of
-    I - Q, shared by every solve on this decomposition.
+    both with columns indexed by transient states; absorbing: the mask of
+    `absorbing_mask`; lu: the LU factors of I - Q, shared by every solve on
+    this decomposition.
     """
 
     Q: np.ndarray
     R: np.ndarray
-    transient_idx: tuple
-    absorbing_idx: tuple
+    absorbing: np.ndarray
     lu: tuple
 
 
@@ -205,7 +197,7 @@ def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
     for step in range(1, t):
         P = policy_matrix(mdp, policy.decision_at(step))
         v = P.entries @ v
-    return ProbVector(v, initial.states)
+    return ProbVector(v)
 
 
 def stationary_distribution(P: StochasticMatrix) -> ProbVector:
@@ -234,35 +226,29 @@ def stationary_distribution(P: StochasticMatrix) -> ProbVector:
     return ProbVector(sol / sol.sum())
 
 
-def absorbing_states(mdp: Mdp):
-    """States s with T^a|s> = |s> for every action a, up to PROB_TOL (a
-    self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16)."""
-    diag = np.array([np.diag(mdp.transitions[a].entries) for a in mdp.actions])
-    return np.flatnonzero(np.all(diag >= 1 - PROB_TOL, axis=0)).tolist()
+def absorbing_mask(mdp: Mdp) -> np.ndarray:
+    """True at the states no action leaves: under every action, the state's
+    column has no nonzero entry off the diagonal.  Column validation holds
+    that diagonal entry within PROB_TOL of 1 (a self-loop summed as
+    0.7 + 0.2 + 0.1 is 1 - 1.1e-16)."""
+    off = [np.count_nonzero(T.entries, axis=0) - (T.entries.diagonal() != 0)
+           for T in mdp.transitions.values()]
+    return ~np.any(off, axis=0)
 
 
 def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition:
-    abs_idx = absorbing_states(mdp)
-    tra_idx = [i for i in range(mdp.n) if i not in abs_idx]
-    P = policy_matrix(mdp, d).entries
-    Q = P[np.ix_(tra_idx, tra_idx)]
-    R = P[np.ix_(abs_idx, tra_idx)]
-    return AbsorbingDecomposition(
-        Q=Q,
-        R=R,
-        transient_idx=tuple(tra_idx),
-        absorbing_idx=tuple(abs_idx),
-        lu=lu_factor(np.eye(len(tra_idx)) - Q),
-    )
+    absorbing = absorbing_mask(mdp)
+    P = policy_matrix(mdp, d).entries[:, ~absorbing]  # the transient columns
+    Q = P[~absorbing]
+    return AbsorbingDecomposition(Q=Q, R=P[absorbing], absorbing=absorbing,
+                                  lu=lu_factor(np.eye(len(Q)) - Q))
 
 
 def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
     """Expected visits y = (I - Q)^{-1} |init> to the transient states, or
     ModelError when absorption is unreachable or the solve breaks the mass
     balance 1^T R y = 1^T init.  `init` may sum to less than 1."""
-    init = np.asarray(
-        initial_transient.entries if isinstance(initial_transient, ProbVector)
-        else initial_transient, dtype=float)
+    init = np.asarray(initial_transient, dtype=float)
     if init.size != dec.Q.shape[0]:
         raise ModelError("absorbing solve: initial vector size mismatch")
     y = lu_solve(dec.lu, init)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix, absorbing_states
+from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix, absorbing_mask
 from .qstate import bell, partial_trace, permute_subsystems
 
 
@@ -106,8 +106,7 @@ def policy_iteration_absorbing(mdp: Mdp, reward, sense: str, initial) -> float:
     state to its greedy action where that is strictly better.  `reward` is
     r(s) or r(a, s) over all states, as for `lp.mdp_occupation_lp`.  The
     start is the uniform decision, which must reach absorption."""
-    absorbing = absorbing_states(mdp)
-    tra = [i for i in range(mdp.n) if i not in absorbing]
+    tra = np.flatnonzero(~absorbing_mask(mdp))
     na = len(mdp.actions)
     sign = 1.0 if sense == "max" else -1.0
     r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, mdp.n))[:, tra]

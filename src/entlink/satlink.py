@@ -28,7 +28,6 @@ class SatError(ValueError):
 class SatGeometry:
     d: float  # ground-station separation along the surface, km
     h: float  # orbit altitude, km
-    R_earth: float = R_EARTH_KM
 
     def __post_init__(self):
         if self.d < 0 or self.h <= 0:
@@ -84,12 +83,12 @@ class HeraldedLink:
 
 def path_length(geom: SatGeometry) -> float:
     """Slant range from a ground station to the satellite at the midpoint."""
-    R = geom.R_earth
+    R = R_EARTH_KM
     s = math.sin(geom.d / (4 * R))
     return math.sqrt(4 * R * (R + geom.h) * s * s + geom.h * geom.h)
 
 
-def eta_sg(L: float, h: float, opt: OpticalParams, R_earth: float = R_EARTH_KM) -> float:
+def eta_sg(L: float, h: float, opt: OpticalParams) -> float:
     """Satellite-to-ground transmittance: diffraction-limited free-space
     collection times zenith-angle-corrected atmospheric absorption."""
     if L < h:
@@ -97,7 +96,7 @@ def eta_sg(L: float, h: float, opt: OpticalParams, R_earth: float = R_EARTH_KM) 
     L_m = L * 1000.0
     w = opt.w0 * math.sqrt(1 + (L_m / opt.rayleigh_range_m) ** 2)
     eta_fs = 1 - math.exp(-2 * opt.r ** 2 / w ** 2)
-    cos_zen = h / L - (L * L - h * h) / (2 * R_earth * L)
+    cos_zen = h / L - (L * L - h * h) / (2 * R_EARTH_KM * L)
     if cos_zen <= 0:
         return 0.0  # below the horizon
     eta_atm = opt.eta_zen ** (1 / cos_zen)
@@ -259,22 +258,20 @@ def key_rate_di(Q: float, S: float) -> float:
     return 1 - h2(Q) - h2((1 + math.sqrt((S / 2) ** 2 - 1)) / 2)
 
 
-def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float,
-                   S: float | None = None):
+def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):
     """QBER, raw key fraction, and multiplexed key bits per time step for a
-    Bell-diagonal link with coefficients (alpha+beta, alpha-beta, g, g)."""
-    protocol = protocol.lower()
+    Bell-diagonal link with coefficients (alpha+beta, alpha-beta, g, g);
+    protocol is "bb84", "6state" or "di", the last with CHSH value
+    S = 2 sqrt(2) (1 - 2Q)."""
     if protocol == "bb84":
         Q = 0.75 - beta / 2 - alpha
         K = key_rate_bb84(Q)
-    elif protocol in ("6state", "six-state", "sixstate"):
+    elif protocol == "6state":
         Q = (2 / 3) * (1 - (alpha + beta))
         K = key_rate_six_state(Q)
     elif protocol == "di":
         Q = (2 / 3) * (1 - (alpha + beta))
-        if S is None:
-            S = 2 * math.sqrt(2) * (1 - 2 * Q)
-        K = key_rate_di(Q, S)
+        K = key_rate_di(Q, 2 * math.sqrt(2) * (1 - 2 * Q))
     else:
         raise SatError(f"qber_and_rates: unknown protocol {protocol!r}")
     rate = M * p * max(K, 0.0)

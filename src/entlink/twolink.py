@@ -72,22 +72,15 @@ class TwoLinkModel:
     def idx(self, x, m1, m2):
         return x * self.n1 * self.n2 + (m1 + 1) * self.n2 + (m2 + 1)
 
-    @property
-    def states(self):
-        return tuple((x, m1, m2)
-                     for x in (0, 1)
-                     for m1 in range(-1, self.m1_star + 1)
-                     for m2 in range(-1, self.m2_star + 1))
-
     def f_flat(self):
         return self.f.reshape(-1)
 
 
-def uniform_f_table(m1_star, m2_star, value=1.0):
-    """f = value on every x=1 state with both links active; handy for
+def uniform_f_table(m1_star, m2_star):
+    """f = 1 on every x=1 state with both links active; handy for
     waiting-time-only studies."""
     f = np.zeros((2, m1_star + 2, m2_star + 2))
-    f[1, 1:, 1:] = value
+    f[1, 1:, 1:] = 1.0
     return f
 
 
@@ -117,7 +110,7 @@ def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
         if a == "swap":
             M[half + both, both] = model.q
         mats[a] = StochasticMatrix(M)
-    return Mdp(states=model.states, actions=ACTIONS, transitions=mats)
+    return Mdp(actions=ACTIONS, transitions=mats)
 
 
 def initial_distribution(model: TwoLinkModel) -> ProbVector:
@@ -125,7 +118,7 @@ def initial_distribution(model: TwoLinkModel) -> ProbVector:
     g1, g2 = [g_vector(link).entries for link in _links(model)]
     v = np.zeros(model.n)
     v[: model.n1 * model.n2] = np.kron(g1, g2)
-    return ProbVector(v, model.states)
+    return ProbVector(v)
 
 
 def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
@@ -165,11 +158,9 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
                 table[i, ai["01"]] = 1.0
             elif m1 == -1 and 0 <= m2 < t2_star:
                 table[i, ai["10"]] = 1.0
-            elif (m1, m2) in ((-1, -1), (-1, t2_star), (t1_star, -1)):
-                table[i, ai["11"]] = 1.0
             else:
-                # ages beyond the cutoff are unreachable under this rule;
-                # regenerate both so the matrix stays well defined
+                # both inactive, or one inactive and the other at its cutoff;
+                # the remaining ages are unreachable under this rule
                 table[i, ai["11"]] = 1.0
     # absorbing states: the choice is immaterial, keep it uniform
     half = model.n1 * model.n2
@@ -181,16 +172,18 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected absorption time and expected f at absorption under d."""
     mdp = build_two_link_mdp(model)
     dec = decompose_absorbing(mdp, d)
-    init = initial_distribution(model).entries[list(dec.transient_idx)]
+    init = initial_distribution(model).entries[~dec.absorbing]
     waiting = absorption_time(dec, init)
     dist = absorption_distribution(dec, init)
-    f_abs = model.f_flat()[list(dec.absorbing_idx)]
+    f_abs = model.f_flat()[dec.absorbing]
     return waiting, float(f_abs @ dist)
 
 
 def lp_optimal_value(model: TwoLinkModel):
     """Best stationary expected f at absorption, via the absorbing
     occupation LP."""
+    if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
+        raise ModelError("lp_optimal_value: needs q, p1, p2 > 0")
     mdp = build_two_link_mdp(model)
     init = initial_distribution(model).entries
     # f vanishes on x=0 states, so f @ T^a is the f collected on absorption
@@ -207,7 +200,7 @@ def lp_optimal_waiting_time(model: TwoLinkModel):
         raise ModelError("lp_optimal_waiting_time: needs q, p1, p2 > 0")
     mdp = build_two_link_mdp(model)
     return _lp.mdp_occupation_lp(mdp, np.ones(model.n), "min",
-                                 initial_distribution(model))
+                                 initial_distribution(model).entries)
 
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 from .markov import ModelError, policy_matrix
 
 TAIL_TOL = 1e-12
+HORIZON = 10_000  # most hazard terms `elem_expected_general` sums
 
 
 def _pk(p, k):
@@ -58,17 +59,16 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
     return float(1 + head @ E[::-1])
 
 
-def hazard_trace(mdp, policy, initial, t_req: int, inactive_index: int = 0):
+def hazard_trace(mdp, policy, initial, t_req: int):
     """Conditional activity probabilities for a single-link chain.
 
     Returns a callable h with h(t_req + k) = Pr[link active at step t_req+k
     given inactive at steps t_req+1 .. t_req+k-1], the hazard sequence that
-    makes the waiting-time product form exact.  The chain starts from
-    `initial` at step 1 and evolves under `policy`; being active means being
-    in any state other than `inactive_index`.
+    makes the waiting-time product form exact.  The chain starts from the
+    ProbVector `initial` at step 1 and evolves under `policy`; being active
+    means being in any state other than 0, the inactive state.
     """
-    v = np.asarray(initial.entries if hasattr(initial, "entries") else initial,
-                   dtype=float).copy()
+    v = initial.entries
     for step in range(1, t_req + 1):
         v = policy_matrix(mdp, policy.decision_at(step)).entries @ v
     cache = []
@@ -84,9 +84,9 @@ def hazard_trace(mdp, policy, initial, t_req: int, inactive_index: int = 0):
             if total <= 0:
                 cache.append(1.0)  # no surviving mass; value is immaterial
                 continue
-            cache.append(1.0 - v[inactive_index] / total)
+            cache.append(1.0 - v[0] / total)
             pruned = np.zeros_like(v)
-            pruned[inactive_index] = v[inactive_index]
+            pruned[0] = v[0]
             P = policy_matrix(mdp, policy.decision_at(state["t"])).entries
             state["v"] = P @ pruned
             state["t"] += 1
@@ -95,7 +95,7 @@ def hazard_trace(mdp, policy, initial, t_req: int, inactive_index: int = 0):
     return h
 
 
-def elem_expected_general(x_trace, t_req: int, horizon: int = 10_000):
+def elem_expected_general(x_trace, t_req: int):
     """Expected waiting time for a single link from its hazard sequence.
 
     x_trace: callable t -> Pr[active at step t | inactive at steps
@@ -107,7 +107,7 @@ def elem_expected_general(x_trace, t_req: int, horizon: int = 10_000):
         raise ModelError("elem_expected_general: t_req must be >= 0")
     total = 0.0
     survive = 1.0  # prob the link was never active at t_req+1 .. current-1
-    for t in range(1, horizon + 1):
+    for t in range(1, HORIZON + 1):
         x = float(x_trace(t_req + t))
         if not 0 <= x <= 1 + 1e-12:
             raise ModelError("elem_expected_general: X outside [0, 1]")
@@ -120,8 +120,8 @@ def elem_expected_general(x_trace, t_req: int, horizon: int = 10_000):
                 return total, tail
     if survive > 1e-6:
         raise ModelError("elem_expected_general: series not converging "
-                         f"(surviving mass {survive:g} at horizon {horizon})")
-    return total, survive * horizon
+                         f"(surviving mass {survive:g} at horizon {HORIZON})")
+    return total, survive * HORIZON
 
 
 def virtual_expected(collective_expected: float, q: float) -> float:

@@ -26,7 +26,7 @@ def random_mdp(rng, n, na):
         cols = rng.dirichlet(np.ones(n) * 0.7, size=n).T + 1e-3
         cols /= cols.sum(axis=0)
         mats[a] = StochasticMatrix(cols)
-    return Mdp(states=tuple(range(n)), actions=tuple(range(na)), transitions=mats)
+    return Mdp(actions=tuple(range(na)), transitions=mats)
 
 
 def random_absorbing_mdp(rng, nt, nb, na):
@@ -41,7 +41,7 @@ def random_absorbing_mdp(rng, nt, nb, na):
             T[:, s] = col / col.sum()
         T[nt:, nt:] = np.eye(nb)
         mats[a] = StochasticMatrix(T)
-    return Mdp(states=tuple(range(n)), actions=tuple(range(na)), transitions=mats)
+    return Mdp(actions=tuple(range(na)), transitions=mats)
 
 
 def deterministic_decisions(n, na):

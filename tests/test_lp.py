@@ -211,7 +211,7 @@ def _sparsify(mdp, rng, s_loop):
             T[:, s_loop] = 0.0
             T[s_loop, s_loop] = 1.0
         mats[a] = StochasticMatrix(T)
-    return Mdp(states=mdp.states, actions=mdp.actions, transitions=mats)
+    return Mdp(actions=mdp.actions, transitions=mats)
 
 
 @pytest.mark.parametrize("steady", [True, False], ids=["steady", "absorbing"])

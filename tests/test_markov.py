@@ -9,7 +9,7 @@ from entlink.markov import (
     Policy,
     ProbVector,
     StochasticMatrix,
-    absorbing_states,
+    absorbing_mask,
     absorption_distribution,
     absorption_time,
     decompose_absorbing,
@@ -17,6 +17,8 @@ from entlink.markov import (
     policy_matrix,
     stationary_distribution,
 )
+from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
+                              steady_state_closed_form)
 from entlink.oracles import stationary_eig
 
 from conftest import random_absorbing_mdp, random_mdp
@@ -27,12 +29,6 @@ def test_probvector_rejects_bad_sum():
         ProbVector([0.5, 0.6])
     with pytest.raises(ModelError):
         ProbVector([-0.1, 1.1])
-
-
-def test_probvector_labels():
-    v = ProbVector([0.25, 0.75], states=(-1, 0))
-    assert v[-1] == 0.25 and v[0] == 0.75
-    assert len(v) == 2
 
 
 def test_stochastic_matrix_rejects_row_convention():
@@ -95,9 +91,29 @@ def test_stationary_matches_eig_oracle(rng):
                              - stationary_eig(P))) < 1e-9
 
 
+def test_stationary_falls_back_to_the_direct_solve(monkeypatch):
+    # the chain alternates between ages 0 and 1, so power iteration never
+    # settles and the least-squares solve gives the answer
+    model = ElemLinkModel(1.0, 1, [0, 1, 0.9])
+    d = cutoff_decision(model, 1)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    s = stationary_distribution(policy_matrix(build_mdp(model), d))
+    assert len(calls) == 1
+    want, _ = steady_state_closed_form(model, d)
+    assert want.entries.tolist() == [0.0, 0.5, 0.5]
+    assert np.max(np.abs(s.entries - want.entries)) <= 1e-12
+
+
 def test_absorbing_detection(rng):
     mdp = random_absorbing_mdp(rng, 3, 2, 2)
-    assert absorbing_states(mdp) == [3, 4]
+    assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [3, 4]
 
 
 def test_absorption_time_geometric(rng):
@@ -105,7 +121,7 @@ def test_absorption_time_geometric(rng):
     p = 0.3
     T = np.array([[1 - p, 0.0], [p, 1.0]])
     from entlink.markov import Mdp
-    mdp = Mdp(states=(0, 1), actions=(0,), transitions={0: StochasticMatrix(T)})
+    mdp = Mdp(actions=(0,), transitions={0: StochasticMatrix(T)})
     d = DecisionFunction(np.ones((2, 1)))
     dec = decompose_absorbing(mdp, d)
     assert absorption_time(dec, [1.0]) == pytest.approx(1 / p, abs=1e-12)
@@ -119,8 +135,8 @@ def test_absorbing_state_with_rounded_self_loop():
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
     T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
-    mdp = Mdp(states=(0, 1), actions=(0,), transitions={0: T})
-    assert absorbing_states(mdp) == [1]
+    mdp = Mdp(actions=(0,), transitions={0: T})
+    assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [1]
     dec = decompose_absorbing(mdp, DecisionFunction(np.ones((2, 1))))
     assert absorption_time(dec, [1.0]) == pytest.approx(2.0, abs=1e-12)
     value, _ = mdp_occupation_lp(mdp, np.ones(2), "min", [1.0, 0.0])

@@ -94,7 +94,7 @@ def test_golden_bytes():
     res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=20_000, horizon=40))
     assert _digest(res["freq"]) == "ce82152241862908"
     # the uniform decision mixes all five actions: the widest successor lists
-    model = twolink.TwoLinkModel(0.4, 0.6, 0.7, 3, 4, twolink.uniform_f_table(3, 4, 0.9))
+    model = twolink.TwoLinkModel(0.4, 0.6, 0.7, 3, 4, 0.9 * twolink.uniform_f_table(3, 4))
     res = mc.simulate_two_link(model, DecisionFunction.uniform(model.n, 5),
                                mc.SimConfig(seed=5, trials=20_000, horizon=2_000))
     assert res["exhausted"] == 0

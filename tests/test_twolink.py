@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from scipy.linalg import lu_factor
 from entlink import markov, qstate
 from entlink import twolink as TL
 from entlink.oracles import policy_iteration_absorbing
-from entlink.markov import ModelError, absorbing_states
+from entlink.markov import ModelError, absorbing_mask
 
 
 def sym_model(p, q, m_star):
@@ -35,10 +37,22 @@ def test_all_action_matrices_column_stochastic():
 
 
 def test_absorbing_set_is_x1_block():
-    model = sym_model(0.5, 0.5, 1)
-    mdp = TL.build_two_link_mdp(model)
-    half = model.n1 * model.n2
-    assert absorbing_states(mdp) == list(range(half, 2 * half))
+    # at p = 1e-13 the start state's self-loop is within 1e-12 of 1 under
+    # every action, yet the state is transient
+    for p, m_star in ((0.5, 1), (1e-13, 2)):
+        model = sym_model(p, 0.5, m_star)
+        mdp = TL.build_two_link_mdp(model)
+        half = model.n1 * model.n2
+        assert np.flatnonzero(absorbing_mask(mdp)).tolist() == list(range(half, 2 * half))
+
+
+def test_lps_need_positive_probabilities():
+    # zero p or q makes the LPs infeasible: invalid input, not a numerical failure
+    for p, q in ((0.5, 0.0), (0.0, 0.5)):
+        for solve in (TL.lp_optimal_value, TL.lp_optimal_waiting_time):
+            with pytest.raises(ModelError, match="needs q, p1, p2 > 0") as info:
+                solve(sym_model(p, q, 1))
+            assert not isinstance(info.value, markov.NumericalError)
 
 
 def test_swap_action_success_mass():
@@ -79,7 +93,8 @@ def _rule_matrices(model):
         return {m + 1: 1.0}
 
     mats = {a: np.zeros((model.n, model.n)) for a in TL.ACTIONS}
-    for x, m1, m2 in model.states:
+    for x, m1, m2 in itertools.product((0, 1), range(-1, model.m1_star + 1),
+                                       range(-1, model.m2_star + 1)):
         src = model.idx(x, m1, m2)
         for a in TL.ACTIONS:
             T = mats[a]
