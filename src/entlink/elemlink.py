@@ -18,7 +18,6 @@ from .markov import (
     ModelError,
     Policy,
     ProbVector,
-    StochasticMatrix,
     evolve,
 )
 from . import lp as _lp
@@ -43,7 +42,7 @@ class ElemLinkModel:
             raise ModelError("ElemLinkModel: f must cover (-1, 0, ..., m_star)")
         if f[0] != 0.0:
             raise ModelError("ElemLinkModel: f(-1) must be 0")
-        if np.any(f < 0) or np.any(f > 1):
+        if not np.all((f >= 0) & (f <= 1)):  # NaN fails too
             raise ModelError("ElemLinkModel: f values must lie in [0, 1]")
         object.__setattr__(self, "f", f)
         self.f.setflags(write=False)
@@ -67,17 +66,14 @@ def g_vector(model: ElemLinkModel) -> ProbVector:
 
 def build_mdp(model: ElemLinkModel) -> Mdp:
     n = model.n
-    T0 = np.zeros((n, n))
-    T0[0, 0] = 1.0  # inactive stays inactive under wait
+    T = np.zeros((2, n, n))
+    T[WAIT, 0, 0] = 1.0  # inactive stays inactive under wait
     for m in range(model.m_star):
-        T0[m + 2, m + 1] = 1.0  # age by one step
-    T0[0, n - 1] = 1.0  # storage bound hit: link discarded
-    T1 = np.zeros((n, n))
-    T1[0, :] = 1 - model.p
-    T1[1, :] = model.p
-    return Mdp(actions=(WAIT, REQUEST),
-               transitions={WAIT: StochasticMatrix(T0),
-                            REQUEST: StochasticMatrix(T1)})
+        T[WAIT, m + 2, m + 1] = 1.0  # age by one step
+    T[WAIT, 0, n - 1] = 1.0  # storage bound hit: link discarded
+    T[REQUEST, 0, :] = 1 - model.p
+    T[REQUEST, 1, :] = model.p
+    return Mdp(T)
 
 
 def aged_states(sigma0: DensityOperator, memory: KrausChannel, m_star: int):
@@ -195,8 +191,7 @@ def optimal_backward(model: ElemLinkModel, t: int):
     deterministic policy.  Ties broken toward waiting."""
     if t < 1:
         raise ModelError("optimal_backward: t must be >= 1")
-    mdp = build_mdp(model)
-    T = {a: mdp.transitions[a].entries for a in (WAIT, REQUEST)}
+    T = build_mdp(model).T
     V = model.f.copy()
     decisions = []
     for _ in range(t - 1):

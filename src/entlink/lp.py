@@ -105,7 +105,7 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
     nothing.  The models here give feasible, bounded LPs (two links once
     p1, p2, q > 0), so a non-optimal status raises NumericalError.
     """
-    na, n = len(mdp.actions), mdp.n
+    na, n = mdp.T.shape[:2]
     reward = np.asarray(reward, dtype=float)
     if reward.shape not in ((n,), (na, n)):
         raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
@@ -124,8 +124,7 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
         rhs = init[keep]
     k = keep.size
     # column a*k + s of A is (I - T^a)[keep, s]; exact zeros are not stored
-    blocks = np.stack([-mdp.transitions[a].entries[np.ix_(keep, keep)]
-                       for a in mdp.actions])
+    blocks = -mdp.T[:, keep[:, None], keep]
     blocks[:, np.arange(k), np.arange(k)] += 1.0
     act, row, col = np.nonzero(blocks)
     data, col = blocks[act, row, col], act * k + col

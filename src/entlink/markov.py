@@ -27,8 +27,18 @@ class NumericalError(ModelError):
 
 
 def _check_prob_entries(a, what):
-    if np.any(a < -PROB_TOL) or np.any(a > 1 + PROB_TOL):
+    # written so that NaN fails too
+    if not np.all((a >= -PROB_TOL) & (a <= 1 + PROB_TOL)):
         raise ModelError(f"{what}: entries outside [0, 1]")
+
+
+def _check_columns(entries, what):
+    """Entries in [0, 1] and columns (axis -2) summing to 1."""
+    _check_prob_entries(entries, what)
+    bad = np.abs(entries.sum(axis=-2) - 1.0) > PROB_TOL * max(1, entries.shape[-2])
+    if np.any(bad):
+        raise ModelError(
+            f"{what}: columns {np.unique(np.nonzero(bad)[-1]).tolist()} do not sum to 1")
 
 
 class ProbVector:
@@ -66,13 +76,7 @@ class StochasticMatrix:
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ModelError("StochasticMatrix: expected a square matrix")
-        _check_prob_entries(entries, "StochasticMatrix")
-        colsums = entries.sum(axis=0)
-        bad = np.abs(colsums - 1.0) > PROB_TOL * max(1, entries.shape[0])
-        if np.any(bad):
-            raise ModelError(
-                f"StochasticMatrix: columns {np.nonzero(bad)[0].tolist()} do not sum to 1"
-            )
+        _check_columns(entries, "StochasticMatrix")
         self.entries = entries
         self.entries.setflags(write=False)
 
@@ -81,24 +85,24 @@ class StochasticMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
 class Mdp:
-    """Action set and one column-stochastic matrix per action, all n x n;
-    the states are the positions 0..n-1."""
+    """One column-stochastic matrix T[a] per action, held as one read-only
+    array of shape (actions, n, n); the actions and the states are
+    positions in it."""
 
-    actions: tuple
-    transitions: dict  # action label -> StochasticMatrix
+    __slots__ = ("T",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if set(self.transitions) != set(self.actions):
-            raise ModelError("Mdp: transitions must cover exactly the action set")
-        if len({T.n for T in self.transitions.values()}) != 1:
-            raise ModelError("Mdp: transition matrices differ in size")
+    def __init__(self, T):
+        T = np.asarray(T, dtype=float)
+        if T.ndim != 3 or T.shape[1] != T.shape[2]:
+            raise ModelError("Mdp: expected an (actions, n, n) array")
+        _check_columns(T, "Mdp")
+        self.T = T
+        self.T.setflags(write=False)
 
     @property
     def n(self):
-        return self.transitions[self.actions[0]].n
+        return self.T.shape[1]
 
 
 class DecisionFunction:
@@ -162,13 +166,12 @@ class AbsorbingDecomposition:
     """Block structure of P^d over the transient and absorbing states, each
     in index order.
 
-    Q: transient -> transient block, R: transient -> absorbing block,
-    both with columns indexed by transient states; absorbing: the mask of
-    `absorbing_mask`; lu: the LU factors of I - Q, shared by every solve on
+    R: transient -> absorbing block, with columns indexed by transient
+    states; absorbing: the mask of `absorbing_mask`; lu: the LU factors of
+    I - Q, Q the transient -> transient block, shared by every solve on
     this decomposition.
     """
 
-    Q: np.ndarray
     R: np.ndarray
     absorbing: np.ndarray
     lu: tuple
@@ -176,14 +179,14 @@ class AbsorbingDecomposition:
 
 def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
     """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
-    if d.table.shape != (mdp.n, len(mdp.actions)):
+    if d.table.shape != (mdp.n, len(mdp.T)):
         raise ModelError(
             f"decision table shape {d.table.shape} does not match "
-            f"({mdp.n}, {len(mdp.actions)})"
+            f"({mdp.n}, {len(mdp.T)})"
         )
     P = np.zeros((mdp.n, mdp.n))
-    for j, a in enumerate(mdp.actions):
-        P += mdp.transitions[a].entries * d.table[:, j]  # broadcasts over columns
+    for T, da in zip(mdp.T, d.table.T):
+        P += T * da  # broadcasts over columns
     return StochasticMatrix(P)
 
 
@@ -231,17 +234,15 @@ def absorbing_mask(mdp: Mdp) -> np.ndarray:
     column has no nonzero entry off the diagonal.  Column validation holds
     that diagonal entry within PROB_TOL of 1 (a self-loop summed as
     0.7 + 0.2 + 0.1 is 1 - 1.1e-16)."""
-    off = [np.count_nonzero(T.entries, axis=0) - (T.entries.diagonal() != 0)
-           for T in mdp.transitions.values()]
+    off = np.count_nonzero(mdp.T, axis=1) - (mdp.T.diagonal(axis1=1, axis2=2) != 0)
     return ~np.any(off, axis=0)
 
 
 def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition:
     absorbing = absorbing_mask(mdp)
     P = policy_matrix(mdp, d).entries[:, ~absorbing]  # the transient columns
-    Q = P[~absorbing]
-    return AbsorbingDecomposition(Q=Q, R=P[absorbing], absorbing=absorbing,
-                                  lu=lu_factor(np.eye(len(Q)) - Q))
+    return AbsorbingDecomposition(R=P[absorbing], absorbing=absorbing,
+                                  lu=lu_factor(np.eye(P.shape[1]) - P[~absorbing]))
 
 
 def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
@@ -249,7 +250,7 @@ def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarr
     ModelError when absorption is unreachable or the solve breaks the mass
     balance 1^T R y = 1^T init.  `init` may sum to less than 1."""
     init = np.asarray(initial_transient, dtype=float)
-    if init.size != dec.Q.shape[0]:
+    if init.size != dec.R.shape[1]:
         raise ModelError("absorbing solve: initial vector size mismatch")
     y = lu_solve(dec.lu, init)
     if not np.all(np.isfinite(y)):

@@ -37,8 +37,7 @@ def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
     prefix share its propagated distribution."""
     if t < 1:
         raise ModelError("exhaustive_markov_policy_value: t must be >= 1")
-    mdp = build_mdp(model)
-    T = [mdp.transitions[a].entries for a in mdp.actions]
+    T = build_mdp(model).T
     n = model.n
     n_actions = len(T)
     steps = []
@@ -66,8 +65,7 @@ def optimal_backward_history(model: ElemLinkModel, t: int):
         raise ModelError("optimal_backward_history: t must be >= 1")
     if t > _HISTORY_T_CAP:
         raise ModelError(f"optimal_backward_history: t capped at {_HISTORY_T_CAP}")
-    mdp = build_mdp(model)
-    T = {a: mdp.transitions[a].entries for a in (WAIT, REQUEST)}
+    T = build_mdp(model).T
     g = g_vector(model).entries
     states = range(model.n)
     policy_table = {}
@@ -107,10 +105,10 @@ def policy_iteration_absorbing(mdp: Mdp, reward, sense: str, initial) -> float:
     r(s) or r(a, s) over all states, as for `lp.mdp_occupation_lp`.  The
     start is the uniform decision, which must reach absorption."""
     tra = np.flatnonzero(~absorbing_mask(mdp))
-    na = len(mdp.actions)
+    na = len(mdp.T)
     sign = 1.0 if sense == "max" else -1.0
     r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, mdp.n))[:, tra]
-    Q = np.array([mdp.transitions[a].entries[np.ix_(tra, tra)] for a in mdp.actions])
+    Q = mdp.T[:, tra[:, None], tra]
     table = np.full((len(tra), na), 1.0 / na)
     for _ in range(1000):
         Qd = np.einsum("ats,sa->ts", Q, table)

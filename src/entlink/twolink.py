@@ -18,17 +18,17 @@ from .markov import (
     Mdp,
     ModelError,
     ProbVector,
-    StochasticMatrix,
     absorption_distribution,
     absorption_time,
     decompose_absorbing,
 )
 from . import lp as _lp
-from .elemlink import REQUEST, WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
+from .elemlink import WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
                      bell_overlap_table, swap_fidelity)
 
-ACTIONS = ("00", "01", "10", "11", "swap")
+ACTIONS = ("00", "01", "10", "11", "swap")  # the names of the action positions
+SWAP = 4
 TARGET_TOL = 1e-10  # |Phi> up to a phase: unit norm and |<Phi|target>| = 1
 
 
@@ -50,6 +50,8 @@ class TwoLinkModel:
         f = np.asarray(self.f, dtype=float)
         if f.shape != (2, self.m1_star + 2, self.m2_star + 2):
             raise ModelError("TwoLinkModel: f table shape mismatch")
+        if not np.all((f >= 0) & (f <= 1)):  # NaN fails too
+            raise ModelError("TwoLinkModel: f values must lie in [0, 1]")
         if np.any(f[0] != 0):
             raise ModelError("TwoLinkModel: f must vanish on x=0 states")
         if np.any(f[1, 0, :] != 0) or np.any(f[1, :, 0] != 0):
@@ -91,26 +93,22 @@ def _links(model: TwoLinkModel):
 
 
 def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
-    """Kronecker products of the links' matrices on x=0: "ab" applies a to
-    link 1 and b to link 2; "swap" waits on both unless both are active,
-    then succeeds with probability q (to x=1) or regenerates both."""
+    """Kronecker products of the links' matrices on x=0: action "ab", at
+    position 2a + b, applies a to link 1 and b to link 2 (WAIT = 0,
+    REQUEST = 1); "swap" waits on both unless both are active, then
+    succeeds with probability q (to x=1) or regenerates both.  Every action
+    leaves the x=1 states in place."""
     half = model.n1 * model.n2
-    (T1, g1), (T2, g2) = [(build_mdp(link).transitions, g_vector(link).entries)
+    (T1, g1), (T2, g2) = [(build_mdp(link).T, g_vector(link).entries)
                           for link in _links(model)]
-    step = {"0": WAIT, "1": REQUEST}
-    tops = {a: np.kron(T1[step[a[0]]].entries, T2[step[a[1]]].entries)
-            for a in ACTIONS[:4]}
-    tops["swap"] = np.kron(T1[WAIT].entries, T2[WAIT].entries)
+    T = np.tile(np.eye(model.n), (len(ACTIONS), 1, 1))
+    for k in range(len(ACTIONS)):
+        a1, a2 = divmod(k, 2) if k != SWAP else (WAIT, WAIT)
+        T[k, :half, :half] = np.kron(T1[a1], T2[a2])
     both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
-    tops["swap"][:, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
-    mats = {}
-    for a, top in tops.items():
-        M = np.eye(model.n)
-        M[:half, :half] = top
-        if a == "swap":
-            M[half + both, both] = model.q
-        mats[a] = StochasticMatrix(M)
-    return Mdp(actions=ACTIONS, transitions=mats)
+    T[SWAP][:half, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
+    T[SWAP][half + both, both] = model.q
+    return Mdp(T)
 
 
 def initial_distribution(model: TwoLinkModel) -> ProbVector:
@@ -148,20 +146,19 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
         raise ModelError("cutoff_decision: cutoffs must respect storage bounds")
     na = len(ACTIONS)
     table = np.zeros((model.n, na))
-    ai = {a: k for k, a in enumerate(ACTIONS)}
     for m1 in range(-1, model.m1_star + 1):
         for m2 in range(-1, model.m2_star + 1):
             i = model.idx(0, m1, m2)
             if 0 <= m1 <= t1_star and 0 <= m2 <= t2_star:
-                table[i, ai["swap"]] = 1.0
+                table[i, SWAP] = 1.0
             elif 0 <= m1 < t1_star and m2 == -1:
-                table[i, ai["01"]] = 1.0
+                table[i, 0b01] = 1.0
             elif m1 == -1 and 0 <= m2 < t2_star:
-                table[i, ai["10"]] = 1.0
+                table[i, 0b10] = 1.0
             else:
                 # both inactive, or one inactive and the other at its cutoff;
                 # the remaining ages are unreachable under this rule
-                table[i, ai["11"]] = 1.0
+                table[i, 0b11] = 1.0
     # absorbing states: the choice is immaterial, keep it uniform
     half = model.n1 * model.n2
     table[half:, :] = 1.0 / na
@@ -181,16 +178,15 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
 
 def lp_optimal_value(model: TwoLinkModel):
     """Best stationary expected f at absorption, via the absorbing
-    occupation LP."""
+    occupation LP.  f vanishes on the x=0 states, where the start
+    distribution lies, so the reward of action a is f @ T^a, the f
+    collected on absorption."""
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError("lp_optimal_value: needs q, p1, p2 > 0")
     mdp = build_two_link_mdp(model)
-    init = initial_distribution(model).entries
-    # f vanishes on x=0 states, so f @ T^a is the f collected on absorption
     f = model.f_flat()
-    reward = [f @ mdp.transitions[a].entries for a in ACTIONS]
-    value, d = _lp.mdp_occupation_lp(mdp, reward, "max", init)
-    return value + float(f @ init), d
+    return _lp.mdp_occupation_lp(mdp, [f @ T for T in mdp.T], "max",
+                                 initial_distribution(model).entries)
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):

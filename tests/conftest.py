@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entlink
-from entlink.markov import DecisionFunction, Mdp, StochasticMatrix
+from entlink.markov import DecisionFunction, Mdp
 
 # The CLI tests run `python -m entlink.cli` in subprocesses: point them at the
 # package these tests import, also when pytest alone put `src` on sys.path.
@@ -21,27 +21,24 @@ def rng():
 
 def random_mdp(rng, n, na):
     """Fully supported transition matrices, so every policy chain is ergodic."""
-    mats = {}
+    T = np.empty((na, n, n))
     for a in range(na):
         cols = rng.dirichlet(np.ones(n) * 0.7, size=n).T + 1e-3
-        cols /= cols.sum(axis=0)
-        mats[a] = StochasticMatrix(cols)
-    return Mdp(actions=tuple(range(na)), transitions=mats)
+        T[a] = cols / cols.sum(axis=0)
+    return Mdp(T)
 
 
 def random_absorbing_mdp(rng, nt, nb, na):
     """nt transient states followed by nb absorbing ones; every action moves
     some mass toward absorption from every transient state."""
     n = nt + nb
-    mats = {}
+    T = np.zeros((na, n, n))
     for a in range(na):
-        T = np.zeros((n, n))
         for s in range(nt):
             col = rng.dirichlet(np.ones(n)) + 1e-3
-            T[:, s] = col / col.sum()
-        T[nt:, nt:] = np.eye(nb)
-        mats[a] = StochasticMatrix(T)
-    return Mdp(actions=tuple(range(na)), transitions=mats)
+            T[a, :, s] = col / col.sum()
+        T[a, nt:, nt:] = np.eye(nb)
+    return Mdp(T)
 
 
 def deterministic_decisions(n, na):

@@ -1,15 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-9 run the same checks as the CLI --selftest; criterion 10 runs
-the CLI twice and compares outputs byte for byte.
+the CLI in a new process and in this one and compares their CSV byte for
+byte.
 """
 
 import subprocess
 import sys
 
-import pytest
-
-from entlink import selftest
+from entlink import cli, selftest
 
 
 def _run(fn, *args):
@@ -57,15 +56,12 @@ def test_criterion_09_key_rates():
 
 
 def test_criterion_10_selftest_determinism(tmp_path):
-    outs = []
-    for name in ("a.csv", "b.csv"):
-        path = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "entlink.cli", "--selftest", "--seed",
-             "20260824", "--out", str(path)],
-            capture_output=True, text=True, timeout=600)
-        assert r.returncode == 0, r.stderr
-        outs.append(path.read_bytes())
+    argv = ["--selftest", "--seed", "20260824", "--out"]
+    r = subprocess.run([sys.executable, "-m", "entlink.cli", *argv, str(tmp_path / "a.csv")],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert cli.main([*argv, str(tmp_path / "b.csv")]) == 0
+    outs = [(tmp_path / name).read_bytes() for name in ("a.csv", "b.csv")]
     identical = outs[0] == outs[1]
     print(f"[{'PASS' if identical else 'FAIL'}] selftest CSV byte-identical "
           f"across same-seed runs ({len(outs[0])} bytes)")

@@ -211,6 +211,25 @@ def test_twolink_analytic_rejects_invalid_input(args, capsys):
     assert out == "" and "analytic_symmetric_waiting_time" in err
 
 
+TWO_LINK = ["--p1", "0.5", "--p2", "0.5", "--q", "0.5", "--m1-star", "2", "--m2-star", "2"]
+CUTOFFS = ["--t1-star", "2", "--t2-star", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    ["twolink", "lp-fidelity", *TWO_LINK, "--t-coh", "12", "--alpha", "2", "--beta", "2"],
+    ["twolink", "evaluate", *TWO_LINK, *CUTOFFS, "--t-coh", "12", "--alpha", "-3"],
+    ["simulate", "twolink", *TWO_LINK, *CUTOFFS, "--t-coh", "12", "--alpha", "-3"],
+    ["twolink", "lp-fidelity", *TWO_LINK, "--t-coh", "nan"],
+    ["elem", "steady", "--p", "0.5", "--m-star", "2", "--t-coh", "nan"],
+    ["elem", "optimal", "--p", "0.5", "--m-star", "2", "--f", "1,nan,0.8"],
+], ids=["lp-fidelity-f-above-one", "evaluate-f-below-zero", "simulate-f-below-zero",
+        "lp-fidelity-f-nan", "elem-steady-f-nan", "elem-optimal-f-nan"])
+def test_figure_of_merit_outside_unit_interval_exit_code_2(args, capsys):
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "entlink:" in err and "f values must lie in [0, 1]" in err
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_satlink_sweep_rejects_fewer_than_one_step(steps, capsys):
     args = ["satlink", "sweep", "--d-min", "100", "--d-max", "2000", "--steps", steps]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from entlink import elemlink as E
 from entlink import oracles, qstate
-from entlink.markov import ModelError, Policy, policy_matrix, stationary_distribution
+from entlink.markov import ModelError, Policy, policy_matrix
 
 
 def model(p, f_vals):
@@ -28,8 +28,7 @@ def test_validation():
 def test_transition_matrices_shape_and_columns():
     m = model(0.4, [1.0, 0.9, 0.8])
     mdp = E.build_mdp(m)
-    T0 = mdp.transitions[E.WAIT].entries
-    T1 = mdp.transitions[E.REQUEST].entries
+    T0, T1 = mdp.T[E.WAIT], mdp.T[E.REQUEST]
     # wait: inactive absorbs, ages shift, top age wraps to inactive
     assert T0[0, 0] == 1.0
     assert T0[2, 1] == 1.0 and T0[3, 2] == 1.0
@@ -132,8 +131,7 @@ def test_backward_vs_exhaustive(rng):
 def _exhaustive_literal(model, t):
     """Every deterministic time-indexed Markov policy enumerated on its own:
     one step matrix per step, one propagation from g per policy."""
-    mdp = E.build_mdp(model)
-    T = [mdp.transitions[a].entries for a in mdp.actions]
+    T = E.build_mdp(model).T
     n, n_actions = model.n, len(T)
     best = -np.inf
     for assignment in itertools.product(range(n_actions ** n), repeat=t - 1):

@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 from entlink import lp as L
 from entlink.markov import (
     Mdp,
-    StochasticMatrix,
     absorption_distribution,
     absorption_time,
     decompose_absorbing,
@@ -118,7 +117,7 @@ def test_steady_state_lp_vs_exhaustive(rng):
 
 def _absorbed_f_reward(mdp, f):
     # f vanishes on transient states: f @ T^a is the f collected on absorption
-    return [f @ mdp.transitions[a].entries for a in mdp.actions]
+    return [f @ T for T in mdp.T]
 
 
 def test_absorbing_value_lp_vs_exhaustive(rng):
@@ -190,8 +189,7 @@ def _dense_reference_matrix(mdp, keep, steady):
     """The constraint matrix as first built: a dense I - T^a block per action,
     side by side, plus the row of ones in steady state."""
     k = keep.size
-    A = np.hstack([np.eye(k) - mdp.transitions[a].entries[np.ix_(keep, keep)]
-                   for a in mdp.actions])
+    A = np.hstack([np.eye(k) - T[np.ix_(keep, keep)] for T in mdp.T])
     if steady:
         A = np.vstack([A, np.ones((1, A.shape[1]))])
     return sparse.csc_array(A)
@@ -200,18 +198,15 @@ def _dense_reference_matrix(mdp, keep, steady):
 def _sparsify(mdp, rng, s_loop):
     """Zero some entries of every column (exact zeros in the LP blocks) and
     make action 0 keep state `s_loop` where it is (a zero diagonal entry)."""
-    mats = {}
-    for a in mdp.actions:
-        T = mdp.transitions[a].entries.copy()
-        for s in range(T.shape[1]):
-            col = T[:, s] * (rng.uniform(size=T.shape[0]) < 0.6)
-            if col.sum() > 0 and T[s, s] < 1:
-                T[:, s] = col / col.sum()
-        if a == 0:
-            T[:, s_loop] = 0.0
-            T[s_loop, s_loop] = 1.0
-        mats[a] = StochasticMatrix(T)
-    return Mdp(actions=mdp.actions, transitions=mats)
+    T = mdp.T.copy()
+    for Ta in T:
+        for s in range(Ta.shape[1]):
+            col = Ta[:, s] * (rng.uniform(size=Ta.shape[0]) < 0.6)
+            if col.sum() > 0 and Ta[s, s] < 1:
+                Ta[:, s] = col / col.sum()
+    T[0, :, s_loop] = 0.0
+    T[0, s_loop, s_loop] = 1.0
+    return Mdp(T)
 
 
 @pytest.mark.parametrize("steady", [True, False], ids=["steady", "absorbing"])

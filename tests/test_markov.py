@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from entlink.markov import (
     DecisionFunction,
+    Mdp,
     ModelError,
     Policy,
     ProbVector,
@@ -39,6 +40,30 @@ def test_stochastic_matrix_rejects_row_convention():
     StochasticMatrix(M.T)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ProbVector([np.nan, 1.0]),
+    lambda: StochasticMatrix([[np.nan, 0.0], [1.0, 1.0]]),
+    lambda: DecisionFunction([[np.nan, 1.0]]),
+    lambda: Mdp([[[np.nan, 0.0], [1.0, 1.0]]]),
+], ids=["ProbVector", "StochasticMatrix", "DecisionFunction", "Mdp"])
+def test_nan_entries_are_rejected(make):
+    with pytest.raises(ModelError):
+        make()
+
+
+def test_mdp_validation():
+    T = np.array([[[0.5, 0.0], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    off = T.copy()
+    off[1, 0, 0] += 1e-9  # one action's column sums to 1 + 1e-9
+    for bad in (T[0], np.full((2, 2, 3), 0.5), off):
+        with pytest.raises(ModelError):
+            Mdp(bad)
+    mdp = Mdp(T)
+    assert mdp.n == 2
+    with pytest.raises(ValueError):
+        mdp.T[0, 0, 0] = 0.0
+
+
 def test_policy_matrix_mixes_actions(rng):
     mdp = random_mdp(rng, 4, 3)
     d = DecisionFunction(rng.dirichlet(np.ones(3), size=4))
@@ -46,7 +71,7 @@ def test_policy_matrix_mixes_actions(rng):
     expect = np.zeros((4, 4))
     for s in range(4):
         for a in range(3):
-            expect[:, s] += d.table[s, a] * mdp.transitions[a].entries[:, s]
+            expect[:, s] += d.table[s, a] * mdp.T[a][:, s]
     assert np.allclose(P, expect, atol=1e-14)
 
 
@@ -120,8 +145,7 @@ def test_absorption_time_geometric(rng):
     # single transient state, success prob p each step: E[T] = 1/p
     p = 0.3
     T = np.array([[1 - p, 0.0], [p, 1.0]])
-    from entlink.markov import Mdp
-    mdp = Mdp(actions=(0,), transitions={0: StochasticMatrix(T)})
+    mdp = Mdp([T])
     d = DecisionFunction(np.ones((2, 1)))
     dec = decompose_absorbing(mdp, d)
     assert absorption_time(dec, [1.0]) == pytest.approx(1 / p, abs=1e-12)
@@ -131,11 +155,10 @@ def test_absorption_time_geometric(rng):
 def test_absorbing_state_with_rounded_self_loop():
     # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0
     from entlink.lp import mdp_occupation_lp
-    from entlink.markov import Mdp
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
     T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
-    mdp = Mdp(actions=(0,), transitions={0: T})
+    mdp = Mdp([T.entries])
     assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [1]
     dec = decompose_absorbing(mdp, DecisionFunction(np.ones((2, 1))))
     assert absorption_time(dec, [1.0]) == pytest.approx(2.0, abs=1e-12)

@@ -59,7 +59,7 @@ def test_swap_action_success_mass():
     # from (0, 0, 0), swap succeeds with probability q into (1, 0, 0)
     model = sym_model(0.5, 0.7, 1)
     mdp = TL.build_two_link_mdp(model)
-    T = mdp.transitions["swap"].entries
+    T = mdp.T[TL.SWAP]
     src = model.idx(0, 0, 0)
     assert T[model.idx(1, 0, 0), src] == pytest.approx(0.7)
     # failure regenerates both links afresh
@@ -70,7 +70,7 @@ def test_swap_action_success_mass():
 def test_swap_on_inactive_links_shifts_ages():
     model = sym_model(0.5, 0.7, 2)
     mdp = TL.build_two_link_mdp(model)
-    T = mdp.transitions["swap"].entries
+    T = mdp.T[TL.SWAP]
     # link 1 active at age 0, link 2 inactive: age shifts, no swap attempt
     src = model.idx(0, 0, -1)
     assert T[model.idx(0, 1, -1), src] == pytest.approx(1.0)
@@ -126,7 +126,7 @@ def test_build_matches_state_by_state_rules():
                                 TL.uniform_f_table(int(m1), int(m2)))
         mdp = TL.build_two_link_mdp(model)
         for a, T in _rule_matrices(model).items():
-            np.testing.assert_allclose(mdp.transitions[a].entries, T,
+            np.testing.assert_allclose(mdp.T[TL.ACTIONS.index(a)], T,
                                        rtol=0, atol=1e-15)
 
 
@@ -184,7 +184,7 @@ def test_lp_value_equals_policy_iteration_on_random_models(rng):
         v1, d = TL.lp_optimal_value(model)
         mdp = TL.build_two_link_mdp(model)
         v2 = policy_iteration_absorbing(
-            mdp, [model.f_flat() @ mdp.transitions[a].entries for a in TL.ACTIONS],
+            mdp, [model.f_flat() @ T for T in mdp.T],
             "max", TL.initial_distribution(model).entries)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
@@ -240,7 +240,7 @@ def test_lps_vs_policy_iteration(rng, m_star):
     f = model.f_flat()
     v_lp, _ = TL.lp_optimal_value(model)
     v_pi = policy_iteration_absorbing(
-        mdp, [f @ mdp.transitions[a].entries for a in TL.ACTIONS], "max", init)
+        mdp, [f @ T for T in mdp.T], "max", init)
     assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
