@@ -9,13 +9,13 @@ import math
 from entlink import satlink as S
 
 geom_h = 500.0
-opt = S.OpticalParams()
+eta_zen = 0.5  # atmospheric transmittance at zenith
 src = S.SatSourceParams(f_S=0.99, nbar1=1e-4, nbar2=1e-4, M=50)
 
 print("   d(km)   L(km)     eta      p(herald)  F(Phi+)   ent  K_bb84  bits/step")
 for d in (100, 400, 800, 1200, 1600, 2000):
     L = S.path_length(S.SatGeometry(d, geom_h))
-    eta = S.eta_sg(L, geom_h, opt)
+    eta = S.eta_sg(L, geom_h, eta_zen)
     link = S.heralded_link(eta, eta, src)
     p = S.multiplexed_p(link.p, src.M)
     Q, K, rate = S.qber_and_rates(link.alpha, link.beta, "bb84", src.M, link.p)
@@ -26,7 +26,7 @@ print("\nmemory decay at d = 500 km, 1 s coherence time:")
 d = 500.0
 t_coh = S.coherence_steps(1.0, d)
 L = S.path_length(S.SatGeometry(d, geom_h))
-eta = S.eta_sg(L, geom_h, opt)
+eta = S.eta_sg(L, geom_h, eta_zen)
 link = S.heralded_link(eta, eta, src)
 p = S.multiplexed_p(link.p, src.M)
 print(f"  t_coh = {t_coh:.1f} steps, multiplexed p = {p:.4f}")

@@ -161,9 +161,8 @@ def cmd_twolink_evaluate(args):
 
 def _link_from_args(args):
     geom = satlink.SatGeometry(args.d, args.h)
-    opt = satlink.OpticalParams(eta_zen=args.eta_zen)
     L = satlink.path_length(geom)
-    eta = satlink.eta_sg(L, args.h, opt)
+    eta = satlink.eta_sg(L, args.h, args.eta_zen)
     src = satlink.SatSourceParams(args.fs, args.nbar1, args.nbar2, args.M)
     link = satlink.heralded_link(eta, eta, src)
     return L, eta, src, link
@@ -392,6 +391,8 @@ def main(argv=None):
         if args.config:
             _apply_config(ap, args.config)
             args = ap.parse_args(argv)
+        if args.seed < 0:
+            raise ModelError("--seed must be >= 0")
         if args.selftest:
             return run_selftest(args)
         if not getattr(args, "func", None):

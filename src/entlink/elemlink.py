@@ -37,7 +37,7 @@ class ElemLinkModel:
             raise ModelError("ElemLinkModel: p out of [0, 1]")
         if self.m_star < 0:
             raise ModelError("ElemLinkModel: m_star must be >= 0")
-        f = np.asarray(self.f, dtype=float)
+        f = np.array(self.f, dtype=float)
         if f.size != self.m_star + 2:
             raise ModelError("ElemLinkModel: f must cover (-1, 0, ..., m_star)")
         if f[0] != 0.0:

@@ -33,65 +33,47 @@ FEAS_TOL = 1e-8
 PRIMAL_FEAS_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-10
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
 
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, lo <= x <= hi; A, dense or
+    """maximize/minimize c.x subject to A x = b, x >= 0; A, dense or
     scipy.sparse, is stored as a CSC array."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
     A: sparse.csc_array
     b: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.A = sparse.csc_array(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        n = self.objective.size
-        if self.A.shape != (self.b.size, n):
+        if self.A.shape != (self.b.size, self.objective.size):
             raise ModelError("LinearProgram: constraint matrix shape mismatch")
-        if self.lo.size != n or self.hi.size != n:
-            raise ModelError("LinearProgram: bounds size mismatch")
-        if np.any(self.lo > self.hi + 1e-15):
-            raise ModelError("LinearProgram: lo > hi for some variable")
-        if not np.all(np.isfinite(self.lo)):
-            raise ModelError("LinearProgram: lower bounds must be finite")
         if self.sense not in ("max", "min"):
             raise ModelError("LinearProgram: sense must be 'max' or 'min'")
 
 
-@dataclass
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    values: np.ndarray | None
-    objective_value: float | None
-
-
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
+    """Optimal value and an optimal x, or NumericalError naming HiGHS's
+    status: "infeasible", "unbounded", or "stopped early: <message>"; also
+    when the answer fails the primal residual check."""
     sign = -1.0 if lp.sense == "max" else 1.0
-    res = linprog(sign * lp.objective, A_eq=lp.A, b_eq=lp.b,
-                  bounds=np.column_stack([lp.lo, lp.hi]), method="highs",
+    # linprog's default bounds are x >= 0
+    res = linprog(sign * lp.objective, A_eq=lp.A, b_eq=lp.b, method="highs",
                   options={"primal_feasibility_tolerance": PRIMAL_FEAS_TOL,
                            "dual_feasibility_tolerance": DUAL_FEAS_TOL})
-    status = _STATUS.get(res.status)
-    if status is None:
-        raise NumericalError(f"solve: HiGHS stopped early: {res.message}")
-    if status != "optimal":
-        return LpSolution(status, None, None)
+    if res.status != 0:
+        status = {2: "infeasible", 3: "unbounded"}.get(
+            res.status, f"stopped early: {res.message}")
+        raise NumericalError(f"solve: HiGHS reports the LP {status}")
     x = res.x
     resid = np.max(np.abs(lp.A @ x - lp.b)) if lp.b.size else 0.0
     if resid > FEAS_TOL * 10:
         raise NumericalError(f"solve: HiGHS reported optimal, but the primal "
                              f"residual is {resid:.3g}")
-    x = np.clip(x, lp.lo, lp.hi)
-    return LpSolution("optimal", x, float(lp.objective @ x))
+    x = np.maximum(x, 0.0)
+    return float(lp.objective @ x), x
 
 
 def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
@@ -103,7 +85,7 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
     array, both over all states.  In the absorbing case only transient
     states are read, and mass that `initial` puts on absorbing states earns
     nothing.  The models here give feasible, bounded LPs (two links once
-    p1, p2, q > 0), so a non-optimal status raises NumericalError.
+    p1, p2, q > 0), so `solve` raises NumericalError for any other status.
     """
     na, n = mdp.T.shape[:2]
     reward = np.asarray(reward, dtype=float)
@@ -137,13 +119,10 @@ def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
     A = sparse.csc_array((data, (row.astype(np.int32), col.astype(np.int32))),
                          shape=(rhs.size, na * k))
     c = np.broadcast_to(reward, (na, n))[:, keep].reshape(-1)
-    lp = LinearProgram(c, sense, A, rhs, np.zeros(na * k), np.full(na * k, np.inf))
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise NumericalError(f"mdp_occupation_lp: HiGHS reports the LP {sol.status}")
-    z = sol.values.reshape(na, k)
+    value, x = solve(LinearProgram(c, sense, A, rhs))
+    z = x.reshape(na, k)
     mass = z.sum(axis=0)
     table = np.full((n, na), 1.0 / na)
     hit = mass > 0
     table[keep[hit]] = (z[:, hit] / mass[hit]).T
-    return sol.objective_value, DecisionFunction(table)
+    return value, DecisionFunction(table)

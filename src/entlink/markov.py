@@ -12,8 +12,6 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 PROB_TOL = 1e-12
-STATIONARY_TOL = 1e-12  # power-iteration stop: max |Pv - v|
-STATIONARY_MAX_ITER = 10_000  # then fall back to the direct solve
 MASS_RTOL = 1e-8  # absorbed mass may differ from initial mass by this share
 
 
@@ -51,7 +49,7 @@ class ProbVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=float)
+        entries = np.array(entries, dtype=float)
         if entries.ndim != 1:
             raise ModelError("ProbVector: expected a 1-d array")
         _check_prob_entries(entries, "ProbVector")
@@ -73,7 +71,7 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=float)
+        entries = np.array(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ModelError("StochasticMatrix: expected a square matrix")
         _check_columns(entries, "StochasticMatrix")
@@ -88,12 +86,15 @@ class StochasticMatrix:
 class Mdp:
     """One column-stochastic matrix T[a] per action, held as one read-only
     array of shape (actions, n, n); the actions and the states are
-    positions in it."""
+    positions in it.  A writable T is copied, so the caller's array stays
+    writable; a read-only float array is held as it is."""
 
     __slots__ = ("T",)
 
     def __init__(self, T):
         T = np.asarray(T, dtype=float)
+        if T.flags.writeable:
+            T = T.copy()
         if T.ndim != 3 or T.shape[1] != T.shape[2]:
             raise ModelError("Mdp: expected an (actions, n, n) array")
         _check_columns(T, "Mdp")
@@ -111,7 +112,7 @@ class DecisionFunction:
     __slots__ = ("table",)
 
     def __init__(self, table):
-        table = np.asarray(table, dtype=float)
+        table = np.array(table, dtype=float)
         if table.ndim != 2:
             raise ModelError("DecisionFunction: expected a 2-d table")
         _check_prob_entries(table, "DecisionFunction")
@@ -204,24 +205,21 @@ def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
 
 
 def stationary_distribution(P: StochasticMatrix) -> ProbVector:
-    """Unit-eigenvalue probability vector of P by power iteration.
+    """The probability vector v with P v = v, by one least-squares solve of
+    [P - I; 1^T] v = e_{n+1}; periodic chains need nothing else.
 
-    Falls back to a direct solve of (P - I)v = 0 with sum(v) = 1 when the
-    iteration stalls; raises if neither converges (non-ergodic chain).
+    Raises ModelError when v is not unique (more than one closed class, so
+    the stacked matrix has rank below n) or fails the residual or sign check.
     """
     n = P.n
-    v = np.full(n, 1.0 / n)
     A = P.entries
-    for _ in range(STATIONARY_MAX_ITER):
-        w = A @ v
-        if np.max(np.abs(w - v)) <= STATIONARY_TOL:
-            w = np.clip(w, 0.0, None)
-            return ProbVector(w / w.sum())
-        v = w
     M = np.vstack([A - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    if rank < n:
+        raise ModelError(f"stationary_distribution: not unique, the chain has "
+                         f"more than one closed class (rank {rank} < {n})")
     resid = np.max(np.abs(A @ sol - sol))
     if resid > 1e-10 or np.any(sol < -1e-9):
         raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")

@@ -27,6 +27,8 @@ class SimConfig:
     horizon: int = 1_000
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ModelError("SimConfig: seed must be >= 0")
         if self.trials < 1 or self.horizon < 1:
             raise ModelError("SimConfig: trials and horizon must be >= 1")
 

@@ -18,6 +18,9 @@ from .qstate import BellDiagCoeffs, DensityOperator, QuantumError, weyl_x, weyl_
 
 C_KM_PER_S = 299792.458
 R_EARTH_KM = 6378.0
+APERTURE_RADIUS_M = 0.75  # receiver
+BEAM_WAIST_M = 0.025
+WAVELENGTH_M = 810e-9
 
 
 class SatError(ValueError):
@@ -32,24 +35,6 @@ class SatGeometry:
     def __post_init__(self):
         if self.d < 0 or self.h <= 0:
             raise SatError("SatGeometry: need d >= 0 and h > 0")
-
-
-@dataclass(frozen=True)
-class OpticalParams:
-    r: float = 0.75          # receiver aperture radius, m
-    w0: float = 0.025        # beam waist, m
-    wavelength: float = 810e-9
-    eta_zen: float = 0.5     # atmospheric transmittance at zenith
-
-    def __post_init__(self):
-        if min(self.r, self.w0, self.wavelength) <= 0:
-            raise SatError("OpticalParams: lengths must be positive")
-        if not 0 < self.eta_zen <= 1:
-            raise SatError("OpticalParams: eta_zen must lie in (0, 1]")
-
-    @property
-    def rayleigh_range_m(self):
-        return math.pi * self.w0 ** 2 / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,6 @@ class HeraldedLink:
     coeffs: BellDiagCoeffs
     alpha: float
     beta: float
-    gamma_coef: float
     a: float
     b: float
     c: float
@@ -88,18 +72,22 @@ def path_length(geom: SatGeometry) -> float:
     return math.sqrt(4 * R * (R + geom.h) * s * s + geom.h * geom.h)
 
 
-def eta_sg(L: float, h: float, opt: OpticalParams) -> float:
+def eta_sg(L: float, h: float, eta_zen: float) -> float:
     """Satellite-to-ground transmittance: diffraction-limited free-space
-    collection times zenith-angle-corrected atmospheric absorption."""
+    collection times zenith-angle-corrected atmospheric absorption, with
+    eta_zen the atmospheric transmittance at zenith."""
+    if not 0 < eta_zen <= 1:
+        raise SatError("eta_sg: eta_zen must lie in (0, 1]")
     if L < h:
         raise SatError("eta_sg: path length cannot be below the altitude")
     L_m = L * 1000.0
-    w = opt.w0 * math.sqrt(1 + (L_m / opt.rayleigh_range_m) ** 2)
-    eta_fs = 1 - math.exp(-2 * opt.r ** 2 / w ** 2)
+    rayleigh_range_m = math.pi * BEAM_WAIST_M ** 2 / WAVELENGTH_M
+    w = BEAM_WAIST_M * math.sqrt(1 + (L_m / rayleigh_range_m) ** 2)
+    eta_fs = 1 - math.exp(-2 * APERTURE_RADIUS_M ** 2 / w ** 2)
     cos_zen = h / L - (L * L - h * h) / (2 * R_EARTH_KM * L)
     if cos_zen <= 0:
         return 0.0  # below the horizon
-    eta_atm = opt.eta_zen ** (1 / cos_zen)
+    eta_atm = eta_zen ** (1 / cos_zen)
     return eta_fs * eta_atm
 
 
@@ -130,8 +118,7 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     beta = (0.5 * src.f_S * b - 0.5 * qt * b) / (a + c)
     gamma = (0.5 * src.f_S * c + 0.5 * qt * (2 * a + c)) / (a + c)
     coeffs = BellDiagCoeffs(alpha + beta, alpha - beta, gamma, gamma)
-    return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta,
-                        gamma_coef=gamma, a=a, b=b, c=c)
+    return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta, a=a, b=b, c=c)
 
 
 def multiplexed_p(p_single: float, M: int) -> float:

@@ -47,7 +47,7 @@ class TwoLinkModel:
                 raise ModelError(f"TwoLinkModel: {name} out of [0, 1]")
         if self.m1_star < 0 or self.m2_star < 0:
             raise ModelError("TwoLinkModel: storage bounds must be >= 0")
-        f = np.asarray(self.f, dtype=float)
+        f = np.array(self.f, dtype=float)
         if f.shape != (2, self.m1_star + 2, self.m2_star + 2):
             raise ModelError("TwoLinkModel: f table shape mismatch")
         if not np.all((f >= 0) & (f <= 1)):  # NaN fails too
@@ -108,6 +108,7 @@ def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
     both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
     T[SWAP][:half, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
     T[SWAP][half + both, both] = model.q
+    T.setflags(write=False)  # so that Mdp holds it without a copy
     return Mdp(T)
 
 

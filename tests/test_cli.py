@@ -87,6 +87,26 @@ def test_invalid_input_exit_code_2():
     assert "entlink:" in r.stderr
 
 
+NEGATIVE_SEED = {
+    "simulate-elem": ["simulate", "elem", "--p", "0.5", "--m-star", "2", "--f", "1,0.9,0.8",
+                      "--t-star", "2", "--trials", "10"],
+    "simulate-twolink": ["simulate", "twolink", "--p1", "0.5", "--p2", "0.5", "--q", "0.5",
+                         "--m1-star", "2", "--m2-star", "2", "--t1-star", "2",
+                         "--t2-star", "2", "--trials", "10"],
+    "simulate-collective": ["simulate", "collective", "--M", "2", "--p", "0.5",
+                            "--trials", "10"],
+    "selftest": ["--selftest"],
+}
+
+
+@pytest.mark.parametrize("args", NEGATIVE_SEED.values(), ids=NEGATIVE_SEED)
+def test_negative_seed_exit_code_2(args, run):
+    r = run(["--seed", "-1", *args])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("entlink:") and "--seed" in r.stderr
+    assert r.stdout == ""
+
+
 def _small_p(command, p, *extra):
     return ["twolink", command, "--p1", p, "--p2", p, "--q", "0.5", "--m1-star", "2",
             "--m2-star", "2", *extra]

@@ -1,7 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+module-level `_private` name or UPPER_CASE constant of the package is read
+somewhere in the package.
 
 `__init__.py` files re-export what they import, and `from __future__`
-imports change the compiler, so both are exempt.
+imports change the compiler, so both are exempt from the import check.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in [*(ROOT / "src" / "entlink").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "entlink").glob("*.py"))
+FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
 
 
@@ -38,3 +40,48 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_level_names(tree):
+    """Line of each module-level `_private` name (not a dunder) or UPPER_CASE
+    constant: assignment targets, functions and classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name, line in found:
+            if name.isupper() or (name.startswith("_") and not name.startswith("__")):
+                out[name] = line
+    return out
+
+
+def unread_names(sources):
+    """(file, line, name) of every module-level `_private` name or UPPER_CASE
+    constant in `sources` (file -> source text) that none of them reads,
+    either as a bare name or as an attribute."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((path, line, name) for path, tree in trees.items()
+                  for name, line in _module_level_names(tree).items() if name not in read)
+
+
+def test_guard_sees_an_unread_name():
+    sources = {"a.py": "TOL = 1\n_dead, LIMIT = 2, 3\ndef _used():\n    return TOL\n",
+               "b.py": "from a import _used\nimport a\n_used(a.LIMIT)\n__all__ = []\n"}
+    assert unread_names(sources) == [("a.py", 2, "_dead")]
+
+
+def test_no_unread_module_level_names():
+    assert unread_names({p.name: p.read_text() for p in PACKAGE}) == []

@@ -19,71 +19,69 @@ from entlink.oracles import policy_iteration_absorbing
 from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
 
 
-def _vertices(A, b, lo, hi):
-    """Every basic feasible solution of A x = b, lo <= x <= hi (A of full
-    row rank): pick the basic columns, put every other variable at one of
-    its finite bounds, solve for the basic ones."""
+def _vertices(A, b):
+    """Every basic feasible solution of A x = b, x >= 0 (A of full row
+    rank): pick the basic columns, put every other variable at 0, solve for
+    the basic ones."""
     m, n = A.shape
     out = []
     for basis in itertools.combinations(range(n), m):
-        rest = [j for j in range(n) if j not in basis]
-        choices = [[v for v in np.unique([lo[j], hi[j]]) if np.isfinite(v)]
-                   for j in rest]
-        for at in itertools.product(*choices):
-            x = np.empty(n)
-            x[rest] = at
-            x[list(basis)] = np.linalg.solve(A[:, basis], b - A[:, rest] @ x[rest])
-            if np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9):
-                out.append(x)
+        x = np.zeros(n)
+        x[list(basis)] = np.linalg.solve(A[:, basis], b)
+        if np.all(x >= -1e-9):
+            out.append(x)
     return out
 
 
 def test_random_lps_match_vertex_enumeration(rng):
+    outcomes = set()
     for trial in range(60):
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, n))
         A = rng.normal(size=(m, n))
         b = A @ rng.uniform(0, 1, n)  # feasible by construction
         c = rng.normal(size=n)
-        lo = np.zeros(n)
-        hi = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3), np.inf)
-        sol = L.solve(L.LinearProgram(c, "min", A, b, lo, hi))
-        # extreme rays of the recession cone: A d = 0, d >= 0, sum d = 1,
-        # d = 0 on every variable with a finite upper bound
-        rays = _vertices(np.vstack([A, np.ones(n)]), np.append(np.zeros(m), 1.0),
-                         lo, np.where(np.isfinite(hi), 0.0, np.inf))
+        prob = L.LinearProgram(c, "min", A, b)
+        # extreme rays of the recession cone: A d = 0, d >= 0, sum d = 1
+        rays = _vertices(np.vstack([A, np.ones(n)]), np.append(np.zeros(m), 1.0))
         if any(c @ d < -1e-9 for d in rays):
-            assert sol.status == "unbounded", trial
+            outcomes.add("unbounded")
+            with pytest.raises(L.NumericalError, match="unbounded"):
+                L.solve(prob)
         else:
-            assert sol.status == "optimal", trial
-            best = min(c @ x for x in _vertices(A, b, lo, hi))
-            assert sol.objective_value == pytest.approx(best, abs=1e-7)
-            assert np.max(np.abs(A @ sol.values - b)) < 1e-8
+            outcomes.add("optimal")
+            value, x = L.solve(prob)
+            best = min(c @ v for v in _vertices(A, b))
+            assert value == pytest.approx(best, abs=1e-7), trial
+            assert np.max(np.abs(A @ x - b)) < 1e-8
+            assert np.all(x >= 0)
+    assert outcomes == {"optimal", "unbounded"}
 
 
 def test_infeasible_detected():
-    # x1 + x2 = 3 with x in [0,1]^2
-    prob = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [3.0],
-                           [0.0, 0.0], [1.0, 1.0])
-    assert L.solve(prob).status == "infeasible"
+    # x1 + x2 = -1 with x >= 0
+    prob = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [-1.0])
+    with pytest.raises(L.NumericalError, match="infeasible"):
+        L.solve(prob)
 
 
 def test_unbounded_detected():
-    prob = L.LinearProgram([-1.0, 0.0], "min", [[0.0, 1.0]], [1.0],
-                           [0.0, 0.0], [np.inf, np.inf])
-    assert L.solve(prob).status == "unbounded"
+    prob = L.LinearProgram([-1.0, 0.0], "min", [[0.0, 1.0]], [1.0])
+    with pytest.raises(L.NumericalError, match="unbounded"):
+        L.solve(prob)
 
 
 def test_max_sense():
-    prob = L.LinearProgram([1.0, 2.0], "max", [[1.0, 1.0]], [1.0],
-                           [0.0, 0.0], [1.0, 1.0])
-    sol = L.solve(prob)
-    assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
-    assert sol.values == pytest.approx([0.0, 1.0], abs=1e-9)
+    # x1 + x2 = 1 with x >= 0 already bounds both variables by 1
+    prob = L.LinearProgram([1.0, 2.0], "max", [[1.0, 1.0]], [1.0])
+    value, x = L.solve(prob)
+    assert value == pytest.approx(2.0, abs=1e-9)
+    assert x == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_degenerate_lp_terminates():
-    # heavily degenerate assignment LP: x[i*n + j] assigns row i to column j
+    # heavily degenerate assignment LP: x[i*n + j] assigns row i to column j;
+    # the row and column sums bound every variable by 1
     n = 6
     A = np.zeros((2 * n, n * n))
     for i in range(n):
@@ -92,11 +90,10 @@ def test_degenerate_lp_terminates():
     b = np.ones(2 * n)
     rng = np.random.default_rng(0)
     c = rng.integers(0, 3, n * n).astype(float)
-    prob = L.LinearProgram(c, "min", A, b, np.zeros(n * n), np.ones(n * n))
-    sol = L.solve(prob)
+    value, _ = L.solve(L.LinearProgram(c, "min", A, b))
     cost = c.reshape(n, n)
     rows, cols = linear_sum_assignment(cost)
-    assert sol.objective_value == pytest.approx(cost[rows, cols].sum(), abs=1e-8)
+    assert value == pytest.approx(cost[rows, cols].sum(), abs=1e-8)
 
 
 def test_steady_state_lp_vs_exhaustive(rng):

@@ -21,6 +21,7 @@ from entlink.markov import (
 from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
                               steady_state_closed_form)
 from entlink.oracles import stationary_eig
+from entlink.twolink import TwoLinkModel
 
 from conftest import random_absorbing_mdp, random_mdp
 
@@ -49,6 +50,31 @@ def test_stochastic_matrix_rejects_row_convention():
 def test_nan_entries_are_rejected(make):
     with pytest.raises(ModelError):
         make()
+
+
+@pytest.mark.parametrize("make, data, field", [
+    (ProbVector, [0.25, 0.75], "entries"),
+    (StochasticMatrix, [[0.5, 0.0], [0.5, 1.0]], "entries"),
+    (DecisionFunction, [[0.5, 0.5], [1.0, 0.0]], "table"),
+    (Mdp, [[[0.5, 0.0], [0.5, 1.0]]], "T"),
+    (lambda f: ElemLinkModel(0.5, 1, f), [0.0, 1.0, 0.9], "f"),
+    (lambda f: TwoLinkModel(0.5, 0.5, 0.5, 0, 0, f),
+     [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.9]]], "f"),
+], ids=["ProbVector", "StochasticMatrix", "DecisionFunction", "Mdp",
+        "ElemLinkModel", "TwoLinkModel"])
+def test_constructor_copies_the_callers_array(make, data, field):
+    a = np.array(data)
+    obj = make(a)
+    a[...] = 0.0  # the caller's buffer stays writable
+    held = getattr(obj, field)
+    assert held.tolist() == data
+    assert not held.flags.writeable
+
+
+def test_mdp_holds_a_read_only_array_as_it_is():
+    T = np.array([[[0.5, 0.0], [0.5, 1.0]]])
+    T.setflags(write=False)
+    assert Mdp(T).T is T
 
 
 def test_mdp_validation():
@@ -116,9 +142,9 @@ def test_stationary_matches_eig_oracle(rng):
                              - stationary_eig(P))) < 1e-9
 
 
-def test_stationary_falls_back_to_the_direct_solve(monkeypatch):
-    # the chain alternates between ages 0 and 1, so power iteration never
-    # settles and the least-squares solve gives the answer
+def test_stationary_of_a_periodic_chain_is_one_direct_solve(monkeypatch):
+    # the chain alternates between ages 0 and 1, so its powers never settle;
+    # one least-squares solve gives the answer
     model = ElemLinkModel(1.0, 1, [0, 1, 0.9])
     d = cutoff_decision(model, 1)
     calls = []
@@ -134,6 +160,19 @@ def test_stationary_falls_back_to_the_direct_solve(monkeypatch):
     want, _ = steady_state_closed_form(model, d)
     assert want.entries.tolist() == [0.0, 0.5, 0.5]
     assert np.max(np.abs(s.entries - want.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("P", [
+    np.eye(2),
+    # transient state 0 feeds the closed classes {1, 2} and {3}
+    np.array([[0.0, 0.0, 0.0, 0.0],
+              [0.5, 0.2, 0.6, 0.0],
+              [0.0, 0.8, 0.4, 0.0],
+              [0.5, 0.0, 0.0, 1.0]]),
+], ids=["identity", "two-closed-classes"])
+def test_stationary_raises_when_not_unique(P):
+    with pytest.raises(ModelError, match="not unique"):
+        stationary_distribution(StochasticMatrix(P))
 
 
 def test_absorbing_detection(rng):

@@ -18,6 +18,8 @@ def test_config_validation():
         mc.SimConfig(seed=1, trials=0)
     with pytest.raises(ModelError):
         mc.SimConfig(seed=1, horizon=0)
+    with pytest.raises(ModelError, match="seed"):
+        mc.SimConfig(seed=-1)
 
 
 def test_same_seed_bitwise_reproducible():

@@ -20,23 +20,26 @@ def test_path_length_monotone_in_d():
 
 
 def test_eta_sg_zenith_anchor():
-    opt = S.OpticalParams()
     # at L = h the satellite is at zenith: eta = eta_fs * eta_zen
-    eta = S.eta_sg(500.0, 500.0, opt)
+    eta = S.eta_sg(500.0, 500.0, 0.5)
     assert eta == pytest.approx(0.0414245 * 0.5, rel=1e-4)
 
 
 def test_eta_sg_below_horizon_is_zero():
-    opt = S.OpticalParams()
     # cos(zeta) goes negative for long-enough slant paths
     L = S.path_length(S.SatGeometry(6000.0, 500.0))
-    assert S.eta_sg(L, 500.0, opt) == 0.0
+    assert S.eta_sg(L, 500.0, 0.5) == 0.0
 
 
 def test_eta_sg_decreasing_in_L():
-    opt = S.OpticalParams()
-    vals = [S.eta_sg(L, 500.0, opt) for L in (500, 700, 1000, 1500)]
+    vals = [S.eta_sg(L, 500.0, 0.5) for L in (500, 700, 1000, 1500)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("eta_zen", [0.0, -0.5, 1.5, math.nan])
+def test_eta_sg_rejects_zenith_transmittance_outside_unit_interval(eta_zen):
+    with pytest.raises(S.SatError, match="eta_zen"):
+        S.eta_sg(500.0, 500.0, eta_zen)
 
 
 def test_heralded_link_vs_beamsplitter_oracle(rng):
