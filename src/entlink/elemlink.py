@@ -95,7 +95,10 @@ def f_from_physics(sigma0: DensityOperator, memory: KrausChannel,
 
 def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
     """Memory-cutoff rule d^{t*}: request when inactive or when the pair has
-    reached age t*; wait at ages below t*.  t_star=math.inf never discards."""
+    reached age t*; wait at ages below t*.  t_star is an integer >= 0, or
+    math.inf, which never discards."""
+    if not (t_star == math.inf or (isinstance(t_star, (int, np.integer)) and t_star >= 0)):
+        raise ModelError("cutoff_decision: t_star must be an integer >= 0 or math.inf")
     table = np.zeros((model.n, 2))
     table[0, REQUEST] = 1.0
     for m in range(0, model.m_star + 1):

@@ -6,10 +6,7 @@ entry (s', s) is the transition probability s -> s'.  Columns sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 PROB_TOL = 1e-12
 MASS_RTOL = 1e-8  # absorbed mass may differ from initial mass by this share
@@ -162,22 +159,6 @@ class Policy:
         return ds[t - 1]
 
 
-@dataclass(frozen=True)
-class AbsorbingDecomposition:
-    """Block structure of P^d over the transient and absorbing states, each
-    in index order.
-
-    R: transient -> absorbing block, with columns indexed by transient
-    states; absorbing: the mask of `absorbing_mask`; lu: the LU factors of
-    I - Q, Q the transient -> transient block, shared by every solve on
-    this decomposition.
-    """
-
-    R: np.ndarray
-    absorbing: np.ndarray
-    lu: tuple
-
-
 def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
     """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
     if d.table.shape != (mdp.n, len(mdp.T)):
@@ -236,40 +217,36 @@ def absorbing_mask(mdp: Mdp) -> np.ndarray:
     return ~np.any(off, axis=0)
 
 
-def decompose_absorbing(mdp: Mdp, d: DecisionFunction) -> AbsorbingDecomposition:
+def absorbing_solve(mdp: Mdp, d: DecisionFunction, initial):
+    """Expected visits y = (I - Q)^{-1} |init> to the transient states
+    under d, and R, the transient -> absorbing block of P^d, both in index
+    order.  y.sum() is the expected number of steps to absorption and R @ y
+    the distribution over the absorbing states at absorption.
+
+    `initial` is over all states; only its transient entries are read, so
+    mass already absorbed contributes nothing.  Raises ModelError when
+    absorption is unreachable from the initial mass, NumericalError when the
+    solve breaks the mass balance 1^T R y = 1^T init.
+    """
+    init = np.asarray(initial, dtype=float)
+    if init.shape != (mdp.n,):
+        raise ModelError("absorbing_solve: initial vector size mismatch")
     absorbing = absorbing_mask(mdp)
     P = policy_matrix(mdp, d).entries[:, ~absorbing]  # the transient columns
-    return AbsorbingDecomposition(R=P[absorbing], absorbing=absorbing,
-                                  lu=lu_factor(np.eye(P.shape[1]) - P[~absorbing]))
-
-
-def _expected_visits(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
-    """Expected visits y = (I - Q)^{-1} |init> to the transient states, or
-    ModelError when absorption is unreachable or the solve breaks the mass
-    balance 1^T R y = 1^T init.  `init` may sum to less than 1."""
-    init = np.asarray(initial_transient, dtype=float)
-    if init.size != dec.R.shape[1]:
-        raise ModelError("absorbing solve: initial vector size mismatch")
-    y = lu_solve(dec.lu, init)
+    init = init[~absorbing]
+    try:
+        y = np.linalg.solve(np.eye(init.size) - P[~absorbing], init)
+    except np.linalg.LinAlgError:  # I - Q exactly singular: some mass never leaves
+        y = np.full(init.size, np.nan)
     if not np.all(np.isfinite(y)):
-        raise ModelError("absorbing solve: absorption unreachable from initial mass")
+        raise ModelError("absorbing_solve: absorption unreachable from initial mass")
+    R = P[absorbing]
     mass = init.sum()
-    absorbed = dec.R.sum(axis=0) @ y
+    absorbed = R.sum(axis=0) @ y
     if abs(absorbed - mass) > MASS_RTOL * mass:
         raise NumericalError(
-            f"absorbing solve: ill-conditioned, absorbed mass {absorbed:.12g} "
+            f"absorbing_solve: ill-conditioned, absorbed mass {absorbed:.12g} "
             f"differs from initial mass {mass:.12g}")
     if np.any(y < -1e-9 * np.abs(y).max(initial=0.0)):
-        raise ModelError("absorbing solve: absorption unreachable from initial mass")
-    return y
-
-
-def absorption_time(dec: AbsorbingDecomposition, initial_transient) -> float:
-    """Expected steps to absorption: <gamma| (I - Q)^{-1} |init>; with some
-    initial mass already absorbed, the contribution of the transient mass."""
-    return float(_expected_visits(dec, initial_transient).sum())
-
-
-def absorption_distribution(dec: AbsorbingDecomposition, initial_transient) -> np.ndarray:
-    """Distribution over absorbing states at absorption: R (I - Q)^{-1} |init>."""
-    return dec.R @ _expected_visits(dec, initial_transient)
+        raise ModelError("absorbing_solve: absorption unreachable from initial mass")
+    return y, R

@@ -102,13 +102,14 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
     that exhaust the horizon are reported, never silently dropped."""
     rng = cfg.rng()
     mdp = build_two_link_mdp(model)
-    table = _successor_table(policy_matrix(mdp, d).entries)
-    half = model.n1 * model.n2
+    cum, succ = _successor_table(policy_matrix(mdp, d).entries)
+    # a step from s into done lands on n + s instead, so a finished
+    # trajectory keeps the state it swapped from, whose f it collected
+    table = cum, np.where(succ == model.done, model.n + np.arange(succ.size) % model.n, succ)
     init = initial_distribution(model).entries
-    f_flat = model.f_flat()
     states = rng.choice(model.n, size=cfg.trials, p=init)
     waits = np.zeros(cfg.trials, dtype=np.int64)
-    done = states >= half
+    done = states >= model.n
     for t in range(1, cfg.horizon + 1):
         active = ~done
         if not active.any():
@@ -117,11 +118,12 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
         nxt = _step(table, states[active], u)
         states[active] = nxt
         newly = active.copy()
-        newly[active] = nxt >= half
+        newly[active] = nxt >= model.n
         waits[newly] = t
         done |= newly
     exhausted = int((~done).sum())
-    return {"wait_samples": waits[done], "f_samples": f_flat[states[done]],
+    return {"wait_samples": waits[done],
+            "f_samples": model.f[1].reshape(-1)[states[done] - model.n],
             "exhausted": exhausted, "rng": RNG_ALGORITHM}
 
 

@@ -1,9 +1,11 @@
 """Two neighboring links plus entanglement swapping as one MDP.
 
-State (x, m1, m2): x flags the end-to-end link, m_j is the age of link j
-(-1 when inactive).  Actions "00", "01", "10", "11" regenerate the
-requested links (first digit = link 1), "swap" attempts the joining
-measurement with success probability q.  States with x = 1 are absorbing.
+The transient states (m1, m2), at positions idx(m1, m2), hold the age m_j
+of link j (-1 when inactive).  Actions "00", "01", "10", "11" regenerate
+the requested links (first digit = link 1), "swap" attempts the joining
+measurement with success probability q.  Success moves the mass to the one
+absorbing state, at position `done` = n1*n2 after every transient state;
+the fidelity it collects, f(m1, m2), is a reward of the swap action.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from .markov import (
     Mdp,
     ModelError,
     ProbVector,
-    absorption_distribution,
-    absorption_time,
-    decompose_absorbing,
+    absorbing_solve,
 )
 from . import lp as _lp
 from .elemlink import WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
@@ -39,7 +39,9 @@ class TwoLinkModel:
     q: float
     m1_star: int
     m2_star: int
-    f: np.ndarray  # shape (2, m1_star+2, m2_star+2), indices (x, m1+1, m2+1)
+    # shape (2, m1_star+2, m2_star+2), indices (x, m1+1, m2+1); only x = 1,
+    # the fidelity of the end-to-end link swapped from (m1, m2), is read
+    f: np.ndarray
 
     def __post_init__(self):
         for val, name in ((self.p1, "p1"), (self.p2, "p2"), (self.q, "q")):
@@ -53,7 +55,7 @@ class TwoLinkModel:
         if not np.all((f >= 0) & (f <= 1)):  # NaN fails too
             raise ModelError("TwoLinkModel: f values must lie in [0, 1]")
         if np.any(f[0] != 0):
-            raise ModelError("TwoLinkModel: f must vanish on x=0 states")
+            raise ModelError("TwoLinkModel: f[0] must vanish")
         if np.any(f[1, 0, :] != 0) or np.any(f[1, :, 0] != 0):
             raise ModelError("TwoLinkModel: f must vanish when a link is inactive")
         object.__setattr__(self, "f", f)
@@ -68,19 +70,20 @@ class TwoLinkModel:
         return self.m2_star + 2
 
     @property
+    def done(self):
+        return self.n1 * self.n2
+
+    @property
     def n(self):
-        return 2 * self.n1 * self.n2
+        return self.done + 1
 
-    def idx(self, x, m1, m2):
-        return x * self.n1 * self.n2 + (m1 + 1) * self.n2 + (m2 + 1)
-
-    def f_flat(self):
-        return self.f.reshape(-1)
+    def idx(self, m1, m2):
+        return (m1 + 1) * self.n2 + (m2 + 1)
 
 
 def uniform_f_table(m1_star, m2_star):
-    """f = 1 on every x=1 state with both links active; handy for
-    waiting-time-only studies."""
+    """f[1] = 1 wherever both links are active; handy for waiting-time-only
+    studies."""
     f = np.zeros((2, m1_star + 2, m2_star + 2))
     f[1, 1:, 1:] = 1.0
     return f
@@ -93,21 +96,22 @@ def _links(model: TwoLinkModel):
 
 
 def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
-    """Kronecker products of the links' matrices on x=0: action "ab", at
-    position 2a + b, applies a to link 1 and b to link 2 (WAIT = 0,
-    REQUEST = 1); "swap" waits on both unless both are active, then
-    succeeds with probability q (to x=1) or regenerates both.  Every action
-    leaves the x=1 states in place."""
-    half = model.n1 * model.n2
+    """Kronecker products of the links' matrices on the transient states:
+    action "ab", at position 2a + b, applies a to link 1 and b to link 2
+    (WAIT = 0, REQUEST = 1); "swap" waits on both unless both are active,
+    then succeeds with probability q (to `done`) or regenerates both.  Every
+    action leaves `done` in place."""
+    done = model.done
     (T1, g1), (T2, g2) = [(build_mdp(link).T, g_vector(link).entries)
                           for link in _links(model)]
-    T = np.tile(np.eye(model.n), (len(ACTIONS), 1, 1))
+    T = np.zeros((len(ACTIONS), model.n, model.n))
     for k in range(len(ACTIONS)):
         a1, a2 = divmod(k, 2) if k != SWAP else (WAIT, WAIT)
-        T[k, :half, :half] = np.kron(T1[a1], T2[a2])
+        T[k, :done, :done] = np.kron(T1[a1], T2[a2])
+    T[:, done, done] = 1.0
     both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
-    T[SWAP][:half, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
-    T[SWAP][half + both, both] = model.q
+    T[SWAP][:done, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
+    T[SWAP][done, both] = model.q
     T.setflags(write=False)  # so that Mdp holds it without a copy
     return Mdp(T)
 
@@ -116,7 +120,7 @@ def initial_distribution(model: TwoLinkModel) -> ProbVector:
     """Both links freshly requested at t=1, end-to-end link not yet formed."""
     g1, g2 = [g_vector(link).entries for link in _links(model)]
     v = np.zeros(model.n)
-    v[: model.n1 * model.n2] = np.kron(g1, g2)
+    v[:model.done] = np.kron(g1, g2)
     return ProbVector(v)
 
 
@@ -143,13 +147,18 @@ def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
 
 
 def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> DecisionFunction:
-    if not (0 <= t1_star <= model.m1_star and 0 <= t2_star <= model.m2_star):
-        raise ModelError("cutoff_decision: cutoffs must respect storage bounds")
+    """Swap as soon as both links are active and each is at most its cutoff
+    t_j* old; otherwise request the inactive links and any link past its
+    cutoff.  The cutoffs are integers within the storage bounds."""
+    for t, bound in ((t1_star, model.m1_star), (t2_star, model.m2_star)):
+        if not isinstance(t, (int, np.integer)) or not 0 <= t <= bound:
+            raise ModelError("cutoff_decision: cutoffs must be integers that "
+                             "respect the storage bounds")
     na = len(ACTIONS)
     table = np.zeros((model.n, na))
     for m1 in range(-1, model.m1_star + 1):
         for m2 in range(-1, model.m2_star + 1):
-            i = model.idx(0, m1, m2)
+            i = model.idx(m1, m2)
             if 0 <= m1 <= t1_star and 0 <= m2 <= t2_star:
                 table[i, SWAP] = 1.0
             elif 0 <= m1 < t1_star and m2 == -1:
@@ -160,34 +169,34 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
                 # both inactive, or one inactive and the other at its cutoff;
                 # the remaining ages are unreachable under this rule
                 table[i, 0b11] = 1.0
-    # absorbing states: the choice is immaterial, keep it uniform
-    half = model.n1 * model.n2
-    table[half:, :] = 1.0 / na
+    table[model.done] = 1.0 / na  # the choice is immaterial at `done`
     return DecisionFunction(table)
 
 
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected absorption time and expected f at absorption under d."""
-    mdp = build_two_link_mdp(model)
-    dec = decompose_absorbing(mdp, d)
-    init = initial_distribution(model).entries[~dec.absorbing]
-    waiting = absorption_time(dec, init)
-    dist = absorption_distribution(dec, init)
-    f_abs = model.f_flat()[dec.absorbing]
-    return waiting, float(f_abs @ dist)
+    y, R = absorbing_solve(build_two_link_mdp(model), d,
+                           initial_distribution(model).entries)
+    if len(R) > 1:  # p1 = p2 = 0: (-1, -1) absorbs too, no link ever forms
+        raise ModelError("evaluate_policy: the end-to-end link is unreachable")
+    return float(y.sum()), float(model.f[1].reshape(-1) @ (R[0] * y))
+
+
+def swap_reward(model: TwoLinkModel) -> np.ndarray:
+    """r(a, s), shape (actions, n): the f that action a at s collects on
+    absorption, q f(m1, m2) for "swap" and 0 otherwise."""
+    r = np.zeros((len(ACTIONS), model.n))
+    r[SWAP, :model.done] = model.q * model.f[1].reshape(-1)
+    return r
 
 
 def lp_optimal_value(model: TwoLinkModel):
     """Best stationary expected f at absorption, via the absorbing
-    occupation LP.  f vanishes on the x=0 states, where the start
-    distribution lies, so the reward of action a is f @ T^a, the f
-    collected on absorption."""
+    occupation LP with the reward `swap_reward`."""
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError("lp_optimal_value: needs q, p1, p2 > 0")
-    mdp = build_two_link_mdp(model)
-    f = model.f_flat()
-    return _lp.mdp_occupation_lp(mdp, [f @ T for T in mdp.T], "max",
-                                 initial_distribution(model).entries)
+    return _lp.mdp_occupation_lp(build_two_link_mdp(model), swap_reward(model),
+                                 "max", initial_distribution(model).entries)
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):

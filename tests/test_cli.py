@@ -107,6 +107,20 @@ def test_negative_seed_exit_code_2(args, run):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "elem", "--p", "0.5", "--m-star", "2", "--f", "1,0.9,0.8",
+     "--t-star", "-1", "--trials", "10"],
+    ["twolink", "evaluate", "--p1", "0.5", "--p2", "0.5", "--q", "0.5", "--m1-star", "2",
+     "--m2-star", "2", "--t1-star", "-1", "--t2-star", "2"],
+], ids=["simulate-elem", "twolink-evaluate"])
+def test_negative_cutoff_exit_code_2(args, run):
+    # simulate elem used to print the t* = 0 result and exit 0
+    r = run(args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("entlink:") and "cutoff_decision" in r.stderr
+    assert r.stdout == ""
+
+
 def _small_p(command, p, *extra):
     return ["twolink", command, "--p1", p, "--p2", p, "--q", "0.5", "--m1-star", "2",
             "--m2-star", "2", *extra]

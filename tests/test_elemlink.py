@@ -38,6 +38,22 @@ def test_transition_matrices_shape_and_columns():
     assert np.allclose(T1[2:], 0.0)
 
 
+@pytest.mark.parametrize("t_star", [-1, 1.5, 2.0, np.nan, -math.inf, "2"])
+def test_cutoff_decision_rejects_non_cutoffs(t_star):
+    # NaN and -1 used to give request-always, the t* = 0 rule
+    m = model(0.5, [1.0, 0.9, 0.8])
+    with pytest.raises(ModelError, match="t_star must be an integer"):
+        E.cutoff_decision(m, t_star)
+
+
+def test_cutoff_decision_accepts_integers_and_infinity():
+    m = model(0.5, [1.0, 0.9, 0.8])
+    assert np.array_equal(E.cutoff_decision(m, np.int64(1)).table,
+                          E.cutoff_decision(m, 1).table)
+    assert np.array_equal(E.cutoff_decision(m, math.inf).table,
+                          E.cutoff_decision(m, 3).table)
+
+
 def test_steady_state_spec_anchor_t0():
     m = model(0.3, [1.0])
     s, _ = E.steady_state_closed_form(m, E.cutoff_decision(m, 0))

@@ -1,6 +1,8 @@
-"""Every name a module imports is read somewhere in that module, and every
+"""Every name a module imports is read somewhere in that module, every
 module-level `_private` name or UPPER_CASE constant of the package is read
-somewhere in the package.
+somewhere in the package, and every public module-level function or class
+of the package is read somewhere in the package, the tests, the demos or
+the benchmark.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
@@ -15,6 +17,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "entlink").glob("*.py"))
 FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
+READERS = sorted(p for d in ("src/entlink", "tests", "demos", "bench")
+                 for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -61,20 +65,36 @@ def _module_level_names(tree):
     return out
 
 
-def unread_names(sources):
-    """(file, line, name) of every module-level `_private` name or UPPER_CASE
-    constant in `sources` (file -> source text) that none of them reads,
-    either as a bare name or as an attribute."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
+def _read_names(trees):
+    """Every name the trees read, as a bare name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def unread_names(sources):
+    """(file, line, name) of every module-level `_private` name or UPPER_CASE
+    constant in `sources` (file -> source text) that none of them reads."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = _read_names(trees.values())
     return sorted((path, line, name) for path, tree in trees.items()
                   for name, line in _module_level_names(tree).items() if name not in read)
+
+
+def unread_public_definitions(sources, readers):
+    """(file, line, name) of every public module-level function or class
+    defined in `sources` (file -> source text) that none of `readers`
+    (more source texts) reads."""
+    read = _read_names(ast.parse(text) for text in readers)
+    return sorted((path, node.lineno, node.name) for path, text in sources.items()
+                  for node in ast.parse(text).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
 
 
 def test_guard_sees_an_unread_name():
@@ -85,3 +105,15 @@ def test_guard_sees_an_unread_name():
 
 def test_no_unread_module_level_names():
     assert unread_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_guard_sees_an_unread_public_definition():
+    sources = {"m.py": "class Kept:\n    pass\ndef called():\n    pass\n"
+                       "def orphan():\n    return called()\ndef _private():\n    pass\n"}
+    readers = [*sources.values(), "import m\nm.Kept()\n"]
+    assert unread_public_definitions(sources, readers) == [("m.py", 5, "orphan")]
+
+
+def test_no_unread_public_definitions():
+    assert unread_public_definitions({p.name: p.read_text() for p in PACKAGE},
+                                     [p.read_text() for p in READERS]) == []

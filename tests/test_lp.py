@@ -8,9 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from entlink import lp as L
 from entlink.markov import (
     Mdp,
-    absorption_distribution,
-    absorption_time,
-    decompose_absorbing,
+    absorbing_solve,
     policy_matrix,
     stationary_distribution,
 )
@@ -129,15 +127,13 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
         value, d = L.mdp_occupation_lp(mdp, reward, "max", init)
         best = -np.inf
         for dd in deterministic_decisions(nt + nb, na):
-            dec = decompose_absorbing(mdp, dd)
-            dist = absorption_distribution(dec, init[:nt])
-            best = max(best, float(f[nt:] @ dist))
+            y, R = absorbing_solve(mdp, dd, init)
+            best = max(best, float(f[nt:] @ (R @ y)))
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(mdp, reward, "max", init) == pytest.approx(
             best, abs=1e-9)
-        dec = decompose_absorbing(mdp, d)
-        dist = absorption_distribution(dec, init[:nt])
-        assert float(f[nt:] @ dist) == pytest.approx(value, abs=1e-7)
+        y, R = absorbing_solve(mdp, d, init)
+        assert float(f[nt:] @ (R @ y)) == pytest.approx(value, abs=1e-7)
 
 
 def test_min_absorption_lp_vs_exhaustive(rng):
@@ -149,13 +145,11 @@ def test_min_absorption_lp_vs_exhaustive(rng):
         value, d = L.mdp_occupation_lp(mdp, np.ones(nt + nb), "min", init)
         best = np.inf
         for dd in deterministic_decisions(nt + nb, na):
-            dec = decompose_absorbing(mdp, dd)
-            best = min(best, absorption_time(dec, init[:nt]))
+            best = min(best, absorbing_solve(mdp, dd, init)[0].sum())
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(
             mdp, np.ones(nt + nb), "min", init) == pytest.approx(best, abs=1e-9)
-        dec = decompose_absorbing(mdp, d)
-        assert absorption_time(dec, init[:nt]) == pytest.approx(value, abs=1e-7)
+        assert absorbing_solve(mdp, d, init)[0].sum() == pytest.approx(value, abs=1e-7)
 
 
 def test_absorbing_lp_counts_initial_absorbed_mass(rng):
@@ -170,9 +164,9 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     # part absorbed: LP value plus the absorbed f is the exhaustive optimum
     init = np.array([0.3, 0.2, 0.4, 0.1])
     value, _ = L.mdp_occupation_lp(mdp, reward, "max", init)
-    best = max(float(f[2:] @ (init[2:] + absorption_distribution(
-        decompose_absorbing(mdp, dd), init[:2])))
-        for dd in deterministic_decisions(4, 2))
+    best = max(float(f[2:] @ (init[2:] + R @ y))
+               for y, R in (absorbing_solve(mdp, dd, init)
+                            for dd in deterministic_decisions(4, 2)))
     assert value + f @ init == pytest.approx(best, abs=1e-7)
 
 

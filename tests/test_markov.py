@@ -11,9 +11,7 @@ from entlink.markov import (
     ProbVector,
     StochasticMatrix,
     absorbing_mask,
-    absorption_distribution,
-    absorption_time,
-    decompose_absorbing,
+    absorbing_solve,
     evolve,
     policy_matrix,
     stationary_distribution,
@@ -186,9 +184,9 @@ def test_absorption_time_geometric(rng):
     T = np.array([[1 - p, 0.0], [p, 1.0]])
     mdp = Mdp([T])
     d = DecisionFunction(np.ones((2, 1)))
-    dec = decompose_absorbing(mdp, d)
-    assert absorption_time(dec, [1.0]) == pytest.approx(1 / p, abs=1e-12)
-    assert absorption_distribution(dec, [1.0]) == pytest.approx([1.0])
+    y, R = absorbing_solve(mdp, d, [1.0, 0.0])
+    assert y.sum() == pytest.approx(1 / p, abs=1e-12)
+    assert R @ y == pytest.approx([1.0])
 
 
 def test_absorbing_state_with_rounded_self_loop():
@@ -199,8 +197,8 @@ def test_absorbing_state_with_rounded_self_loop():
     T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
     mdp = Mdp([T.entries])
     assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [1]
-    dec = decompose_absorbing(mdp, DecisionFunction(np.ones((2, 1))))
-    assert absorption_time(dec, [1.0]) == pytest.approx(2.0, abs=1e-12)
+    y, _ = absorbing_solve(mdp, DecisionFunction(np.ones((2, 1))), [1.0, 0.0])
+    assert y.sum() == pytest.approx(2.0, abs=1e-12)
     value, _ = mdp_occupation_lp(mdp, np.ones(2), "min", [1.0, 0.0])
     assert value == pytest.approx(2.0, abs=1e-9)
 
@@ -208,8 +206,8 @@ def test_absorbing_state_with_rounded_self_loop():
 def test_absorption_distribution_sums_to_one(rng):
     mdp = random_absorbing_mdp(rng, 4, 3, 2)
     d = DecisionFunction.uniform(7, 2)
-    dec = decompose_absorbing(mdp, d)
-    init = rng.dirichlet(np.ones(4))
-    dist = absorption_distribution(dec, init)
+    init = np.append(rng.dirichlet(np.ones(4)), np.zeros(3))
+    y, R = absorbing_solve(mdp, d, init)
+    dist = R @ y
     assert dist.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(dist >= -1e-12)

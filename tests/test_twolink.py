@@ -1,9 +1,8 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-
-from scipy.linalg import lu_factor
 
 from entlink import markov, qstate
 from entlink import twolink as TL
@@ -36,14 +35,15 @@ def test_all_action_matrices_column_stochastic():
         TL.build_two_link_mdp(TL.TwoLinkModel(p1, p2, q, m1, m2, f))
 
 
-def test_absorbing_set_is_x1_block():
+def test_absorbing_set_is_done():
     # at p = 1e-13 the start state's self-loop is within 1e-12 of 1 under
     # every action, yet the state is transient
     for p, m_star in ((0.5, 1), (1e-13, 2)):
         model = sym_model(p, 0.5, m_star)
         mdp = TL.build_two_link_mdp(model)
-        half = model.n1 * model.n2
-        assert np.flatnonzero(absorbing_mask(mdp)).tolist() == list(range(half, 2 * half))
+        assert model.done == model.n1 * model.n2 == model.n - 1
+        assert mdp.T.shape == (len(TL.ACTIONS), model.n, model.n)
+        assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [model.done]
 
 
 def test_lps_need_positive_probabilities():
@@ -56,15 +56,15 @@ def test_lps_need_positive_probabilities():
 
 
 def test_swap_action_success_mass():
-    # from (0, 0, 0), swap succeeds with probability q into (1, 0, 0)
+    # from (0, 0), swap succeeds with probability q into done
     model = sym_model(0.5, 0.7, 1)
     mdp = TL.build_two_link_mdp(model)
     T = mdp.T[TL.SWAP]
-    src = model.idx(0, 0, 0)
-    assert T[model.idx(1, 0, 0), src] == pytest.approx(0.7)
+    src = model.idx(0, 0)
+    assert T[model.done, src] == pytest.approx(0.7)
     # failure regenerates both links afresh
-    assert T[model.idx(0, -1, -1), src] == pytest.approx(0.3 * 0.5 * 0.5)
-    assert T[model.idx(0, 0, 0), src] == pytest.approx(0.3 * 0.5 * 0.5)
+    assert T[model.idx(-1, -1), src] == pytest.approx(0.3 * 0.5 * 0.5)
+    assert T[model.idx(0, 0), src] == pytest.approx(0.3 * 0.5 * 0.5)
 
 
 def test_swap_on_inactive_links_shifts_ages():
@@ -72,14 +72,14 @@ def test_swap_on_inactive_links_shifts_ages():
     mdp = TL.build_two_link_mdp(model)
     T = mdp.T[TL.SWAP]
     # link 1 active at age 0, link 2 inactive: age shifts, no swap attempt
-    src = model.idx(0, 0, -1)
-    assert T[model.idx(0, 1, -1), src] == pytest.approx(1.0)
+    src = model.idx(0, -1)
+    assert T[model.idx(1, -1), src] == pytest.approx(1.0)
     # both inactive: stay
-    src = model.idx(0, -1, -1)
+    src = model.idx(-1, -1)
     assert T[src, src] == pytest.approx(1.0)
     # link at the storage bound with partner inactive: discarded
-    src = model.idx(0, 2, -1)
-    assert T[model.idx(0, -1, -1), src] == pytest.approx(1.0)
+    src = model.idx(2, -1)
+    assert T[model.idx(-1, -1), src] == pytest.approx(1.0)
 
 
 def _rule_matrices(model):
@@ -93,16 +93,15 @@ def _rule_matrices(model):
         return {m + 1: 1.0}
 
     mats = {a: np.zeros((model.n, model.n)) for a in TL.ACTIONS}
-    for x, m1, m2 in itertools.product((0, 1), range(-1, model.m1_star + 1),
-                                       range(-1, model.m2_star + 1)):
-        src = model.idx(x, m1, m2)
+    for T in mats.values():
+        T[model.done, model.done] = 1.0
+    for m1, m2 in itertools.product(range(-1, model.m1_star + 1),
+                                    range(-1, model.m2_star + 1)):
+        src = model.idx(m1, m2)
         for a in TL.ACTIONS:
             T = mats[a]
-            if x == 1:
-                T[src, src] = 1.0
-                continue
             if a == "swap" and m1 >= 0 and m2 >= 0:
-                T[model.idx(1, m1, m2), src] += model.q
+                T[model.done, src] += model.q
                 req = (True, True)
                 weight = 1 - model.q
             else:
@@ -112,7 +111,7 @@ def _rule_matrices(model):
             nxt2 = link_next(model.p2, m2, model.m2_star, req[1])
             for n1, pr1 in nxt1.items():
                 for n2, pr2 in nxt2.items():
-                    T[model.idx(0, n1, n2), src] += weight * (pr1 * pr2)
+                    T[model.idx(n1, n2), src] += weight * (pr1 * pr2)
     return mats
 
 
@@ -184,8 +183,7 @@ def test_lp_value_equals_policy_iteration_on_random_models(rng):
         v1, d = TL.lp_optimal_value(model)
         mdp = TL.build_two_link_mdp(model)
         v2 = policy_iteration_absorbing(
-            mdp, [model.f_flat() @ T for T in mdp.T],
-            "max", TL.initial_distribution(model).entries)
+            mdp, TL.swap_reward(model), "max", TL.initial_distribution(model).entries)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
@@ -237,10 +235,8 @@ def test_lps_vs_policy_iteration(rng, m_star):
     t_lp, _ = TL.lp_optimal_waiting_time(model)
     t_pi = policy_iteration_absorbing(mdp, np.ones(model.n), "min", init)
     assert t_lp == pytest.approx(t_pi, rel=1e-10)
-    f = model.f_flat()
     v_lp, _ = TL.lp_optimal_value(model)
-    v_pi = policy_iteration_absorbing(
-        mdp, [f @ T for T in mdp.T], "max", init)
+    v_pi = policy_iteration_absorbing(mdp, TL.swap_reward(model), "max", init)
     assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
@@ -306,14 +302,14 @@ def test_two_link_f_needs_the_phi_target():
             TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, target, 2, 2)
 
 
-def test_evaluate_policy_factors_once(monkeypatch):
+def test_evaluate_policy_solves_once(monkeypatch):
     calls = []
 
-    def counting_lu_factor(a, *args, **kwargs):
-        calls.append(a.shape)
-        return lu_factor(a, *args, **kwargs)
+    def counting_absorbing_solve(*args, **kwargs):
+        calls.append(args)
+        return markov.absorbing_solve(*args, **kwargs)
 
-    monkeypatch.setattr(markov, "lu_factor", counting_lu_factor)
+    monkeypatch.setattr(TL, "absorbing_solve", counting_absorbing_solve)
     model = sym_model(0.4, 0.5, 4)
     wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 3))
     assert len(calls) == 1
@@ -324,6 +320,35 @@ def test_initial_distribution():
     model = sym_model(0.4, 0.5, 1)
     init = TL.initial_distribution(model).entries
     assert init.sum() == pytest.approx(1.0)
-    assert init[model.idx(0, 0, 0)] == pytest.approx(0.16)
-    assert init[model.idx(0, -1, -1)] == pytest.approx(0.36)
-    assert np.all(init[model.n1 * model.n2:] == 0)
+    assert init[model.idx(0, 0)] == pytest.approx(0.16)
+    assert init[model.idx(-1, -1)] == pytest.approx(0.36)
+    assert init[model.done] == 0
+
+
+@pytest.mark.parametrize("t1, t2", [(1.5, 2), (2, 2.0), (np.nan, 1), (1, "2"), (-1, 0),
+                                    (0, 3)])
+def test_cutoff_decision_rejects_non_cutoffs(t1, t2):
+    # (1.5, 2) used to give a rule no integer cutoff gives: waiting time
+    # 6.22 at p = q = 0.5, m* = 2, against 5.60 at t* = (2, 2)
+    with pytest.raises(ModelError, match="cutoffs must be integers"):
+        TL.cutoff_decision(sym_model(0.5, 0.5, 2), t1, t2)
+    TL.cutoff_decision(sym_model(0.5, 0.5, 2), np.int64(1), 2)
+
+
+def test_evaluate_policy_raises_when_absorption_is_unreachable():
+    # waiting forever at (-1, -1) makes I - Q exactly singular
+    model = sym_model(0.5, 0.5, 2)
+    table = TL.cutoff_decision(model, 2, 2).table.copy()
+    table[model.idx(-1, -1)] = np.eye(len(TL.ACTIONS))[0b00]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="unreachable"):
+            TL.evaluate_policy(model, markov.DecisionFunction(table))
+
+
+def test_evaluate_policy_raises_when_no_link_is_generated():
+    # p1 = p2 = 0: all start mass sits in (-1, -1), which no action leaves
+    model = sym_model(0.0, 0.5, 2)
+    with pytest.raises(ModelError, match="unreachable"):
+        TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
+
