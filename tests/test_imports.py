@@ -2,7 +2,9 @@
 module-level `_private` name or UPPER_CASE constant of the package is read
 somewhere in the package, and every public module-level function or class
 of the package is read somewhere in the package, the tests, the demos or
-the benchmark.
+the benchmark.  The package has one LP solver path: no module reaches
+`linprog`, and only `lp.py` imports scipy's HiGHS binding.  `markov.py`
+imports no scipy.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
@@ -117,3 +119,62 @@ def test_guard_sees_an_unread_public_definition():
 def test_no_unread_public_definitions():
     assert unread_public_definitions({p.name: p.read_text() for p in PACKAGE},
                                      [p.read_text() for p in READERS]) == []
+
+
+def imported_names(source):
+    """(line, dotted name) of everything a source imports: `import a.b` gives
+    "a.b", `from a.b import c` gives "a.b.c", `from . import c` gives ".c"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out += [(node.lineno, f"{base}.{alias.name}" if node.module else base + alias.name)
+                    for alias in node.names]
+    return out
+
+
+def second_solver_paths(sources):
+    """(file, line, what) of every import or attribute read of `linprog`,
+    and every import of scipy's HiGHS binding outside lp.py."""
+    out = []
+    for path, text in sources.items():
+        for line, name in imported_names(text):
+            if "linprog" in name.split("."):
+                out.append((path, line, name))
+            elif name.startswith("scipy.optimize._highspy") and path != "lp.py":
+                out.append((path, line, name))
+        out += [(path, node.lineno, node.attr) for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Attribute) and node.attr == "linprog"]
+    return sorted(out)
+
+
+def test_guard_sees_a_second_solver_path():
+    sources = {"lp.py": "from scipy.optimize import _highspy\n",
+               "a.py": "from scipy.optimize import linprog\n",
+               "b.py": "import scipy.optimize._highspy._core as h\n",
+               "c.py": "from scipy import optimize\noptimize.linprog\n",
+               "d.py": "import os\nfrom scipy.optimize import _highspy\n"}
+    assert second_solver_paths(sources) == [
+        ("a.py", 1, "scipy.optimize.linprog"), ("b.py", 1, "scipy.optimize._highspy._core"),
+        ("c.py", 2, "linprog"), ("d.py", 2, "scipy.optimize._highspy")]
+
+
+def test_one_solver_path():
+    assert second_solver_paths({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def scipy_imports(source):
+    return [(line, name) for line, name in imported_names(source)
+            if name.split(".")[0] == "scipy"]
+
+
+def test_guard_sees_a_scipy_import():
+    assert scipy_imports("import numpy as np\nfrom scipy import linalg\n") == [
+        (2, "scipy.linalg")]
+    assert scipy_imports("from .lp import solve\nfrom . import scipy\n") == []
+
+
+def test_markov_does_not_import_scipy():
+    assert scipy_imports((ROOT / "src" / "entlink" / "markov.py").read_text()) == []

@@ -1,11 +1,14 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from entlink import lp as L
+from entlink import twolink as TL
 from entlink.markov import (
     Mdp,
     absorbing_solve,
@@ -31,14 +34,20 @@ def _vertices(A, b):
     return out
 
 
-def test_random_lps_match_vertex_enumeration(rng):
-    outcomes = set()
-    for trial in range(60):
+def _random_lps(rng, count=60):
+    """`count` random (A, b, c), feasible by construction; some unbounded."""
+    for _ in range(count):
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, n))
         A = rng.normal(size=(m, n))
-        b = A @ rng.uniform(0, 1, n)  # feasible by construction
-        c = rng.normal(size=n)
+        b = A @ rng.uniform(0, 1, n)
+        yield A, b, rng.normal(size=n)
+
+
+def test_random_lps_match_vertex_enumeration(rng):
+    outcomes = set()
+    for trial, (A, b, c) in enumerate(_random_lps(rng)):
+        m, n = A.shape
         prob = L.LinearProgram(c, "min", A, b)
         # extreme rays of the recession cone: A d = 0, d >= 0, sum d = 1
         rays = _vertices(np.vstack([A, np.ones(n)]), np.append(np.zeros(m), 1.0))
@@ -54,6 +63,108 @@ def test_random_lps_match_vertex_enumeration(rng):
             assert np.max(np.abs(A @ x - b)) < 1e-8
             assert np.all(x >= 0)
     assert outcomes == {"optimal", "unbounded"}
+
+
+def _linprog_solve(lp):
+    """What `solve` returned when it went through scipy.optimize.linprog."""
+    sign = -1.0 if lp.sense == "max" else 1.0
+    res = linprog(sign * lp.objective, A_eq=lp.A, b_eq=lp.b, method="highs",
+                  options={"primal_feasibility_tolerance": L.PRIMAL_FEAS_TOL,
+                           "dual_feasibility_tolerance": L.DUAL_FEAS_TOL})
+    if res.status != 0:
+        return res.status
+    x = np.maximum(res.x, 0.0)
+    return float(lp.objective @ x), x
+
+
+def _decay_table(m_star):
+    f = np.zeros((2, m_star + 2, m_star + 2))
+    age = np.add.outer(np.arange(m_star + 1), np.arange(m_star + 1))
+    f[1, 1:, 1:] = np.exp(-age / 12.0)
+    return f
+
+
+def _two_link_lps(monkeypatch):
+    seen = []
+    real_solve = L.solve
+
+    def capture(lp):
+        seen.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(L, "solve", capture)
+    for m_star in (2, 4, 6):
+        model = TL.TwoLinkModel(0.5, 0.6, 0.7, m_star, m_star, _decay_table(m_star))
+        TL.lp_optimal_waiting_time(model)
+        TL.lp_optimal_value(model)
+    monkeypatch.undo()
+    return seen
+
+
+def test_solve_matches_linprog_bitwise(rng, monkeypatch):
+    # pins "same HiGHS computation": `solve` hands HiGHS what linprog did,
+    # with linprog's options, so x and the value agree to the bit.  This is
+    # not an oracle; vertex enumeration, the assignment LP and policy
+    # iteration stay the independent checks.
+    lps = [L.LinearProgram(c, "min", A, b) for A, b, c in _random_lps(rng)]
+    two_link = _two_link_lps(monkeypatch)
+    assert len(two_link) == 6
+    for i, lp in enumerate(lps + two_link):
+        want = _linprog_solve(lp)
+        if isinstance(want, int):
+            assert want == 3, i
+            with pytest.raises(L.NumericalError, match="unbounded"):
+                L.solve(lp)
+            continue
+        value, x = L.solve(lp)
+        assert x.tobytes() == want[1].tobytes(), i
+        assert value == want[0], i
+
+
+@pytest.mark.parametrize("where", ["c", "b", "A"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_input_rejected(where, bad):
+    # HiGHS would return nan for a NaN cost and print to stdout for an
+    # infinite right-hand side
+    c, A, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    {"c": c, "b": b, "A": A}[where].flat[0] = bad
+    with pytest.raises(L.ModelError, match="finite"):
+        L.LinearProgram(c, "min", A, b)
+
+
+def test_duplicate_entries_summed_on_a_copy():
+    # column 0 holds row 0 twice
+    A = sparse.csc_array(([0.5, 0.5, 1.0], [0, 0, 0], [0, 2, 3]), shape=(1, 2))
+    assert not A.has_canonical_format
+    lp = L.LinearProgram([1.0, 2.0], "min", A, [1.0])
+    assert lp.A.has_canonical_format and lp.A.toarray().tolist() == [[1.0, 1.0]]
+    assert A.data.tolist() == [0.5, 0.5, 1.0] and A.indices.tolist() == [0, 0, 0]
+
+
+def test_duplicate_entry_lp_solves():
+    # a column with a repeated row index made HiGHS abort the interpreter
+    # ("double free or corruption"), so the solve runs in its own process
+    code = ("from scipy import sparse\nfrom entlink import lp as L\n"
+            "A = sparse.csc_array(([0.5, 0.5, 1.0], [0, 0, 0], [0, 2, 3]), shape=(1, 2))\n"
+            "v, x = L.solve(L.LinearProgram([1.0, 2.0], 'min', A, [1.0]))\n"
+            "print(v, x.tolist())")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1.0 [1.0, 0.0]\n"
+
+
+def test_failed_solve_names_status_and_writes_nothing(capfd):
+    # stopped early: HiGHS's run fails after presolve, with no solve info
+    model = TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2, TL.uniform_f_table(2, 2))
+    with pytest.raises(L.NumericalError, match="stopped early .model status 'Not Set'"):
+        TL.lp_optimal_waiting_time(model)
+    # optimal, but the primal residual check fails
+    model = TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, TL.uniform_f_table(2, 2))
+    with pytest.raises(L.NumericalError,
+                       match=r"residual .* .model status 'Optimal', \d+ simplex iterations"):
+        TL.lp_optimal_waiting_time(model)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_infeasible_detected():
