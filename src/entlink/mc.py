@@ -4,7 +4,9 @@ oracle for the analytic results.
 RNG: numpy PCG64 via default_rng; a fixed seed gives the same bytes.  A step
 moves each trajectory to the first successor whose running transition
 probability reaches its uniform draw, looked up in a table that holds only
-each state's positive-probability successors (`_successor_table`).
+each state's positive-probability successors (`_successor_table`); a draw
+above all but a state's last running sum picks its last successor, so a step
+makes (widest column - 1) compares per trajectory.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ class SimConfig:
     horizon: int = 1_000
 
     def __post_init__(self):
+        for v in (self.seed, self.trials, self.horizon):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ModelError("SimConfig: seed, trials and horizon must be integers")
         if self.seed < 0:
             raise ModelError("SimConfig: seed must be >= 0")
         if self.trials < 1 or self.horizon < 1:
@@ -40,8 +45,10 @@ def _successor_table(P: np.ndarray):
     """Inverse-CDF table of a column-stochastic P, one column per state.
 
     cum[k, s] is the running sum of column s over its first k+1 nonzeros in
-    index order, inf past the last; nxt[k, s] is the k-th successor, and the
-    later rows (one more than cum has) repeat the last.  Exact zeros leave a
+    index order, inf from the last nonzero on: a draw above every earlier sum
+    already counts up to the last successor, so the last sum is never read
+    and cum has one row fewer than the widest column.  nxt[k, s] is the k-th
+    successor, and the later rows repeat the last.  Exact zeros leave a
     running sum unchanged, so this picks the state the dense cumsum picks for
     any 0 < u <= sum; u = 0 gives the first successor, u > sum the last.
     """
@@ -51,8 +58,8 @@ def _successor_table(P: np.ndarray):
     rank = np.arange(cols.size) - np.repeat(ends - width, width)
     cum = np.zeros((width.max(), P.shape[1]))
     cum[rank, cols] = P[rows, cols]
-    cum = np.cumsum(cum, axis=0)  # sequential adds, as in the dense cumsum
-    cum[np.arange(len(cum))[:, None] >= width] = np.inf
+    cum = np.cumsum(cum, axis=0)[:-1]  # sequential adds, as in the dense cumsum
+    cum[np.arange(len(cum))[:, None] >= width - 1] = np.inf
     nxt = np.tile(rows[ends - 1], (len(cum) + 1, 1))
     nxt[rank, cols] = rows
     return cum, nxt.ravel()
@@ -63,8 +70,10 @@ def _step(table, states, u):
     cum, nxt = table
     k = np.zeros(states.size, dtype=np.intp)
     for row in cum:
-        k += u > row[states]
-    return nxt[k * cum.shape[1] + states]
+        k += u > row.take(states)
+    k *= cum.shape[1]
+    k += states
+    return nxt[k]
 
 
 def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
@@ -109,22 +118,24 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
     init = initial_distribution(model).entries
     states = rng.choice(model.n, size=cfg.trials, p=init)
     waits = np.zeros(cfg.trials, dtype=np.int64)
-    done = states >= model.n
+    # step only the running trajectories: run holds their trial ids and cur
+    # their states, both in trial order, which fixes the uniform each draws
+    run = np.arange(cfg.trials)
+    cur = states
     for t in range(1, cfg.horizon + 1):
-        active = ~done
-        if not active.any():
+        if not run.size:
             break
-        u = rng.random(int(active.sum()))
-        nxt = _step(table, states[active], u)
-        states[active] = nxt
-        newly = active.copy()
-        newly[active] = nxt >= model.n
-        waits[newly] = t
-        done |= newly
-    exhausted = int((~done).sum())
+        cur = _step(table, cur, rng.random(run.size))
+        fin = cur >= model.n
+        ids = run[fin]
+        states[ids] = cur[fin]
+        waits[ids] = t
+        keep = ~fin
+        run, cur = run[keep], cur[keep]
+    done = waits > 0
     return {"wait_samples": waits[done],
             "f_samples": model.f[1].reshape(-1)[states[done] - model.n],
-            "exhausted": exhausted, "rng": RNG_ALGORITHM}
+            "exhausted": run.size, "rng": RNG_ALGORITHM}
 
 
 def simulate_collective(M: int, p: float, t_req: int, cfg: SimConfig):

@@ -163,6 +163,15 @@ def test_bad_config_exit_code_2(tmp_path, run):
     assert r.returncode == 2
 
 
+def test_config_non_integer_trials_exit_code_2(tmp_path, run):
+    # a config file's values skip argparse's int conversion; SimConfig
+    # rejects them instead of numpy raising a TypeError mid-run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 100.5}))
+    r = run(["--config", str(cfg), "simulate", "collective", "--M", "2", "--p", "0.5"])
+    assert r.returncode == 2 and "integers" in r.stderr and not r.stdout
+
+
 def test_simulate_collective_seeded(run):
     args = ["--seed", "5", "simulate", "collective", "--M", "2", "--p", "0.5",
             "--trials", "2000"]

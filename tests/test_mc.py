@@ -22,6 +22,20 @@ def test_config_validation():
         mc.SimConfig(seed=-1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 1.5}, {"seed": True}, {"seed": np.float64(2.0)},
+    {"seed": 1, "trials": 10.5}, {"seed": 1, "trials": False},
+    {"seed": 1, "horizon": 3.0}, {"seed": 1, "horizon": "3"}])
+def test_config_rejects_non_integers(kwargs):
+    with pytest.raises(ModelError, match="integers"):
+        mc.SimConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = mc.SimConfig(seed=np.int64(3), trials=np.int32(10), horizon=np.uint8(5))
+    assert cfg.rng().random() == mc.SimConfig(seed=3).rng().random()
+
+
 def test_same_seed_bitwise_reproducible():
     m = elem_model()
     pol = Policy.stationary(elemlink.cutoff_decision(m, 2))
@@ -101,6 +115,20 @@ def test_golden_bytes():
                                mc.SimConfig(seed=5, trials=20_000, horizon=2_000))
     assert res["exhausted"] == 0
     assert _digest(res["wait_samples"], res["f_samples"]) == "de7e3e10c0709c19"
+    # a short horizon leaves some trajectories running: the samples and the
+    # exhausted count pin which trajectories finish, by trial, and an f that
+    # differs between swap states pins the state each one finished from
+    f = twolink.uniform_f_table(5, 5)
+    f[1] *= np.linspace(0.5, 1.0, 49).reshape(7, 7)
+    model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
+    cfg = mc.SimConfig(seed=7, trials=50_000, horizon=50)
+    for d, exhausted, digest in [
+            (DecisionFunction.uniform(model.n, 5), 45_118, "3e346ca2e5bbb6e4"),
+            (twolink.cutoff_decision(model, 5, 5), 3_258, "ec7a5687800ebba0")]:
+        res = mc.simulate_two_link(model, d, cfg)
+        assert res["exhausted"] == exhausted
+        assert res["wait_samples"].size == cfg.trials - exhausted
+        assert _digest(res["wait_samples"], res["f_samples"]) == digest
 
 
 def _dense_index(column, u):
@@ -148,3 +176,41 @@ def test_successor_table_matches_dense_rule(rng):
     got = mc._step(mc._successor_table(P), states, u)
     dense = (u[:, None] > np.cumsum(P.T, axis=1)[states]).sum(axis=1)
     assert np.array_equal(got, dense)
+
+
+def _check_against_dense(P, s):
+    """Every draw at and either side of column s's running sums, and the
+    extreme draws, picks the successor the dense rule picks; u = 0 picks the
+    first successor, and a draw above the sum the last."""
+    table = mc._successor_table(P)
+    col = P[:, s]
+    succ = np.flatnonzero(col)
+    draws = [0.0, np.nextafter(1.0, 0.0)]
+    for c in np.cumsum(col)[succ]:
+        draws += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
+    for u in draws:
+        got = int(mc._step(table, np.array([s]), np.array([u]))[0])
+        assert got == (succ[0] if u == 0 else min(_dense_index(col, u), succ[-1])), (s, u)
+
+
+def test_successor_table_one_successor_per_state():
+    P = np.eye(5)[[2, 0, 4, 1, 3]]  # a permutation: one successor per column
+    cum, nxt = mc._successor_table(P)
+    assert cum.shape == (0, 5)
+    states = np.arange(5).repeat(3)
+    u = np.tile([0.0, 0.5, np.nextafter(1.0, 0.0)], 5)
+    assert np.array_equal(mc._step((cum, nxt), states, u), P.argmax(axis=0)[states])
+    for s in range(5):
+        _check_against_dense(P, s)
+
+
+def test_successor_table_two_successors_at_most():
+    P = np.zeros((4, 4))
+    P[[1, 3], 0] = [0.3, 0.7]
+    P[[0, 2], 1] = [0.25, 0.75]
+    P[2, 2] = 1.0
+    P[[0, 3], 3] = [0.5, 0.5]
+    cum, _ = mc._successor_table(P)
+    assert cum.shape == (1, 4)
+    for s in range(4):
+        _check_against_dense(P, s)
