@@ -50,6 +50,36 @@ def test_nan_entries_are_rejected(make):
         make()
 
 
+_MDP = Mdp([[[0.5, 0.0], [0.5, 1.0]]])
+_ONE_ACTION = DecisionFunction([[1.0], [1.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProbVector([[0.5, 0.5]]),
+    lambda: ProbVector([1.5, -0.5]),
+    lambda: ProbVector([0.5, 0.5 + 3e-12]),
+    lambda: StochasticMatrix([[0.5, 0.5]]),
+    lambda: StochasticMatrix([[1.5, 0.0], [-0.5, 1.0]]),
+    lambda: StochasticMatrix([[0.5, 0.0], [0.4, 1.0]]),
+    lambda: Mdp([[[1.5, 0.0], [-0.5, 1.0]]]),
+    lambda: DecisionFunction([1.0, 0.0]),
+    lambda: DecisionFunction([[1.5, -0.5]]),
+    lambda: DecisionFunction([[0.5, 0.4]]),
+    lambda: policy_matrix(_MDP, DecisionFunction([[1.0], [1.0], [1.0]])),
+    lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0]), 0),
+    lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0, 0.0]), 2),
+    lambda: absorbing_solve(_MDP, _ONE_ACTION, [1.0, 0.0, 0.0]),
+], ids=["ProbVector-2d", "ProbVector-entries", "ProbVector-sum",
+        "StochasticMatrix-not-square", "StochasticMatrix-entries", "StochasticMatrix-sum",
+        "Mdp-entries", "DecisionFunction-1d", "DecisionFunction-entries",
+        "DecisionFunction-rows", "policy_matrix-shape", "evolve-t-0", "evolve-size",
+        "absorbing_solve-size"])
+def test_malformed_input_raises_model_error(make):
+    # NaN entries, Mdp shapes and Mdp column sums have their own tests
+    with pytest.raises(ModelError):
+        make()
+
+
 @pytest.mark.parametrize("make, data, field", [
     (ProbVector, [0.25, 0.75], "entries"),
     (StochasticMatrix, [[0.5, 0.0], [0.5, 1.0]], "entries"),
