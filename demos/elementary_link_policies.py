@@ -25,9 +25,8 @@ for ts in range(M_STAR + 1):
     ft, x, fr = elemlink.cutoff_steady_values(model, ts)
     print(f"{ts:>5}  {ft:.6f}  {x:.6f}  {fr:.6f}")
 
-d_inf = elemlink.cutoff_decision(model, math.inf)
-s, ft_inf = elemlink.steady_state_closed_form(model, d_inf)
-print(f"  inf  {ft_inf:.6f}  {1 - s.entries[0]:.6f}")
+ft, x, _ = elemlink.cutoff_steady_values(model, math.inf)
+print(f"  inf  {ft:.6f}  {x:.6f}")
 
 value, d_opt = elemlink.lp_optimal_steady(model)
 req = np.nonzero(d_opt.table[1:, elemlink.REQUEST] > 0.5)[0]
@@ -35,7 +34,7 @@ print(f"\nLP optimum Ftilde = {value:.6f}"
       f" (requests at ages {req.tolist()})")
 
 print("\nfinite horizon t   optimal E[f]   never-discard E[f]")
-pol_inf = Policy.stationary(d_inf)
+pol_inf = Policy.stationary(elemlink.cutoff_decision(model, math.inf))
 for t in (1, 2, 4, 8, 16):
     v, _ = elemlink.optimal_backward(model, t)
     ft, _, _ = elemlink.ftilde_x_f(model, pol_inf, t)

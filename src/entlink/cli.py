@@ -49,7 +49,10 @@ def _emit(rows, args):
 
 
 def _parse_f(text, m_star):
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ModelError(f"--f: {text!r} is not a comma-separated list of numbers") from None
     if len(vals) != m_star + 1:
         raise ModelError(f"--f needs {m_star + 1} values (ages 0..{m_star})")
     return np.concatenate([[0.0], vals])
@@ -76,13 +79,10 @@ def _add_elem_model_args(sp):
 def cmd_elem_steady(args):
     model = _elem_model(args)
     rows = []
-    for ts in range(model.m_star + 1):
+    for ts in (*range(model.m_star + 1), math.inf):
         ftilde, x, f = elemlink.cutoff_steady_values(model, ts)
-        rows.append({"t_star": ts, "ftilde": ftilde, "x": x, "f": f})
-    d = elemlink.cutoff_decision(model, math.inf)
-    s, ftilde = elemlink.steady_state_closed_form(model, d)
-    rows.append({"t_star": "inf", "ftilde": ftilde, "x": 1.0 - s.entries[0],
-                 "f": ftilde / (1.0 - s.entries[0]) if s.entries[0] < 1 else 0.0})
+        rows.append({"t_star": "inf" if ts == math.inf else ts,
+                     "ftilde": ftilde, "x": x, "f": f})
     _emit(rows, args)
 
 
@@ -110,14 +110,11 @@ def cmd_elem_forward(args):
 
 
 def _two_link_model(args):
-    if getattr(args, "t_coh", None) is not None:
-        f = np.zeros((2, args.m1_star + 2, args.m2_star + 2))
-        for m1 in range(args.m1_star + 1):
-            for m2 in range(args.m2_star + 1):
-                f[1, m1 + 1, m2 + 1] = satlink.memory_f(
-                    m1 + m2, args.t_coh, args.alpha, args.beta)
-    else:
-        f = twolink.uniform_f_table(args.m1_star, args.m2_star)
+    f = twolink.uniform_f_table(args.m1_star, args.m2_star)
+    if getattr(args, "t_coh", None) is not None:  # f(m1, m2) = memory_f(m1 + m2)
+        total_age = np.add.outer(np.arange(args.m1_star + 1), np.arange(args.m2_star + 1))
+        f[1, 1:, 1:] = satlink.memory_f_vector(args.m1_star + args.m2_star, args.t_coh,
+                                               args.alpha, args.beta)[1 + total_age]
     return twolink.TwoLinkModel(args.p1, args.p2, args.q,
                                 args.m1_star, args.m2_star, f)
 
@@ -369,7 +366,9 @@ def build_parser():
 
 def _apply_config(ap, path):
     """Make the JSON object in `path` the defaults of `ap` and of every
-    subcommand parser, so options given on the command line still win."""
+    subcommand parser, so options given on the command line still win.  An
+    option's value goes in as a command line's string, which argparse
+    converts with the option's type; it skips choices, checked here."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -380,8 +379,13 @@ def _apply_config(ap, path):
         parsers.extend(sub for action in parser._actions
                        if isinstance(action, argparse._SubParsersAction)
                        for sub in action.choices.values())
-        parser.set_defaults(**{k: v for k, v in cfg.items()
-                               if any(a.dest == k for a in parser._actions)})
+        for action in (a for a in parser._actions if a.dest in cfg):
+            val = cfg[action.dest]
+            if action.nargs != 0 and not isinstance(val, str):  # flags keep booleans
+                val = json.dumps(val)
+            if action.choices is not None and val not in action.choices:
+                raise ModelError(f"--config: {action.dest} must be one of {list(action.choices)}")
+            parser.set_defaults(**{action.dest: val})
 
 
 def main(argv=None):
@@ -400,7 +404,7 @@ def main(argv=None):
             return 2
         args.func(args)
         return 0
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         diag = {"error": "numerical", "detail": str(exc)}
         print(json.dumps(diag), file=sys.stderr)
         return 3

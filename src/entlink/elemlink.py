@@ -99,11 +99,9 @@ def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
     math.inf, which never discards."""
     if not (t_star == math.inf or (isinstance(t_star, (int, np.integer)) and t_star >= 0)):
         raise ModelError("cutoff_decision: t_star must be an integer >= 0 or math.inf")
-    table = np.zeros((model.n, 2))
-    table[0, REQUEST] = 1.0
-    for m in range(0, model.m_star + 1):
-        table[m + 1, WAIT if m < t_star else REQUEST] = 1.0
-    return DecisionFunction(table)
+    ages = np.arange(model.m_star + 1)
+    return DecisionFunction.deterministic(
+        np.append(REQUEST, np.where(ages < t_star, WAIT, REQUEST)), 2)
 
 
 def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
@@ -111,7 +109,7 @@ def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
     time t, starting from the post-request distribution at t=1."""
     dist = evolve(build_mdp(model), policy, g_vector(model), t)
     ftilde = float(model.f @ dist.entries)
-    x = float(1.0 - dist.entries[0])
+    x = float(dist.entries[1:].sum())  # not 1 - Pr[inactive], which is 0 at tiny p
     if x <= 0:
         return ftilde, x, None
     return ftilde, x, ftilde / x
@@ -141,16 +139,20 @@ def steady_state_closed_form(model: ElemLinkModel, d: DecisionFunction):
     return ProbVector(s), ftilde_inf
 
 
-def cutoff_steady_values(model: ElemLinkModel, t_star: int):
-    """Stationary (F~, X, F) under the memory-cutoff rule with finite t*."""
-    if not 0 <= t_star <= model.m_star:
-        raise ModelError("cutoff_steady_values: t_star must lie in [0, m_star]")
+def cutoff_steady_values(model: ElemLinkModel, t_star):
+    """Stationary (F~, X, F) under the memory-cutoff rule, t* in [0, m_star]
+    or math.inf.  Never discarding holds a pair to age m_star and then spends
+    one step inactive, so a cycle has 1/p inactive steps, not (1 - p)/p."""
+    never = t_star == math.inf
+    if not (never or 0 <= t_star <= model.m_star):
+        raise ModelError("cutoff_steady_values: t_star must lie in [0, m_star] or be math.inf")
     p = model.p
-    fsum = float(model.f[1:t_star + 2].sum())  # f(0) + ... + f(t*)
-    denom = 1 + t_star * p
+    held = model.m_star + 1 if never else t_star + 1
+    fsum = float(model.f[1:held + 1].sum())  # f(0) + ... + f(held - 1)
+    denom = 1 + (held if never else held - 1) * p
     ftilde_inf = p * fsum / denom
-    x_inf = (t_star + 1) * p / denom
-    f_inf = fsum / (t_star + 1)
+    x_inf = held * p / denom
+    f_inf = fsum / held
     return ftilde_inf, x_inf, f_inf
 
 
@@ -160,10 +162,11 @@ def cutoff_infty_transient(model: ElemLinkModel, t: int):
     if t < 1:
         raise ModelError("cutoff_infty_transient: t must be >= 1")
     p = model.p
-    ftilde = 0.0
+    ftilde = x = 0.0
     for m in range(min(t, model.m_star + 1)):
-        ftilde += model.f[m + 1] * p * (1 - p) ** (t - m - 1)
-    x = 1 - (1 - p) ** t
+        w = p * (1 - p) ** (t - m - 1)  # Pr[the pair is m steps old at t]
+        ftilde += model.f[m + 1] * w
+        x += w
     f = ftilde / x if x > 0 else None
     return ftilde, x, f
 
@@ -171,16 +174,9 @@ def cutoff_infty_transient(model: ElemLinkModel, t: int):
 def forward_recursion_decision(model: ElemLinkModel) -> DecisionFunction:
     """Greedy one-step-lookahead rule: request when inactive; wait at age m
     exactly when keeping the pair one more step beats a fresh attempt."""
-    table = np.zeros((model.n, 2))
-    table[0, REQUEST] = 1.0
-    pf0 = model.p * model.f[1]
-    for m in range(model.m_star + 1):
-        nxt = model.f[m + 2] if m < model.m_star else 0.0  # age past m* wraps to inactive
-        if nxt > pf0:
-            table[m + 1, WAIT] = 1.0
-        else:
-            table[m + 1, REQUEST] = 1.0
-    return DecisionFunction(table)
+    nxt = np.append(model.f[2:], 0.0)  # age past m* wraps to inactive
+    return DecisionFunction.deterministic(
+        np.append(REQUEST, np.where(nxt > model.p * model.f[1], WAIT, REQUEST)), 2)
 
 
 def lp_optimal_steady(model: ElemLinkModel):
@@ -202,9 +198,8 @@ def optimal_backward(model: ElemLinkModel, t: int):
         q_req = T[REQUEST].T @ V
         choose_req = q_req > q_wait + 0.0  # strict: ties go to wait
         V = np.where(choose_req, q_req, q_wait)
-        table = np.zeros((model.n, 2))
-        table[np.arange(model.n), np.where(choose_req, REQUEST, WAIT)] = 1.0
-        decisions.append(DecisionFunction(table))
+        decisions.append(DecisionFunction.deterministic(
+            np.where(choose_req, REQUEST, WAIT), 2))
     decisions.reverse()
     value = float(g_vector(model).entries @ V)
     policy = Policy.time_indexed(decisions) if decisions else Policy.stationary(

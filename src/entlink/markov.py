@@ -21,19 +21,14 @@ class NumericalError(ModelError):
     ill-conditioned solve or a solver that stops early."""
 
 
-def _check_prob_entries(a, what):
-    # written so that NaN fails too
+def _check_simplex(a, axis, what):
+    """Entries in [0, 1] (NaN fails) and sums along `axis` within
+    PROB_TOL * max(1, length) of 1."""
     if not np.all((a >= -PROB_TOL) & (a <= 1 + PROB_TOL)):
         raise ModelError(f"{what}: entries outside [0, 1]")
-
-
-def _check_columns(entries, what):
-    """Entries in [0, 1] and columns (axis -2) summing to 1."""
-    _check_prob_entries(entries, what)
-    bad = np.abs(entries.sum(axis=-2) - 1.0) > PROB_TOL * max(1, entries.shape[-2])
+    bad = np.abs(a.sum(axis=axis) - 1.0) > PROB_TOL * max(1, a.shape[axis])
     if np.any(bad):
-        raise ModelError(
-            f"{what}: columns {np.unique(np.nonzero(bad)[-1]).tolist()} do not sum to 1")
+        raise ModelError(f"{what}: sums along axis {axis} differ from 1")
 
 
 class ProbVector:
@@ -49,9 +44,7 @@ class ProbVector:
         entries = np.array(entries, dtype=float)
         if entries.ndim != 1:
             raise ModelError("ProbVector: expected a 1-d array")
-        _check_prob_entries(entries, "ProbVector")
-        if abs(entries.sum() - 1.0) > PROB_TOL * max(1, entries.size):
-            raise ModelError(f"ProbVector: entries sum to {entries.sum()!r}, not 1")
+        _check_simplex(entries, 0, "ProbVector")
         self.entries = entries
         self.entries.setflags(write=False)
 
@@ -71,7 +64,7 @@ class StochasticMatrix:
         entries = np.array(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ModelError("StochasticMatrix: expected a square matrix")
-        _check_columns(entries, "StochasticMatrix")
+        _check_simplex(entries, 0, "StochasticMatrix")
         self.entries = entries
         self.entries.setflags(write=False)
 
@@ -94,7 +87,7 @@ class Mdp:
             T = T.copy()
         if T.ndim != 3 or T.shape[1] != T.shape[2]:
             raise ModelError("Mdp: expected an (actions, n, n) array")
-        _check_columns(T, "Mdp")
+        _check_simplex(T, 1, "Mdp")
         self.T = T
         self.T.setflags(write=False)
 
@@ -112,10 +105,7 @@ class DecisionFunction:
         table = np.array(table, dtype=float)
         if table.ndim != 2:
             raise ModelError("DecisionFunction: expected a 2-d table")
-        _check_prob_entries(table, "DecisionFunction")
-        rows = table.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > PROB_TOL * max(1, table.shape[1])):
-            raise ModelError("DecisionFunction: rows must sum to 1")
+        _check_simplex(table, 1, "DecisionFunction")
         self.table = table
         self.table.setflags(write=False)
 
@@ -233,6 +223,9 @@ def absorbing_solve(mdp: Mdp, d: DecisionFunction, initial):
         raise ModelError("absorbing_solve: initial vector size mismatch")
     absorbing = absorbing_mask(mdp)
     P = policy_matrix(mdp, d).entries[:, ~absorbing]  # the transient columns
+    R = P[absorbing]
+    if not R.any():  # checked first: the solve would call this ill-conditioned
+        raise ModelError("absorbing_solve: absorption unreachable from any state")
     init = init[~absorbing]
     try:
         y = np.linalg.solve(np.eye(init.size) - P[~absorbing], init)
@@ -240,7 +233,6 @@ def absorbing_solve(mdp: Mdp, d: DecisionFunction, initial):
         y = np.full(init.size, np.nan)
     if not np.all(np.isfinite(y)):
         raise ModelError("absorbing_solve: absorption unreachable from initial mass")
-    R = P[absorbing]
     mass = init.sum()
     absorbed = R.sum(axis=0) @ y
     if abs(absorbed - mass) > MASS_RTOL * mass:

@@ -110,16 +110,6 @@ class BellDiagCoeffs:
                   for c, b in zip(self.as_array(), bell_basis(2)))
         return DensityOperator(mat, (2, 2))
 
-    def overlap_table(self):
-        """(z, x) -> <Phi^{z,x}|rho|Phi^{z,x}> for the qubit Bell basis."""
-        # ordering: Phi^{0,0}=Phi+, Phi^{1,0}=Phi-, Phi^{0,1}=Psi+, Phi^{1,1}=Psi- (up to phase)
-        t = np.empty((2, 2))
-        t[0, 0] = self.phi_plus
-        t[1, 0] = self.phi_minus
-        t[0, 1] = self.psi_plus
-        t[1, 1] = self.psi_minus
-        return t
-
 
 # ---------------------------------------------------------------------------
 # elementary constructions

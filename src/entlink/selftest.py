@@ -69,8 +69,9 @@ def criterion_lp_vs_cutoffs(seed=20260824):
                    max_err <= 1e-7 and dt < 10.0, max_err, dt)
 
 
-def criterion_two_link_waiting():
-    """Two-link minimum-waiting LP vs the symmetric closed form on a grid."""
+def criterion_two_link_waiting(seed=20260824):
+    """Two-link minimum-waiting LP vs the symmetric closed form on a fixed
+    grid; the seed is not used."""
     t0 = time.perf_counter()
     max_err = 0.0
     f = twolink.uniform_f_table(5, 5)
@@ -246,9 +247,9 @@ def criterion_backward_recursion(seed=20260824):
                    max(max_err, hist_err), dt)
 
 
-def criterion_key_rates():
+def criterion_key_rates(seed=20260824):
     """Exact key-rate anchor points, the BB84 threshold location, and the
-    protocol threshold ordering."""
+    protocol threshold ordering; the seed is not used."""
     t0 = time.perf_counter()
     ok = satlink.key_rate_bb84(0.0) == 1.0
     ok = ok and satlink.key_rate_di(0.0, 2 * math.sqrt(2)) == 1.0
@@ -281,7 +282,7 @@ def run_all(seed=20260824):
     out = []
     for fn in CRITERIA:
         try:
-            out.append(fn(seed) if "seed" in fn.__code__.co_varnames else fn())
+            out.append(fn(seed))
         except Exception as exc:  # a crash counts as a failure, not an abort
             out.append(_record(fn.__name__, False, float("nan"), 0.0,
                                note=f"exception: {exc}"))

@@ -148,29 +148,18 @@ def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
 
 def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> DecisionFunction:
     """Swap as soon as both links are active and each is at most its cutoff
-    t_j* old; otherwise request the inactive links and any link past its
-    cutoff.  The cutoffs are integers within the storage bounds."""
+    t_j* old; otherwise link j requests when it is inactive or at least t_j*
+    old and waits otherwise, action "ab" = 2a + b.  The cutoffs are integers
+    within the storage bounds."""
     for t, bound in ((t1_star, model.m1_star), (t2_star, model.m2_star)):
         if not isinstance(t, (int, np.integer)) or not 0 <= t <= bound:
             raise ModelError("cutoff_decision: cutoffs must be integers that "
                              "respect the storage bounds")
-    na = len(ACTIONS)
-    table = np.zeros((model.n, na))
-    for m1 in range(-1, model.m1_star + 1):
-        for m2 in range(-1, model.m2_star + 1):
-            i = model.idx(m1, m2)
-            if 0 <= m1 <= t1_star and 0 <= m2 <= t2_star:
-                table[i, SWAP] = 1.0
-            elif 0 <= m1 < t1_star and m2 == -1:
-                table[i, 0b01] = 1.0
-            elif m1 == -1 and 0 <= m2 < t2_star:
-                table[i, 0b10] = 1.0
-            else:
-                # both inactive, or one inactive and the other at its cutoff;
-                # the remaining ages are unreachable under this rule
-                table[i, 0b11] = 1.0
-    table[model.done] = 1.0 / na  # the choice is immaterial at `done`
-    return DecisionFunction(table)
+    m1, m2 = np.arange(-1, model.m1_star + 1)[:, None], np.arange(-1, model.m2_star + 1)
+    swap = (m1 >= 0) & (m1 <= t1_star) & (m2 >= 0) & (m2 <= t2_star)
+    ab = 2 * ((m1 < 0) | (m1 >= t1_star)) + ((m2 < 0) | (m2 >= t2_star))
+    # every action leaves `done` in place, so it takes "swap" too
+    return DecisionFunction.deterministic(np.append(np.where(swap, SWAP, ab), SWAP), len(ACTIONS))
 
 
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):

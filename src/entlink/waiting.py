@@ -60,55 +60,39 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
 
 
 def hazard_trace(mdp, policy, initial, t_req: int):
-    """Conditional activity probabilities for a single-link chain.
-
-    Returns a callable h with h(t_req + k) = Pr[link active at step t_req+k
-    given inactive at steps t_req+1 .. t_req+k-1], the hazard sequence that
-    makes the waiting-time product form exact.  The chain starts from the
-    ProbVector `initial` at step 1 and evolves under `policy`; being active
-    means being in any state other than 0, the inactive state.
-    """
+    """Yield the hazards h_k = Pr[link active at step t_req + k given
+    inactive at steps t_req+1 .. t_req+k-1], k = 1, 2, ..., of a single-link
+    chain: the sequence that makes the waiting-time product form exact.  The
+    chain starts from the ProbVector `initial` at step 1 and evolves under
+    `policy`; being active means being in any state other than 0, the
+    inactive state.  The sequence ends after a hazard of exactly 1, when no
+    inactive mass is left."""
+    if t_req < 0:
+        raise ModelError("hazard_trace: t_req must be >= 0")
     v = initial.entries
     for step in range(1, t_req + 1):
         v = policy_matrix(mdp, policy.decision_at(step)).entries @ v
-    cache = []
-    state = {"v": v, "t": t_req + 1}
-
-    def h(t):
-        k = t - t_req
-        if k < 1:
-            raise ModelError("hazard_trace: t must exceed t_req")
-        while len(cache) < k:
-            v = state["v"]
-            total = v.sum()
-            if total <= 0:
-                cache.append(1.0)  # no surviving mass; value is immaterial
-                continue
-            cache.append(1.0 - v[0] / total)
-            pruned = np.zeros_like(v)
-            pruned[0] = v[0]
-            P = policy_matrix(mdp, policy.decision_at(state["t"])).entries
-            state["v"] = P @ pruned
-            state["t"] += 1
-        return cache[k - 1]
-
-    return h
+    t = t_req + 1
+    while (total := v.sum()) > 0:
+        yield 1.0 - v[0] / total
+        pruned = np.zeros_like(v)
+        pruned[0] = v[0]
+        v = policy_matrix(mdp, policy.decision_at(t)).entries @ pruned
+        t += 1
 
 
-def elem_expected_general(x_trace, t_req: int):
+def elem_expected_general(hazards):
     """Expected waiting time for a single link from its hazard sequence.
 
-    x_trace: callable t -> Pr[active at step t | inactive at steps
-    t_req+1 .. t-1], for t > t_req (see hazard_trace).  Returns
-    (expectation, tail_bound); the sum is truncated once a geometric
+    hazards: iterable of h_k = Pr[active k steps after the request |
+    inactive at the k-1 steps before], k = 1, 2, ... (see hazard_trace).
+    Returns (expectation, tail_bound); the sum is truncated once a geometric
     envelope on the remaining mass drops below 1e-12.
     """
-    if t_req < 0:
-        raise ModelError("elem_expected_general: t_req must be >= 0")
     total = 0.0
-    survive = 1.0  # prob the link was never active at t_req+1 .. current-1
-    for t in range(1, HORIZON + 1):
-        x = float(x_trace(t_req + t))
+    survive = 1.0  # prob the link was never active at steps 1 .. current-1
+    for t, x in zip(range(1, HORIZON + 1), hazards):
+        x = float(x)
         if not 0 <= x <= 1 + 1e-12:
             raise ModelError("elem_expected_general: X outside [0, 1]")
         total += t * survive * x

@@ -15,10 +15,14 @@ def run_cli(args, **kw):
 
 @pytest.fixture
 def run(capsys):
-    """`cli.main` in this process; returns what `run_cli` returns.  Only the
-    tests of the process itself (version, exit codes) pay for a spawn."""
+    """`cli.main` in this process; returns what `run_cli` returns, with the
+    code of an argparse exit as the exit code.  Only the tests of the
+    process itself (version, exit codes) pay for a spawn."""
     def call(args):
-        code = cli.main(args)
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
         out, err = capsys.readouterr()
         return subprocess.CompletedProcess(args, code, out, err)
     return call
@@ -85,6 +89,15 @@ def test_invalid_input_exit_code_2():
     r = run_cli(["elem", "steady", "--p", "2", "--m-star", "0", "--f", "1"])
     assert r.returncode == 2
     assert "entlink:" in r.stderr
+
+
+@pytest.mark.parametrize("p1, q", [("0.5", "0"), ("0", "0.5")], ids=["q-zero", "p1-zero"])
+def test_unreachable_absorption_exit_code_2(p1, q, run):
+    # q = 0 exited 3 as an "ill-conditioned" solve; no swap ever succeeds
+    r = run(["twolink", "evaluate", "--p1", p1, "--p2", "0.5", "--q", q,
+             "--m1-star", "2", "--m2-star", "2", "--t1-star", "2", "--t2-star", "2"])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "unreachable" in r.stderr
 
 
 NEGATIVE_SEED = {
@@ -164,12 +177,31 @@ def test_bad_config_exit_code_2(tmp_path, run):
 
 
 def test_config_non_integer_trials_exit_code_2(tmp_path, run):
-    # a config file's values skip argparse's int conversion; SimConfig
-    # rejects them instead of numpy raising a TypeError mid-run
+    # argparse converts a config file's value as it converts the command
+    # line's, so "100.5" never reaches SimConfig
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 100.5}))
     r = run(["--config", str(cfg), "simulate", "collective", "--M", "2", "--p", "0.5"])
-    assert r.returncode == 2 and "integers" in r.stderr and not r.stdout
+    assert r.returncode == 2 and "invalid int value: '100.5'" in r.stderr and not r.stdout
+
+
+@pytest.mark.parametrize("cfg, args", [
+    ({"t-req": 1.5}, ["waiting", "collective", "--M", "4", "--p", "0.3"]),
+    ({"steps": 2.5}, ["satlink", "sweep", "--d-min", "100", "--d-max", "200"]),
+    ({"t_coh": None}, ["elem", "steady", "--p", "0.5", "--m-star", "2"]),
+    ({"format": "xml"}, ["twolink", "analytic", "--p", "0.5", "--q", "0.5", "--t-star", "0"]),
+    (None, ["elem", "steady", "--p", "0.5", "--m-star", "2", "--f", "1,abc,0.8"]),
+], ids=["t-req-float", "steps-float", "t-coh-null", "format-xml", "f-not-a-number"])
+def test_config_and_f_values_are_checked_like_the_command_line(cfg, args, tmp_path, run):
+    # each case printed a number, ended in a traceback or wrote CSV for "xml"
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args = ["--config", str(path), *args]
+    r = run(args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
 
 
 def test_simulate_collective_seeded(run):

@@ -83,7 +83,7 @@ def test_cutoff_steady_values_consistent_with_closed_form(rng):
         p = rng.uniform(0.1, 1.0)
         ms = int(rng.integers(0, 5))
         m = E.ElemLinkModel(p, ms, np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
-        for ts in range(ms + 1):
+        for ts in (*range(ms + 1), math.inf):
             s, ftilde = E.steady_state_closed_form(m, E.cutoff_decision(m, ts))
             ft, x, fr = E.cutoff_steady_values(m, ts)
             assert ftilde == pytest.approx(ft, abs=1e-12)
@@ -101,6 +101,18 @@ def test_never_discard_transient_vs_evolve(rng):
         assert ft == pytest.approx(ft2, abs=1e-12)
         assert x == pytest.approx(x2, abs=1e-12)
         assert x == pytest.approx(1 - (1 - p) ** t, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-300])
+def test_never_discard_at_tiny_p(p):
+    # 1 - Pr[inactive] gave X = 0.0 here, so F was None or printed as 0.0
+    m = model(p, [1.0, 0.9, 0.8])
+    pol = Policy.stationary(E.cutoff_decision(m, math.inf))
+    for ft, x, fr in (E.ftilde_x_f(m, pol, 3), E.cutoff_infty_transient(m, 3),
+                      E.cutoff_steady_values(m, math.inf)):
+        assert x == pytest.approx(3 * p, rel=1e-12)
+        assert fr == pytest.approx(0.9, rel=1e-12)
+        assert ft <= x
 
 
 def test_forward_decision_is_greedy_cutoff(rng):

@@ -321,11 +321,10 @@ def test_pure_loss_drail(rng=np.random.default_rng(12)):
 
 
 def test_bell_diag_coeffs_roundtrip():
-    c = Q.BellDiagCoeffs(0.7, 0.1, 0.1, 0.1)
-    rho = c.to_density()
-    t = c.overlap_table()
-    for (z, x), val in np.ndenumerate(t):
-        assert Q.fidelity_to_pure(rho, Q.bell(2, z, x)) == pytest.approx(val, abs=1e-12)
+    c = Q.BellDiagCoeffs(0.4, 0.3, 0.2, 0.1)
+    t = Q.bell_overlap_table(c.to_density(), 2)  # [z, x]
+    want = np.array([[c.phi_plus, c.psi_plus], [c.phi_minus, c.psi_minus]])
+    assert t == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

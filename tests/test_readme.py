@@ -37,7 +37,7 @@ STDOUT_SHA256 = {
     "elem optimal --p 0.4 --m-star 3 --f 1,0.95,0.85,0.7":
         "060831c15cabb57374ee0e4ac4a888be8a26f4e746ab8535cc548e27cdc0e797",
     "elem steady --p 0.5 --m-star 2 --f 1,0.9,0.8":
-        "f222ced4a7b654c14d710274b47c8239a324eadcd145d2c6f2644009bfab1cf4",
+        "355802b1ebbb3cefb85656fb47e799e99ef32d5adfa8161e2eb700129cc3a16d",
     "satlink keyrates --d 500 --fs 0.99 --M 50":
         "a01641b2d70a527747e670c1e3dfd0704e6458f77732274642a44eaaa7a6f8ce",
     "satlink link --d 2000 --h 500 --fs 0.99 --nbar1 1e-4 --nbar2 1e-4":

@@ -346,6 +346,15 @@ def test_evaluate_policy_raises_when_absorption_is_unreachable():
             TL.evaluate_policy(model, markov.DecisionFunction(table))
 
 
+def test_evaluate_policy_raises_when_no_swap_succeeds():
+    # q = 0: no transient state moves mass to `done`; this was reported as
+    # an ill-conditioned solve ("absorbed mass 0")
+    model = sym_model(0.5, 0.0, 2)
+    with pytest.raises(ModelError, match="unreachable") as info:
+        TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
+    assert not isinstance(info.value, markov.NumericalError)
+
+
 def test_evaluate_policy_raises_when_no_link_is_generated():
     # p1 = p2 = 0: all start mass sits in (-1, -1), which no action leaves
     model = sym_model(0.0, 0.5, 2)

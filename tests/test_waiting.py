@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -72,11 +73,8 @@ def test_expected_monotone_in_M(M, p, t_req):
 def test_elem_expected_general_matches_collective():
     # never-discard hazards: already-active head at the first step, then p
     p, t_req = 0.3, 2
-
-    def hazard(t):
-        return 1 - (1 - p) ** (t_req + 1) if t == t_req + 1 else p
-
-    e, tail = W.elem_expected_general(hazard, t_req)
+    hazards = itertools.chain([1 - (1 - p) ** (t_req + 1)], itertools.repeat(p))
+    e, tail = W.elem_expected_general(hazards)
     assert tail < 1e-11
     assert e == pytest.approx(W.collective_expected_infty(1, p, t_req), abs=1e-8)
 
@@ -84,25 +82,28 @@ def test_elem_expected_general_matches_collective():
 def test_hazard_trace_from_chain_matches_collective():
     from entlink import elemlink
     from entlink.markov import Policy
-    import math
 
     # m_star far beyond the truncation horizon, so the storage-bound
     # wraparound never fires and the chain is effectively never-discard
     p, t_req = 0.4, 3
     m = elemlink.ElemLinkModel(p, 200, np.concatenate([[0.0], np.ones(201)]))
     pol = Policy.stationary(elemlink.cutoff_decision(m, math.inf))
-    h = W.hazard_trace(elemlink.build_mdp(m), pol, elemlink.g_vector(m), t_req)
-    assert h(t_req + 1) == pytest.approx(1 - (1 - p) ** (t_req + 1), abs=1e-12)
-    assert h(t_req + 2) == pytest.approx(p, abs=1e-12)
-    e, _ = W.elem_expected_general(h, t_req)
+
+    def trace():
+        return W.hazard_trace(elemlink.build_mdp(m), pol, elemlink.g_vector(m), t_req)
+
+    h1, h2 = itertools.islice(trace(), 2)
+    assert h1 == pytest.approx(1 - (1 - p) ** (t_req + 1), abs=1e-12)
+    assert h2 == pytest.approx(p, abs=1e-12)
+    e, _ = W.elem_expected_general(trace())
     assert e == pytest.approx(W.collective_expected_infty(1, p, t_req), abs=1e-8)
 
 
 def test_elem_expected_general_rejects_bad_trace():
     with pytest.raises(ModelError):
-        W.elem_expected_general(lambda t: 1.5, 0)
+        W.elem_expected_general(itertools.repeat(1.5))
     with pytest.raises(ModelError):
-        W.elem_expected_general(lambda t: 0.0, 0)
+        W.elem_expected_general(itertools.repeat(0.0))
 
 
 def test_virtual_expected():
