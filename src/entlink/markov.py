@@ -24,10 +24,10 @@ class NumericalError(ModelError):
 def _check_simplex(a, axis, what):
     """Entries in [0, 1] (NaN fails) and sums along `axis` within
     PROB_TOL * max(1, length) of 1."""
-    if not np.all((a >= -PROB_TOL) & (a <= 1 + PROB_TOL)):
+    if not ((a >= -PROB_TOL) & (a <= 1 + PROB_TOL)).all():
         raise ModelError(f"{what}: entries outside [0, 1]")
-    bad = np.abs(a.sum(axis=axis) - 1.0) > PROB_TOL * max(1, a.shape[axis])
-    if np.any(bad):
+    bad = abs(a.sum(axis=axis) - 1.0) > PROB_TOL * max(1, a.shape[axis])
+    if bad.any():
         raise ModelError(f"{what}: sums along axis {axis} differ from 1")
 
 
