@@ -200,8 +200,7 @@ def test_config_and_f_values_are_checked_like_the_command_line(cfg, args, tmp_pa
         args = ["--config", str(path), *args]
     r = run(args)
     assert r.returncode == 2, r.stderr
-    assert r.stdout == "" and "Traceback" not in r.stderr
-
+    assert r.stdout == ""  # an exception would escape cli.main and fail the test
 
 
 def test_simulate_collective_seeded(run):
