@@ -343,3 +343,46 @@ def test_kraus_channel_validation():
         Q.KrausChannel([np.eye(2) * 2])  # not trace preserving
     with pytest.raises(Q.QuantumError):
         Q.KrausChannel([np.eye(2) * 0.5])  # trace decreasing
+
+
+_MIXED1 = np.eye(2) / 2
+_MIXED2 = Q.DensityOperator(np.eye(4) / 4, (2, 2))
+_PAIR = [[0.0, 1.0], [1.0, 0.0]]
+_TABLE = np.full((2, 2), 0.25)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Q.DensityOperator(np.ones(3) / 3),
+    lambda: Q.DensityOperator(_MIXED1, (3,)),
+    lambda: Q.KrausChannel([]),
+    lambda: Q.BellDiagCoeffs(-0.1, 0.5, 0.3, 0.3),
+    lambda: Q.BellDiagCoeffs(0.5, 0.5, 0.5, 0.5),
+    lambda: Q.bell(2, 2, 0),
+    lambda: Q.ghz(1),
+    lambda: Q.graph_state([[0, 1], [0, 0]]),
+    lambda: Q.fidelity_to_pure(_MIXED1, np.ones(3)),
+    lambda: Q.amplitude_damping(1.5),
+    lambda: Q.swap_chain_channel(_MIXED2, 1, 2),
+    lambda: Q.swap_chain_channel(Q.DensityOperator(np.eye(24) / 24, (2, 2, 3, 2)), 1, 2),
+    lambda: Q.swap_fidelity([_TABLE]),
+    lambda: Q.swap_fidelity([_TABLE, np.full((3, 3), 1 / 9)]),
+    lambda: Q.swap_fidelity([[[0.5, 0.5], [0.5, -0.5]], _TABLE]),
+    lambda: Q.swap_fidelity([[[1.0, 1.0], [0.0, 0.0]], _TABLE]),
+    lambda: Q.ghz_swap_channel(_MIXED2, 1),
+    lambda: Q.ghz_swap_fidelity([[0.5, 0.5]]),
+    lambda: Q.graph_dist_channel(_MIXED2, _PAIR),
+    lambda: Q.graph_dist_fidelity([_TABLE], _PAIR),
+    lambda: Q.isotropic_twirl(Q.DensityOperator(_MIXED1)),
+    lambda: Q.distill_bbpssw(0.1, 0.9),
+    lambda: Q.pure_loss_drail(_MIXED1, 1.5),
+], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
+        "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
+        "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
+        "swap_chain-subsystems", "swap_chain-dimension", "swap_fidelity-one-link",
+        "swap_fidelity-shapes", "swap_fidelity-negative", "swap_fidelity-sum",
+        "ghz_swap_channel-subsystems", "ghz_swap_fidelity-one-link",
+        "graph_dist_channel-subsystems", "graph_dist_fidelity-tables",
+        "isotropic_twirl-dim", "distill_bbpssw-fidelity", "pure_loss_drail-eta"])
+def test_malformed_input_raises_quantum_error(make):
+    with pytest.raises(Q.QuantumError):
+        make()

@@ -224,3 +224,31 @@ def test_qber_formulas_match_state_qbers(rng):
     assert Q6 == pytest.approx((qx + qy + qz) / 3, abs=1e-10)
     Qb, _, _ = S.qber_and_rates(link.alpha, link.beta, "bb84", 1, link.p)
     assert Qb == pytest.approx((qx + qz) / 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: S.SatGeometry(-1.0, 500.0), S.SatError),
+    (lambda: S.SatGeometry(100.0, 0.0), S.SatError),
+    (lambda: S.SatSourceParams(1.5), S.SatError),
+    (lambda: S.SatSourceParams(1.0, nbar1=2.0), S.SatError),
+    (lambda: S.SatSourceParams(1.0, M=0), S.SatError),
+    (lambda: S.eta_sg(400.0, 500.0, 0.5), S.SatError),
+    (lambda: S.heralded_link(1.5, 0.5, S.SatSourceParams(1.0)), S.SatError),
+    (lambda: S.heralded_link(0.0, 0.5, S.SatSourceParams(1.0)), S.SatError),
+    (lambda: S.multiplexed_p(0.5, 0), S.SatError),
+    (lambda: S.memory_f(1, 0.0, 0.5, 0.5), S.SatError),
+    (lambda: S.cutoff_steady_sinh(-1, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.ftilde_infty_closed(0, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.ftilde_infty_closed(1, 10.0, 0.5, 0.5, 0.0), S.SatError),
+    (lambda: S.forward_cutoff(1.5, 10.0), S.SatError),
+    (lambda: S.coherence_steps(1.0, 0.0), S.SatError),
+    (lambda: S.qber_and_rates(0.5, 0.5, "b92", 1, 0.5), S.SatError),
+    (lambda: S.qbers_from_state(qstate.DensityOperator(np.eye(2) / 2)), qstate.QuantumError),
+], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
+        "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
+        "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
+        "ftilde_infty_closed-t", "ftilde_infty_closed-p", "forward_cutoff-p",
+        "coherence_steps-d", "qber_and_rates-protocol", "qbers_from_state-dim"])
+def test_malformed_input_raises(make, error):
+    with pytest.raises(error):
+        make()
