@@ -368,7 +368,8 @@ def _apply_config(ap, path):
     """Make the JSON object in `path` the defaults of `ap` and of every
     subcommand parser, so options given on the command line still win.  An
     option's value goes in as a command line's string, which argparse
-    converts with the option's type; it skips choices, checked here."""
+    converts with the option's type; it skips choices, checked here.  A key
+    that names no option of any parser is an error."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -386,6 +387,9 @@ def _apply_config(ap, path):
             if action.choices is not None and val not in action.choices:
                 raise ModelError(f"--config: {action.dest} must be one of {list(action.choices)}")
             parser.set_defaults(**{action.dest: val})
+    unknown = set(cfg).difference(a.dest for parser in parsers for a in parser._actions)
+    if unknown:
+        raise ModelError(f"--config: no option named {', '.join(map(repr, sorted(unknown)))}")
 
 
 def main(argv=None):

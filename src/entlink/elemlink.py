@@ -115,6 +115,22 @@ def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
     return ftilde, x, ftilde / x
 
 
+def expected_waiting_time(model: ElemLinkModel, d: DecisionFunction, t_req: int) -> float:
+    """Expected steps from a request at step t_req until the link is first
+    active (step t_req + 1 counts 1), from the post-request distribution at
+    t=1 under d.  The one inactive state leaves with the same probability
+    r = p d(-1)(request) at every step, so the wait is 1 + (1 - X(t_req + 1)) / r."""
+    _, x, _ = ftilde_x_f(model, Policy.stationary(d), t_req + 1)
+    if x >= 1:
+        return 1.0
+    r = model.p * float(d.table[0, REQUEST])
+    wait = 1 + (1 - x) / r if r > 0 else math.inf
+    if wait == math.inf:
+        raise ModelError("expected_waiting_time: no finite wait, the inactive link "
+                         f"regenerates with probability {r:g} per step")
+    return wait
+
+
 def steady_state_closed_form(model: ElemLinkModel, d: DecisionFunction):
     """Stationary distribution of P^d and the stationary expected value, in
     closed form, for any stationary decision d (alpha(m) = wait prob)."""
@@ -157,10 +173,11 @@ def cutoff_steady_values(model: ElemLinkModel, t_star):
 
 
 def cutoff_infty_transient(model: ElemLinkModel, t: int):
-    """(F~, X, F) at finite time t under the never-discard rule, assuming
-    t - 1 <= m_star so no wraparound has occurred."""
-    if t < 1:
-        raise ModelError("cutoff_infty_transient: t must be >= 1")
+    """(F~, X, F) at time t under the never-discard rule.  Exact for t in
+    [1, m_star + 2]; later t would need the regenerations of the pairs
+    discarded at the storage bound, so they raise ModelError."""
+    if not 1 <= t <= model.m_star + 2:
+        raise ModelError("cutoff_infty_transient: t must lie in [1, m_star + 2]")
     p = model.p
     ftilde = x = 0.0
     for m in range(min(t, model.m_star + 1)):

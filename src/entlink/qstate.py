@@ -37,6 +37,8 @@ class DensityOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QuantumError("DensityOperator: not square")
+        if not np.isfinite(mat).all():  # NaN would pass the tests below
+            raise QuantumError("DensityOperator: non-finite entries")
         work = np.conj(mat.T)  # the one work buffer of the checks below
         np.subtract(mat, work, out=work)
         if np.max(np.abs(work)) > HERM_TOL:
@@ -77,7 +79,7 @@ class KrausChannel:
         if not kraus:
             raise QuantumError("KrausChannel: no Kraus operators")
         s = sum(K.conj().T @ K for K in kraus)
-        if np.max(np.abs(s - np.eye(kraus[0].shape[1]))) > HERM_TOL * 10:
+        if not np.max(np.abs(s - np.eye(kraus[0].shape[1]))) <= HERM_TOL * 10:  # NaN fails
             raise QuantumError("KrausChannel: not trace preserving")
         self.kraus = kraus
 
@@ -97,9 +99,9 @@ class BellDiagCoeffs:
 
     def __post_init__(self):
         c = self.as_array()
-        if np.any(c < -1e-12):
+        if not np.all(c >= -1e-12):  # NaN fails too
             raise QuantumError("BellDiagCoeffs: negative coefficient")
-        if abs(c.sum() - 1.0) > 1e-12:
+        if not abs(c.sum() - 1.0) <= 1e-12:
             raise QuantumError(f"BellDiagCoeffs: sum {c.sum()!r} != 1")
 
     def as_array(self):
@@ -283,7 +285,7 @@ def swap_fidelity(bell_overlaps) -> float:
     for t in tables:
         if t.shape != (d, d):
             raise QuantumError("swap_fidelity: inconsistent table shapes")
-        if np.any(t < -1e-12) or t.sum() > 1 + 1e-9:
+        if not (np.all(t >= -1e-12) and t.sum() <= 1 + 1e-9):  # NaN fails too
             raise QuantumError("swap_fidelity: malformed overlap table")
     n = len(tables) - 1
     total = 0.0

@@ -33,8 +33,8 @@ class SatGeometry:
     h: float  # orbit altitude, km
 
     def __post_init__(self):
-        if self.d < 0 or self.h <= 0:
-            raise SatError("SatGeometry: need d >= 0 and h > 0")
+        if not (0 <= self.d < math.inf and 0 < self.h < math.inf):  # NaN fails too
+            raise SatError("SatGeometry: need finite d >= 0 and h > 0")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class SatSourceParams:
         for nb in (self.nbar1, self.nbar2):
             if not 0 <= nb <= 1:
                 raise SatError("SatSourceParams: nbar out of [0, 1]")
-        if self.M < 1:
+        if not self.M >= 1:
             raise SatError("SatSourceParams: M must be >= 1")
 
 
@@ -78,7 +78,7 @@ def eta_sg(L: float, h: float, eta_zen: float) -> float:
     eta_zen the atmospheric transmittance at zenith."""
     if not 0 < eta_zen <= 1:
         raise SatError("eta_sg: eta_zen must lie in (0, 1]")
-    if L < h:
+    if not L >= h:
         raise SatError("eta_sg: path length cannot be below the altitude")
     L_m = L * 1000.0
     rayleigh_range_m = math.pi * BEAM_WAIST_M ** 2 / WAVELENGTH_M
@@ -111,7 +111,7 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     b = z1 * z2
     c = x1 * y2 + y1 * x2
     p = (x1 + y1) * (x2 + y2)
-    if p <= 0:
+    if not p > 0:
         raise SatError("heralded_link: zero heralding probability")
     qt = (1 - src.f_S) / 3
     alpha = (0.5 * src.f_S * a + 0.5 * qt * (a + 2 * c)) / (a + c)
@@ -122,7 +122,7 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
 
 
 def multiplexed_p(p_single: float, M: int) -> float:
-    if M < 1:
+    if not M >= 1:
         raise SatError("multiplexed_p: M must be >= 1")
     return 1 - (1 - p_single) ** M
 
@@ -164,7 +164,7 @@ def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
                        p: float):
     """Stationary (F~, F) under the cutoff rule, with the decay sums in
     closed form."""
-    if t_star < 0:
+    if not t_star >= 0:
         raise SatError("cutoff_steady_sinh: t_star must be >= 0")
     s1 = _geom_exp_sum(t_star, t_coh)
     s2 = _geom_exp_sum(t_star, t_coh / 2)
@@ -176,7 +176,7 @@ def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
 def ftilde_infty_closed(t: int, t_coh: float, alpha: float, beta: float,
                         p: float) -> float:
     """Expected figure of merit at time t under the never-discard rule."""
-    if t < 1:
+    if not t >= 1:
         raise SatError("ftilde_infty_closed: t must be >= 1")
     if not 0 < p <= 1:
         raise SatError("ftilde_infty_closed: p must lie in (0, 1]")
@@ -209,7 +209,7 @@ def forward_cutoff(p: float, t_coh: float):
 
 def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
     """Coherence time in heralding steps of duration 2d/c."""
-    if d_km <= 0:
+    if not d_km > 0:
         raise SatError("coherence_steps: d must be positive")
     return t_coh_seconds * C_KM_PER_S / (2 * d_km)
 
@@ -240,7 +240,7 @@ def key_rate_six_state(Q: float) -> float:
 
 
 def key_rate_di(Q: float, S: float) -> float:
-    if S < 2:
+    if not S >= 2:
         raise SatError("key_rate_di: CHSH value below 2 has no real-valued rate")
     return 1 - h2(Q) - h2((1 + math.sqrt((S / 2) ** 2 - 1)) / 2)
 

@@ -84,6 +84,8 @@ class TwoLinkModel:
 def uniform_f_table(m1_star, m2_star):
     """f[1] = 1 wherever both links are active; handy for waiting-time-only
     studies."""
+    if not min(m1_star, m2_star) >= 0:
+        raise ModelError("uniform_f_table: storage bounds must be >= 0")
     f = np.zeros((2, m1_star + 2, m2_star + 2))
     f[1, 1:, 1:] = 1.0
     return f

@@ -1,18 +1,17 @@
-"""Waiting-time statistics for one or more continuously regenerated links.
+"""Collective waiting time of M continuously regenerated links, and of the
+virtual link joined from them.
 
-All formulas assume the never-discard regime: once a link is up it stays
+Every formula assumes the never-discard regime: once a link is up it stays
 up, so by the time a request arrives at step t_req each link has had
-t_req + 1 attempts.
+t_req + 1 attempts.  One link under any stationary decision, discarding
+included, is `elemlink.expected_waiting_time`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .markov import ModelError, policy_matrix
-
-TAIL_TOL = 1e-12
-HORIZON = 10_000  # most hazard terms `elem_expected_general` sums
+from .markov import ModelError
 
 
 def _pk(p, k):
@@ -57,55 +56,6 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
         E[m] = (1 + w[1:] @ E[m - 1::-1]) / w[1:].sum()
     *_, head = _binomial_rows(M, _pk(p, t_req + 1))
     return float(1 + head @ E[::-1])
-
-
-def hazard_trace(mdp, policy, initial, t_req: int):
-    """Yield the hazards h_k = Pr[link active at step t_req + k given
-    inactive at steps t_req+1 .. t_req+k-1], k = 1, 2, ..., of a single-link
-    chain: the sequence that makes the waiting-time product form exact.  The
-    chain starts from the ProbVector `initial` at step 1 and evolves under
-    `policy`; being active means being in any state other than 0, the
-    inactive state.  The sequence ends after a hazard of exactly 1, when no
-    inactive mass is left."""
-    if t_req < 0:
-        raise ModelError("hazard_trace: t_req must be >= 0")
-    v = initial.entries
-    for step in range(1, t_req + 1):
-        v = policy_matrix(mdp, policy.decision_at(step)).entries @ v
-    t = t_req + 1
-    while (total := v.sum()) > 0:
-        yield 1.0 - v[0] / total
-        pruned = np.zeros_like(v)
-        pruned[0] = v[0]
-        v = policy_matrix(mdp, policy.decision_at(t)).entries @ pruned
-        t += 1
-
-
-def elem_expected_general(hazards):
-    """Expected waiting time for a single link from its hazard sequence.
-
-    hazards: iterable of h_k = Pr[active k steps after the request |
-    inactive at the k-1 steps before], k = 1, 2, ... (see hazard_trace).
-    Returns (expectation, tail_bound); the sum is truncated once a geometric
-    envelope on the remaining mass drops below 1e-12.
-    """
-    total = 0.0
-    survive = 1.0  # prob the link was never active at steps 1 .. current-1
-    for t, x in zip(range(1, HORIZON + 1), hazards):
-        x = float(x)
-        if not 0 <= x <= 1 + 1e-12:
-            raise ModelError("elem_expected_general: X outside [0, 1]")
-        total += t * survive * x
-        survive *= 1 - x
-        if survive < TAIL_TOL and x > 0:
-            # remaining mass bounded by survive * (t + 1/x) / x style envelope
-            tail = survive * (t + 1 / x) / x
-            if tail < TAIL_TOL:
-                return total, tail
-    if survive > 1e-6:
-        raise ModelError("elem_expected_general: series not converging "
-                         f"(surviving mass {survive:g} at horizon {HORIZON})")
-    return total, survive * HORIZON
 
 
 def virtual_expected(collective_expected: float, q: float) -> float:

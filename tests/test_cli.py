@@ -203,6 +203,40 @@ def test_config_and_f_values_are_checked_like_the_command_line(cfg, args, tmp_pa
     assert r.stdout == ""  # an exception would escape cli.main and fail the test
 
 
+def test_config_unknown_keys_exit_code_2(tmp_path, run):
+    # the misspelt keys were dropped, and the default answer was printed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seeed": 5, "t-coh": 12, "alpah": 0.4}))
+    r = run(["--config", str(path), "twolink", "lp-waiting", *TWO_LINK])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "'seeed'" in r.stderr and "'alpah'" in r.stderr
+    assert "t-coh" not in r.stderr  # an option of other twolink commands
+    path.write_text(json.dumps({"t-coh": 12}))
+    assert run(["--config", str(path), "twolink", "lp-waiting", *TWO_LINK]).returncode == 0
+
+
+@pytest.mark.parametrize("bound", ["-1", "-3"])
+@pytest.mark.parametrize("t_coh", [[], ["--t-coh", "12"]], ids=["uniform-f", "t-coh"])
+def test_negative_storage_bound_exit_code_2(bound, t_coh, run):
+    # -3 ended in numpy's "negative dimensions are not allowed" traceback
+    args = ["twolink", "evaluate", "--p1", "0.5", "--p2", "0.5", "--q", "0.5",
+            "--m1-star", bound, "--m2-star", "2", "--t1-star", "0", "--t2-star", "0", *t_coh]
+    r = run(args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "storage bounds must be >= 0" in r.stderr
+
+
+@pytest.mark.parametrize("args", [["--d", "inf"], ["--d", "nan"], ["--d", "1000", "--h", "inf"],
+                                  ["--d", "1000", "--h", "nan"]],
+                         ids=["d-inf", "d-nan", "h-inf", "h-nan"])
+def test_non_finite_satellite_geometry_exit_code_2(args, run):
+    # --d inf ended in "math domain error"; the others exited 2 only at
+    # heralded_link's eta check, after the geometry was accepted
+    r = run(["satlink", "link", *args])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "SatGeometry" in r.stderr
+
+
 def test_simulate_collective_seeded(run):
     args = ["--seed", "5", "simulate", "collective", "--M", "2", "--p", "0.5",
             "--trials", "2000"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from entlink import elemlink as E
 from entlink import oracles, qstate
-from entlink.markov import ModelError, Policy, policy_matrix
+from entlink.markov import Mdp, ModelError, Policy, absorbing_solve, evolve, policy_matrix
 
 
 def model(p, f_vals):
@@ -95,12 +95,16 @@ def test_never_discard_transient_vs_evolve(rng):
     p = 0.35
     m = model(p, [1.0, 0.95, 0.9, 0.85, 0.8])
     pol = Policy.stationary(E.cutoff_decision(m, math.inf))
-    for t in range(1, 6):  # t - 1 <= m_star, no wraparound yet
+    for t in range(1, m.m_star + 3):  # the first discarded pair is inactive at m* + 2
         ft, x, fr = E.cutoff_infty_transient(m, t)
         ft2, x2, fr2 = E.ftilde_x_f(m, pol, t)
         assert ft == pytest.approx(ft2, abs=1e-12)
         assert x == pytest.approx(x2, abs=1e-12)
-        assert x == pytest.approx(1 - (1 - p) ** t, abs=1e-12)
+        if t <= m.m_star + 1:  # nothing discarded yet
+            assert x == pytest.approx(1 - (1 - p) ** t, abs=1e-12)
+    for t in (0, m.m_star + 3):  # past m* + 2 it left out the regenerated pairs
+        with pytest.raises(ModelError, match=r"\[1, m_star \+ 2\]"):
+            E.cutoff_infty_transient(m, t)
 
 
 @pytest.mark.parametrize("p", [1e-17, 1e-300])
@@ -113,6 +117,31 @@ def test_never_discard_at_tiny_p(p):
         assert x == pytest.approx(3 * p, rel=1e-12)
         assert fr == pytest.approx(0.9, rel=1e-12)
         assert ft <= x
+
+
+def test_waiting_time_vs_absorbing_chain(rng):
+    # Kemeny & Snell: make every active state absorbing; from the
+    # distribution at t_req + 1 the wait is 1 + the expected inactive steps
+    for _ in range(120):
+        p = 10 ** rng.uniform(-3, 0)
+        ms = int(rng.integers(0, 7))
+        m = E.ElemLinkModel(p, ms, np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
+        d = oracles.random_decision(rng, m.n, 2)
+        t_req = int(rng.integers(0, 12))
+        T = E.build_mdp(m).T.copy()
+        T[:, :, 1:] = np.eye(m.n)[:, 1:]
+        start = evolve(E.build_mdp(m), Policy.stationary(d), E.g_vector(m), t_req + 1)
+        y, _ = absorbing_solve(Mdp(T), d, start.entries)
+        assert E.expected_waiting_time(m, d, t_req) == pytest.approx(
+            1 + y.sum(), rel=1e-9, abs=0)
+
+
+def test_waiting_time_of_a_slow_link():
+    # the hazard series stopped at 10,000 terms and called this divergent
+    m = model(1e-3, [1.0] * 5)
+    wait = E.expected_waiting_time(m, E.cutoff_decision(m, 2), 1)
+    assert wait == pytest.approx(1 + (1 - 1e-3) ** 2 / 1e-3, rel=1e-12)
+    assert wait == pytest.approx(999.001, rel=1e-12)
 
 
 def test_forward_decision_is_greedy_cutoff(rng):

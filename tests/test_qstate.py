@@ -375,6 +375,13 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.isotropic_twirl(Q.DensityOperator(_MIXED1)),
     lambda: Q.distill_bbpssw(0.1, 0.9),
     lambda: Q.pure_loss_drail(_MIXED1, 1.5),
+    lambda: Q.DensityOperator(np.full((2, 2), np.nan)),
+    lambda: Q.DensityOperator(np.diag([np.inf, 1.0])),
+    lambda: Q.KrausChannel([np.full((2, 2), np.nan)]),
+    lambda: Q.BellDiagCoeffs(np.nan, 0.5, 0.25, 0.25),
+    lambda: Q.BellDiagCoeffs(np.inf, 0.5, 0.25, 0.25),
+    lambda: Q.swap_fidelity([np.full((2, 2), np.nan), _TABLE]),
+    lambda: Q.swap_fidelity([[[np.inf, 0.0], [0.0, 0.0]], _TABLE]),
 ], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
         "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
         "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
@@ -382,7 +389,9 @@ _TABLE = np.full((2, 2), 0.25)
         "swap_fidelity-shapes", "swap_fidelity-negative", "swap_fidelity-sum",
         "ghz_swap_channel-subsystems", "ghz_swap_fidelity-one-link",
         "graph_dist_channel-subsystems", "graph_dist_fidelity-tables",
-        "isotropic_twirl-dim", "distill_bbpssw-fidelity", "pure_loss_drail-eta"])
+        "isotropic_twirl-dim", "distill_bbpssw-fidelity", "pure_loss_drail-eta",
+        "DensityOperator-nan", "DensityOperator-inf", "KrausChannel-nan",
+        "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf"])
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()

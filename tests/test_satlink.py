@@ -244,11 +244,27 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.coherence_steps(1.0, 0.0), S.SatError),
     (lambda: S.qber_and_rates(0.5, 0.5, "b92", 1, 0.5), S.SatError),
     (lambda: S.qbers_from_state(qstate.DensityOperator(np.eye(2) / 2)), qstate.QuantumError),
+    (lambda: S.SatGeometry(math.nan, 500.0), S.SatError),
+    (lambda: S.SatGeometry(math.inf, 500.0), S.SatError),
+    (lambda: S.SatGeometry(100.0, math.nan), S.SatError),
+    (lambda: S.SatGeometry(100.0, math.inf), S.SatError),
+    (lambda: S.SatSourceParams(1.0, M=math.nan), S.SatError),
+    (lambda: S.eta_sg(math.nan, 500.0, 0.5), S.SatError),
+    (lambda: S.heralded_link(math.nan, 0.5, S.SatSourceParams(1.0)), S.SatError),
+    (lambda: S.multiplexed_p(0.5, math.nan), S.SatError),
+    (lambda: S.cutoff_steady_sinh(math.nan, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.ftilde_infty_closed(math.nan, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.coherence_steps(1.0, math.nan), S.SatError),
+    (lambda: S.key_rate_di(0.1, math.nan), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
         "ftilde_infty_closed-t", "ftilde_infty_closed-p", "forward_cutoff-p",
-        "coherence_steps-d", "qber_and_rates-protocol", "qbers_from_state-dim"])
+        "coherence_steps-d", "qber_and_rates-protocol", "qbers_from_state-dim",
+        "SatGeometry-d-nan", "SatGeometry-d-inf", "SatGeometry-h-nan", "SatGeometry-h-inf",
+        "SatSourceParams-M-nan", "eta_sg-path-nan", "heralded_link-eta-nan",
+        "multiplexed_p-M-nan", "cutoff_steady_sinh-t_star-nan", "ftilde_infty_closed-t-nan",
+        "coherence_steps-d-nan", "key_rate_di-S-nan"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlink import waiting as W
-from entlink.markov import ModelError
+from entlink import elemlink, waiting as W
+from entlink.markov import DecisionFunction, ModelError
 
 
 def test_pmf_is_a_distribution():
@@ -70,40 +69,35 @@ def test_expected_monotone_in_M(M, p, t_req):
     assert a >= 1 - 1e-12
 
 
-def test_elem_expected_general_matches_collective():
-    # never-discard hazards: already-active head at the first step, then p
-    p, t_req = 0.3, 2
-    hazards = itertools.chain([1 - (1 - p) ** (t_req + 1)], itertools.repeat(p))
-    e, tail = W.elem_expected_general(hazards)
-    assert tail < 1e-11
-    assert e == pytest.approx(W.collective_expected_infty(1, p, t_req), abs=1e-8)
-
-
-def test_hazard_trace_from_chain_matches_collective():
-    from entlink import elemlink
-    from entlink.markov import Policy
-
-    # m_star far beyond the truncation horizon, so the storage-bound
-    # wraparound never fires and the chain is effectively never-discard
-    p, t_req = 0.4, 3
+def _never_discard(p):
+    # m_star beyond every t_req below, so the storage bound never fires
     m = elemlink.ElemLinkModel(p, 200, np.concatenate([[0.0], np.ones(201)]))
-    pol = Policy.stationary(elemlink.cutoff_decision(m, math.inf))
-
-    def trace():
-        return W.hazard_trace(elemlink.build_mdp(m), pol, elemlink.g_vector(m), t_req)
-
-    h1, h2 = itertools.islice(trace(), 2)
-    assert h1 == pytest.approx(1 - (1 - p) ** (t_req + 1), abs=1e-12)
-    assert h2 == pytest.approx(p, abs=1e-12)
-    e, _ = W.elem_expected_general(trace())
-    assert e == pytest.approx(W.collective_expected_infty(1, p, t_req), abs=1e-8)
+    return m, elemlink.cutoff_decision(m, math.inf)
 
 
-def test_elem_expected_general_rejects_bad_trace():
+@pytest.mark.parametrize("p", [0.3, 0.4, 1e-3, 1e-6])
+def test_single_link_wait_matches_collective(p):
+    m, d = _never_discard(p)
+    for t_req in (0, 1, 3, 20, 150):
+        assert elemlink.expected_waiting_time(m, d, t_req) == pytest.approx(
+            W.collective_expected_infty(1, p, t_req), rel=1e-12, abs=0)
+
+
+def test_single_link_wait_rejects_bad_input():
+    m, d = _never_discard(0.3)
     with pytest.raises(ModelError):
-        W.elem_expected_general(itertools.repeat(1.5))
-    with pytest.raises(ModelError):
-        W.elem_expected_general(itertools.repeat(0.0))
+        elemlink.expected_waiting_time(m, d, -1)
+    never_request = d.table.copy()
+    never_request[0] = (1.0, 0.0)
+    with pytest.raises(ModelError, match="no finite wait"):
+        elemlink.expected_waiting_time(m, DecisionFunction(never_request), 2)
+    for p in (0.0, 5e-324):  # no regeneration, and a wait that overflows
+        m, d = _never_discard(p)
+        with pytest.raises(ModelError, match="no finite wait"):
+            elemlink.expected_waiting_time(m, d, 0)
+    # a link surely active at t_req + 1 waits one step, regenerating or not
+    m, d = _never_discard(1.0)
+    assert elemlink.expected_waiting_time(m, DecisionFunction(never_request), 0) == 1.0
 
 
 def test_virtual_expected():
