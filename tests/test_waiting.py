@@ -78,7 +78,7 @@ def _never_discard(p):
 @pytest.mark.parametrize("p", [0.3, 0.4, 1e-3, 1e-6])
 def test_single_link_wait_matches_collective(p):
     m, d = _never_discard(p)
-    for t_req in (0, 1, 3, 20, 150):
+    for t_req in (0, 1, 2, 3, 20, 150):
         assert elemlink.expected_waiting_time(m, d, t_req) == pytest.approx(
             W.collective_expected_infty(1, p, t_req), rel=1e-12, abs=0)
 
