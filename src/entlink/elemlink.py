@@ -198,7 +198,7 @@ def forward_recursion_decision(model: ElemLinkModel) -> DecisionFunction:
 
 def lp_optimal_steady(model: ElemLinkModel):
     """Best stationary steady-state expected value via the occupation LP."""
-    return _lp.mdp_occupation_lp(build_mdp(model), model.f, "max")
+    return _lp.mdp_occupation_lp(np.hstack(build_mdp(model).T), model.f, "max")
 
 
 def optimal_backward(model: ElemLinkModel, t: int):

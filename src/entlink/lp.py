@@ -1,24 +1,27 @@
 """Occupation-measure linear programs for MDPs, solved with HiGHS.
 
 `mdp_occupation_lp` builds the one LP every model here needs (Puterman
-1994, *Markov Decision Processes*, ch. 6-8).  Its variables z_a(s) >= 0
-are the occupation of state s under action a:
+1994, *Markov Decision Processes*, ch. 6-8), from the actions' matrices
+side by side, sparse or dense.  Its variables z_a(s) >= 0 are the
+occupation of state s under action a:
 
 - steady state (`initial=None`): the long-run fraction of steps spent in
   s choosing a, with sum_a (I - T^a) z_a = 0 and sum z = 1; the objective
   is the average reward;
-- absorbing (`initial` given): the expected number of visits to the
-  transient state s choosing a, with sum_a (I - Q^a) z_a = the transient
-  part of `initial`; the objective is the total reward until absorption.
+- one renewal cycle (`initial` given): the expected number of visits to s
+  choosing a before the cycle ends, with sum_a (I - K^a) z_a = `initial`,
+  where K^a is T^a with the mass that ends the cycle removed; the
+  objective is the total reward over the cycle.  The two-link model is
+  the one user: a swap attempt ends the cycle.
 
-The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform where a
-state carries no mass.  `solve` hands a `LinearProgram`'s CSC arrays
-straight to the HiGHS dual simplex solver that ships with scipy (Huangfu &
-Hall 2018, Math. Prog. Comp. 10), with the options
-`scipy.optimize.linprog(method="highs")` would pass, so HiGHS does the same
-computation and returns the same bits.  It then checks the answer as
-linprog did (no NaN, no entry below -10 sqrt(1e-9)) and against a tighter
-primal residual bound.
+The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform over the
+allowed actions where a state carries no mass.  `solve` hands a
+`LinearProgram`'s CSC arrays straight to the HiGHS dual simplex solver
+that ships with scipy (Huangfu & Hall 2018, Math. Prog. Comp. 10), with
+the options `scipy.optimize.linprog(method="highs")` would pass, so HiGHS
+does the same computation and returns the same bits.  It then checks the
+answer as linprog did (no NaN, no entry below -10 sqrt(1e-9)) and against
+a tighter primal residual bound.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from scipy import sparse
 # import), for a reason not found.
 from scipy.optimize import _highspy
 
-from .markov import DecisionFunction, Mdp, ModelError, NumericalError, absorbing_mask
+from .markov import DecisionFunction, ModelError, NumericalError
 
 highs = _highspy._core
 
@@ -89,6 +92,20 @@ class LinearProgram:
             self.A.sum_duplicates()
 
 
+def csc_from_entries(rows, cols, vals, shape) -> sparse.csc_array:
+    """The CSC array of vals at (rows, cols), zeros dropped, duplicates summed
+    in input order, int32 indices (HiGHS's HighsInt), built from the stably
+    sorted entries: scipy's COO conversion costs several times more."""
+    nonzero = np.asarray(vals) != 0
+    rows, cols, vals = (np.asarray(x)[nonzero] for x in (rows, cols, vals))
+    order = np.lexsort((rows, cols))
+    indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=shape[1])))
+    A = sparse.csc_array((vals[order], rows[order].astype(np.int32), indptr.astype(np.int32)),
+                         shape=shape)
+    A.sum_duplicates()
+    return A
+
+
 def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     """Optimal value and an optimal x, or NumericalError naming HiGHS's
     verdict ("infeasible", "unbounded" or "stopped early"), its model status
@@ -132,53 +149,64 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     return float(lp.objective @ x), x
 
 
-def mdp_occupation_lp(mdp: Mdp, reward, sense: str, initial=None
+def mdp_occupation_lp(K, reward, sense: str, initial=None, allowed=None
                       ) -> tuple[float, DecisionFunction]:
     """Best stationary average reward (`initial=None`), or best total reward
-    until absorption from `initial`, and a decision that attains it.
+    over one cycle from `initial`, and a decision that attains it.
 
-    `reward` is r(s), or r(a, s) with one row per action, and `initial` an
-    array, both over all states.  In the absorbing case only transient
-    states are read, and mass that `initial` puts on absorbing states earns
-    nothing.  The models here give feasible, bounded LPs (two links once
-    p1, p2, q > 0), so `solve` raises NumericalError for any other status.
+    K = [K^0 | K^1 | ...], dense or scipy.sparse, holds one (n, n) block per
+    action side by side: the column-stochastic T^a in steady state, or with
+    `initial` the K^a whose column s falls short of 1 by the chance that the
+    cycle ends when a is taken at s.  `reward` is r(s) or r(a, s), `initial`
+    an array over the n states, and `allowed`, a boolean (actions, n) array,
+    keeps the variable z_a(s) only where it is True (default: everywhere).
+    The models here give feasible, bounded LPs (two links once p1, p2,
+    q > 0), so `solve` raises NumericalError for any other status.
     """
-    na, n = mdp.T.shape[:2]
+    K = sparse.csc_array(K, dtype=float)
+    n = K.shape[0]
+    na = K.shape[1] // max(n, 1)
+    if n == 0 or K.shape[1] != na * n:
+        raise ModelError("mdp_occupation_lp: K must be (n, actions * n)")
     reward = np.asarray(reward, dtype=float)
     if reward.shape not in ((n,), (na, n)):
         raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
                          "(actions, n)")
+    allowed = np.ones((na, n), bool) if allowed is None else np.asarray(allowed, bool)
+    if allowed.shape != (na, n) or not allowed.any(axis=0).all():
+        raise ModelError("mdp_occupation_lp: allowed must be an (actions, n) mask "
+                         "with an action at every state")
     if initial is None:
-        keep = np.arange(n)
-        rhs = np.zeros(n)
+        rhs = np.append(np.zeros(n), 1.0)
     else:
-        absorbing = absorbing_mask(mdp)
-        if not absorbing.any():
-            raise ModelError("mdp_occupation_lp: no absorbing states")
-        keep = np.flatnonzero(~absorbing)
-        init = np.asarray(initial, dtype=float)
-        if init.size != n:
+        rhs = np.asarray(initial, dtype=float)
+        if rhs.shape != (n,):
             raise ModelError("mdp_occupation_lp: initial size mismatch")
-        rhs = init[keep]
-    k = keep.size
-    # column a*k + s of A is (I - T^a)[keep, s]; exact zeros are not stored
-    blocks = -mdp.T[:, keep[:, None], keep]
-    blocks[:, np.arange(k), np.arange(k)] += 1.0
-    act, row, col = np.nonzero(blocks)
-    data, col = blocks[act, row, col], act * k + col
-    if initial is None:
-        row = np.append(row, np.full(na * k, k))
-        col = np.append(col, np.arange(na * k))
-        data = np.append(data, np.ones(na * k))
-        rhs = np.append(rhs, 1.0)
-    # int32 indices, the width of HiGHS's HighsInt
-    A = sparse.csc_array((data, (row.astype(np.int32), col.astype(np.int32))),
-                         shape=(rhs.size, na * k))
-    c = np.broadcast_to(reward, (na, n))[:, keep].reshape(-1)
-    value, x = solve(LinearProgram(c, sense, A, rhs))
-    z = x.reshape(na, k)
+    if not K.has_canonical_format:
+        K = K.copy()
+        K.sum_duplicates()
+    # stacked column j = a*n + s of I - K is (I - K^a)[:, s]; A keeps the
+    # allowed ones, renumbered
+    c = np.repeat(np.arange(na * n), np.diff(K.indptr))
+    on = K.indices == c % n
+    diag = np.ones(na * n)
+    diag[c[on]] -= K.data[on]
+    row = np.append(K.indices[~on], np.tile(np.arange(n), na))
+    c = np.append(c[~on], range(na * n))
+    keep = allowed.ravel()[c]
+    row, column = row[keep], (np.cumsum(allowed.ravel()) - 1)[c[keep]]
+    data = np.append(-K.data[~on], diag)[keep]
+    k = int(allowed.sum())
+    if initial is None:  # the occupations sum to 1
+        row = np.append(row, np.full(k, n))
+        column = np.append(column, range(k))
+        data = np.append(data, np.ones(k))
+    A = csc_from_entries(row, column, data, (rhs.size, k))
+    value, x = solve(LinearProgram(np.broadcast_to(reward, (na, n))[allowed], sense, A, rhs))
+    z = np.zeros((na, n))
+    z[allowed] = x
     mass = z.sum(axis=0)
-    table = np.full((n, na), 1.0 / na)
+    table = allowed / allowed.sum(axis=0)  # uniform over the allowed actions
     hit = mass > 0
-    table[keep[hit]] = (z[:, hit] / mass[hit]).T
-    return value, DecisionFunction(table)
+    table[:, hit] = z[:, hit] / mass[hit]
+    return value, DecisionFunction(table.T)

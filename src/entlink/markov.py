@@ -2,6 +2,9 @@
 
 Conventions: matrices act on probability column vectors from the left,
 entry (s', s) is the transition probability s -> s'.  Columns sum to one.
+No model here has an absorbing state: the two-link model is a renewal
+process whose cycles end at a swap attempt (`twolink`), solved sparse
+there, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 PROB_TOL = 1e-12
-MASS_RTOL = 1e-8  # absorbed mass may differ from initial mass by this share
+MASS_RTOL = 1e-8  # the mass that ends a renewal cycle may miss 1 by this share
 
 
 class ModelError(ValueError):
@@ -196,49 +199,3 @@ def stationary_distribution(P: StochasticMatrix) -> ProbVector:
         raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")
     sol = np.clip(sol, 0.0, None)
     return ProbVector(sol / sol.sum())
-
-
-def absorbing_mask(mdp: Mdp) -> np.ndarray:
-    """True at the states no action leaves: under every action, the state's
-    column has no nonzero entry off the diagonal.  Column validation holds
-    that diagonal entry within PROB_TOL of 1 (a self-loop summed as
-    0.7 + 0.2 + 0.1 is 1 - 1.1e-16)."""
-    off = np.count_nonzero(mdp.T, axis=1) - (mdp.T.diagonal(axis1=1, axis2=2) != 0)
-    return ~np.any(off, axis=0)
-
-
-def absorbing_solve(mdp: Mdp, d: DecisionFunction, initial):
-    """Expected visits y = (I - Q)^{-1} |init> to the transient states
-    under d, and R, the transient -> absorbing block of P^d, both in index
-    order.  y.sum() is the expected number of steps to absorption and R @ y
-    the distribution over the absorbing states at absorption.
-
-    `initial` is over all states; only its transient entries are read, so
-    mass already absorbed contributes nothing.  Raises ModelError when
-    absorption is unreachable from the initial mass, NumericalError when the
-    solve breaks the mass balance 1^T R y = 1^T init.
-    """
-    init = np.asarray(initial, dtype=float)
-    if init.shape != (mdp.n,):
-        raise ModelError("absorbing_solve: initial vector size mismatch")
-    absorbing = absorbing_mask(mdp)
-    P = policy_matrix(mdp, d).entries[:, ~absorbing]  # the transient columns
-    R = P[absorbing]
-    if not R.any():  # checked first: the solve would call this ill-conditioned
-        raise ModelError("absorbing_solve: absorption unreachable from any state")
-    init = init[~absorbing]
-    try:
-        y = np.linalg.solve(np.eye(init.size) - P[~absorbing], init)
-    except np.linalg.LinAlgError:  # I - Q exactly singular: some mass never leaves
-        y = np.full(init.size, np.nan)
-    if not np.all(np.isfinite(y)):
-        raise ModelError("absorbing_solve: absorption unreachable from initial mass")
-    mass = init.sum()
-    absorbed = R.sum(axis=0) @ y
-    if abs(absorbed - mass) > MASS_RTOL * mass:
-        raise NumericalError(
-            f"absorbing_solve: ill-conditioned, absorbed mass {absorbed:.12g} "
-            f"differs from initial mass {mass:.12g}")
-    if np.any(y < -1e-9 * np.abs(y).max(initial=0.0)):
-        raise ModelError("absorbing_solve: absorption unreachable from initial mass")
-    return y, R

@@ -17,7 +17,7 @@ import numpy as np
 
 from .elemlink import ElemLinkModel, build_mdp, g_vector
 from .markov import ModelError, Policy, policy_matrix
-from .twolink import TwoLinkModel, build_two_link_mdp, initial_distribution
+from .twolink import TwoLinkModel, initial_distribution, policy_kernel
 
 RNG_ALGORITHM = "PCG64"
 
@@ -106,17 +106,27 @@ def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
 
 
 def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
-    """Sample absorption of the two-link chain under a stationary decision.
-    Returns waiting-time samples and f-at-absorption samples; trajectories
-    that exhaust the horizon are reported, never silently dropped."""
+    """Sample the two-link chain under a stationary decision until a swap
+    succeeds.  Returns waiting-time samples and samples of f of the
+    end-to-end link; trajectories that exhaust the horizon are reported,
+    never silently dropped."""
     rng = cfg.rng()
-    mdp = build_two_link_mdp(model)
-    cum, succ = _successor_table(policy_matrix(mdp, d).entries)
-    # a step from s into done lands on n + s instead, so a finished
-    # trajectory keeps the state it swapped from, whose f it collected
-    table = cum, np.where(succ == model.done, model.n + np.arange(succ.size) % model.n, succ)
-    init = initial_distribution(model).entries
-    states = rng.choice(model.n, size=cfg.trials, p=init)
+    n, N = model.n, model.n + 1
+    (rows, cols, vals), S = policy_kernel(model, d)
+    g = initial_distribution(model).entries
+    # P^d with an absorbing state appended at n, each entry summed in action
+    # order: an attempt at s, the last action, moves q S_s there and
+    # restarts (1 - q) S_s from g
+    P = np.zeros((N, N))
+    np.add.at(P, (rows, cols), vals)
+    P[:n, :n] += np.outer((1 - model.q) * g, S)
+    P[n, :n] = model.q * S
+    P[n, n] = 1.0
+    cum, succ = _successor_table(P)
+    # a step from s into the absorbing state lands on N + s instead, so a
+    # finished trajectory keeps the state it swapped from, whose f it collected
+    table = cum, np.where(succ == n, N + np.arange(succ.size) % N, succ)
+    states = rng.choice(N, size=cfg.trials, p=np.append(g, 0.0))
     waits = np.zeros(cfg.trials, dtype=np.int64)
     # step only the running trajectories: run holds their trial ids and cur
     # their states, both in trial order, which fixes the uniform each draws
@@ -126,7 +136,7 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
         if not run.size:
             break
         cur = _step(table, cur, rng.random(run.size))
-        fin = cur >= model.n
+        fin = cur >= N
         ids = run[fin]
         states[ids] = cur[fin]
         waits[ids] = t
@@ -134,7 +144,7 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
         run, cur = run[keep], cur[keep]
     done = waits > 0
     return {"wait_samples": waits[done],
-            "f_samples": model.f[1].reshape(-1)[states[done] - model.n],
+            "f_samples": model.f[1].reshape(-1)[states[done] - N],
             "exhausted": run.size, "rng": RNG_ALGORITHM}
 
 

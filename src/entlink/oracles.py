@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the selftest and the test
 suite.  Nothing here shares code paths with the implementations it checks:
 stationary vectors come from an eigendecomposition, optimal policies from
-exhaustive enumeration or Howard's policy iteration, finite-horizon
+exhaustive enumeration or Howard's policy iteration (for two links on an
+explicit dense absorbing chain, not the renewal form), finite-horizon
 optima from a literal history-indexed recursion, and the heralded
 satellite link from an explicit beamsplitter dilation on truncated Fock
 spaces.
@@ -15,8 +16,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix, absorbing_mask
+from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix
 from .qstate import bell, partial_trace, permute_subsystems
+from .twolink import SWAP, TwoLinkModel
 
 
 def stationary_eig(P: StochasticMatrix) -> np.ndarray:
@@ -98,16 +100,42 @@ def random_decision(rng, n_states: int, n_actions: int) -> DecisionFunction:
     return DecisionFunction(table)
 
 
+def two_link_absorbing_chain(model: TwoLinkModel):
+    """The two-link model as an absorbing MDP, built densely: the n1*n2
+    states, then one absorbing state `done`.  Action "ab" is the Kronecker
+    product of the links' matrices; "swap" moves q to `done` and restarts
+    both links with the rest at a both-active state, and waits on both
+    elsewhere.  Returns the MDP, the reward q f(m1, m2) a swap collects, and
+    the start distribution over all states."""
+    links = [ElemLinkModel(p, m, np.zeros(m + 2))
+             for p, m in ((model.p1, model.m1_star), (model.p2, model.m2_star))]
+    (T1, g1), (T2, g2) = [(build_mdp(link).T, g_vector(link).entries) for link in links]
+    done = model.n
+    T = np.zeros((SWAP + 1, done + 1, done + 1))
+    for k in range(SWAP + 1):
+        a1, a2 = divmod(k, 2) if k != SWAP else (WAIT, WAIT)
+        T[k, :done, :done] = np.kron(T1[a1], T2[a2])
+    T[:, done, done] = 1.0
+    both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
+    T[SWAP][:done, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
+    T[SWAP][done, both] = model.q
+    reward = np.zeros((SWAP + 1, done + 1))
+    reward[SWAP, :done] = model.q * model.f[1].reshape(-1)
+    return Mdp(T), reward, np.append(np.kron(g1, g2), 0.0)
+
+
 def policy_iteration_absorbing(mdp: Mdp, reward, sense: str, initial) -> float:
     """Best total reward until absorption from `initial`, by Howard's policy
     iteration (Howard 1960): evaluate with (I - Q)^{-1}, then switch each
-    state to its greedy action where that is strictly better.  `reward` is
-    r(s) or r(a, s) over all states, as for `lp.mdp_occupation_lp`.  The
-    start is the uniform decision, which must reach absorption."""
-    tra = np.flatnonzero(~absorbing_mask(mdp))
+    state to its greedy action where that is strictly better.  A state is
+    absorbing when no action moves mass off it; `reward` is r(s) or r(a, s)
+    over all states.  The start is the uniform decision, which must reach
+    absorption."""
+    n = mdp.n
+    tra = np.flatnonzero(np.any(mdp.T * (1 - np.eye(n)) != 0, axis=(0, 1)))
     na = len(mdp.T)
     sign = 1.0 if sense == "max" else -1.0
-    r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, mdp.n))[:, tra]
+    r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, n))[:, tra]
     Q = mdp.T[:, tra[:, None], tra]
     table = np.full((len(tra), na), 1.0 / na)
     for _ in range(1000):

@@ -39,7 +39,10 @@ class DensityOperator:
             raise QuantumError("DensityOperator: not square")
         if not np.isfinite(mat).all():  # NaN would pass the tests below
             raise QuantumError("DensityOperator: non-finite entries")
-        work = np.conj(mat.T)  # the one work buffer of the checks below
+        # the one work buffer of the checks below, in C order like mat: the
+        # F-ordered np.conj(mat.T) would mix strides in every later pass
+        work = np.empty(mat.shape, dtype=complex)
+        np.conj(mat.T, out=work)
         np.subtract(mat, work, out=work)
         if np.max(np.abs(work)) > HERM_TOL:
             raise QuantumError("DensityOperator: not Hermitian")
@@ -275,18 +278,33 @@ def swap_chain_channel(rho_joint: DensityOperator, n: int, d: int) -> DensityOpe
     return DensityOperator(out, (dA, dB))
 
 
-def swap_fidelity(bell_overlaps) -> float:
-    """Closed-form post-swap fidelity to |Phi> from per-link Bell-overlap
-    tables; table i has entry [z, x] = <Phi^{z,x}|rho_i|Phi^{z,x}>."""
-    tables = [np.asarray(t, dtype=float) for t in bell_overlaps]
-    if len(tables) < 2:
-        raise QuantumError("swap_fidelity: need at least two links")
-    d = tables[0].shape[0]
+def _overlap_tables(tables, what, shape=None):
+    """The tables as float arrays whose last axes have `shape` (default:
+    square, the size of the first table's last axis), with entries
+    >= -1e-12 and each table summing to at most 1 + 1e-9 (NaN fails);
+    leading axes are batch axes."""
+    tables = [np.asarray(t, dtype=float) for t in tables]
+    if shape is None:
+        shape = (np.shape(tables[0])[-1:] or (0,)) * 2
+    axes = tuple(range(-len(shape), 0))
     for t in tables:
-        if t.shape != (d, d):
-            raise QuantumError("swap_fidelity: inconsistent table shapes")
-        if not (np.all(t >= -1e-12) and t.sum() <= 1 + 1e-9):  # NaN fails too
-            raise QuantumError("swap_fidelity: malformed overlap table")
+        if t.shape[t.ndim - len(shape):] != shape:
+            raise QuantumError(f"{what}: inconsistent table shapes")
+        if not ((t >= -1e-12).all() and (t.sum(axis=axes) <= 1 + 1e-9).all()):
+            raise QuantumError(f"{what}: malformed overlap table")
+    return tables
+
+
+def swap_fidelity(bell_overlaps):
+    """Closed-form post-swap fidelity to |Phi> from per-link Bell-overlap
+    tables; table i has entry [..., z, x] = <Phi^{z,x}|rho_i|Phi^{z,x}>.
+    Leading batch axes broadcast and give an array of fidelities."""
+    if len(bell_overlaps) < 2:
+        raise QuantumError("swap_fidelity: need at least two links")
+    # [z, x] first, so that an unbatched entry is a scalar, not a 0-d array
+    tables = [t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+              for t in _overlap_tables(bell_overlaps, "swap_fidelity")]
+    d = tables[0].shape[0]
     n = len(tables) - 1
     total = 0.0
     for pairs in itertools.product(itertools.product(range(d), range(d)), repeat=n):
@@ -294,9 +312,9 @@ def swap_fidelity(bell_overlaps) -> float:
         xp = (-sum(x for _, x in pairs)) % d
         term = tables[0][zp, xp]
         for j, (z, x) in enumerate(pairs):
-            term *= tables[j + 1][z, x]
-        total += term
-    return float(total)
+            term = term * tables[j + 1][z, x]
+        total = total + term
+    return float(total) if np.ndim(total) == 0 else total
 
 
 _CNOT = np.array([[1, 0, 0, 0],
@@ -334,10 +352,10 @@ def ghz_swap_channel(rho_joint: DensityOperator, n: int) -> DensityOperator:
 def ghz_swap_fidelity(z_overlaps) -> float:
     """Prop-style GHZ fidelity from per-link values <Phi^{z,0}|rho_i|Phi^{z,0}>,
     given as a list of length-2 arrays (index z)."""
-    tables = [np.asarray(t, dtype=float) for t in z_overlaps]
-    n = len(tables) - 1
+    n = len(z_overlaps) - 1
     if n < 1:
         raise QuantumError("ghz_swap_fidelity: need at least two links")
+    tables = _overlap_tables(z_overlaps, "ghz_swap_fidelity", (2,))
     total = 0.0
     for zs in itertools.product(range(2), repeat=n):
         term = tables[0][sum(zs) % 2]
@@ -375,9 +393,9 @@ def graph_dist_fidelity(overlap_tables, adjacency) -> float:
     <Phi^{z,x}|rho_i|Phi^{z,x}> for the i-th pair."""
     A = np.asarray(adjacency)
     n = A.shape[0]
-    tables = [np.asarray(t, dtype=float) for t in overlap_tables]
-    if len(tables) != n:
+    if len(overlap_tables) != n:
         raise QuantumError("graph_dist_fidelity: need one table per vertex")
+    tables = _overlap_tables(overlap_tables, "graph_dist_fidelity", (2, 2))
     total = 0.0
     for xs in itertools.product(range(2), repeat=n):
         zs = A @ np.array(xs) % 2
@@ -389,10 +407,14 @@ def graph_dist_fidelity(overlap_tables, adjacency) -> float:
 
 
 def bell_overlap_table(rho, d: int) -> np.ndarray:
-    """[z, x] -> <Phi^{z,x}|rho|Phi^{z,x}>; rho a DensityOperator or matrix."""
-    basis = bell_basis(d)
-    return np.array([[fidelity_to_pure(rho, basis[x * d + z]) for x in range(d)]
-                     for z in range(d)])
+    """[..., z, x] -> <Phi^{z,x}|rho|Phi^{z,x}>; rho a DensityOperator, a
+    matrix or a stack of matrices (leading batch axes)."""
+    mat = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    if mat.shape[-2:] != (d * d, d * d):
+        raise QuantumError("bell_overlap_table: dimension mismatch")
+    basis = bell_basis(d)  # row x*d + z
+    overlaps = np.sum((basis.conj() @ mat) * basis, axis=-1).real
+    return overlaps.reshape(*mat.shape[:-2], d, d).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +440,8 @@ def bbpssw_instrument(rho1: DensityOperator, rho2: DensityOperator):
     for xa, xb in ((0, 0), (1, 1)):
         K = np.kron(_K_meas(xa), _K_meas(xb))  # (A1A2 -> A1) (x) (B1B2 -> B1)
         succ += K @ m @ K.conj().T
+    # twirled inputs give p = (8/9) F1 F2 - (2/9)(F1 + F2) + 5/9 >= 1/3
     p = float(np.real(np.trace(succ)))
-    if p <= 0:
-        raise QuantumError("bbpssw_instrument: zero success probability")
     return p, DensityOperator(succ / p, (2, 2))
 
 

@@ -211,6 +211,8 @@ def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
     """Coherence time in heralding steps of duration 2d/c."""
     if not d_km > 0:
         raise SatError("coherence_steps: d must be positive")
+    if not 0 < t_coh_seconds < math.inf:  # NaN fails too
+        raise SatError("coherence_steps: t_coh must be positive and finite")
     return t_coh_seconds * C_KM_PER_S / (2 * d_km)
 
 

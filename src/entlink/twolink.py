@@ -1,27 +1,33 @@
-"""Two neighboring links plus entanglement swapping as one MDP.
+"""Two neighboring links plus entanglement swapping, in renewal form.
 
-The transient states (m1, m2), at positions idx(m1, m2), hold the age m_j
-of link j (-1 when inactive).  Actions "00", "01", "10", "11" regenerate
-the requested links (first digit = link 1), "swap" attempts the joining
-measurement with success probability q.  Success moves the mass to the one
-absorbing state, at position `done` = n1*n2 after every transient state;
-the fidelity it collects, f(m1, m2), is a reward of the swap action.
+The states (m1, m2), at positions idx(m1, m2), hold the age m_j of link j
+(-1 when inactive).  Actions "00", "01", "10", "11" regenerate the
+requested links (first digit = link 1).  "swap" attempts the joining
+measurement at a both-active state and is "00" anywhere else.  An attempt
+succeeds with probability q, and a failure regenerates both links from
+g = g1 (x) g2, the start distribution.  So the process is a run of i.i.d.
+cycles, each from g to the first swap attempt (Brand, Coopmans & Elkouss
+2020, IEEE JSAC 38(3)), and no state is absorbing.
+
+Under a decision d, S_s is the chance that d attempts the swap at s and K^d
+is P^d with that attempt mass removed.  The expected visits of one cycle,
+z = (I - K^d)^{-1} g, satisfy S.z = 1; the expected wait is 1^T z / q
+(Wald's identity) and the expected fidelity of the end-to-end link is
+sum_s S_s f(s) z_s.  The LPs are sum_a (I - K^a) z_a = g, z >= 0, with swap
+variables at the both-active states only, so q enters no solve.  Each K^a
+is a sparse Kronecker product of the two links' own matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
-from .markov import (
-    DecisionFunction,
-    Mdp,
-    ModelError,
-    ProbVector,
-    absorbing_solve,
-)
+from .markov import MASS_RTOL, DecisionFunction, ModelError, NumericalError, ProbVector
 from . import lp as _lp
 from .elemlink import WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
@@ -30,6 +36,7 @@ from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
 ACTIONS = ("00", "01", "10", "11", "swap")  # the names of the action positions
 SWAP = 4
 TARGET_TOL = 1e-10  # |Phi> up to a phase: unit norm and |<Phi|target>| = 1
+LP_RTOL = 1e-9  # an LP's value may differ from its decision's value by this share
 
 
 @dataclass(frozen=True)
@@ -70,15 +77,17 @@ class TwoLinkModel:
         return self.m2_star + 2
 
     @property
-    def done(self):
-        return self.n1 * self.n2
-
-    @property
     def n(self):
-        return self.done + 1
+        return self.n1 * self.n2
 
     def idx(self, m1, m2):
         return (m1 + 1) * self.n2 + (m2 + 1)
+
+    @cached_property
+    def blocks(self):
+        """[K^00 | K^01 | K^10 | K^11 | K^swap], the five actions' blocks side
+        by side as one read-only (n, 5n) CSC array, built on first use."""
+        return _stacked_blocks(self)
 
 
 def uniform_f_table(m1_star, m2_star):
@@ -97,54 +106,72 @@ def _links(model: TwoLinkModel):
             for p, m_star in ((model.p1, model.m1_star), (model.p2, model.m2_star))]
 
 
-def build_two_link_mdp(model: TwoLinkModel) -> Mdp:
-    """Kronecker products of the links' matrices on the transient states:
-    action "ab", at position 2a + b, applies a to link 1 and b to link 2
-    (WAIT = 0, REQUEST = 1); "swap" waits on both unless both are active,
-    then succeeds with probability q (to `done`) or regenerates both.  Every
-    action leaves `done` in place."""
-    done = model.done
-    (T1, g1), (T2, g2) = [(build_mdp(link).T, g_vector(link).entries)
-                          for link in _links(model)]
-    T = np.zeros((len(ACTIONS), model.n, model.n))
+def _both_active(model: TwoLinkModel) -> np.ndarray:
+    """True at the states where both links are active, in index order."""
+    return np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0).ravel()
+
+
+def _stacked_blocks(model: TwoLinkModel):
+    """Action "ab", at position 2a + b, applies a to link 1 and b to link 2
+    (WAIT = 0, REQUEST = 1): over the nonzeros v1 at (r1, c1) and v2 at
+    (r2, c2) of the links' matrices, K^ab has v1 v2 at (r1 n2 + r2,
+    c1 n2 + c2), and no n x n block is formed.  K^swap is K^00 with the
+    both-active columns empty, since an attempt ends the cycle."""
+    T1, T2 = [build_mdp(link).T for link in _links(model)]
+    n, both = model.n, _both_active(model)
+    rows, cols, vals = [], [], []
     for k in range(len(ACTIONS)):
         a1, a2 = divmod(k, 2) if k != SWAP else (WAIT, WAIT)
-        T[k, :done, :done] = np.kron(T1[a1], T2[a2])
-    T[:, done, done] = 1.0
-    both = np.flatnonzero(np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0))
-    T[SWAP][:done, both] = (1 - model.q) * np.kron(g1, g2)[:, None]
-    T[SWAP][done, both] = model.q
-    T.setflags(write=False)  # so that Mdp holds it without a copy
-    return Mdp(T)
+        (r1, c1), (r2, c2) = np.nonzero(T1[a1]), np.nonzero(T2[a2])
+        c = np.add.outer(c1 * model.n2, c2).ravel()
+        keep = ~both[c] if k == SWAP else slice(None)
+        rows.append(np.add.outer(r1 * model.n2, r2).ravel()[keep])
+        cols.append(k * n + c[keep])
+        vals.append(np.multiply.outer(T1[a1][r1, c1], T2[a2][r2, c2]).ravel()[keep])
+    K = _lp.csc_from_entries(*map(np.concatenate, (rows, cols, vals)), (n, len(ACTIONS) * n))
+    for a in (K.data, K.indices, K.indptr):
+        a.setflags(write=False)
+    return K
 
 
 def initial_distribution(model: TwoLinkModel) -> ProbVector:
-    """Both links freshly requested at t=1, end-to-end link not yet formed."""
+    """g = g1 (x) g2: both links freshly requested at t = 1, which is also
+    where a failed swap attempt restarts them."""
     g1, g2 = [g_vector(link).entries for link in _links(model)]
-    v = np.zeros(model.n)
-    v[:model.done] = np.kron(g1, g2)
-    return ProbVector(v)
+    return ProbVector(np.kron(g1, g2))
+
+
+def policy_kernel(model: TwoLinkModel, d: DecisionFunction):
+    """K^d = sum_a K^a D_a as entries (rows, cols, vals), those of the K^a
+    scaled by d, in action order (swap last) and not summed, and S, the
+    chance that d attempts the swap at each state."""
+    if d.table.shape != (model.n, len(ACTIONS)):
+        raise ModelError(f"policy_kernel: decision table shape {d.table.shape} does "
+                         f"not match ({model.n}, {len(ACTIONS)})")
+    B = model.blocks
+    cols = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))
+    return ((B.indices, cols % model.n, B.data * d.table.T.ravel()[cols]),
+            d.table[:, SWAP] * _both_active(model))
 
 
 def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
                             sigma2_0: DensityOperator, mem2: KrausChannel,
                             target, m1_star: int, m2_star: int) -> np.ndarray:
     """f(1, m1, m2) = fidelity to the target of the link swapped from link j
-    aged m_j steps: the closed form `swap_fidelity` over the two links'
-    Bell-overlap tables.  The target must be |Phi> = bell(d) up to a phase."""
+    aged m_j steps: the closed form `swap_fidelity`, in one batched call over
+    the two links' Bell-overlap tables of every age.  The target must be
+    |Phi> = bell(d) up to a phase."""
     d = int(round(math.sqrt(sigma1_0.dim)))
     phi, target = bell(d), np.asarray(target, dtype=complex)
     if (target.shape != phi.shape or abs(np.linalg.norm(target) - 1) > TARGET_TOL
             or abs(abs(np.vdot(phi, target)) - 1) > TARGET_TOL):
         raise QuantumError("two_link_f_from_physics: target must be bell(d) "
                            "up to a global phase")
-    T1, T2 = [[bell_overlap_table(s, d) for s in aged_states(sigma, mem, m_star)]
+    T1, T2 = [bell_overlap_table(np.array(aged_states(sigma, mem, m_star)), d)
               for sigma, mem, m_star in ((sigma1_0, mem1, m1_star),
                                          (sigma2_0, mem2, m2_star))]
     f = np.zeros((2, m1_star + 2, m2_star + 2))
-    for m1, t1 in enumerate(T1):
-        for m2, t2 in enumerate(T2):
-            f[1, m1 + 1, m2 + 1] = np.clip(swap_fidelity([t1, t2]), 0.0, 1.0)
+    f[1, 1:, 1:] = np.clip(swap_fidelity([T1[:, None], T2[None]]), 0.0, 1.0)
     return f
 
 
@@ -160,53 +187,82 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
     m1, m2 = np.arange(-1, model.m1_star + 1)[:, None], np.arange(-1, model.m2_star + 1)
     swap = (m1 >= 0) & (m1 <= t1_star) & (m2 >= 0) & (m2 <= t2_star)
     ab = 2 * ((m1 < 0) | (m1 >= t1_star)) + ((m2 < 0) | (m2 >= t2_star))
-    # every action leaves `done` in place, so it takes "swap" too
-    return DecisionFunction.deterministic(np.append(np.where(swap, SWAP, ab), SWAP), len(ACTIONS))
+    return DecisionFunction.deterministic(np.where(swap, SWAP, ab).ravel(), len(ACTIONS))
 
 
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
-    """Expected absorption time and expected f at absorption under d."""
-    y, R = absorbing_solve(build_two_link_mdp(model), d,
-                           initial_distribution(model).entries)
-    if len(R) > 1:  # p1 = p2 = 0: (-1, -1) absorbs too, no link ever forms
-        raise ModelError("evaluate_policy: the end-to-end link is unreachable")
-    return float(y.sum()), float(model.f[1].reshape(-1) @ (R[0] * y))
+    """Expected waiting time and expected f of the end-to-end link under d:
+    the ratios 1^T z / (q S.z) and sum_s S_s f(s) z_s / S.z, whose division
+    by S.z (= 1 exactly) cancels the solve's scale error at small p.  Raises
+    ModelError when some start mass never ends its cycle, NumericalError
+    when S.z misses 1 by more than MASS_RTOL."""
+    if model.q <= 0:
+        raise ModelError("evaluate_policy: the end-to-end link is unreachable (q = 0)")
+    (rows, cols, vals), S = policy_kernel(model, d)
+    n = model.n
+    # the diagonal of I - K^d as the off-diagonal column sum plus S, not as
+    # 1 - K_ss, which cancels near 1 (Grassmann, Taksar & Heyman 1985)
+    off = rows != cols
+    diag = np.bincount(cols[off], weights=vals[off], minlength=n) + S
+    A = _lp.csc_from_entries(np.append(rows[off], range(n)), np.append(cols[off], range(n)),
+                             np.append(-vals[off], diag), (n, n))
+    try:
+        z = splu(A).solve(initial_distribution(model).entries)
+    except RuntimeError:  # exactly singular: some mass never leaves
+        z = np.full(n, np.nan)
+    if not np.all(np.isfinite(z)) or np.any(z < -1e-9 * np.abs(z).max()):
+        raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
+    exits = S * z  # summed alike below, so that f <= 1 gives E[f] <= 1
+    mass = exits.sum()
+    if abs(mass - 1) > MASS_RTOL:
+        raise NumericalError(f"evaluate_policy: ill-conditioned, the cycle's exit mass "
+                             f"{mass:.12g} differs from 1")
+    return (float(z.sum() / (model.q * mass)),
+            float((model.f[1].reshape(-1) * exits).sum() / mass))
 
 
-def swap_reward(model: TwoLinkModel) -> np.ndarray:
-    """r(a, s), shape (actions, n): the f that action a at s collects on
-    absorption, q f(m1, m2) for "swap" and 0 otherwise."""
-    r = np.zeros((len(ACTIONS), model.n))
-    r[SWAP, :model.done] = model.q * model.f[1].reshape(-1)
-    return r
+def _renewal_lp(model: TwoLinkModel, reward, sense, what):
+    """The renewal LP's decision and its `evaluate_policy` value (the wait
+    for "min", f for "max"), or NumericalError when the LP's own value is
+    further than LP_RTOL from that: at small p HiGHS can call a wrong
+    optimum optimal."""
+    if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
+        raise ModelError(f"{what}: needs q, p1, p2 > 0")
+    allowed = np.ones((len(ACTIONS), model.n), bool)
+    allowed[SWAP] = _both_active(model)
+    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense,
+                                     initial_distribution(model).entries, allowed)
+    wait, f = evaluate_policy(model, d)
+    value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
+    if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too
+        raise NumericalError(f"{what}: the LP value {value!r} differs from the value "
+                             f"{evaluated!r} of its decision")
+    return evaluated, d
 
 
 def lp_optimal_value(model: TwoLinkModel):
-    """Best stationary expected f at absorption, via the absorbing
-    occupation LP with the reward `swap_reward`."""
-    if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
-        raise ModelError("lp_optimal_value: needs q, p1, p2 > 0")
-    return _lp.mdp_occupation_lp(build_two_link_mdp(model), swap_reward(model),
-                                 "max", initial_distribution(model).entries)
+    """Best stationary expected f of the end-to-end link, the most
+    sum_s f(s) z_swap(s), and a decision that attains it."""
+    reward = np.zeros((len(ACTIONS), model.n))
+    reward[SWAP] = model.f[1].reshape(-1)
+    return _renewal_lp(model, reward, "max", "lp_optimal_value")
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):
-    """Minimum expected steps to form the end-to-end link, over stationary
-    policies, from the fresh-request start."""
-    if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
-        raise ModelError("lp_optimal_waiting_time: needs q, p1, p2 > 0")
-    mdp = build_two_link_mdp(model)
-    return _lp.mdp_occupation_lp(mdp, np.ones(model.n), "min",
-                                 initial_distribution(model).entries)
+    """Minimum expected steps to form the end-to-end link over stationary
+    policies, from the fresh-request start (the least 1^T z, over q), and a
+    decision that attains it."""
+    return _renewal_lp(model, np.ones(model.n), "min", "lp_optimal_waiting_time")
 
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:
-    """Known closed form for equal links under the joint cutoff rule."""
+    """Known closed form for equal links under the joint cutoff rule, with
+    u = 1 - (1 - p)^t* computed without cancellation:
+    (1 + 2u(1 - p)) / (q p (p + 2u(1 - p)))."""
     if not (0 < p <= 1 and 0 < q <= 1):
         raise ModelError("analytic_symmetric_waiting_time: p, q must lie in (0, 1]")
     if not isinstance(t_star, (int, np.integer)) or t_star < 0:
         raise ModelError("analytic_symmetric_waiting_time: t_star must be an integer >= 0")
-    r = (1 - p) ** t_star
-    num = 3 - 2 * p * (1 - r) - 2 * r
-    den = q * p * (2 - p * (1 - 2 * r) - 2 * r)
-    return num / den
+    u = float(t_star > 0) if p == 1 else -math.expm1(t_star * math.log1p(-p))
+    v = 2 * u * (1 - p)
+    return (1 + v) / (q * p * (p + v))

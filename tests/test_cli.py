@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -140,14 +141,13 @@ def _small_p(command, p, *extra):
 
 
 NUMERICAL_FAILURES = {
-    "ill-conditioned-absorbing-solve": _small_p("evaluate", "1e-6", "--t1-star", "2",
-                                                "--t2-star", "2"),
     "highs-stopped-early": _small_p("lp-waiting", "1e-4"),
     # HiGHS reports optimal, but the primal residual check fails
     "lp-waiting-residual": _small_p("lp-waiting", "1e-5"),
     # HiGHS calls an LP bounded by 1 unbounded
     "lp-fidelity-unbounded": _small_p("lp-fidelity", "1e-5", "--t-coh", "12"),
-    # the start state's self-loop is 1 - 2e-13: not absorbing, however close to 1
+    # the start state's self-loop is 1 - 2e-13; the cycle's exit mass comes
+    # out 1e-3 short of 1
     "evaluate-p-1e-13": _small_p("evaluate", "1e-13", "--t1-star", "2", "--t2-star", "2"),
     "lp-waiting-p-1e-13": _small_p("lp-waiting", "1e-13"),
 }
@@ -163,9 +163,34 @@ def test_numerical_failure_exit_code_3(args, run):
 
 
 def test_numerical_failure_exits_3_from_the_process():
-    r = run_cli(NUMERICAL_FAILURES["ill-conditioned-absorbing-solve"])
+    r = run_cli(NUMERICAL_FAILURES["evaluate-p-1e-13"])
     assert r.returncode == 3, r.stderr
     assert json.loads(r.stderr)["error"] == "numerical"
+
+
+def test_evaluate_at_small_p_is_exact(run):
+    # the absorbing solve exited 3 here (and was off by 1.1e-11 at p = 1e-3)
+    r = run(_small_p("evaluate", "1e-6", "--t1-star", "2", "--t2-star", "2"))
+    assert r.returncode == 0, r.stderr
+    row = next(csv.DictReader(r.stdout.splitlines()))
+    p, q = Fraction(1e-6), Fraction(1, 2)
+    rr = (1 - p) ** 2
+    exact = (3 - 2 * p * (1 - rr) - 2 * rr) / (q * p * (2 - p * (1 - 2 * rr) - 2 * rr))
+    assert abs(Fraction(row["expected_waiting"]) / exact - 1) <= 1e-9
+    assert float(row["f_at_absorption"]) == 1.0
+
+
+@pytest.mark.parametrize("p", ["1e-6", "1e-3"])
+def test_lp_fidelity_is_right_or_exits_3(p, run):
+    # at p = 1e-6 the absorbing LP printed 0.9231877689426496 with exit 0,
+    # and at p = 1e-3 1.000000000054378; the exact optimum is f(0, 0) = 1
+    r = run(_small_p("lp-fidelity", p, "--t-coh", "12"))
+    if r.returncode == 3:
+        assert json.loads(r.stderr)["error"] == "numerical" and r.stdout == ""
+    else:
+        assert r.returncode == 0, r.stderr
+        value = float(r.stdout.split()[-1])
+        assert abs(value - 1) <= 1e-9 and value <= 1
 
 
 def test_bad_config_exit_code_2(tmp_path, run):

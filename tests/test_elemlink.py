@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from entlink import elemlink as E
 from entlink import oracles, qstate
-from entlink.markov import Mdp, ModelError, Policy, absorbing_solve, evolve, policy_matrix
+from entlink.markov import ModelError, Policy, evolve, policy_matrix
 
 
 def model(p, f_vals):
@@ -128,10 +128,11 @@ def test_waiting_time_vs_absorbing_chain(rng):
         m = E.ElemLinkModel(p, ms, np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
         d = oracles.random_decision(rng, m.n, 2)
         t_req = int(rng.integers(0, 12))
-        T = E.build_mdp(m).T.copy()
-        T[:, :, 1:] = np.eye(m.n)[:, 1:]
+        # the one transient state is the inactive one, whose self-loop
+        # under d is Q = 1 - r: y = (1 - Q)^{-1} start[inactive]
+        P = policy_matrix(E.build_mdp(m), d).entries
         start = evolve(E.build_mdp(m), Policy.stationary(d), E.g_vector(m), t_req + 1)
-        y, _ = absorbing_solve(Mdp(T), d, start.entries)
+        y = np.linalg.solve(np.eye(1) - P[:1, :1], start.entries[:1])
         assert E.expected_waiting_time(m, d, t_req) == pytest.approx(
             1 + y.sum(), rel=1e-9, abs=0)
 

@@ -11,7 +11,6 @@ from entlink import lp as L
 from entlink import twolink as TL
 from entlink.markov import (
     Mdp,
-    absorbing_solve,
     policy_matrix,
     stationary_distribution,
 )
@@ -210,7 +209,7 @@ def test_steady_state_lp_vs_exhaustive(rng):
         n, na = int(rng.integers(2, 5)), 2
         mdp = random_mdp(rng, n, na)
         f = rng.uniform(0, 1, n)
-        value, d = L.mdp_occupation_lp(mdp, f, "max")
+        value, d = L.mdp_occupation_lp(np.hstack(mdp.T), f, "max")
         best = -np.inf
         for dd in deterministic_decisions(n, na):
             s = stationary_distribution(policy_matrix(mdp, dd))
@@ -223,7 +222,20 @@ def test_steady_state_lp_vs_exhaustive(rng):
 
 def _absorbed_f_reward(mdp, f):
     # f vanishes on transient states: f @ T^a is the f collected on absorption
-    return [f @ T for T in mdp.T]
+    return np.array([f @ T for T in mdp.T])
+
+
+def _visits(K, d, init):
+    """Expected visits (I - K^d)^{-1} init, K the transient blocks (dense)."""
+    Kd = np.einsum("ats,sa->ts", K, d.table)
+    return np.linalg.solve(np.eye(len(init)) - Kd, init)
+
+
+def _transient(mdp, nt):
+    """The renewal form of an absorbing MDP whose first nt states are
+    transient: the blocks K^a = T^a on them, with absorption ending the
+    cycle, as an (actions, nt, nt) array."""
+    return mdp.T[:, :nt, :nt]
 
 
 def test_absorbing_value_lp_vs_exhaustive(rng):
@@ -235,56 +247,76 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
         init = np.zeros(nt + nb)
         init[:nt] = rng.dirichlet(np.ones(nt))
         reward = _absorbed_f_reward(mdp, f)
-        value, d = L.mdp_occupation_lp(mdp, reward, "max", init)
+        K = _transient(mdp, nt)
+        value, d = L.mdp_occupation_lp(np.hstack(K), reward[:, :nt], "max", init[:nt])
         best = -np.inf
-        for dd in deterministic_decisions(nt + nb, na):
-            y, R = absorbing_solve(mdp, dd, init)
-            best = max(best, float(f[nt:] @ (R @ y)))
+        for dd in deterministic_decisions(nt, na):
+            y = _visits(K, dd, init[:nt])
+            best = max(best, float((reward[:, :nt].T * dd.table).sum(axis=1) @ y))
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(mdp, reward, "max", init) == pytest.approx(
             best, abs=1e-9)
-        y, R = absorbing_solve(mdp, d, init)
-        assert float(f[nt:] @ (R @ y)) == pytest.approx(value, abs=1e-7)
+        y = _visits(K, d, init[:nt])
+        assert float((reward[:, :nt].T * d.table).sum(axis=1) @ y) == pytest.approx(
+            value, abs=1e-7)
 
 
 def test_min_absorption_lp_vs_exhaustive(rng):
     for _ in range(6):
         nt, nb, na = int(rng.integers(2, 4)), 1, 2
         mdp = random_absorbing_mdp(rng, nt, nb, na)
-        init = np.zeros(nt + nb)
-        init[:nt] = rng.dirichlet(np.ones(nt))
-        value, d = L.mdp_occupation_lp(mdp, np.ones(nt + nb), "min", init)
-        best = np.inf
-        for dd in deterministic_decisions(nt + nb, na):
-            best = min(best, absorbing_solve(mdp, dd, init)[0].sum())
+        init = rng.dirichlet(np.ones(nt))
+        K = _transient(mdp, nt)
+        value, d = L.mdp_occupation_lp(np.hstack(K), np.ones(nt), "min", init)
+        best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(nt, na))
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(
-            mdp, np.ones(nt + nb), "min", init) == pytest.approx(best, abs=1e-9)
-        assert absorbing_solve(mdp, d, init)[0].sum() == pytest.approx(value, abs=1e-7)
+            mdp, np.ones(nt + nb), "min", np.append(init, 0.0)) == pytest.approx(
+            best, abs=1e-9)
+        assert _visits(K, d, init).sum() == pytest.approx(value, abs=1e-7)
 
 
 def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     mdp = random_absorbing_mdp(rng, 2, 2, 2)
     f = np.array([0.0, 0.0, 0.3, 0.9])
-    reward = _absorbed_f_reward(mdp, f)
-    # all mass already absorbed: the LP earns nothing, f @ init is the value
-    init = np.array([0.0, 0.0, 0.0, 1.0])
-    value, _ = L.mdp_occupation_lp(mdp, reward, "max", init)
+    reward = _absorbed_f_reward(mdp, f)[:, :2]
+    K = _transient(mdp, 2)
+    # all mass already absorbed: the cycle starts with no mass and earns nothing
+    value, _ = L.mdp_occupation_lp(np.hstack(K), reward, "max", np.zeros(2))
     assert value == pytest.approx(0.0, abs=1e-12)
-    assert value + f @ init == pytest.approx(0.9, abs=1e-9)
-    # part absorbed: LP value plus the absorbed f is the exhaustive optimum
+    # part absorbed: the LP value over the transient mass plus the absorbed f
+    # is the exhaustive optimum
     init = np.array([0.3, 0.2, 0.4, 0.1])
-    value, _ = L.mdp_occupation_lp(mdp, reward, "max", init)
-    best = max(float(f[2:] @ (init[2:] + R @ y))
-               for y, R in (absorbing_solve(mdp, dd, init)
-                            for dd in deterministic_decisions(4, 2)))
-    assert value + f @ init == pytest.approx(best, abs=1e-7)
+    value, _ = L.mdp_occupation_lp(np.hstack(K), reward, "max", init[:2])
+    best = max(float(f[2:] @ init[2:] + (reward.T * dd.table).sum(axis=1)
+                     @ _visits(K, dd, init[:2])) for dd in deterministic_decisions(2, 2))
+    assert value + f[2:] @ init[2:] == pytest.approx(best, abs=1e-7)
 
 
 def test_reward_shape_checked():
     mdp = random_mdp(np.random.default_rng(1), 3, 2)
     with pytest.raises(L.ModelError):
-        L.mdp_occupation_lp(mdp, np.ones(4), "max")
+        L.mdp_occupation_lp(np.hstack(mdp.T), np.ones(4), "max")
+
+
+def test_allowed_pairs_drop_their_columns(rng):
+    # a pair the mask drops has no variable and gets no decision mass; a
+    # state with no mass is uniform over its allowed actions
+    mdp = random_absorbing_mdp(rng, 3, 1, 3)
+    K = _transient(mdp, 3)
+    allowed = np.ones((3, 3), bool)
+    allowed[2, :2] = False
+    init = np.array([1.0, 0.0, 0.0])
+    value, d = L.mdp_occupation_lp(np.hstack(K), np.ones(3), "min", init, allowed)
+    best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(3, 3)
+               if allowed.T[dd.table > 0].all())
+    assert value == pytest.approx(best, abs=1e-9)
+    assert np.all(d.table[~allowed.T] == 0)
+    # sparse blocks give the same LP
+    assert L.mdp_occupation_lp(sparse.csc_array(np.hstack(K)), np.ones(3), "min",
+                               init, allowed)[0] == value
+    with pytest.raises(L.ModelError, match="allowed"):
+        L.mdp_occupation_lp(np.hstack(K), np.ones(3), "min", init, np.zeros((3, 3), bool))
 
 
 def _dense_reference_matrix(mdp, keep, steady):
@@ -332,9 +364,12 @@ def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
             n = nt + nb
             mdp = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng,
                             int(rng.integers(nt)))
-            keep, init = np.arange(nt), np.append(rng.dirichlet(np.ones(nt)), np.zeros(nb))
-        # absorbing: "min" of the time spent keeps the self-looping action bounded
-        L.mdp_occupation_lp(mdp, np.ones(n), "min" if init is not None else "max", init)
+            keep, init = np.arange(nt), rng.dirichlet(np.ones(nt))
+        # absorbing: "min" of the time spent keeps the self-looping action
+        # bounded; the blocks are the transient ones, as in the renewal form
+        blocks = mdp.T if steady else _transient(mdp, nt)
+        L.mdp_occupation_lp(np.hstack(blocks), np.ones(len(keep)),
+                            "min" if init is not None else "max", init)
         got, want = seen[-1].A, _dense_reference_matrix(mdp, keep, steady)
         assert got.format == "csc" and got.shape == want.shape
         for name in ("indptr", "indices", "data"):

@@ -10,8 +10,6 @@ from entlink.markov import (
     Policy,
     ProbVector,
     StochasticMatrix,
-    absorbing_mask,
-    absorbing_solve,
     evolve,
     policy_matrix,
     stationary_distribution,
@@ -19,9 +17,12 @@ from entlink.markov import (
 from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
                               steady_state_closed_form)
 from entlink.oracles import stationary_eig
+from entlink.lp import mdp_occupation_lp
+from entlink.oracles import policy_iteration_absorbing
+from entlink import twolink as TL
 from entlink.twolink import TwoLinkModel
 
-from conftest import random_absorbing_mdp, random_mdp
+from conftest import random_mdp
 
 
 def test_probvector_rejects_bad_sum():
@@ -68,12 +69,13 @@ _ONE_ACTION = DecisionFunction([[1.0], [1.0]])
     lambda: policy_matrix(_MDP, DecisionFunction([[1.0], [1.0], [1.0]])),
     lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0]), 0),
     lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0, 0.0]), 2),
-    lambda: absorbing_solve(_MDP, _ONE_ACTION, [1.0, 0.0, 0.0]),
+    lambda: TL.evaluate_policy(TwoLinkModel(0.5, 0.5, 0.5, 0, 0, TL.uniform_f_table(0, 0)),
+                            DecisionFunction.uniform(5, 5)),
 ], ids=["ProbVector-2d", "ProbVector-entries", "ProbVector-sum",
         "StochasticMatrix-not-square", "StochasticMatrix-entries", "StochasticMatrix-sum",
         "Mdp-entries", "DecisionFunction-1d", "DecisionFunction-entries",
         "DecisionFunction-rows", "policy_matrix-shape", "evolve-t-0", "evolve-size",
-        "absorbing_solve-size"])
+        "evaluate_policy-size"])
 def test_malformed_input_raises_model_error(make):
     # NaN entries, Mdp shapes and Mdp column sums have their own tests
     with pytest.raises(ModelError):
@@ -203,41 +205,39 @@ def test_stationary_raises_when_not_unique(P):
         stationary_distribution(StochasticMatrix(P))
 
 
-def test_absorbing_detection(rng):
-    mdp = random_absorbing_mdp(rng, 3, 2, 2)
-    assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [3, 4]
-
-
-def test_absorption_time_geometric(rng):
-    # single transient state, success prob p each step: E[T] = 1/p
-    p = 0.3
-    T = np.array([[1 - p, 0.0], [p, 1.0]])
-    mdp = Mdp([T])
-    d = DecisionFunction(np.ones((2, 1)))
-    y, R = absorbing_solve(mdp, d, [1.0, 0.0])
-    assert y.sum() == pytest.approx(1 / p, abs=1e-12)
-    assert R @ y == pytest.approx([1.0])
+def test_absorption_time_geometric():
+    # both links up at every step (p = 1, m* = 0): every cycle is one step
+    # and ends in an attempt that succeeds with probability q, so E[T] = 1/q
+    q = 0.3
+    model = TwoLinkModel(1.0, 1.0, q, 0, 0, TL.uniform_f_table(0, 0))
+    d = TL.cutoff_decision(model, 0, 0)
+    assert TL.evaluate_policy(model, d) == pytest.approx((1 / q, 1.0), abs=1e-12)
 
 
 def test_absorbing_state_with_rounded_self_loop():
-    # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0
-    from entlink.lp import mdp_occupation_lp
+    # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0; the
+    # oracle's policy iteration still treats the state as absorbing
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
     T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
     mdp = Mdp([T.entries])
-    assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [1]
-    y, _ = absorbing_solve(mdp, DecisionFunction(np.ones((2, 1))), [1.0, 0.0])
-    assert y.sum() == pytest.approx(2.0, abs=1e-12)
-    value, _ = mdp_occupation_lp(mdp, np.ones(2), "min", [1.0, 0.0])
+    assert policy_iteration_absorbing(mdp, np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
+        2.0, abs=1e-12)
+    # the renewal LP of the transient block: half the mass ends each step
+    value, _ = mdp_occupation_lp(T.entries[:1, :1], np.ones(1), "min", [1.0])
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_absorption_distribution_sums_to_one(rng):
-    mdp = random_absorbing_mdp(rng, 4, 3, 2)
-    d = DecisionFunction.uniform(7, 2)
-    init = np.append(rng.dirichlet(np.ones(4)), np.zeros(3))
-    y, R = absorbing_solve(mdp, d, init)
-    dist = R @ y
-    assert dist.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.all(dist >= -1e-12)
+    # renewal form: under any decision one cycle ends in exactly one swap
+    # attempt, so the exit mass S.z of z = (I - K^d)^{-1} g is 1
+    for _ in range(10):
+        m1, m2 = (int(m) for m in rng.integers(0, 4, 2))
+        model = TwoLinkModel(*rng.uniform(0.1, 1.0, 3), m1, m2, TL.uniform_f_table(m1, m2))
+        (rows, cols, vals), S = TL.policy_kernel(model, DecisionFunction.uniform(model.n, 5))
+        K = np.zeros((model.n, model.n))
+        np.add.at(K, (rows, cols), vals)
+        z = np.linalg.solve(np.eye(model.n) - K, TL.initial_distribution(model).entries)
+        assert S @ z == pytest.approx(1.0, abs=1e-10)
+        assert np.all(z >= -1e-12)
+

@@ -303,6 +303,43 @@ def test_distillation_formula_vs_instrument(rng=np.random.default_rng(11)):
         assert Q.fidelity_to_pure(sigma, phi) == pytest.approx(f_f, abs=1e-12)
 
 
+def test_bbpssw_success_probability_at_least_a_third(rng=np.random.default_rng(12)):
+    # the inputs are twirled, so p = (8/9) F1 F2 - (2/9)(F1 + F2) + 5/9 >= 1/3,
+    # with equality at F1 = 1, F2 = 0
+    for _ in range(200):
+        r1, r2 = (Q.DensityOperator(random_density(rng, 4), (2, 2)) for _ in range(2))
+        assert Q.bbpssw_instrument(r1, r2)[0] >= 1 / 3
+    phi = Q.bell(2)
+    bell_pair = Q.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
+    orthogonal = Q.DensityOperator(np.diag([0.0, 0.5, 0.5, 0.0]) + 0j, (2, 2))  # F = 0
+    assert Q.bbpssw_instrument(bell_pair, orthogonal)[0] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_batched_swap_fidelity_matches_one_call_per_pair(rng=np.random.default_rng(13)):
+    for d in (2, 3):
+        rhos = np.array([random_density(rng, d * d) for _ in range(5)])
+        tables = Q.bell_overlap_table(rhos, d)
+        assert tables.shape == (5, d, d)
+        for rho, table in zip(rhos, tables):
+            assert np.array_equal(table, Q.bell_overlap_table(rho, d))
+            want = [[Q.fidelity_to_pure(rho, Q.bell_basis(d)[x * d + z]) for x in range(d)]
+                    for z in range(d)]
+            np.testing.assert_allclose(table, want, rtol=0, atol=1e-15)
+        batch = Q.swap_fidelity([tables[:3, None], tables[None, 3:]])
+        assert batch.shape == (3, 2)
+        for i, j in itertools.product(range(3), range(2)):
+            assert batch[i, j] == Q.swap_fidelity([tables[i], tables[3 + j]])
+        # batch axes of different ranks broadcast as numpy's do
+        assert np.array_equal(Q.swap_fidelity([tables[:2, None], tables[3:], tables[0]]),
+                              [[Q.swap_fidelity([tables[i], tables[3 + j], tables[0]])
+                                for j in range(2)] for i in range(2)])
+    # every table of a batch is checked
+    bad = tables.copy()
+    bad[4, 0, 0] = np.nan
+    with pytest.raises(Q.QuantumError, match="malformed"):
+        Q.swap_fidelity([bad, tables])
+
+
 def test_amplitude_damping_fixed_point_and_tp():
     ch = Q.amplitude_damping(0.3)
     rho = np.array([[0.2, 0.1j], [-0.1j, 0.8]])
@@ -382,6 +419,12 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.BellDiagCoeffs(np.inf, 0.5, 0.25, 0.25),
     lambda: Q.swap_fidelity([np.full((2, 2), np.nan), _TABLE]),
     lambda: Q.swap_fidelity([[[np.inf, 0.0], [0.0, 0.0]], _TABLE]),
+    lambda: Q.ghz_swap_fidelity([[np.nan, 0.5], [0.5, 0.5]]),
+    lambda: Q.ghz_swap_fidelity([[-3.0, 4.0], [0.5, 0.5]]),
+    lambda: Q.ghz_swap_fidelity([[0.5, 0.5, 0.0], [0.5, 0.5]]),
+    lambda: Q.graph_dist_fidelity([np.full((2, 2), np.nan), _TABLE], _PAIR),
+    lambda: Q.graph_dist_fidelity([[[0.5, 0.5], [0.5, -0.5]], _TABLE], _PAIR),
+    lambda: Q.graph_dist_fidelity([np.full((3, 3), 0.1), _TABLE], _PAIR),
 ], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
         "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
         "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
@@ -391,7 +434,10 @@ _TABLE = np.full((2, 2), 0.25)
         "graph_dist_channel-subsystems", "graph_dist_fidelity-tables",
         "isotropic_twirl-dim", "distill_bbpssw-fidelity", "pure_loss_drail-eta",
         "DensityOperator-nan", "DensityOperator-inf", "KrausChannel-nan",
-        "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf"])
+        "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf",
+        "ghz_swap_fidelity-nan", "ghz_swap_fidelity-negative", "ghz_swap_fidelity-shape",
+        "graph_dist_fidelity-nan", "graph_dist_fidelity-negative",
+        "graph_dist_fidelity-shape"])
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()

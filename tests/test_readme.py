@@ -47,11 +47,11 @@ STDOUT_SHA256 = {
     "twolink analytic --p 0.5 --q 0.5 --t-star 0":
         "7e92daefca36d2a52f2ff4799a376cdffad4ce469754a17ec937d0c875d6a34d",
     "twolink evaluate --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t1-star 2 --t2-star 2":
-        "449ab3cfbdecffcfeb2f4fd515949907271ef6c339da0c5d4050c80ea4305506",
+        "54e791ca1152f6b11c1fdff8bbdb93bd786b42d2a0f1b502322d8b88a380f249",
     "twolink lp-fidelity --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t-coh 12":
         "09ee6f4f3c1c4d110ededd55d6ddce694d456d81fec1c15d7ca6570cf2e6c22d",
     "twolink lp-waiting --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2":
-        "7d3770baaadddacff377f551b56dbc4bea2470e09fd513c848fea27a6e0adf7b",
+        "fc9d33afebbe878e06df17c3b38749ccad09bfbe3d8b6fd6dfe02437c4e044c2",
     "waiting collective --M 4 --p 0.3 --t-req 2 --q 0.5":
         "dc5b6e9c0f854e50f4a689cd319fc555647f354ad8594a358acb18000ec04b96",
 }

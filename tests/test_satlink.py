@@ -178,6 +178,13 @@ def test_coherence_steps():
     assert S.coherence_steps(1.0, 100.0) == pytest.approx(299792.458 / 200.0)
 
 
+@pytest.mark.parametrize("t_coh", [-1.0, 0.0, math.nan, math.inf])
+def test_coherence_steps_rejects_bad_coherence_time(t_coh):
+    # -1 gave -1498.96 steps and nan gave nan
+    with pytest.raises(S.SatError, match="t_coh"):
+        S.coherence_steps(t_coh, 100.0)
+
+
 def test_key_rate_anchor_points():
     assert S.key_rate_bb84(0.0) == 1.0
     assert S.key_rate_six_state(0.0) == 1.0

@@ -1,18 +1,40 @@
 import itertools
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entlink import markov, qstate
 from entlink import twolink as TL
-from entlink.oracles import policy_iteration_absorbing
-from entlink.markov import ModelError, absorbing_mask
+from entlink.oracles import policy_iteration_absorbing, two_link_absorbing_chain
+from entlink.markov import ModelError
 
 
 def sym_model(p, q, m_star):
     return TL.TwoLinkModel(p, p, q, m_star, m_star,
                            TL.uniform_f_table(m_star, m_star))
+
+
+def both_active(model):
+    return np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0).ravel()
+
+
+def exact_symmetric_wait(p, q, t_star):
+    """The symmetric-cutoff closed form in exact rational arithmetic, at the
+    float inputs' exact values."""
+    p, q = Fraction(p), Fraction(q)
+    r = (1 - p) ** t_star
+    return (3 - 2 * p * (1 - r) - 2 * r) / (q * p * (2 - p * (1 - 2 * r) - 2 * r))
+
+
+def rel_err(value, exact):
+    return abs(float((Fraction(value) - exact) / exact))
 
 
 def test_f_table_validation():
@@ -28,22 +50,31 @@ def test_f_table_validation():
 
 
 def test_all_action_matrices_column_stochastic():
-    # StochasticMatrix already validates; build a few shapes to exercise it
+    # each K^a plus the mass that ends the cycle (a swap attempt at a
+    # both-active state) is column-stochastic, stored with no zeros
     for (p1, p2, q, m1, m2) in [(0.3, 0.8, 0.5, 0, 0), (0.5, 0.5, 0.7, 2, 1),
-                                (1.0, 0.4, 1.0, 1, 3)]:
-        f = TL.uniform_f_table(m1, m2)
-        TL.build_two_link_mdp(TL.TwoLinkModel(p1, p2, q, m1, m2, f))
+                                (1.0, 0.4, 1.0, 1, 3), (0.0, 1.0, 0.5, 2, 2)]:
+        model = TL.TwoLinkModel(p1, p2, q, m1, m2, TL.uniform_f_table(m1, m2))
+        B = model.blocks
+        assert B.format == "csc" and B.shape == (model.n, len(TL.ACTIONS) * model.n)
+        assert np.all(B.data > 0) and not B.data.flags.writeable
+        exits = np.concatenate([both_active(model) * (k == TL.SWAP)
+                                for k in range(len(TL.ACTIONS))])
+        np.testing.assert_allclose(B.sum(axis=0) + exits, 1.0, rtol=0, atol=1e-15)
 
 
 def test_absorbing_set_is_done():
-    # at p = 1e-13 the start state's self-loop is within 1e-12 of 1 under
-    # every action, yet the state is transient
+    # the renewal form has no absorbing state; the oracle's dense chain has
+    # one, `done` at n1*n2.  At p = 1e-13 the start state's self-loop is
+    # within 1e-12 of 1 under every action, yet the state is transient
     for p, m_star in ((0.5, 1), (1e-13, 2)):
         model = sym_model(p, 0.5, m_star)
-        mdp = TL.build_two_link_mdp(model)
-        assert model.done == model.n1 * model.n2 == model.n - 1
-        assert mdp.T.shape == (len(TL.ACTIONS), model.n, model.n)
-        assert np.flatnonzero(absorbing_mask(mdp)).tolist() == [model.done]
+        mdp, reward, init = two_link_absorbing_chain(model)
+        done = model.n1 * model.n2
+        assert model.n == done and mdp.T.shape == (len(TL.ACTIONS), done + 1, done + 1)
+        leaves = np.any(mdp.T * (1 - np.eye(done + 1)) != 0, axis=(0, 1))
+        assert np.flatnonzero(~leaves).tolist() == [done]
+        assert init[done] == 0 and reward.shape == (len(TL.ACTIONS), done + 1)
 
 
 def test_lps_need_positive_probabilities():
@@ -56,21 +87,22 @@ def test_lps_need_positive_probabilities():
 
 
 def test_swap_action_success_mass():
-    # from (0, 0), swap succeeds with probability q into done
+    # an attempt at (0, 0) ends the cycle: its swap column is empty
     model = sym_model(0.5, 0.7, 1)
-    mdp = TL.build_two_link_mdp(model)
-    T = mdp.T[TL.SWAP]
     src = model.idx(0, 0)
-    assert T[model.done, src] == pytest.approx(0.7)
-    # failure regenerates both links afresh
+    col = TL.SWAP * model.n + src
+    assert model.blocks.indptr[col + 1] == model.blocks.indptr[col]
+    # in the oracle's absorbing chain the swap succeeds with probability q
+    # into done, and a failure regenerates both links afresh
+    T = two_link_absorbing_chain(model)[0].T[TL.SWAP]
+    assert T[model.n, src] == pytest.approx(0.7)
     assert T[model.idx(-1, -1), src] == pytest.approx(0.3 * 0.5 * 0.5)
     assert T[model.idx(0, 0), src] == pytest.approx(0.3 * 0.5 * 0.5)
 
 
 def test_swap_on_inactive_links_shifts_ages():
     model = sym_model(0.5, 0.7, 2)
-    mdp = TL.build_two_link_mdp(model)
-    T = mdp.T[TL.SWAP]
+    T = model.blocks[:, TL.SWAP * model.n:].toarray()
     # link 1 active at age 0, link 2 inactive: age shifts, no swap attempt
     src = model.idx(0, -1)
     assert T[model.idx(1, -1), src] == pytest.approx(1.0)
@@ -92,16 +124,17 @@ def _rule_matrices(model):
             return {-1: 1.0}  # inactive stays so; a pair at the bound is discarded
         return {m + 1: 1.0}
 
-    mats = {a: np.zeros((model.n, model.n)) for a in TL.ACTIONS}
+    done = model.n1 * model.n2
+    mats = {a: np.zeros((done + 1, done + 1)) for a in TL.ACTIONS}
     for T in mats.values():
-        T[model.done, model.done] = 1.0
+        T[done, done] = 1.0
     for m1, m2 in itertools.product(range(-1, model.m1_star + 1),
                                     range(-1, model.m2_star + 1)):
         src = model.idx(m1, m2)
         for a in TL.ACTIONS:
             T = mats[a]
             if a == "swap" and m1 >= 0 and m2 >= 0:
-                T[model.done, src] += model.q
+                T[done, src] += model.q
                 req = (True, True)
                 weight = 1 - model.q
             else:
@@ -123,24 +156,62 @@ def test_build_matches_state_by_state_rules():
     for p1, p2, q, m1, m2 in cases:
         model = TL.TwoLinkModel(p1, p2, q, int(m1), int(m2),
                                 TL.uniform_f_table(int(m1), int(m2)))
-        mdp = TL.build_two_link_mdp(model)
+        mdp = two_link_absorbing_chain(model)[0]
+        n = model.n
         for a, T in _rule_matrices(model).items():
-            np.testing.assert_allclose(mdp.T[TL.ACTIONS.index(a)], T,
+            k = TL.ACTIONS.index(a)
+            np.testing.assert_allclose(mdp.T[k], T, rtol=0, atol=1e-15)
+            # the renewal block: the attempt mass leaves the cycle
+            K = T[:n, :n].copy()
+            if a == "swap":
+                K[:, both_active(model)] = 0.0
+            np.testing.assert_allclose(model.blocks[:, k * n:(k + 1) * n].toarray(), K,
                                        rtol=0, atol=1e-15)
 
 
 def test_evaluate_policy_raises_when_solve_loses_mass():
-    # at p = 1e-6 the waiting time is ~4e11 steps and the solve loses 3e-5
-    # of the absorbed mass; it used to return 3.99989e11 and f 0.99997
-    model = sym_model(1e-6, 0.5, 2)
-    d = TL.cutoff_decision(model, 2, 2)
-    with pytest.raises(ModelError, match="ill-conditioned"):
-        TL.evaluate_policy(model, d)
-    model = sym_model(1e-3, 0.5, 2)
-    wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
-    assert wait == pytest.approx(TL.analytic_symmetric_waiting_time(1e-3, 0.5, 2),
-                                 rel=1e-9)
-    assert f_abs == pytest.approx(1.0, rel=1e-9)
+    # at p = 1e-13 the exit mass S.z of one cycle is 1 - 1e-3
+    model = sym_model(1e-13, 0.5, 2)
+    with pytest.raises(markov.NumericalError, match="ill-conditioned"):
+        TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
+    # the absorbing solve raised here from p = 1e-5 down, and was off by
+    # 1.1e-11 at p = 1e-3; the renewal ratios stay within 1e-15
+    for p in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        model = sym_model(p, 0.5, 2)
+        wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
+        assert rel_err(wait, exact_symmetric_wait(p, 0.5, 2)) <= 1e-15, p
+        assert f_abs == 1.0
+
+
+def test_analytic_waiting_time_at_small_p():
+    # 2 - 2r with r = (1 - p)^t* lost 2.3e-14 at p = 1e-3 and 1.5e-9 at 1e-8
+    for p in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        for t_star in (1, 2, 5):
+            got = TL.analytic_symmetric_waiting_time(p, 0.5, t_star)
+            assert rel_err(got, exact_symmetric_wait(p, 0.5, t_star)) <= 1e-15, (p, t_star)
+    assert TL.analytic_symmetric_waiting_time(1.0, 0.5, 0) == 2.0
+    assert TL.analytic_symmetric_waiting_time(1.0, 0.5, 3) == 2.0
+
+
+def test_evaluate_matches_the_oracle_chain(rng):
+    # random decisions: the renewal ratios against (I - Q)^{-1} of the
+    # oracle's dense absorbing chain; the swap action counts as "00" away
+    # from the both-active states in both
+    for _ in range(20):
+        m1, m2 = (int(v) for v in rng.integers(0, 4, 2))
+        f = np.zeros((2, m1 + 2, m2 + 2))
+        f[1, 1:, 1:] = rng.uniform(0, 1, (m1 + 1, m2 + 1))
+        model = TL.TwoLinkModel(*rng.uniform(0.05, 1.0, 3), m1, m2, f)
+        table = rng.dirichlet(np.ones(len(TL.ACTIONS)), size=model.n)
+        wait, f_abs = TL.evaluate_policy(model, markov.DecisionFunction(table))
+        mdp, reward, init = two_link_absorbing_chain(model)
+        P = markov.policy_matrix(mdp, markov.DecisionFunction(
+            np.vstack([table, np.eye(len(TL.ACTIONS))[0]]))).entries
+        y = np.linalg.solve(np.eye(model.n) - P[:-1, :-1], init[:-1])
+        assert wait == pytest.approx(y.sum(), rel=1e-11)
+        # the total swap reward q f(s) d(s)(swap) over the visits y
+        assert f_abs == pytest.approx((reward[TL.SWAP, :-1] * table[:, TL.SWAP]) @ y,
+                                      rel=1e-11)
 
 
 def test_evaluate_cutoff_matches_analytic():
@@ -181,9 +252,8 @@ def test_lp_value_equals_policy_iteration_on_random_models(rng):
         model = TL.TwoLinkModel(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
                                 rng.uniform(0.3, 1.0), m1, m2, f)
         v1, d = TL.lp_optimal_value(model)
-        mdp = TL.build_two_link_mdp(model)
-        v2 = policy_iteration_absorbing(
-            mdp, TL.swap_reward(model), "max", TL.initial_distribution(model).entries)
+        mdp, reward, init = two_link_absorbing_chain(model)
+        v2 = policy_iteration_absorbing(mdp, reward, "max", init)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
@@ -219,8 +289,9 @@ def _damped_bell_model(p1, p2, q, gamma, m_star):
 
 
 def test_lp_waiting_tight_solver_tolerance():
-    # at HiGHS's default 1e-7 feasibility tolerances this LP value sits
-    # 2.2e-8 relative away from the value of its own decision
+    # at HiGHS's default 1e-7 feasibility tolerances the absorbing LP's value
+    # sat 2.2e-8 relative away from the value of its own decision; the LP
+    # entry points now raise past 1e-9
     model = _damped_bell_model(0.8765, 0.4115, 0.9837, 0.0421, 8)
     t_lp, d = TL.lp_optimal_waiting_time(model)
     assert t_lp == pytest.approx(TL.evaluate_policy(model, d)[0], rel=1e-9)
@@ -230,13 +301,13 @@ def test_lp_waiting_tight_solver_tolerance():
 def test_lps_vs_policy_iteration(rng, m_star):
     model = _damped_bell_model(*rng.uniform(0.1, 0.9, 2), rng.uniform(0.3, 1.0),
                                rng.uniform(0.005, 0.05), m_star)
-    mdp = TL.build_two_link_mdp(model)
-    init = TL.initial_distribution(model).entries
+    # the renewal LPs against Howard's iteration on the absorbing chain
+    mdp, reward, init = two_link_absorbing_chain(model)
     t_lp, _ = TL.lp_optimal_waiting_time(model)
-    t_pi = policy_iteration_absorbing(mdp, np.ones(model.n), "min", init)
+    t_pi = policy_iteration_absorbing(mdp, np.ones(mdp.n), "min", init)
     assert t_lp == pytest.approx(t_pi, rel=1e-10)
     v_lp, _ = TL.lp_optimal_value(model)
-    v_pi = policy_iteration_absorbing(mdp, TL.swap_reward(model), "max", init)
+    v_pi = policy_iteration_absorbing(mdp, reward, "max", init)
     assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
@@ -305,15 +376,17 @@ def test_two_link_f_needs_the_phi_target():
 def test_evaluate_policy_solves_once(monkeypatch):
     calls = []
 
-    def counting_absorbing_solve(*args, **kwargs):
-        calls.append(args)
-        return markov.absorbing_solve(*args, **kwargs)
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A)
+        return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(TL, "absorbing_solve", counting_absorbing_solve)
+    monkeypatch.setattr(TL, "splu", counting_splu)
     model = sym_model(0.4, 0.5, 4)
     wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 3))
     assert len(calls) == 1
     assert np.isfinite(wait) and f_abs == pytest.approx(1.0)
+    # one sparse LU of I - K^d, with no zeros stored
+    assert calls[0].format == "csc" and np.all(calls[0].data != 0)
 
 
 def test_initial_distribution():
@@ -322,7 +395,7 @@ def test_initial_distribution():
     assert init.sum() == pytest.approx(1.0)
     assert init[model.idx(0, 0)] == pytest.approx(0.16)
     assert init[model.idx(-1, -1)] == pytest.approx(0.36)
-    assert init[model.done] == 0
+    assert init.size == model.n == model.n1 * model.n2
 
 
 @pytest.mark.parametrize("t1, t2", [(1.5, 2), (2, 2.0), (np.nan, 1), (1, "2"), (-1, 0),
@@ -336,7 +409,7 @@ def test_cutoff_decision_rejects_non_cutoffs(t1, t2):
 
 
 def test_evaluate_policy_raises_when_absorption_is_unreachable():
-    # waiting forever at (-1, -1) makes I - Q exactly singular
+    # waiting forever at (-1, -1) makes I - K^d exactly singular
     model = sym_model(0.5, 0.5, 2)
     table = TL.cutoff_decision(model, 2, 2).table.copy()
     table[model.idx(-1, -1)] = np.eye(len(TL.ACTIONS))[0b00]
@@ -347,8 +420,8 @@ def test_evaluate_policy_raises_when_absorption_is_unreachable():
 
 
 def test_evaluate_policy_raises_when_no_swap_succeeds():
-    # q = 0: no transient state moves mass to `done`; this was reported as
-    # an ill-conditioned solve ("absorbed mass 0")
+    # q = 0: no swap ever succeeds; the absorbing solve reported this as an
+    # ill-conditioned solve ("absorbed mass 0")
     model = sym_model(0.5, 0.0, 2)
     with pytest.raises(ModelError, match="unreachable") as info:
         TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
@@ -356,8 +429,87 @@ def test_evaluate_policy_raises_when_no_swap_succeeds():
 
 
 def test_evaluate_policy_raises_when_no_link_is_generated():
-    # p1 = p2 = 0: all start mass sits in (-1, -1), which no action leaves
+    # p1 = p2 = 0: all start mass sits in (-1, -1), which no action leaves,
+    # so its column of I - K^d is empty
     model = sym_model(0.0, 0.5, 2)
     with pytest.raises(ModelError, match="unreachable"):
         TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
 
+
+
+_probability = st.floats(0.01, 1.0)
+
+
+@st.composite
+def two_link_models(draw):
+    """m* <= 6, p1, p2, q >= 0.01 and any f table in [0, 1]."""
+    m1, m2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    f = np.zeros((2, m1 + 2, m2 + 2))
+    f[1, 1:, 1:] = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=(m1 + 1) * (m2 + 1),
+                                            max_size=(m1 + 1) * (m2 + 1))), (m1 + 1, m2 + 1))
+    return TL.TwoLinkModel(draw(_probability), draw(_probability), draw(_probability),
+                           m1, m2, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_link_models())
+def test_lp_value_is_the_best_f(model):
+    # nothing charges for time and discarding is free, so some policy waits
+    # for the best pair of ages
+    value, d = TL.lp_optimal_value(model)
+    assert value == pytest.approx(model.f[1, 1:, 1:].max(), rel=1e-12, abs=1e-12)
+    assert value <= 1.0  # f <= 1, and the ratio is summed alike above and below
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_link_models())
+def test_lp_wait_is_the_storage_bound_cutoff(model):
+    # keeping each link up to its storage bound is optimal (the paper shows
+    # the one-link analogue); HiGHS's 1e-10 tolerances leave the LP's
+    # decision up to ~2.5e-10 relative above it (p1 = 1, p2 = 0.99999)
+    wait, _ = TL.lp_optimal_waiting_time(model)
+    cutoff = TL.cutoff_decision(model, model.m1_star, model.m2_star)
+    assert wait == pytest.approx(TL.evaluate_policy(model, cutoff)[0], rel=TL.LP_RTOL)
+
+
+def test_lp_value_at_small_p_is_right_or_raises():
+    # f = 0.9 on every both-active state, so every policy gives 0.9; the
+    # absorbing LP returned 0.8999741207 at p = 1e-6 without an error
+    f = 0.9 * TL.uniform_f_table(2, 2)
+    for q in (0.5, 1.0):
+        model = TL.TwoLinkModel(1e-6, 1e-6, q, 2, 2, f)
+        try:
+            value, _ = TL.lp_optimal_value(model)
+        except markov.NumericalError as exc:
+            assert "differs from the value" in str(exc) or "solve:" in str(exc)
+        else:
+            assert value == pytest.approx(0.9, rel=1e-9)
+
+
+def test_lp_guard_raises_when_the_lp_value_is_off(monkeypatch):
+    model = sym_model(0.5, 0.5, 2)
+    real = TL._lp.mdp_occupation_lp
+
+    def off(*args, **kwargs):
+        value, d = real(*args, **kwargs)
+        return value * (1 + 2e-9), d
+
+    monkeypatch.setattr(TL._lp, "mdp_occupation_lp", off)
+    for solve in (TL.lp_optimal_value, TL.lp_optimal_waiting_time):
+        with pytest.raises(markov.NumericalError, match="differs from the value"):
+            solve(model)
+
+
+def test_large_waiting_lp_memory():
+    # the absorbing form's dense (5, n, n) array alone was ~760 MB at m* = 64
+    code = ("import resource\n"
+            "from entlink import twolink as TL\n"
+            "m = 64\n"
+            "model = TL.TwoLinkModel(0.3, 0.4, 0.6, m, m, TL.uniform_f_table(m, m))\n"
+            "wait, d = TL.lp_optimal_waiting_time(model)\n"
+            "TL.evaluate_policy(model, d)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) < 200, r.stdout
