@@ -1,12 +1,12 @@
 """Seeded Monte Carlo trajectory sampling: the independent statistical
 oracle for the analytic results.
 
-RNG: numpy PCG64 via default_rng; a fixed seed gives the same bytes.  A step
-moves each trajectory to the first successor whose running transition
-probability reaches its uniform draw, looked up in a table that holds only
-each state's positive-probability successors (`_successor_table`); a draw
-above all but a state's last running sum picks its last successor, so a step
-makes (widest column - 1) compares per trajectory.
+RNG: numpy PCG64 via default_rng; a fixed seed gives the same bytes, which
+also depend on numpy's binomial sampler.  Trajectories are i.i.d., so the
+sampler moves state counts, not trajectories: at each step every state sends
+its count to its positive-probability successors by one multinomial draw
+(`_step`), the same law as stepping each trajectory (Kemeny & Snell 1960,
+ch. II).  A step costs O(states x widest column), whatever the trial count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp as _lp
 from .elemlink import ElemLinkModel, build_mdp, g_vector
 from .markov import ModelError, Policy, policy_matrix
 from .twolink import TwoLinkModel, initial_distribution, policy_kernel
@@ -41,60 +42,50 @@ class SimConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
 
 
-def _successor_table(P: np.ndarray):
-    """Inverse-CDF table of a column-stochastic P, one column per state.
-
-    cum[k, s] is the running sum of column s over its first k+1 nonzeros in
-    index order, inf from the last nonzero on: a draw above every earlier sum
-    already counts up to the last successor, so the last sum is never read
-    and cum has one row fewer than the widest column.  nxt[k, s] is the k-th
-    successor, and the later rows repeat the last.  Exact zeros leave a
-    running sum unchanged, so this picks the state the dense cumsum picks for
-    any 0 < u <= sum; u = 0 gives the first successor, u > sum the last.
-    """
-    cols, rows = np.nonzero(P.T > 0)  # by state, then successor index
-    width = np.bincount(cols, minlength=P.shape[1])
-    ends = np.cumsum(width)
-    rank = np.arange(cols.size) - np.repeat(ends - width, width)
-    cum = np.zeros((width.max(), P.shape[1]))
-    cum[rank, cols] = P[rows, cols]
-    cum = np.cumsum(cum, axis=0)[:-1]  # sequential adds, as in the dense cumsum
-    cum[np.arange(len(cum))[:, None] >= width - 1] = np.inf
-    nxt = np.tile(rows[ends - 1], (len(cum) + 1, 1))
-    nxt[rank, cols] = rows
-    return cum, nxt.ravel()
+def _successor_table(rows, cols, vals, shape):
+    """Successor lists of the columns of the column-stochastic matrix of the
+    given shape whose entries are (rows, cols, vals), duplicates summed and
+    zeros dropped: succ[s] lists the positive-probability successors of
+    state s in index order and prob[s] their probabilities.  Each row is
+    padded to the widest by repeating its last successor with probability 0,
+    so the rounding remainder that Generator.multinomial gives its last
+    category stays with that successor."""
+    C = _lp.csc_from_entries(rows, cols, vals, shape)
+    width = np.diff(C.indptr)
+    s = np.repeat(np.arange(shape[1]), width)
+    rank = np.arange(C.nnz) - C.indptr[s]
+    succ = np.repeat(C.indices[C.indptr[1:] - 1], width.max()).reshape(shape[1], -1)
+    succ[s, rank] = C.indices
+    prob = np.zeros(succ.shape)
+    prob[s, rank] = C.data
+    return succ, prob
 
 
-def _step(table, states, u):
-    """Next states of trajectories in `states` for uniform draws u."""
-    cum, nxt = table
-    k = np.zeros(states.size, dtype=np.intp)
-    for row in cum:
-        k += u > row.take(states)
-    k *= cum.shape[1]
-    k += states
-    return nxt[k]
+def _step(table, counts, rng, size):
+    """Counts over `size` states one step after `counts`: state s sends its
+    counts[s] trajectories to its successors by one multinomial draw."""
+    succ, prob = table
+    moves = rng.multinomial(counts, prob)
+    # float sums of integer counts, exact below 2**53
+    return np.bincount(succ.ravel(), weights=moves.ravel(), minlength=size).astype(np.int64)
 
 
 def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
     """Sample trajectories of the single-link chain; returns per-time
     estimates of the state distribution, F~ and X with standard errors."""
     rng = cfg.rng()
-    n = model.n
-    t_max = cfg.horizon
-    g = g_vector(model).entries
+    n, t_max = model.n, cfg.horizon
     mdp = build_mdp(model)
     counts = np.zeros((t_max, n), dtype=np.int64)
-    states = rng.choice(n, size=cfg.trials, p=g)
+    counts[0] = rng.multinomial(cfg.trials, g_vector(model).entries)
     tables = {}  # successor table per decision function seen
-    for t in range(1, t_max + 1):
-        counts[t - 1] = np.bincount(states, minlength=n)
-        if t == t_max:
-            break
+    for t in range(1, t_max):
         d = policy.decision_at(t)
         if id(d) not in tables:
-            tables[id(d)] = _successor_table(policy_matrix(mdp, d).entries)
-        states = _step(tables[id(d)], states, rng.random(cfg.trials))
+            P = policy_matrix(mdp, d).entries
+            rows, cols = np.nonzero(P)
+            tables[id(d)] = _successor_table(rows, cols, P[rows, cols], (n, n))
+        counts[t] = _step(tables[id(d)], counts[t - 1], rng, n)
     freq = counts / cfg.trials
     ftilde = freq @ model.f
     x = 1.0 - freq[:, 0]
@@ -108,44 +99,34 @@ def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
 def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
     """Sample the two-link chain under a stationary decision until a swap
     succeeds.  Returns waiting-time samples and samples of f of the
-    end-to-end link; trajectories that exhaust the horizon are reported,
-    never silently dropped."""
+    end-to-end link, paired and ordered by wait, then by the state swapped
+    from; trajectories that exhaust the horizon are reported, never silently
+    dropped."""
     rng = cfg.rng()
-    n, N = model.n, model.n + 1
+    n, q = model.n, model.q
     (rows, cols, vals), S = policy_kernel(model, d)
     g = initial_distribution(model).entries
-    # P^d with an absorbing state appended at n, each entry summed in action
-    # order: an attempt at s, the last action, moves q S_s there and
-    # restarts (1 - q) S_s from g
-    P = np.zeros((N, N))
-    np.add.at(P, (rows, cols), vals)
-    P[:n, :n] += np.outer((1 - model.q) * g, S)
-    P[n, :n] = model.q * S
-    P[n, n] = 1.0
-    cum, succ = _successor_table(P)
-    # a step from s into the absorbing state lands on N + s instead, so a
-    # finished trajectory keeps the state it swapped from, whose f it collected
-    table = cum, np.where(succ == n, N + np.arange(succ.size) % N, succ)
-    states = rng.choice(N, size=cfg.trials, p=np.append(g, 0.0))
-    waits = np.zeros(cfg.trials, dtype=np.int64)
-    # step only the running trajectories: run holds their trial ids and cur
-    # their states, both in trial order, which fixes the uniform each draws
-    run = np.arange(cfg.trials)
-    cur = states
+    # an attempt at s restarts (1 - q) S_s from g and finishes q S_s at n + s,
+    # so each finished trajectory keeps the state whose f it collected
+    s, r = np.flatnonzero(S), np.flatnonzero(g)
+    table = _successor_table(
+        np.concatenate([rows, np.tile(r, s.size), n + s]),
+        np.concatenate([cols, np.repeat(s, r.size), s]),
+        np.concatenate([vals, np.outer((1 - q) * S[s], g[r]).ravel(), q * S[s]]),
+        (2 * n, n))
+    running = rng.multinomial(cfg.trials, g)
+    finished = []  # per step: the wait, the states finished from and how many
     for t in range(1, cfg.horizon + 1):
-        if not run.size:
+        if not running.any():
             break
-        cur = _step(table, cur, rng.random(run.size))
-        fin = cur >= N
-        ids = run[fin]
-        states[ids] = cur[fin]
-        waits[ids] = t
-        keep = ~fin
-        run, cur = run[keep], cur[keep]
-    done = waits > 0
-    return {"wait_samples": waits[done],
-            "f_samples": model.f[1].reshape(-1)[states[done] - N],
-            "exhausted": run.size, "rng": RNG_ALGORITHM}
+        counts = _step(table, running, rng, 2 * n)
+        running, fin = counts[:n], counts[n:]
+        done = np.flatnonzero(fin)
+        finished.append((np.full(done.size, t), done, fin[done]))
+    waits, froms, k = map(np.concatenate, zip(*finished))
+    return {"wait_samples": np.repeat(waits, k),
+            "f_samples": np.repeat(model.f[1].reshape(-1)[froms], k),
+            "exhausted": int(running.sum()), "rng": RNG_ALGORITHM}
 
 
 def simulate_collective(M: int, p: float, t_req: int, cfg: SimConfig):

@@ -190,6 +190,16 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
     return DecisionFunction.deterministic(np.where(swap, SWAP, ab).ravel(), len(ACTIONS))
 
 
+def _visits(A, g):
+    """A^{-1} g, or None when A is exactly singular or the solve is not a
+    finite, nonnegative vector of visits: some mass never ends its cycle."""
+    try:
+        z = splu(A).solve(g)
+    except RuntimeError:  # exactly singular
+        return None
+    return z if np.all(np.isfinite(z)) and np.all(z >= -1e-9 * np.abs(z).max()) else None
+
+
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected waiting time and expected f of the end-to-end link under d:
     the ratios 1^T z / (q S.z) and sum_s S_s f(s) z_s / S.z, whose division
@@ -206,11 +216,19 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     diag = np.bincount(cols[off], weights=vals[off], minlength=n) + S
     A = _lp.csc_from_entries(np.append(rows[off], range(n)), np.append(cols[off], range(n)),
                              np.append(-vals[off], diag), (n, n))
-    try:
-        z = splu(A).solve(initial_distribution(model).entries)
-    except RuntimeError:  # exactly singular: some mass never leaves
-        z = np.full(n, np.nan)
-    if not np.all(np.isfinite(z)) or np.any(z < -1e-9 * np.abs(z).max()):
+    g = initial_distribution(model).entries
+    z = _visits(A, g)
+    if z is None:  # a trap g never reaches is harmless: retry on the states it reaches
+        live = front = g > 0
+        pos = vals > 0
+        while front.any():
+            front = np.bincount(rows[pos][front[cols[pos]]], minlength=n).astype(bool) & ~live
+            live = live | front
+        sub = _visits(A[live][:, live], g[live])
+        if sub is not None:
+            z = np.zeros(n)
+            z[live] = sub
+    if z is None:
         raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
     exits = S * z  # summed alike below, so that f <= 1 gives E[f] <= 1
     mass = exits.sum()

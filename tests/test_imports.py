@@ -3,8 +3,8 @@ module-level `_private` name or UPPER_CASE constant of the package is read
 somewhere in the package, and every public module-level function or class
 of the package is read somewhere in the package, the tests, the demos or
 the benchmark.  The package has one LP solver path: no module reaches
-`linprog`, and only `lp.py` imports scipy's HiGHS binding.  `markov.py`
-imports no scipy.
+`linprog`, and only `lp.py` imports scipy's HiGHS binding.  `markov.py` and
+`mc.py` import no scipy.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
@@ -178,3 +178,7 @@ def test_guard_sees_a_scipy_import():
 
 def test_markov_does_not_import_scipy():
     assert scipy_imports((ROOT / "src" / "entlink" / "markov.py").read_text()) == []
+
+
+def test_mc_does_not_import_scipy():
+    assert scipy_imports((ROOT / "src" / "entlink" / "mc.py").read_text()) == []

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from entlink import elemlink, mc, twolink, waiting
-from entlink.markov import DecisionFunction, ModelError, Policy
+from entlink import elemlink, mc, oracles, twolink, waiting
+from entlink.markov import DecisionFunction, ModelError, Policy, evolve, policy_matrix
 
 
 def elem_model(p=0.5, f_vals=(1.0, 0.9, 0.8)):
@@ -103,114 +103,157 @@ def _digest(*arrays):
 
 
 def test_golden_bytes():
-    # same seed, same bytes: these digests are the dense-cumsum sampler's
-    # output, which the successor tables reproduce exactly
+    # same seed, same bytes: these digests are the count sampler's output,
+    # which also depends on numpy's binomial sampler
     m = elemlink.ElemLinkModel(0.3, 4, [0, 1, .9, .8, .7, .6])
     pol = Policy.time_indexed([elemlink.cutoff_decision(m, t % 5) for t in range(40)])
     res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=20_000, horizon=40))
-    assert _digest(res["freq"]) == "ce82152241862908"
+    assert _digest(res["freq"]) == "7fe05b3274e2e241"
     # the uniform decision mixes all five actions: the widest successor lists
     model = twolink.TwoLinkModel(0.4, 0.6, 0.7, 3, 4, 0.9 * twolink.uniform_f_table(3, 4))
     res = mc.simulate_two_link(model, DecisionFunction.uniform(model.n, 5),
                                mc.SimConfig(seed=5, trials=20_000, horizon=2_000))
     assert res["exhausted"] == 0
-    assert _digest(res["wait_samples"], res["f_samples"]) == "de7e3e10c0709c19"
+    assert _digest(res["wait_samples"], res["f_samples"]) == "32192c0873acbdc0"
     # a short horizon leaves some trajectories running: the samples and the
-    # exhausted count pin which trajectories finish, by trial, and an f that
-    # differs between swap states pins the state each one finished from
+    # exhausted count pin how many finish at each wait, and an f that differs
+    # between swap states pins the states they finished from
     f = twolink.uniform_f_table(5, 5)
     f[1] *= np.linspace(0.5, 1.0, 49).reshape(7, 7)
     model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
     cfg = mc.SimConfig(seed=7, trials=50_000, horizon=50)
     for d, exhausted, digest in [
-            (DecisionFunction.uniform(model.n, 5), 45_118, "3e346ca2e5bbb6e4"),
-            (twolink.cutoff_decision(model, 5, 5), 3_258, "ec7a5687800ebba0")]:
+            (DecisionFunction.uniform(model.n, 5), 45_264, "2cf13619cc6eae10"),
+            (twolink.cutoff_decision(model, 5, 5), 3_174, "dc767e621b51778c")]:
         res = mc.simulate_two_link(model, d, cfg)
         assert res["exhausted"] == exhausted
         assert res["wait_samples"].size == cfg.trials - exhausted
         assert _digest(res["wait_samples"], res["f_samples"]) == digest
 
 
-def _dense_index(column, u):
-    return int((u > np.cumsum(column)).sum())
-
-
-def _edge_matrix():
-    P = np.zeros((10, 10))
-    P[[1, 4, 6], 0] = [0.2, 0.5, 0.3]  # zeros before, between and after
-    P[[0, 2, 3, 5, 6, 8, 9], 1] = 1 / 7  # running sum ends at 1 - 2**-52
-    P[9, 2:] = 1.0
-    return P
-
-
-def test_successor_table_edge_draws():
-    P = _edge_matrix()
-    top = np.nextafter(1.0, 0.0)  # the largest draw of Generator.random
-    assert np.cumsum(P[:, 1])[-1] < top
-    table = mc._successor_table(P)
-    for s in (0, 1):
-        col = P[:, s]
-        sums = np.cumsum(col)[col > 0]
-        draws = [0.0, top]
-        for c in sums:
-            draws += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
-        for u in draws:
-            got = int(mc._step(table, np.array([s]), np.array([u]))[0])
-            assert col[got] > 0, (s, u)
-            dense = _dense_index(col, u)
-            if dense < col.size and col[dense] > 0:
-                assert got == dense, (s, u)
-    # where the dense rule fails, the table gives the first or last successor
-    assert mc._step(table, np.array([0]), np.array([0.0]))[0] == 1
-    assert _dense_index(P[:, 1], top) == 10
-    assert mc._step(table, np.array([1]), np.array([top]))[0] == 9
-
-
-def test_successor_table_matches_dense_rule(rng):
-    n = 30
-    P = rng.random((n, n)) * (rng.random((n, n)) < 0.15)
-    P[rng.integers(n, size=n), np.arange(n)] += 0.01  # every column nonzero
+def _random_entries(rng, n, m):
+    """Entries of a random column-stochastic (m, n) matrix, with duplicates
+    and explicit zeros among them, and the dense matrix they sum to."""
+    P = rng.random((m, n)) * (rng.random((m, n)) < 0.2)
+    P[rng.integers(m, size=n), np.arange(n)] += 0.01  # every column nonzero
     P /= P.sum(axis=0)
-    states = rng.integers(n, size=20_000)
-    u = rng.random(states.size)
-    got = mc._step(mc._successor_table(P), states, u)
-    dense = (u[:, None] > np.cumsum(P.T, axis=1)[states]).sum(axis=1)
-    assert np.array_equal(got, dense)
+    rows, cols = np.nonzero(P)
+    half = rng.random(rows.size) < 0.3  # split into two entries
+    return (np.concatenate([rows, rows[half], rng.integers(m, size=10)]),
+            np.concatenate([cols, cols[half], rng.integers(n, size=10)]),
+            np.concatenate([P[rows, cols] * np.where(half, 0.5, 1), 0.5 * P[rows, cols][half],
+                            np.zeros(10)]), P)
 
 
-def _check_against_dense(P, s):
-    """Every draw at and either side of column s's running sums, and the
-    extreme draws, picks the successor the dense rule picks; u = 0 picks the
-    first successor, and a draw above the sum the last."""
-    table = mc._successor_table(P)
-    col = P[:, s]
-    succ = np.flatnonzero(col)
-    draws = [0.0, np.nextafter(1.0, 0.0)]
-    for c in np.cumsum(col)[succ]:
-        draws += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
-    for u in draws:
-        got = int(mc._step(table, np.array([s]), np.array([u]))[0])
-        assert got == (succ[0] if u == 0 else min(_dense_index(col, u), succ[-1])), (s, u)
+def test_successor_table_holds_only_positive_successors(rng):
+    for n, m in [(1, 1), (5, 5), (30, 30), (12, 24)]:
+        rows, cols, vals, P = _random_entries(rng, n, m)
+        succ, prob = mc._successor_table(rows, cols, vals, (m, n))
+        width = (P > 0).sum(axis=0)
+        assert succ.shape == prob.shape == (n, width.max())
+        for s in range(n):
+            w = width[s]
+            assert np.array_equal(succ[s, :w], np.flatnonzero(P[:, s]))
+            assert np.allclose(prob[s, :w], P[succ[s, :w], s], rtol=1e-15, atol=0)
+            assert np.all(prob[s, :w] > 0)
+            # the padding repeats the last successor with probability 0
+            assert np.all(succ[s, w:] == succ[s, w - 1]) and np.all(prob[s, w:] == 0)
 
 
-def test_successor_table_one_successor_per_state():
-    P = np.eye(5)[[2, 0, 4, 1, 3]]  # a permutation: one successor per column
-    cum, nxt = mc._successor_table(P)
-    assert cum.shape == (0, 5)
-    states = np.arange(5).repeat(3)
-    u = np.tile([0.0, 0.5, np.nextafter(1.0, 0.0)], 5)
-    assert np.array_equal(mc._step((cum, nxt), states, u), P.argmax(axis=0)[states])
-    for s in range(5):
-        _check_against_dense(P, s)
+def test_step_moves_only_to_positive_successors(rng):
+    rows, cols, vals, P = _random_entries(rng, 30, 40)
+    table = mc._successor_table(rows, cols, vals, (40, 30))
+    for s in range(30):
+        counts = np.zeros(30, dtype=np.int64)
+        counts[s] = 100_000
+        out = mc._step(table, counts, rng, 40)
+        assert out.dtype == np.int64 and out.sum() == 100_000
+        assert np.all(out[P[:, s] == 0] == 0), s
 
 
-def test_successor_table_two_successors_at_most():
-    P = np.zeros((4, 4))
-    P[[1, 3], 0] = [0.3, 0.7]
-    P[[0, 2], 1] = [0.25, 0.75]
-    P[2, 2] = 1.0
-    P[[0, 3], 3] = [0.5, 0.5]
-    cum, _ = mc._successor_table(P)
-    assert cum.shape == (1, 4)
-    for s in range(4):
-        _check_against_dense(P, s)
+class _FixedMoves:
+    """Stands in for a Generator whose multinomial returns given moves."""
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def multinomial(self, counts, prob):
+        assert np.array_equal(self.moves.sum(axis=1), counts)
+        return self.moves
+
+
+def test_remainder_goes_to_the_last_successor():
+    # column 1's seven entries of 1/7 sum to 1 - 2**-52 and column 0 is wider,
+    # so column 1 is padded: Generator.multinomial gives whatever the rounding
+    # leaves to the last category, which for column 1 is padding
+    P = np.zeros((10, 3))
+    P[:8, 0] = 1 / 8
+    P[[0, 2, 3, 5, 6, 8, 9], 1] = 1 / 7
+    P[4, 2] = 1.0
+    assert np.cumsum(P[:, 1])[-1] == 1 - 2 ** -52
+    rows, cols = np.nonzero(P)
+    table = mc._successor_table(rows, cols, P[rows, cols], (10, 3))
+    moves = np.zeros((3, 8), dtype=np.int64)
+    moves[1, [0, 6, 7]] = [1, 2, 3]  # the last successor, 9, then padding
+    moves[2, [0, 7]] = [4, 5]
+    out = mc._step(table, moves.sum(axis=1), _FixedMoves(moves), 10)
+    assert np.array_equal(out, np.bincount([0] + [9] * 5 + [4] * 9, minlength=10))
+    # numpy accepts the short row, and every count lands on a successor
+    for s in range(3):
+        counts = np.zeros(3, dtype=np.int64)
+        counts[s] = 10 ** 12
+        out = mc._step(table, counts, np.random.default_rng(s), 10)
+        assert out.sum() == 10 ** 12 and np.all(out[P[:, s] == 0] == 0)
+
+
+def test_counts_are_conserved():
+    m = elem_model(0.3, (1.0, 0.9, 0.8, 0.7))
+    pol = Policy.stationary(elemlink.cutoff_decision(m, 2))
+    res = mc.simulate_elem(m, pol, mc.SimConfig(seed=2, trials=12_345, horizon=30))
+    assert np.all(np.rint(res["freq"] * 12_345).sum(axis=1) == 12_345)
+    model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 3, 3, twolink.uniform_f_table(3, 3))
+    for d in (DecisionFunction.uniform(model.n, 5), twolink.cutoff_decision(model, 3, 3)):
+        for horizon in (1, 7, 60, 10_000):
+            res = mc.simulate_two_link(model, d, mc.SimConfig(seed=3, trials=9_999,
+                                                              horizon=horizon))
+            w = res["wait_samples"]
+            # running plus finished equals trials
+            assert w.size + res["exhausted"] == 9_999
+            assert w.size == res["f_samples"].size and np.all(np.diff(w) >= 0)
+            assert np.all((w >= 1) & (w <= horizon))
+
+
+def test_two_link_exhausted_count_matches_survival_mass():
+    # the count still running at the horizon is Binomial(trials, 1^T (P^d)^50 g)
+    f = twolink.uniform_f_table(5, 5)
+    f[1] *= np.linspace(0.5, 1.0, 49).reshape(7, 7)
+    model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
+    mdp, _, g = oracles.two_link_absorbing_chain(model)
+    trials = 50_000
+    for d, exact in [(DecisionFunction.uniform(model.n, 5), 45_311.8),
+                     (twolink.cutoff_decision(model, 5, 5), 3_246.0)]:
+        table = np.vstack([d.table, np.eye(5)[0]])  # any action at `done`
+        P = policy_matrix(mdp, DecisionFunction(table)).entries
+        alive = 1 - (np.linalg.matrix_power(P, 50) @ g)[-1]
+        assert trials * alive == pytest.approx(exact, abs=0.05)
+        for seed in range(7, 12):
+            res = mc.simulate_two_link(model, d, mc.SimConfig(seed=seed, trials=trials,
+                                                              horizon=50))
+            z = (res["exhausted"] - trials * alive) / math.sqrt(trials * alive * (1 - alive))
+            assert abs(z) <= 4, (seed, res["exhausted"])
+
+
+def test_elem_counts_match_evolve():
+    # each time's count of every state is Binomial(trials, evolve's mass)
+    m = elemlink.ElemLinkModel(0.3, 4, [0, 1, .9, .8, .7, .6])
+    pol = Policy.time_indexed([elemlink.cutoff_decision(m, t % 5) for t in range(40)])
+    trials = 20_000
+    res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=trials, horizon=40))
+    mdp = elemlink.build_mdp(m)
+    for t in range(1, 41):
+        pi = evolve(mdp, pol, elemlink.g_vector(m), t).entries
+        counts = res["freq"][t - 1] * trials
+        assert np.all(counts[pi == 0] == 0)
+        mid = pi > 0
+        z = (counts[mid] - trials * pi[mid]) / np.sqrt(trials * pi[mid] * (1 - pi[mid]))
+        assert np.all(np.abs(z) <= 4), (t, z)

@@ -27,9 +27,9 @@ STDOUT_SHA256 = {
     "--seed 42 simulate collective --M 2 --p 0.5":
         "ffc560668eb1e88f0f192750925af1d67a9a16a32503a61fa694358e74380dd0",
     "--seed 42 simulate elem --p 0.5 --m-star 2 --f 1,0.9,0.8 --t-star 2":
-        "788babf930f2370045b02e503069614af6d4f6c38f2e234d77bf290360423f65",
+        "ee6d93215bf3710408fe6c20ca1404c9598ba0309fff1bd9027edb5bd87b4151",
     "--seed 42 simulate twolink --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t1-star 2 --t2-star 2":
-        "90283b077298335292d32f2cc70ba9f1c144e0cde71850451c6de5da343180a5",
+        "f400064880d1e0828f87f7764c86fa23339d65913019935f11e3fc1d3d651d16",
     "elem backward --p 0.3 --m-star 2 --f 1,0.9,0.8 --t 4":
         "5db85f75a74dba489c2fe8e429851703867b53005a77eb399cb9c99e2767d2d0",
     "elem forward --p 0.6 --m-star 3 --t-coh 100":

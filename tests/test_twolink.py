@@ -419,6 +419,18 @@ def test_evaluate_policy_raises_when_absorption_is_unreachable():
             TL.evaluate_policy(model, markov.DecisionFunction(table))
 
 
+def test_evaluate_policy_ignores_a_trap_the_start_never_reaches():
+    # at p1 = p2 = 1 every cycle starts at (0, 0); "swap" everywhere makes
+    # (-1, -1) a pure self-loop, so I - K^d is exactly singular, yet the
+    # first attempt ends every cycle and the wait is 1/q
+    model = TL.TwoLinkModel(1.0, 1.0, 0.5, 0, 0, TL.uniform_f_table(0, 0))
+    swap = markov.DecisionFunction.deterministic([TL.SWAP] * model.n, len(TL.ACTIONS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TL.evaluate_policy(model, swap) == (2.0, 1.0)
+    assert TL.evaluate_policy(model, TL.cutoff_decision(model, 0, 0)) == (2.0, 1.0)
+
+
 def test_evaluate_policy_raises_when_no_swap_succeeds():
     # q = 0: no swap ever succeeds; the absorbing solve reported this as an
     # ill-conditioned solve ("absorbed mass 0")
