@@ -6,6 +6,11 @@ explicit dense absorbing chain, not the renewal form), finite-horizon
 optima from a literal history-indexed recursion, and the heralded
 satellite link from an explicit beamsplitter dilation on truncated Fock
 spaces.
+
+The dilation's unitary comes from numpy's `eigh`, not `scipy.linalg.expm`:
+dense linear algebra uses numpy's OpenBLAS pool only (see `qstate`), since
+after a 9x9 `expm` an 81x81 numpy matmul took 4.0 ms, not 0.08 ms (2 cores;
+scipy's `splu` and HiGHS were measured and cause no such stall).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.linalg import expm
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix
@@ -164,12 +168,13 @@ def _annihilation(dim=_FOCK_DIM):
 
 
 def _bs_unitary(eta, dim=_FOCK_DIM):
-    """Two-mode beamsplitter with transmittance eta; exact on the photon-
-    number-conserving subspace despite the truncation."""
+    """Two-mode beamsplitter exp(theta G), transmittance eta = cos^2 theta;
+    exact on the photon-number-conserving subspace despite the truncation."""
     a = _annihilation(dim)
     G = np.kron(a.T, a) - np.kron(a, a.T)
+    w, V = np.linalg.eigh(1j * G)  # G real antisymmetric: iG Hermitian, U real
     theta = np.arccos(np.sqrt(eta))
-    return expm(theta * G)
+    return ((V * np.exp(-1j * theta * w)) @ V.conj().T).real
 
 
 def _arm_channel_outputs(eta, nbar):

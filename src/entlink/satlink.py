@@ -142,6 +142,8 @@ def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
     """Target overlap after m steps in two amplitude-damping memories."""
     if t_coh <= 0:
         raise SatError("memory_f: t_coh must be positive")
+    if not 0 <= m < math.inf:  # NaN fails too
+        raise SatError("memory_f: the age m must be finite and >= 0")
     lam = math.exp(-m / t_coh)
     return alpha * lam * lam + (beta - 0.5) * lam + 0.5
 
@@ -225,11 +227,18 @@ def h2(q: float) -> float:
     return -q * math.log2(q) - (1 - q) * math.log2(1 - q)
 
 
+def _check_qber(name, Q):
+    if not 0 <= Q <= 1:  # NaN fails too
+        raise SatError(f"{name}: QBER must lie in [0, 1]")
+
+
 def key_rate_bb84(Q: float) -> float:
+    _check_qber("key_rate_bb84", Q)
     return 1 - 2 * h2(Q)
 
 
 def key_rate_six_state(Q: float) -> float:
+    _check_qber("key_rate_six_state", Q)
     if Q == 0:
         return 1.0
     t1 = (1 - 3 * Q / 2)
@@ -242,6 +251,7 @@ def key_rate_six_state(Q: float) -> float:
 
 
 def key_rate_di(Q: float, S: float) -> float:
+    _check_qber("key_rate_di", Q)
     if not S >= 2:
         raise SatError("key_rate_di: CHSH value below 2 has no real-valued rate")
     return 1 - h2(Q) - h2((1 + math.sqrt((S / 2) ** 2 - 1)) / 2)

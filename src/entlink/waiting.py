@@ -18,14 +18,21 @@ def _pk(p, k):
     return 1 - (1 - p) ** k
 
 
+def _check(name, M, p, t_req):
+    if not 0 < p <= 1:  # NaN fails too
+        raise ModelError(f"{name}: p must lie in (0, 1]")
+    for value, low in ((M, 1), (t_req, 0)):
+        if not (isinstance(value, (int, np.integer)) and value >= low):
+            raise ModelError(f"{name}: M must be an integer >= 1, t_req an integer >= 0")
+
+
 def collective_pmf_infty(M: int, p: float, t_req: int, t):
     """Pr[all M links first simultaneously active t steps after the request],
     a float for an integer t and an array for an integer array t."""
+    _check("collective_pmf_infty", M, p, t_req)
     t = np.asarray(t)
-    if np.any(t < 1):
-        raise ModelError("collective_pmf_infty: t must be >= 1")
-    if M < 1 or t_req < 0:
-        raise ModelError("collective_pmf_infty: bad M or t_req")
+    if not np.issubdtype(t.dtype, np.integer) or np.any(t < 1):
+        raise ModelError("collective_pmf_infty: t must be an integer >= 1")
     head = _pk(p, t_req + 1)
     hi = (1 - (1 - head) * (1 - p) ** (t - 1)) ** M
     lo = (1 - (1 - head) * (1 - p) ** np.maximum(t - 2, 0)) ** M
@@ -47,10 +54,7 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
     wait E_m for m links still down solves E_m (1 - (1-p)^m) =
     1 + sum_{j>=1} Bin(j; m, p) E_{m-j}, and E[W] = 1 + sum_k Bin(k; M, head)
     E_{M-k} with head = 1 - (1-p)^(t_req+1) the share up at the first step."""
-    if not 0 < p <= 1:
-        raise ModelError("collective_expected_infty: p must lie in (0, 1]")
-    if M < 1 or t_req < 0:
-        raise ModelError("collective_expected_infty: bad M or t_req")
+    _check("collective_expected_infty", M, p, t_req)
     E = np.zeros(M + 1)
     for m, w in enumerate(_binomial_rows(M, p), start=1):
         E[m] = (1 + w[1:] @ E[m - 1::-1]) / w[1:].sum()

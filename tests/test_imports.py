@@ -3,8 +3,11 @@ module-level `_private` name or UPPER_CASE constant of the package is read
 somewhere in the package, and every public module-level function or class
 of the package is read somewhere in the package, the tests, the demos or
 the benchmark.  The package has one LP solver path: no module reaches
-`linprog`, and only `lp.py` imports scipy's HiGHS binding.  `markov.py` and
-`mc.py` import no scipy.
+`linprog`, and only `lp.py` imports scipy's HiGHS binding.  The package
+does its dense linear algebra with numpy only, since `scipy.linalg` loads a
+second OpenBLAS thread pool that stalls numpy's: no module imports or reads
+`scipy.linalg`, and `markov.py`, `mc.py`, `oracles.py` and `qstate.py`
+import no scipy at all.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
@@ -182,3 +185,46 @@ def test_markov_does_not_import_scipy():
 
 def test_mc_does_not_import_scipy():
     assert scipy_imports((ROOT / "src" / "entlink" / "mc.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["oracles.py", "qstate.py"])
+def test_dense_linear_algebra_modules_do_not_import_scipy(name):
+    assert scipy_imports((ROOT / "src" / "entlink" / name).read_text()) == []
+
+
+def scipy_linalg_uses(source):
+    """(line, what) of every import of `scipy.linalg` or anything in it, and
+    every read of `linalg` as an attribute of an imported `scipy` module."""
+    out = [(line, name) for line, name in scipy_imports(source)
+           if name.split(".")[1:2] == ["linalg"]]
+    tree = ast.parse(source)
+    scipy_names = {alias.asname or "scipy" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "scipy"
+                   or (alias.asname is None and alias.name.startswith("scipy."))}
+    out += [(node.lineno, "scipy.linalg") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in scipy_names]
+    return sorted(out)
+
+
+def test_guard_sees_scipy_linalg_in_any_spelling():
+    source = ("from scipy.linalg import expm\n"
+              "import scipy.linalg\n"
+              "from scipy import linalg, sparse\n"
+              "import scipy.linalg._basic as b\n"
+              "import scipy as sp\n"
+              "sp.linalg.eigh\n"
+              "import scipy.sparse\n"
+              "scipy.linalg.expm\n"
+              "from scipy.sparse.linalg import splu\n"
+              "import numpy as np\n"
+              "np.linalg.eigh\n")
+    assert scipy_linalg_uses(source) == [
+        (1, "scipy.linalg.expm"), (2, "scipy.linalg"), (3, "scipy.linalg"),
+        (4, "scipy.linalg._basic"), (6, "scipy.linalg"), (8, "scipy.linalg")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_scipy_linalg(path):
+    assert scipy_linalg_uses(path.read_text()) == []

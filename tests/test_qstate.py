@@ -271,6 +271,23 @@ def test_graph_channel_ideal_and_formula(rng=np.random.default_rng(9)):
     assert direct == pytest.approx(Q.graph_dist_fidelity(tables, A), abs=1e-12)
 
 
+# weight 2 once read as "no edge" (the no-edge fidelity), 0.5 gave a NaN
+# amplitude and -1 a bare ValueError from an integer power
+@pytest.mark.parametrize("w", [2, 0.5, -1, np.nan])
+def test_graph_functions_reject_a_weighted_graph(w):
+    A = np.array([[0, w], [w, 0]])
+    phi = Q.bell(2)
+    rho = np.outer(phi, phi.conj())
+    joint = Q.DensityOperator(Q.tensor(rho, rho), (2,) * 4)
+    tables = [Q.bell_overlap_table(Q.DensityOperator(rho, (2, 2)), 2)] * 2
+    with pytest.raises(Q.QuantumError, match="0/1"):
+        Q.graph_state(A)
+    with pytest.raises(Q.QuantumError, match="0/1"):
+        Q.graph_dist_channel(joint, A)
+    with pytest.raises(Q.QuantumError, match="0/1"):
+        Q.graph_dist_fidelity(tables, A)
+
+
 def test_isotropic_twirl_preserves_fidelity(rng=np.random.default_rng(10)):
     rho = Q.DensityOperator(random_density(rng, 4), (2, 2))
     f = Q.fidelity_to_pure(rho, Q.bell(2))
@@ -425,6 +442,8 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.graph_dist_fidelity([np.full((2, 2), np.nan), _TABLE], _PAIR),
     lambda: Q.graph_dist_fidelity([[[0.5, 0.5], [0.5, -0.5]], _TABLE], _PAIR),
     lambda: Q.graph_dist_fidelity([np.full((3, 3), 0.1), _TABLE], _PAIR),
+    lambda: Q.graph_state(np.array(0)),  # once an IndexError
+    lambda: Q.graph_state([[1, 0], [0, 0]]),
 ], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
         "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
         "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
@@ -437,7 +456,7 @@ _TABLE = np.full((2, 2), 0.25)
         "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf",
         "ghz_swap_fidelity-nan", "ghz_swap_fidelity-negative", "ghz_swap_fidelity-shape",
         "graph_dist_fidelity-nan", "graph_dist_fidelity-negative",
-        "graph_dist_fidelity-shape"])
+        "graph_dist_fidelity-shape", "graph_state-scalar", "graph_state-self-loop"])
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from entlink import elemlink, oracles, qstate, satlink as S
 
@@ -51,6 +52,36 @@ def test_heralded_link_vs_beamsplitter_oracle(rng):
         p_o, co = oracles.beamsplitter_heralded_link(e1, e2, fS, n1, n2)
         assert link.p == pytest.approx(p_o, abs=1e-12)
         assert np.allclose(link.p * link.coeffs.as_array(), co, atol=1e-12)
+
+
+ETA_GRID = [0.05, 0.1, 0.25, 0.5, 0.7, 0.9, 0.99, 1.0]
+
+
+def _generator_and_photon_number():
+    a = oracles._annihilation()
+    one = np.eye(a.shape[0])
+    return np.kron(a.T, a) - np.kron(a, a.T), np.kron(a.T @ a, one) + np.kron(one, a.T @ a)
+
+
+@pytest.mark.parametrize("eta", ETA_GRID)
+def test_bs_unitary_is_real_orthogonal_and_conserves_photons(eta):
+    _, N = _generator_and_photon_number()
+    U = oracles._bs_unitary(eta)
+    assert U.dtype == np.float64
+    assert np.abs(U.T @ U - np.eye(len(U))).max() <= 1e-13
+    assert np.abs(U @ N - N @ U).max() <= 1e-13
+
+
+def test_bs_unitary_is_the_identity_at_full_transmittance():
+    U = oracles._bs_unitary(1.0)
+    assert np.abs(U - np.eye(len(U))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("eta", ETA_GRID)
+def test_bs_unitary_matches_the_matrix_exponential(eta):
+    G, _ = _generator_and_photon_number()
+    reference = expm(np.arccos(np.sqrt(eta)) * G)
+    assert np.abs(oracles._bs_unitary(eta) - reference).max() <= 1e-13
 
 
 def test_heralded_link_ideal_case():
@@ -189,6 +220,8 @@ def test_key_rate_anchor_points():
     assert S.key_rate_bb84(0.0) == 1.0
     assert S.key_rate_six_state(0.0) == 1.0
     assert S.key_rate_di(0.0, 2 * math.sqrt(2)) == 1.0
+    assert S.key_rate_bb84(1.0) == 1.0  # every bit flipped: Bob inverts them
+    assert S.key_rate_six_state(1.0) == pytest.approx(-0.5)
     with pytest.raises(S.SatError):
         S.key_rate_di(0.1, 1.9)
 
@@ -263,6 +296,20 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.ftilde_infty_closed(math.nan, 10.0, 0.5, 0.5, 0.5), S.SatError),
     (lambda: S.coherence_steps(1.0, math.nan), S.SatError),
     (lambda: S.key_rate_di(0.1, math.nan), S.SatError),
+    # a negative age once gave a "fidelity" of 1.1107 (m = -1), 1.859 (m = -5)
+    (lambda: S.memory_f(-1, 10.0, 0.5, 0.5), S.SatError),
+    (lambda: S.memory_f(math.nan, 10.0, 0.5, 0.5), S.SatError),
+    (lambda: S.memory_f(math.inf, 10.0, 0.5, 0.5), S.SatError),
+    # a QBER outside [0, 1] once gave a BB84 rate of 1.0
+    (lambda: S.key_rate_bb84(-0.1), S.SatError),
+    (lambda: S.key_rate_bb84(1.2), S.SatError),
+    (lambda: S.key_rate_bb84(math.nan), S.SatError),
+    (lambda: S.key_rate_six_state(-0.1), S.SatError),
+    (lambda: S.key_rate_six_state(1.2), S.SatError),
+    (lambda: S.key_rate_six_state(math.nan), S.SatError),
+    (lambda: S.key_rate_di(-0.1, 2.5), S.SatError),
+    (lambda: S.key_rate_di(1.2, 2.5), S.SatError),
+    (lambda: S.key_rate_di(math.nan, 2.5), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
@@ -271,7 +318,11 @@ def test_qber_formulas_match_state_qbers(rng):
         "SatGeometry-d-nan", "SatGeometry-d-inf", "SatGeometry-h-nan", "SatGeometry-h-inf",
         "SatSourceParams-M-nan", "eta_sg-path-nan", "heralded_link-eta-nan",
         "multiplexed_p-M-nan", "cutoff_steady_sinh-t_star-nan", "ftilde_infty_closed-t-nan",
-        "coherence_steps-d-nan", "key_rate_di-S-nan"])
+        "coherence_steps-d-nan", "key_rate_di-S-nan", "memory_f-m-negative",
+        "memory_f-m-nan", "memory_f-m-inf", "key_rate_bb84-Q-negative",
+        "key_rate_bb84-Q-above-one", "key_rate_bb84-Q-nan", "key_rate_six_state-Q-negative",
+        "key_rate_six_state-Q-above-one", "key_rate_six_state-Q-nan",
+        "key_rate_di-Q-negative", "key_rate_di-Q-above-one", "key_rate_di-Q-nan"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

@@ -116,6 +116,31 @@ def test_argument_validation():
         W.collective_expected_infty(1, 0.0, 0)
 
 
+# p = 1.5 once gave the "pmf" [2.25, -1.6875, 0.703125] at t = 1..3 and an
+# expected wait of 3.4035 at M = 2, t_req = 1.5; M = 2.0 raised a TypeError
+@pytest.mark.parametrize("M, p, t_req", [
+    (2, 1.5, 0), (2, -0.2, 0), (2, 0.0, 0), (2, math.nan, 0),
+    (2, 0.3, 1.5), (2, 0.3, 2.0), (2, 0.3, -1), (2.0, 0.3, 0), (0, 0.3, 0)])
+def test_bad_model_raises(M, p, t_req):
+    with pytest.raises(ModelError):
+        W.collective_pmf_infty(M, p, t_req, 1)
+    with pytest.raises(ModelError):
+        W.collective_expected_infty(M, p, t_req)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, np.array([1.0, 2.0]), np.array([1, 0]), 0])
+def test_pmf_needs_integer_t_from_one(t):
+    with pytest.raises(ModelError, match="t must be an integer"):
+        W.collective_pmf_infty(2, 0.3, 0, t)
+
+
+def test_numpy_integers_are_accepted():
+    assert W.collective_expected_infty(np.int64(2), 0.3, np.int64(1)) == \
+        W.collective_expected_infty(2, 0.3, 1)
+    assert W.collective_pmf_infty(2, 0.3, np.int64(1), np.int64(3)) == \
+        W.collective_pmf_infty(2, 0.3, 1, 3)
+
+
 def _pmf_scalar_reference(M, p, t_req, t):
     """The pmf for one integer t, term by term as first written."""
     head = 1 - (1 - p) ** (t_req + 1)
