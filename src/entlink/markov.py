@@ -166,15 +166,19 @@ def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
 
 
 def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
-    """Distribution at time t, starting from `initial` at time 1."""
+    """Distribution at time t, starting from `initial` at time 1; P^d is
+    built once per (read-only) decision object."""
     if t < 1:
         raise ModelError("evolve: t must be >= 1")
     if len(initial) != mdp.n:
         raise ModelError("evolve: initial vector size mismatch")
     v = initial.entries
+    mats = {}
     for step in range(1, t):
-        P = policy_matrix(mdp, policy.decision_at(step))
-        v = P.entries @ v
+        d = policy.decision_at(step)
+        if id(d) not in mats:
+            mats[id(d)] = policy_matrix(mdp, d).entries
+        v = mats[id(d)] @ v
     return ProbVector(v)
 
 

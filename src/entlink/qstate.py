@@ -5,8 +5,10 @@ the three joining protocols as brute-force channels, their closed-form
 output fidelities, BBPSSW distillation, amplitude damping, and the d-rail
 pure-loss map.  Subsystems are ordered as written: A, R_1^1, R_1^2, ...,
 R_n^1, R_n^2, B for swapping chains.  The swap and GHZ chains apply each
-node's measurement to the reshaped joint state by tensor contraction, one
-node at a time, and never form a Kraus matrix of the whole chain.
+node's measurement to the reshaped joint state, one node at a time, by a
+matmul on the ket side and a batched matmul on the bra side, and never
+form a Kraus matrix of the whole chain.  `DensityOperator` validates with
+one transposed copy and a Cholesky factor of conj(H), read by columns.
 
 The whole package does its dense linear algebra with numpy's OpenBLAS
 only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
@@ -42,24 +44,26 @@ class DensityOperator:
             raise QuantumError("DensityOperator: not square")
         if not np.isfinite(mat).all():  # NaN would pass the tests below
             raise QuantumError("DensityOperator: non-finite entries")
-        # the one work buffer of the checks below, in C order like mat: the
-        # F-ordered np.conj(mat.T) would mix strides in every later pass
+        # the one work buffer: conj(mat.T), compared with mat in row chunks
+        # of ~4096 entries so that no second n x n array is made
+        n = mat.shape[0]
         work = np.empty(mat.shape, dtype=complex)
         np.conj(mat.T, out=work)
-        np.subtract(mat, work, out=work)
-        if np.max(np.abs(work)) > HERM_TOL:
-            raise QuantumError("DensityOperator: not Hermitian")
+        step = max(1, 2 ** 12 // n)
+        for i in range(0, n, step):
+            if np.max(np.abs(mat[i:i + step] - work[i:i + step])) > HERM_TOL:
+                raise QuantumError("DensityOperator: not Hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
             raise QuantumError(f"DensityOperator: trace {np.trace(mat).real!r}")
-        # positive semidefinite down to EIG_FLOOR iff the Hermitian part plus
+        # positive semidefinite down to EIG_FLOOR iff the Hermitian part H plus
         # |EIG_FLOOR| I has a Cholesky factor; eigvalsh decides only the
-        # near-misses Cholesky refuses
-        np.conj(mat.T, out=work)
+        # near-misses Cholesky refuses.  H is exactly Hermitian, so work.T is
+        # conj(H), whose F order numpy copies for LAPACK column by column
         work += mat
         work *= 0.5
-        work.flat[::mat.shape[0] + 1] -= EIG_FLOOR
+        work.flat[::n + 1] -= EIG_FLOOR
         try:
-            np.linalg.cholesky(work)
+            np.linalg.cholesky(work.T)
         except np.linalg.LinAlgError:
             ev = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
             if ev.min() < EIG_FLOOR:
@@ -252,10 +256,12 @@ def _measure_nodes(mat, dim_done, n, key0, node):
             F, keys = node(key)
             n_out, m, P = F.shape
             rest = M.shape[0] // (dim_done * P)
-            # ket side for every outcome at once, then each outcome's bra side
+            # ket side for every outcome at once, then the bra side of every
+            # outcome by one broadcast matmul; V is laid out like U, so the
+            # reshape below copies each outcome's part
             U = np.matmul(F.reshape(n_out * m, P), M.reshape(dim_done, P, -1))
             U = U.reshape(dim_done, n_out, m, rest * dim_done, P, rest)
-            V = np.einsum("aoirqs,onq->oairns", U, F.conj())
+            V = np.matmul(F.conj()[:, None, None, None], U.swapaxes(0, 1))
             for k, part in zip(keys, V.reshape(n_out, dim_done * m * rest, -1)):
                 new[k] = new[k] + part if k in new else part
         branches = new

@@ -121,9 +121,15 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta, a=a, b=b, c=c)
 
 
+def _is_count(value, low):
+    return isinstance(value, (int, np.integer)) and value >= low
+
+
 def multiplexed_p(p_single: float, M: int) -> float:
-    if not M >= 1:
-        raise SatError("multiplexed_p: M must be >= 1")
+    if not 0 <= p_single <= 1:  # NaN fails too
+        raise SatError("multiplexed_p: p_single must lie in [0, 1]")
+    if not _is_count(M, 1):
+        raise SatError("multiplexed_p: M must be an integer >= 1")
     return 1 - (1 - p_single) ** M
 
 
@@ -166,8 +172,8 @@ def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
                        p: float):
     """Stationary (F~, F) under the cutoff rule, with the decay sums in
     closed form."""
-    if not t_star >= 0:
-        raise SatError("cutoff_steady_sinh: t_star must be >= 0")
+    if not _is_count(t_star, 0):
+        raise SatError("cutoff_steady_sinh: t_star must be an integer >= 0")
     s1 = _geom_exp_sum(t_star, t_coh)
     s2 = _geom_exp_sum(t_star, t_coh / 2)
     fsum = alpha * s2 + (beta - 0.5) * s1 + 0.5 * (t_star + 1)
@@ -178,8 +184,8 @@ def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
 def ftilde_infty_closed(t: int, t_coh: float, alpha: float, beta: float,
                         p: float) -> float:
     """Expected figure of merit at time t under the never-discard rule."""
-    if not t >= 1:
-        raise SatError("ftilde_infty_closed: t must be >= 1")
+    if not _is_count(t, 1):
+        raise SatError("ftilde_infty_closed: t must be an integer >= 1")
     if not 0 < p <= 1:
         raise SatError("ftilde_infty_closed: p must lie in (0, 1]")
     e1 = math.exp(1 / t_coh)

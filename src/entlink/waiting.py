@@ -67,4 +67,6 @@ def virtual_expected(collective_expected: float, q: float) -> float:
     mean number of joining attempts (independent geometric with success q)."""
     if not 0 < q <= 1:
         raise ModelError("virtual_expected: q must lie in (0, 1]")
+    if not 0 <= collective_expected < np.inf:  # NaN fails too
+        raise ModelError("virtual_expected: the collective wait must be finite and >= 0")
     return collective_expected / q

@@ -19,7 +19,7 @@ from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
 from entlink.oracles import stationary_eig
 from entlink.lp import mdp_occupation_lp
 from entlink.oracles import policy_iteration_absorbing
-from entlink import twolink as TL
+from entlink import markov, twolink as TL
 from entlink.twolink import TwoLinkModel
 
 from conftest import random_mdp
@@ -139,6 +139,39 @@ def test_evolve_matches_matrix_powers(rng):
     P = policy_matrix(mdp, d).entries
     out = evolve(mdp, pol, init, 4)
     assert np.allclose(out.entries, np.linalg.matrix_power(P, 3) @ init.entries)
+
+
+def _stepwise(mdp, policy, init, t):
+    v = init.entries
+    for step in range(1, t):
+        v = policy_matrix(mdp, policy.decision_at(step)).entries @ v
+    return v
+
+
+def test_evolve_reuses_decisions_bitwise(rng):
+    mdp = random_mdp(rng, 6, 3)
+    init = ProbVector(rng.dirichlet(np.ones(6)))
+    d1 = DecisionFunction(rng.dirichlet(np.ones(3), size=6))
+    d2 = DecisionFunction(rng.dirichlet(np.ones(3), size=6))
+    for pol in (Policy.time_indexed([d1, d2] * 10), Policy.time_indexed([d1] * 20),
+                Policy.stationary(d2)):
+        for t in (1, 2, 7, 21):
+            assert evolve(mdp, pol, init, t).entries.tobytes() == \
+                _stepwise(mdp, pol, init, t).tobytes()
+
+
+def test_stationary_evolve_builds_the_policy_matrix_once(rng, monkeypatch):
+    mdp = random_mdp(rng, 4, 2)
+    calls = []
+
+    def counting(mdp, d):
+        calls.append(d)
+        return policy_matrix(mdp, d)
+
+    monkeypatch.setattr(markov, "policy_matrix", counting)
+    evolve(mdp, Policy.stationary(DecisionFunction.uniform(4, 2)),
+           ProbVector(np.full(4, 0.25)), 200)
+    assert len(calls) == 1
 
 
 def test_time_indexed_policy_horizon(rng):

@@ -119,7 +119,23 @@ def _with_lowest_eigenvalue(rng, dim, lowest):
     return (U * ev) @ U.conj().T
 
 
-@pytest.mark.parametrize("dim", [4, 64])
+@pytest.mark.parametrize("upper", [True, False])
+def test_density_operator_sees_a_deviation_on_one_side_only(upper):
+    # the Hermitian check compares mat with its conjugate transpose in row
+    # chunks; a deviation just above HERM_TOL in one triangle must be seen
+    rng = np.random.default_rng(5)
+    dim = 256
+    rho = random_density(rng, dim)
+    rho = (rho + rho.conj().T) / 2  # exactly Hermitian before the deviation
+    i, j = (3, 200) if upper else (200, 3)
+    rho[i, j] += 1.01 * Q.HERM_TOL
+    with pytest.raises(Q.QuantumError, match="not Hermitian"):
+        Q.DensityOperator(rho)
+    rho[i, j] -= 0.02 * Q.HERM_TOL  # now 0.99 HERM_TOL off: accepted
+    Q.DensityOperator(rho)
+
+
+@pytest.mark.parametrize("dim", [4, 64, 256])
 def test_density_operator_eigenvalue_floor(dim):
     # the floor is EIG_FLOOR = -1e-9, on the lowest eigenvalue
     rng = np.random.default_rng(dim)
@@ -242,6 +258,21 @@ def test_swap_fidelity_formula_qutrit(rng=np.random.default_rng(7)):
     direct = Q.fidelity_to_pure(Q.swap_chain_channel(joint, 1, 3), Q.bell(3))
     tables = [Q.bell_overlap_table(Q.DensityOperator(r, (3, 3)), 3) for r in rhos]
     assert direct == pytest.approx(Q.swap_fidelity(tables), abs=1e-12)
+
+
+def test_channels_at_dim_1024_match_the_closed_forms(rng=np.random.default_rng(17)):
+    # n = 4 nodes: a 2^10 = 1024-dimensional joint state, as in the largest
+    # channel check of the benchmark's oracle-crosscheck pass
+    n = 4
+    rhos = [random_density(rng, 4) for _ in range(n + 1)]
+    joint = Q.DensityOperator(Q.tensor(*rhos), (2,) * (2 * n + 2))
+    links = [Q.DensityOperator(r, (2, 2)) for r in rhos]
+    direct = Q.fidelity_to_pure(Q.swap_chain_channel(joint, n, 2), Q.bell(2))
+    tables = [Q.bell_overlap_table(r, 2) for r in links]
+    assert direct == pytest.approx(Q.swap_fidelity(tables), abs=1e-10)
+    direct_g = Q.fidelity_to_pure(Q.ghz_swap_channel(joint, n), Q.ghz(n + 2))
+    zt = [[Q.fidelity_to_pure(r, Q.bell(2, z, 0)) for z in (0, 1)] for r in links]
+    assert direct_g == pytest.approx(Q.ghz_swap_fidelity(zt), abs=1e-10)
 
 
 def test_ghz_channel_ideal_and_formula(rng=np.random.default_rng(8)):

@@ -310,6 +310,16 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.key_rate_di(-0.1, 2.5), S.SatError),
     (lambda: S.key_rate_di(1.2, 2.5), S.SatError),
     (lambda: S.key_rate_di(math.nan, 2.5), S.SatError),
+    # a probability outside [0, 1] once gave multiplexed_p(1.5, 2) = 0.75, a
+    # fractional M gave multiplexed_p(0.5, 2.5) = 0.823, and a fractional
+    # cutoff or time gave a value for a rule that does not exist
+    (lambda: S.multiplexed_p(1.5, 2), S.SatError),
+    (lambda: S.multiplexed_p(-0.1, 2), S.SatError),
+    (lambda: S.multiplexed_p(math.nan, 2), S.SatError),
+    (lambda: S.multiplexed_p(0.5, 2.5), S.SatError),
+    (lambda: S.cutoff_steady_sinh(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.cutoff_steady_sinh(math.inf, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.ftilde_infty_closed(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
@@ -322,7 +332,10 @@ def test_qber_formulas_match_state_qbers(rng):
         "memory_f-m-nan", "memory_f-m-inf", "key_rate_bb84-Q-negative",
         "key_rate_bb84-Q-above-one", "key_rate_bb84-Q-nan", "key_rate_six_state-Q-negative",
         "key_rate_six_state-Q-above-one", "key_rate_six_state-Q-nan",
-        "key_rate_di-Q-negative", "key_rate_di-Q-above-one", "key_rate_di-Q-nan"])
+        "key_rate_di-Q-negative", "key_rate_di-Q-above-one", "key_rate_di-Q-nan",
+        "multiplexed_p-p-above-one", "multiplexed_p-p-negative", "multiplexed_p-p-nan",
+        "multiplexed_p-M-fractional", "cutoff_steady_sinh-t_star-fractional",
+        "cutoff_steady_sinh-t_star-inf", "ftilde_infty_closed-t-fractional"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

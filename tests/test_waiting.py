@@ -107,6 +107,13 @@ def test_virtual_expected():
         W.virtual_expected(4.0, 0.0)
 
 
+@pytest.mark.parametrize("wait", [-3.0, math.nan, math.inf, -math.inf])
+def test_virtual_expected_rejects_bad_collective_wait(wait):
+    # a negative wait once gave virtual_expected(-3.0, 0.5) = -6.0, NaN gave NaN
+    with pytest.raises(ModelError):
+        W.virtual_expected(wait, 0.5)
+
+
 def test_argument_validation():
     with pytest.raises(ModelError):
         W.collective_pmf_infty(0, 0.5, 0, 1)
