@@ -66,16 +66,6 @@ def _elem_model(args):
     return elemlink.ElemLinkModel(args.p, args.m_star, f)
 
 
-def _add_elem_model_args(sp):
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--m-star", type=int, required=True)
-    sp.add_argument("--f", help="comma-separated f(0),...,f(m*)")
-    sp.add_argument("--t-coh", type=float, default=50.0,
-                    help="memory coherence steps (used when --f is absent)")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--beta", type=float, default=0.5)
-
-
 def cmd_elem_steady(args):
     model = _elem_model(args)
     rows = []
@@ -119,19 +109,6 @@ def _two_link_model(args):
                                 args.m1_star, args.m2_star, f)
 
 
-def _add_two_link_args(sp, with_f=False):
-    sp.add_argument("--p1", type=float, required=True)
-    sp.add_argument("--p2", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--m1-star", type=int, required=True)
-    sp.add_argument("--m2-star", type=int, required=True)
-    if with_f:
-        sp.add_argument("--t-coh", type=float, default=None,
-                        help="build f from memory decay; default uniform f=1")
-        sp.add_argument("--alpha", type=float, default=0.5)
-        sp.add_argument("--beta", type=float, default=0.5)
-
-
 def cmd_twolink_lp_fidelity(args):
     model = _two_link_model(args)
     value, _ = twolink.lp_optimal_value(model)
@@ -156,8 +133,8 @@ def cmd_twolink_evaluate(args):
     _emit([{"expected_waiting": wait, "f_at_absorption": f_abs}], args)
 
 
-def _link_from_args(args):
-    geom = satlink.SatGeometry(args.d, args.h)
+def _link_from_args(args, d):
+    geom = satlink.SatGeometry(d, args.h)
     L = satlink.path_length(geom)
     eta = satlink.eta_sg(L, args.h, args.eta_zen)
     src = satlink.SatSourceParams(args.fs, args.nbar1, args.nbar2, args.M)
@@ -165,19 +142,8 @@ def _link_from_args(args):
     return L, eta, src, link
 
 
-def _add_sat_args(sp, d_required=True):
-    sp.add_argument("--d", type=float, required=d_required,
-                    help="ground separation, km")
-    sp.add_argument("--h", type=float, default=500.0, help="orbit altitude, km")
-    sp.add_argument("--fs", type=float, default=1.0)
-    sp.add_argument("--nbar1", type=float, default=0.0)
-    sp.add_argument("--nbar2", type=float, default=0.0)
-    sp.add_argument("--M", type=int, default=1)
-    sp.add_argument("--eta-zen", type=float, default=0.5)
-
-
 def cmd_satlink_link(args):
-    L, eta, src, link = _link_from_args(args)
+    L, eta, src, link = _link_from_args(args, args.d)
     c = link.coeffs
     _emit([{"path_length_km": L, "eta": eta,
             "p": satlink.multiplexed_p(link.p, src.M),
@@ -191,8 +157,7 @@ def cmd_satlink_sweep(args):
         raise ModelError("satlink sweep: --steps must be >= 1")
     rows = []
     for d in np.linspace(args.d_min, args.d_max, args.steps):
-        args.d = float(d)
-        L, eta, src, link = _link_from_args(args)
+        L, eta, src, link = _link_from_args(args, float(d))
         rows.append({"d_km": float(d), "path_length_km": L, "eta": eta,
                      "p": satlink.multiplexed_p(link.p, src.M),
                      "phi_plus": link.coeffs.phi_plus,
@@ -201,7 +166,7 @@ def cmd_satlink_sweep(args):
 
 
 def cmd_satlink_keyrates(args):
-    L, eta, src, link = _link_from_args(args)
+    L, eta, src, link = _link_from_args(args, args.d)
     p = satlink.multiplexed_p(link.p, src.M)
     rows = []
     for proto in ("bb84", "6state", "di"):
@@ -274,7 +239,28 @@ def run_selftest(args):
     return 0 if all(r["passed"] for r in results) else 1
 
 
+_REQ = object()  # the default that marks an option as required
+
+
+def _add_options(parser, opts):
+    """One option per key of `opts`: m_star=(int, 50) is --m-star of type int
+    and default 50.  A value is (type, default) or (type, default, help), and
+    the default _REQ makes the option required."""
+    for name, (type_, default, *help_) in opts.items():
+        kw = {"required": True} if default is _REQ else {"default": default}
+        parser.add_argument("--" + name.replace("_", "-"), type=type_,
+                            help=help_[0] if help_ else None, **kw)
+    return parser
+
+
+def _options(*parents, **opts):
+    """A parser to pass as `parents=`: the options of `parents`, then `opts`."""
+    return _add_options(argparse.ArgumentParser(add_help=False, parents=parents), opts)
+
+
 def build_parser():
+    """The entlink parser.  Each option group shared by subcommands is one
+    parent parser; `ap.subcommands` lists the subcommand parsers."""
     ap = argparse.ArgumentParser(
         prog="entlink",
         description="Entanglement-distribution link analysis: MDP policies, "
@@ -283,90 +269,66 @@ def build_parser():
     ap.add_argument("--config", help="JSON file with default argument values")
     ap.add_argument("--out", help="write output to this file instead of stdout")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--seed", type=int, default=20260824)
+    ap.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
     ap.add_argument("--selftest", action="store_true",
                     help="run the acceptance checks and exit nonzero on failure")
+
+    # the groups share their actions with every subcommand that takes them,
+    # and --config sets defaults on those actions, so each call builds anew
+    decay = _options(alpha=(float, 0.5), beta=(float, 0.5))
+    elem = _options(_options(p=(float, _REQ), m_star=(int, _REQ),
+                             f=(None, None, "comma-separated f(0),...,f(m*)"),
+                             t_coh=(float, 50.0, "memory coherence steps (used when --f is absent)")),
+                    decay)
+    two = _options(p1=(float, _REQ), p2=(float, _REQ), q=(float, _REQ),
+                   m1_star=(int, _REQ), m2_star=(int, _REQ))
+    two_decay = _options(_options(t_coh=(float, None,
+                                         "build f from memory decay; default uniform f=1")), decay)
+    cutoffs = _options(t1_star=(int, _REQ), t2_star=(int, _REQ))
+    sat_d = _options(d=(float, _REQ, "ground separation, km"))
+    sat = _options(h=(float, 500.0, "orbit altitude, km"), fs=(float, 1.0), nbar1=(float, 0.0),
+                   nbar2=(float, 0.0), M=(int, 1), eta_zen=(float, 0.5))
+    collective = _options(M=(int, _REQ), p=(float, _REQ), t_req=(int, 0))
+    trials = _options(trials=(int, 100_000))
+
     sub = ap.add_subparsers(dest="command")
-
-    elem = sub.add_parser("elem", help="single-link model").add_subparsers(dest="sub")
-    for name, fn, extra in (
-            ("steady", cmd_elem_steady, None),
-            ("optimal", cmd_elem_optimal, None),
-            ("backward", cmd_elem_backward, "t"),
-            ("forward", cmd_elem_forward, None)):
-        sp = elem.add_parser(name)
-        _add_elem_model_args(sp)
-        if extra == "t":
-            sp.add_argument("--t", type=int, required=True)
-        sp.set_defaults(func=fn)
-
-    two = sub.add_parser("twolink", help="two links plus swapping").add_subparsers(dest="sub")
-    sp = two.add_parser("lp-fidelity")
-    _add_two_link_args(sp, with_f=True)
-    sp.set_defaults(func=cmd_twolink_lp_fidelity)
-    sp = two.add_parser("lp-waiting")
-    _add_two_link_args(sp)
-    sp.set_defaults(func=cmd_twolink_lp_waiting)
-    sp = two.add_parser("analytic")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--t-star", type=int, required=True)
-    sp.set_defaults(func=cmd_twolink_analytic)
-    sp = two.add_parser("evaluate")
-    _add_two_link_args(sp, with_f=True)
-    sp.add_argument("--t1-star", type=int, required=True)
-    sp.add_argument("--t2-star", type=int, required=True)
-    sp.set_defaults(func=cmd_twolink_evaluate)
-
-    sat = sub.add_parser("satlink", help="satellite downlink case study").add_subparsers(dest="sub")
-    sp = sat.add_parser("link")
-    _add_sat_args(sp)
-    sp.set_defaults(func=cmd_satlink_link)
-    sp = sat.add_parser("sweep")
-    _add_sat_args(sp, d_required=False)
-    sp.add_argument("--d-min", type=float, required=True)
-    sp.add_argument("--d-max", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=50)
-    sp.set_defaults(func=cmd_satlink_sweep)
-    sp = sat.add_parser("keyrates")
-    _add_sat_args(sp)
-    sp.set_defaults(func=cmd_satlink_keyrates)
-
-    wait = sub.add_parser("waiting", help="multi-link waiting times").add_subparsers(dest="sub")
-    sp = wait.add_parser("collective")
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--t-req", type=int, default=0)
-    sp.add_argument("--q", type=float, default=None,
-                    help="joining success prob; adds the virtual-link value")
-    sp.set_defaults(func=cmd_waiting_collective)
-
-    sim = sub.add_parser("simulate", help="seeded Monte Carlo").add_subparsers(dest="sub")
-    sp = sim.add_parser("elem")
-    _add_elem_model_args(sp)
-    sp.add_argument("--t-star", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--horizon", type=int, default=200)
-    sp.set_defaults(func=cmd_simulate_elem)
-    sp = sim.add_parser("twolink")
-    _add_two_link_args(sp, with_f=True)
-    sp.add_argument("--t1-star", type=int, required=True)
-    sp.add_argument("--t2-star", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--horizon", type=int, default=10_000)
-    sp.set_defaults(func=cmd_simulate_twolink)
-    sp = sim.add_parser("collective")
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--t-req", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100_000)
-    sp.set_defaults(func=cmd_simulate_collective)
+    groups = {name: sub.add_parser(name, help=text).add_subparsers(dest="sub")
+              for name, text in (("elem", "single-link model"),
+                                 ("twolink", "two links plus swapping"),
+                                 ("satlink", "satellite downlink case study"),
+                                 ("waiting", "multi-link waiting times"),
+                                 ("simulate", "seeded Monte Carlo"))}
+    ap.subcommands = []
+    for group, name, func, parents, opts in (
+            ("elem", "steady", cmd_elem_steady, [elem], {}),
+            ("elem", "optimal", cmd_elem_optimal, [elem], {}),
+            ("elem", "backward", cmd_elem_backward, [elem], {"t": (int, _REQ)}),
+            ("elem", "forward", cmd_elem_forward, [elem], {}),
+            ("twolink", "lp-fidelity", cmd_twolink_lp_fidelity, [two, two_decay], {}),
+            ("twolink", "lp-waiting", cmd_twolink_lp_waiting, [two], {}),
+            ("twolink", "analytic", cmd_twolink_analytic, [],
+             {"p": (float, _REQ), "q": (float, _REQ), "t_star": (int, _REQ)}),
+            ("twolink", "evaluate", cmd_twolink_evaluate, [two, two_decay, cutoffs], {}),
+            ("satlink", "link", cmd_satlink_link, [sat_d, sat], {}),
+            ("satlink", "sweep", cmd_satlink_sweep, [sat],
+             {"d_min": (float, _REQ), "d_max": (float, _REQ), "steps": (int, 50)}),
+            ("satlink", "keyrates", cmd_satlink_keyrates, [sat_d, sat], {}),
+            ("waiting", "collective", cmd_waiting_collective, [collective],
+             {"q": (float, None, "joining success prob; adds the virtual-link value")}),
+            ("simulate", "elem", cmd_simulate_elem, [elem, trials],
+             {"t_star": (int, None), "horizon": (int, 200)}),
+            ("simulate", "twolink", cmd_simulate_twolink, [two, two_decay, cutoffs, trials],
+             {"horizon": (int, 10_000)}),
+            ("simulate", "collective", cmd_simulate_collective, [collective, trials], {})):
+        sp = _add_options(groups[group].add_parser(name, parents=parents), opts)
+        sp.set_defaults(func=func)
+        ap.subcommands.append(sp)
     return ap
 
 
 def _apply_config(ap, path):
     """Make the JSON object in `path` the defaults of `ap` and of every
-    subcommand parser, so options given on the command line still win.  An
+    parser in `ap.subcommands`, so options given on the command line still win.  An
     option's value goes in as a command line's string, which argparse
     converts with the option's type; it skips choices, checked here.  A key
     that names no option of any parser is an error."""
@@ -375,11 +337,8 @@ def _apply_config(ap, path):
     if not isinstance(cfg, dict):
         raise ModelError("--config: expected a JSON object")
     cfg = {key.replace("-", "_"): val for key, val in cfg.items()}
-    parsers = [ap]
-    for parser in parsers:  # grows as subcommand parsers are found
-        parsers.extend(sub for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction)
-                       for sub in action.choices.values())
+    parsers = [ap, *ap.subcommands]
+    for parser in parsers:
         for action in (a for a in parser._actions if a.dest in cfg):
             val = cfg[action.dest]
             if action.nargs != 0 and not isinstance(val, str):  # flags keep booleans

@@ -35,8 +35,8 @@ class ElemLinkModel:
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ModelError("ElemLinkModel: p out of [0, 1]")
-        if self.m_star < 0:
-            raise ModelError("ElemLinkModel: m_star must be >= 0")
+        if not isinstance(self.m_star, (int, np.integer)) or self.m_star < 0:
+            raise ModelError("ElemLinkModel: m_star must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)
         if f.size != self.m_star + 2:
             raise ModelError("ElemLinkModel: f must cover (-1, 0, ..., m_star)")

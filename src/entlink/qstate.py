@@ -68,6 +68,9 @@ class DensityOperator:
             ev = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
             if ev.min() < EIG_FLOOR:
                 raise QuantumError(f"DensityOperator: min eigenvalue {ev.min():g}") from None
+        if mat.flags.writeable:  # the caller's to change: hold a copy, made in the work buffer
+            np.copyto(work, mat)
+            mat = work
         self.mat = mat
         self.mat.setflags(write=False)
         self.dims = tuple(dims) if dims is not None else (mat.shape[0],)

@@ -16,6 +16,8 @@ from scipy.optimize import brentq
 from . import elemlink, mc, oracles, qstate, satlink, twolink, waiting
 from .markov import policy_matrix, stationary_distribution
 
+DEFAULT_SEED = 20260824  # of every criterion, run_all and the CLI's --seed
+
 
 def _record(name, passed, max_err, seconds, note=""):
     return {"criterion": name, "passed": bool(passed),
@@ -28,7 +30,7 @@ def _random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def criterion_steady_state(seed=20260824):
+def criterion_steady_state(seed=DEFAULT_SEED):
     """Closed-form stationary distribution vs the direct solve, 200 random
     single-link instances."""
     rng = np.random.default_rng(seed)
@@ -49,7 +51,7 @@ def criterion_steady_state(seed=20260824):
                    max_err <= 1e-9 and dt < 5.0, max_err, dt)
 
 
-def criterion_lp_vs_cutoffs(seed=20260824):
+def criterion_lp_vs_cutoffs(seed=DEFAULT_SEED):
     """Single-link LP optimum vs the best memory cutoff, 100 random
     monotone instances."""
     rng = np.random.default_rng(seed + 1)
@@ -69,7 +71,7 @@ def criterion_lp_vs_cutoffs(seed=20260824):
                    max_err <= 1e-7 and dt < 10.0, max_err, dt)
 
 
-def criterion_two_link_waiting(seed=20260824):
+def criterion_two_link_waiting(seed=DEFAULT_SEED):
     """Two-link minimum-waiting LP vs the symmetric closed form on a fixed
     grid; the seed is not used."""
     t0 = time.perf_counter()
@@ -86,7 +88,7 @@ def criterion_two_link_waiting(seed=20260824):
                    max_err <= 1e-6 and dt < 60.0, max_err, dt)
 
 
-def criterion_joining_fidelities(seed=20260824):
+def criterion_joining_fidelities(seed=DEFAULT_SEED):
     """Closed-form post-joining fidelities vs brute-force channels, 50
     random qubit inputs per protocol."""
     rng = np.random.default_rng(seed + 2)
@@ -124,7 +126,7 @@ def criterion_joining_fidelities(seed=20260824):
                    max_err <= 1e-10 and dt < 30.0, max_err, dt)
 
 
-def criterion_distillation(seed=20260824):
+def criterion_distillation(seed=DEFAULT_SEED):
     """Distillation closed forms vs the instrument channel."""
     rng = np.random.default_rng(seed + 3)
     t0 = time.perf_counter()
@@ -149,7 +151,7 @@ def criterion_distillation(seed=20260824):
                    max_err <= 1e-10 and exact_ok, max_err, dt)
 
 
-def criterion_collective_waiting(seed=20260824):
+def criterion_collective_waiting(seed=DEFAULT_SEED):
     """Collective waiting closed form vs pmf summation and Monte Carlo."""
     t0 = time.perf_counter()
     max_err = 0.0
@@ -174,7 +176,7 @@ def criterion_collective_waiting(seed=20260824):
                    note=f"mc_mean={mean:.6f}")
 
 
-def criterion_satellite_link(seed=20260824):
+def criterion_satellite_link(seed=DEFAULT_SEED):
     """Heralded-link closed form vs the beamsplitter dilation; entanglement
     test vs initial fidelity; greedy cutoff formula vs direct scan."""
     rng = np.random.default_rng(seed + 4)
@@ -217,7 +219,7 @@ def criterion_satellite_link(seed=20260824):
                    max_err <= 1e-10 and ent_ok and cut_ok, max_err, dt)
 
 
-def criterion_backward_recursion(seed=20260824):
+def criterion_backward_recursion(seed=DEFAULT_SEED):
     """Finite-horizon optimum vs exhaustive policy enumeration, and the
     history-indexed recursion vs the age-time dynamic program."""
     rng = np.random.default_rng(seed + 5)
@@ -247,7 +249,7 @@ def criterion_backward_recursion(seed=20260824):
                    max(max_err, hist_err), dt)
 
 
-def criterion_key_rates(seed=20260824):
+def criterion_key_rates(seed=DEFAULT_SEED):
     """Exact key-rate anchor points, the BB84 threshold location, and the
     protocol threshold ordering; the seed is not used."""
     t0 = time.perf_counter()
@@ -278,7 +280,7 @@ CRITERIA = [
 ]
 
 
-def run_all(seed=20260824):
+def run_all(seed=DEFAULT_SEED):
     out = []
     for fn in CRITERIA:
         try:

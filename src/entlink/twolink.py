@@ -54,8 +54,9 @@ class TwoLinkModel:
         for val, name in ((self.p1, "p1"), (self.p2, "p2"), (self.q, "q")):
             if not 0 <= val <= 1:
                 raise ModelError(f"TwoLinkModel: {name} out of [0, 1]")
-        if self.m1_star < 0 or self.m2_star < 0:
-            raise ModelError("TwoLinkModel: storage bounds must be >= 0")
+        if not all(isinstance(m, (int, np.integer)) and m >= 0
+                   for m in (self.m1_star, self.m2_star)):
+            raise ModelError("TwoLinkModel: storage bounds must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)
         if f.shape != (2, self.m1_star + 2, self.m2_star + 2):
             raise ModelError("TwoLinkModel: f table shape mismatch")
@@ -93,8 +94,8 @@ class TwoLinkModel:
 def uniform_f_table(m1_star, m2_star):
     """f[1] = 1 wherever both links are active; handy for waiting-time-only
     studies."""
-    if not min(m1_star, m2_star) >= 0:
-        raise ModelError("uniform_f_table: storage bounds must be >= 0")
+    if not all(isinstance(m, (int, np.integer)) and m >= 0 for m in (m1_star, m2_star)):
+        raise ModelError("uniform_f_table: storage bounds must be >= 0 and of integer type")
     f = np.zeros((2, m1_star + 2, m2_star + 2))
     f[1, 1:, 1:] = 1.0
     return f

@@ -371,3 +371,80 @@ def test_satlink_sweep_rejects_fewer_than_one_step(steps, capsys):
     assert out == "" and "--steps must be >= 1" in err
     assert cli.main([*args[:-1], "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+# Every subcommand's options as (type, default, required, help), recorded from
+# the parser that declared each subcommand's options by hand.
+_ELEM = {"--p": ("float", None, True, None), "--m-star": ("int", None, True, None),
+         "--f": (None, None, False, "comma-separated f(0),...,f(m*)"),
+         "--t-coh": ("float", 50.0, False, "memory coherence steps (used when --f is absent)"),
+         "--alpha": ("float", 0.5, False, None), "--beta": ("float", 0.5, False, None)}
+_TWO = {"--p1": ("float", None, True, None), "--p2": ("float", None, True, None),
+        "--q": ("float", None, True, None), "--m1-star": ("int", None, True, None),
+        "--m2-star": ("int", None, True, None)}
+_TWO_F = {**_TWO,
+          "--t-coh": ("float", None, False, "build f from memory decay; default uniform f=1"),
+          "--alpha": ("float", 0.5, False, None), "--beta": ("float", 0.5, False, None)}
+_CUTOFFS = {"--t1-star": ("int", None, True, None), "--t2-star": ("int", None, True, None)}
+_SAT = {"--d": ("float", None, True, "ground separation, km"),
+        "--h": ("float", 500.0, False, "orbit altitude, km"),
+        "--fs": ("float", 1.0, False, None), "--nbar1": ("float", 0.0, False, None),
+        "--nbar2": ("float", 0.0, False, None), "--M": ("int", 1, False, None),
+        "--eta-zen": ("float", 0.5, False, None)}
+_COLLECTIVE = {"--M": ("int", None, True, None), "--p": ("float", None, True, None),
+               "--t-req": ("int", 0, False, None)}
+_TRIALS = {"--trials": ("int", 100000, False, None)}
+CLI_SURFACE = {
+    "": {"--version": (None, "==SUPPRESS==", False, "show program's version number and exit"),
+         "--config": (None, None, False, "JSON file with default argument values"),
+         "--out": (None, None, False, "write output to this file instead of stdout"),
+         "--format": (None, "csv", False, None), "--seed": ("int", 20260824, False, None),
+         "--selftest": (None, False, False,
+                        "run the acceptance checks and exit nonzero on failure")},
+    "elem steady": _ELEM, "elem optimal": _ELEM, "elem forward": _ELEM,
+    "elem backward": {**_ELEM, "--t": ("int", None, True, None)},
+    "twolink lp-fidelity": _TWO_F, "twolink lp-waiting": _TWO,
+    "twolink analytic": {"--p": ("float", None, True, None), "--q": ("float", None, True, None),
+                         "--t-star": ("int", None, True, None)},
+    "twolink evaluate": {**_TWO_F, **_CUTOFFS},
+    "satlink link": _SAT, "satlink keyrates": _SAT,
+    "satlink sweep": {**_SAT, "--d": ("float", None, False, "ground separation, km"),
+                      "--d-min": ("float", None, True, None),
+                      "--d-max": ("float", None, True, None),
+                      "--steps": ("int", 50, False, None)},
+    "waiting collective": {**_COLLECTIVE, "--q": ("float", None, False,
+                                                  "joining success prob; adds the virtual-link value")},
+    "simulate elem": {**_ELEM, "--t-star": ("int", None, False, None), **_TRIALS,
+                      "--horizon": ("int", 200, False, None)},
+    "simulate twolink": {**_TWO_F, **_CUTOFFS, **_TRIALS,
+                         "--horizon": ("int", 10000, False, None)},
+    "simulate collective": {**_COLLECTIVE, **_TRIALS},
+}
+
+
+def _cli_surface(parser, path=()):
+    """{"group name": {option: (type, default, required, help)}} over the
+    parser tree; a subcommand action's choices map names to parsers."""
+    out, opts = {}, {}
+    for action in parser._actions:
+        if isinstance(action.choices, dict):
+            for name, sub in action.choices.items():
+                out.update(_cli_surface(sub, (*path, name)))
+        elif action.option_strings and action.dest != "help":
+            opts[action.option_strings[0]] = (getattr(action.type, "__name__", None),
+                                              action.default, action.required, action.help)
+    if opts or not out:
+        out[" ".join(path)] = opts
+    return out
+
+
+def test_every_subcommand_keeps_its_options():
+    want = {**CLI_SURFACE, "satlink sweep": dict(CLI_SURFACE["satlink sweep"])}
+    del want["satlink sweep"]["--d"]  # the sweep sets d on every row
+    assert _cli_surface(cli.build_parser()) == want
+
+
+def test_satlink_sweep_takes_no_d(run):
+    # --d was accepted and then overwritten on every row
+    r = run(["satlink", "sweep", "--d", "5", "--d-min", "100", "--d-max", "200", "--steps", "2"])
+    assert r.returncode == 2 and r.stdout == "" and "--d" in r.stderr

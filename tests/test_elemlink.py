@@ -23,6 +23,10 @@ def test_validation():
         E.ElemLinkModel(0.5, 1, np.array([0.0, 1.0]))  # wrong length
     with pytest.raises(ModelError):
         E.ElemLinkModel(1.5, 0, np.array([0.0, 1.0]))
+    # a float m_star was accepted, and lp_optimal_steady raised a TypeError
+    with pytest.raises(ModelError, match="m_star must be >= 0 and of integer type"):
+        E.ElemLinkModel(0.5, 2.0, [0, 1, .9, .8])
+    assert E.ElemLinkModel(0.5, np.int64(2), [0, 1, .9, .8]).n == 4
 
 
 def test_transition_matrices_shape_and_columns():

@@ -149,6 +149,18 @@ def test_density_operator_eigenvalue_floor(dim):
             Q.DensityOperator(_with_lowest_eigenvalue(rng, dim, lowest))
 
 
+def test_density_operator_holds_a_copy_of_a_writable_array():
+    # the caller's complex array was held, and made read-only, as it was
+    a = np.eye(2, dtype=complex) / 2
+    rho = Q.DensityOperator(a)
+    assert a.flags.writeable and not rho.mat.flags.writeable
+    a[0, 0] = 1.0
+    assert rho.mat.tolist() == [[0.5, 0], [0, 0.5]]
+    b = np.eye(2, dtype=complex) / 2
+    b.setflags(write=False)
+    assert Q.DensityOperator(b).mat is b  # a read-only array is held as it is
+
+
 def test_qstate_does_not_import_scipy():
     # scipy's LAPACK wrappers run on scipy's own OpenBLAS thread pool; with
     # numpy's pool also live, the two contend for the cores.  A Cholesky

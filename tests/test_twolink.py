@@ -47,6 +47,13 @@ def test_f_table_validation():
     bad[1, 0, 1] = 0.5  # inactive link with nonzero f
     with pytest.raises(ModelError):
         TL.TwoLinkModel(0.5, 0.5, 0.5, 1, 1, bad)
+    # float bounds were accepted with n == 16.0, and evaluate_policy raised a TypeError
+    with pytest.raises(ModelError, match="storage bounds must be >= 0 and of integer type"):
+        TL.TwoLinkModel(0.5, 0.5, 0.5, 2.0, 2.0, TL.uniform_f_table(2, 2))
+    with pytest.raises(ModelError, match="storage bounds must be >= 0 and of integer type"):
+        TL.uniform_f_table(2.0, 2)
+    m = np.int64(2)
+    assert TL.TwoLinkModel(0.5, 0.5, 0.5, m, 2, TL.uniform_f_table(m, 2)).n == 16
 
 
 def test_all_action_matrices_column_stochastic():
