@@ -7,6 +7,7 @@ failure (a machine-readable JSON diagnostic goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,7 +275,8 @@ def build_parser():
                     help="run the acceptance checks and exit nonzero on failure")
 
     # the groups share their actions with every subcommand that takes them,
-    # and --config sets defaults on those actions, so each call builds anew
+    # and --config sets defaults on those actions, so a --config call parses
+    # with a parser of its own (see main)
     decay = _options(alpha=(float, 0.5), beta=(float, 0.5))
     elem = _options(_options(p=(float, _REQ), m_star=(int, _REQ),
                              f=(None, None, "comma-separated f(0),...,f(m*)"),
@@ -351,11 +353,18 @@ def _apply_config(ap, path):
         raise ModelError(f"--config: no option named {', '.join(map(repr, sorted(unknown)))}")
 
 
+@functools.cache
+def _parser():
+    """The parser of every call without --config, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     try:
-        if args.config:
+        if args.config:  # never set defaults on the shared parser
+            ap = build_parser()
             _apply_config(ap, args.config)
             args = ap.parse_args(argv)
         if args.seed < 0:

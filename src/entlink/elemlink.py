@@ -120,6 +120,8 @@ def expected_waiting_time(model: ElemLinkModel, d: DecisionFunction, t_req: int)
     active (step t_req + 1 counts 1), from the post-request distribution at
     t=1 under d.  The one inactive state leaves with the same probability
     r = p d(-1)(request) at every step, so the wait is 1 + (1 - X(t_req + 1)) / r."""
+    if not isinstance(t_req, (int, np.integer)) or t_req < 0:
+        raise ModelError("expected_waiting_time: t_req must be an integer >= 0")
     _, x, _ = ftilde_x_f(model, Policy.stationary(d), t_req + 1)
     if x >= 1:
         return 1.0
@@ -205,8 +207,8 @@ def optimal_backward(model: ElemLinkModel, t: int):
     """Best achievable expected figure of merit at horizon t, by backward
     induction over (age, time); returns the value and the time-indexed
     deterministic policy.  Ties broken toward waiting."""
-    if t < 1:
-        raise ModelError("optimal_backward: t must be >= 1")
+    if not isinstance(t, (int, np.integer)) or t < 1:
+        raise ModelError("optimal_backward: t must be an integer >= 1")
     T = build_mdp(model).T
     V = model.f.copy()
     decisions = []

@@ -19,13 +19,17 @@ allowed actions where a state carries no mass.  `solve` hands a
 `LinearProgram`'s CSC arrays straight to the HiGHS dual simplex solver
 that ships with scipy (Huangfu & Hall 2018, Math. Prog. Comp. 10), with
 the options `scipy.optimize.linprog(method="highs")` would pass, so HiGHS
-does the same computation and returns the same bits.  It then checks the
-answer as linprog did (no NaN, no entry below -10 sqrt(1e-9)) and against
-a tighter primal residual bound.
+does the same computation and returns the same bits.  One HiGHS object,
+made with those options on the first solve, serves every solve in the
+process: `passModel` clears the last model, its solution and its info, so
+each LP starts cold, as in a new object.  That object is not for two
+threads at once.  `solve` then checks the answer as linprog did (no NaN,
+no entry below -10 sqrt(1e-9)) and against a tighter primal residual bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +67,14 @@ _OPTIONS.log_to_console = False
 _VERDICT = {highs.HighsModelStatus.kInfeasible: "infeasible",
             highs.HighsModelStatus.kModelError: "infeasible",
             highs.HighsModelStatus.kUnbounded: "unbounded"}
+
+
+@functools.cache
+def _solver():
+    """The one HiGHS object of the process, made on the first solve."""
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    return solver
 
 
 @dataclass
@@ -123,8 +135,7 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, highs.kHighsInf)
     model.row_lower_ = model.row_upper_ = lp.b
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
+    solver = _solver()
     if solver.passModel(model) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:

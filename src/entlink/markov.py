@@ -168,8 +168,8 @@ def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
 def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
     """Distribution at time t, starting from `initial` at time 1; P^d is
     built once per (read-only) decision object."""
-    if t < 1:
-        raise ModelError("evolve: t must be >= 1")
+    if not isinstance(t, (int, np.integer)) or t < 1:
+        raise ModelError("evolve: t must be an integer >= 1")
     if len(initial) != mdp.n:
         raise ModelError("evolve: initial vector size mismatch")
     v = initial.entries

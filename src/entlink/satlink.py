@@ -78,8 +78,10 @@ def eta_sg(L: float, h: float, eta_zen: float) -> float:
     eta_zen the atmospheric transmittance at zenith."""
     if not 0 < eta_zen <= 1:
         raise SatError("eta_sg: eta_zen must lie in (0, 1]")
-    if not L >= h:
-        raise SatError("eta_sg: path length cannot be below the altitude")
+    if not 0 < h < math.inf:  # NaN fails too, as in SatGeometry
+        raise SatError("eta_sg: need finite h > 0")
+    if not h <= L < math.inf:
+        raise SatError("eta_sg: path length cannot be below the altitude or infinite")
     L_m = L * 1000.0
     rayleigh_range_m = math.pi * BEAM_WAIST_M ** 2 / WAVELENGTH_M
     w = BEAM_WAIST_M * math.sqrt(1 + (L_m / rayleigh_range_m) ** 2)
@@ -144,10 +146,14 @@ def entangled(link: HeraldedLink, f_S: float) -> bool:
 # ---------------------------------------------------------------------------
 # memory decay and policy values
 
+def _check_t_coh(name, t_coh):
+    if not 0 < t_coh < math.inf:  # NaN fails too
+        raise SatError(f"{name}: t_coh must be positive and finite")
+
+
 def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
     """Target overlap after m steps in two amplitude-damping memories."""
-    if t_coh <= 0:
-        raise SatError("memory_f: t_coh must be positive")
+    _check_t_coh("memory_f", t_coh)
     if not 0 <= m < math.inf:  # NaN fails too
         raise SatError("memory_f: the age m must be finite and >= 0")
     lam = math.exp(-m / t_coh)
@@ -156,6 +162,8 @@ def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
 
 def memory_f_vector(m_star: int, t_coh: float, alpha: float, beta: float) -> np.ndarray:
     """f over the link states (-1, 0, ..., m_star)."""
+    if not _is_count(m_star, 0):
+        raise SatError("memory_f_vector: m_star must be an integer >= 0")
     f = np.zeros(m_star + 2)
     for m in range(m_star + 1):
         f[m + 1] = memory_f(m, t_coh, alpha, beta)
@@ -174,6 +182,7 @@ def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
     closed form."""
     if not _is_count(t_star, 0):
         raise SatError("cutoff_steady_sinh: t_star must be an integer >= 0")
+    _check_t_coh("cutoff_steady_sinh", t_coh)
     s1 = _geom_exp_sum(t_star, t_coh)
     s2 = _geom_exp_sum(t_star, t_coh / 2)
     fsum = alpha * s2 + (beta - 0.5) * s1 + 0.5 * (t_star + 1)
@@ -188,6 +197,7 @@ def ftilde_infty_closed(t: int, t_coh: float, alpha: float, beta: float,
         raise SatError("ftilde_infty_closed: t must be an integer >= 1")
     if not 0 < p <= 1:
         raise SatError("ftilde_infty_closed: p must lie in (0, 1]")
+    _check_t_coh("ftilde_infty_closed", t_coh)
     e1 = math.exp(1 / t_coh)
     e2 = math.exp(2 / t_coh)
     d2 = 1 - e2 * (1 - p)
@@ -208,6 +218,7 @@ def forward_cutoff(p: float, t_coh: float):
     generation is near-deterministic."""
     if not 0 <= p <= 1:
         raise SatError("forward_cutoff: p out of [0, 1]")
+    _check_t_coh("forward_cutoff", t_coh)
     if p <= 0.5:
         return math.inf
     if p >= (1 + math.exp(-2 / t_coh)) / 2:
@@ -219,8 +230,7 @@ def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
     """Coherence time in heralding steps of duration 2d/c."""
     if not d_km > 0:
         raise SatError("coherence_steps: d must be positive")
-    if not 0 < t_coh_seconds < math.inf:  # NaN fails too
-        raise SatError("coherence_steps: t_coh must be positive and finite")
+    _check_t_coh("coherence_steps", t_coh_seconds)
     return t_coh_seconds * C_KM_PER_S / (2 * d_km)
 
 
@@ -228,7 +238,10 @@ def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
 # QKD rates
 
 def h2(q: float) -> float:
-    if q <= 0 or q >= 1:
+    """Binary entropy in bits of q in [0, 1]."""
+    if not 0 <= q <= 1:  # NaN fails too
+        raise SatError("h2: q must lie in [0, 1]")
+    if q == 0 or q == 1:
         return 0.0
     return -q * math.log2(q) - (1 - q) * math.log2(1 - q)
 
@@ -260,7 +273,10 @@ def key_rate_di(Q: float, S: float) -> float:
     _check_qber("key_rate_di", Q)
     if not S >= 2:
         raise SatError("key_rate_di: CHSH value below 2 has no real-valued rate")
-    return 1 - h2(Q) - h2((1 + math.sqrt((S / 2) ** 2 - 1)) / 2)
+    if not S <= 2 * math.sqrt(2):
+        raise SatError("key_rate_di: CHSH value above Tsirelson's bound 2 sqrt(2)")
+    # at S = 2 sqrt(2) the argument rounds to 1 + 2.2e-16
+    return 1 - h2(Q) - h2(min((1 + math.sqrt((S / 2) ** 2 - 1)) / 2, 1.0))
 
 
 def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):

@@ -284,4 +284,9 @@ def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:
         raise ModelError("analytic_symmetric_waiting_time: t_star must be an integer >= 0")
     u = float(t_star > 0) if p == 1 else -math.expm1(t_star * math.log1p(-p))
     v = 2 * u * (1 - p)
-    return (1 + v) / (q * p * (p + v))
+    denom = q * p * (p + v)  # ~p^2: 0 or subnormal at tiny p
+    wait = (1 + v) / denom if denom > 0 else math.inf
+    if wait == math.inf:
+        raise NumericalError(f"analytic_symmetric_waiting_time: the wait at p = {p:g}, "
+                             f"q = {q:g} overflows a float")
+    return wait

@@ -291,6 +291,37 @@ def test_config_overrides_option_defaults(tmp_path, run):
     assert r.stdout == default.stdout
 
 
+def test_config_defaults_stay_with_their_call(tmp_path, run):
+    # the parser of calls without --config is built once per process, so a
+    # config must not set defaults on it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 300, "fs": 0.9, "format": "json"}))
+    args = ["satlink", "link", "--d", "1000"]
+    before = run(args)
+    with_cfg = run(["--config", str(cfg), *args])
+    after = run(args)
+    assert before.returncode == with_cfg.returncode == after.returncode == 0
+    assert with_cfg.stdout != before.stdout and after.stdout == before.stdout
+    assert after.stdout.startswith("path_length_km,")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, run):
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    try:
+        for args in (["satlink", "link", "--d", "1000"],
+                     ["twolink", "analytic", "--p", "0.5", "--q", "0.5", "--t-star", "0"],
+                     ["waiting", "collective", "--M", "2", "--p", "0.5"],
+                     ["twolink", "analytic", "--p", "0"],  # an argparse error
+                     []):  # the help
+            run(args)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_elem_optimal_writes_one_table(run):
     args = ["elem", "optimal", "--p", "0.4", "--m-star", "3",
             "--f", "1,0.95,0.85,0.7"]
@@ -344,6 +375,16 @@ def test_twolink_analytic_rejects_invalid_input(args, capsys):
     assert out == "" and "analytic_symmetric_waiting_time" in err
 
 
+def test_twolink_analytic_overflow_exit_code_3(run):
+    # 1e-170 ended in a ZeroDivisionError traceback (exit 1) and 1e-160
+    # printed inf
+    for p in ("1e-170", "1e-160"):
+        r = run(["twolink", "analytic", "--p", p, "--q", "0.5", "--t-star", "2"])
+        assert r.returncode == 3 and r.stdout == "", (p, r.stderr)
+        assert json.loads(r.stderr)["error"] == "numerical"
+        assert "overflows" in r.stderr
+
+
 TWO_LINK = ["--p1", "0.5", "--p2", "0.5", "--q", "0.5", "--m1-star", "2", "--m2-star", "2"]
 CUTOFFS = ["--t1-star", "2", "--t2-star", "2"]
 
@@ -352,15 +393,25 @@ CUTOFFS = ["--t1-star", "2", "--t2-star", "2"]
     ["twolink", "lp-fidelity", *TWO_LINK, "--t-coh", "12", "--alpha", "2", "--beta", "2"],
     ["twolink", "evaluate", *TWO_LINK, *CUTOFFS, "--t-coh", "12", "--alpha", "-3"],
     ["simulate", "twolink", *TWO_LINK, *CUTOFFS, "--t-coh", "12", "--alpha", "-3"],
-    ["twolink", "lp-fidelity", *TWO_LINK, "--t-coh", "nan"],
-    ["elem", "steady", "--p", "0.5", "--m-star", "2", "--t-coh", "nan"],
     ["elem", "optimal", "--p", "0.5", "--m-star", "2", "--f", "1,nan,0.8"],
 ], ids=["lp-fidelity-f-above-one", "evaluate-f-below-zero", "simulate-f-below-zero",
-        "lp-fidelity-f-nan", "elem-steady-f-nan", "elem-optimal-f-nan"])
+        "elem-optimal-f-nan"])
 def test_figure_of_merit_outside_unit_interval_exit_code_2(args, capsys):
     assert cli.main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and "entlink:" in err and "f values must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("t_coh", ["nan", "inf", "0"])
+@pytest.mark.parametrize("args", [["twolink", "lp-fidelity", *TWO_LINK],
+                                  ["elem", "steady", "--p", "0.5", "--m-star", "2"]],
+                         ids=["lp-fidelity", "elem-steady"])
+def test_coherence_time_outside_its_domain_exit_code_2(args, t_coh, capsys):
+    # nan reached the model as f = nan and was rejected there; inf was taken
+    # as a memory that never decays
+    assert cli.main([*args, "--t-coh", t_coh]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "memory_f: t_coh must be positive and finite" in err
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -149,6 +149,30 @@ def test_waiting_time_of_a_slow_link():
     assert wait == pytest.approx(999.001, rel=1e-12)
 
 
+@pytest.mark.parametrize("call, name", [
+    # 0.5 ended in range()'s TypeError and -1 was reported by `evolve`
+    pytest.param(lambda m, d: E.expected_waiting_time(m, d, 0.5), "expected_waiting_time",
+                 id="expected_waiting_time-fractional"),
+    pytest.param(lambda m, d: E.expected_waiting_time(m, d, -1), "expected_waiting_time",
+                 id="expected_waiting_time-negative"),
+    pytest.param(lambda m, d: E.optimal_backward(m, 2.5), "optimal_backward",
+                 id="optimal_backward-fractional"),
+    pytest.param(lambda m, d: E.ftilde_x_f(m, Policy.stationary(d), 2.5), "evolve",
+                 id="evolve-fractional"),
+])
+def test_non_integer_or_negative_times_raise_model_error(call, name):
+    m = model(0.5, [1.0, 0.9, 0.8])
+    with pytest.raises(ModelError, match=f"^{name}: t.* must be an integer"):
+        call(m, E.cutoff_decision(m, 2))
+
+
+def test_numpy_integer_times_accepted():
+    m = model(0.5, [1.0, 0.9, 0.8])
+    d = E.cutoff_decision(m, 2)
+    assert E.expected_waiting_time(m, d, np.int64(3)) == E.expected_waiting_time(m, d, 3)
+    assert E.optimal_backward(m, np.int32(4))[0] == E.optimal_backward(m, 4)[0]
+
+
 def test_forward_decision_is_greedy_cutoff(rng):
     # for nonincreasing f the rule is a cutoff at the first age where
     # keeping the pair stops beating a fresh attempt

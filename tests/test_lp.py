@@ -166,6 +166,57 @@ def test_failed_solve_names_status_and_writes_nothing(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def _fresh_solver():
+    solver = L.highs._Highs()
+    solver.passOptions(L._OPTIONS)
+    return solver
+
+
+def _outcome(lp):
+    try:
+        value, x = L.solve(lp)
+    except L.NumericalError as exc:
+        return str(exc)
+    return value, x.tobytes()
+
+
+def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
+    # `solve` keeps one HiGHS object for the process: an infeasible, an
+    # unbounded or a stopped-early LP before a feasible one must leave
+    # neither the feasible LP's bits nor a later message's iteration count
+    # different from what a new object gives
+    infeasible = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [-1.0])
+    unbounded = L.LinearProgram([-1.0, 0.0], "min", [[0.0, 1.0]], [1.0])
+    feasible = _two_link_lps(monkeypatch)[:2]
+    seen, real_solve = [], L.solve
+    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+    with pytest.raises(L.NumericalError, match="stopped early"):
+        TL.lp_optimal_waiting_time(TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2,
+                                                   TL.uniform_f_table(2, 2)))
+    monkeypatch.undo()
+    sequence = [infeasible, feasible[0], unbounded, feasible[1], seen[0], feasible[0],
+                infeasible, seen[0], feasible[1]]
+    shared = [_outcome(lp) for lp in sequence]
+    assert L._solver() is L._solver()
+    monkeypatch.setattr(L, "_solver", _fresh_solver)
+    assert shared == [_outcome(lp) for lp in sequence]
+    assert [type(o) for o in shared] == [str, tuple, str, tuple, str, tuple, str, str, tuple]
+    assert "stopped early" in shared[4] and "unbounded" in shared[2]
+
+
+def test_solver_is_made_on_the_first_solve():
+    # an import-time HiGHS object would add to the memory of every process,
+    # also those that solve no LP
+    code = ("from entlink import cli, lp as L\n"
+            "print(L._solver.cache_info().currsize)\n"
+            "L.solve(L.LinearProgram([1.0], 'min', [[1.0]], [1.0]))\n"
+            "print(L._solver.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n1\n"
+
+
 def test_infeasible_detected():
     # x1 + x2 = -1 with x >= 0
     prob = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [-1.0])

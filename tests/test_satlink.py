@@ -320,6 +320,33 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.cutoff_steady_sinh(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
     (lambda: S.cutoff_steady_sinh(math.inf, 10.0, 0.5, 0.5, 0.5), S.SatError),
     (lambda: S.ftilde_infty_closed(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
+    # an altitude of 0 divided by zero at L = 0 and gave a transmittance of
+    # 0.0 at L > 0, for a geometry SatGeometry rejects
+    (lambda: S.eta_sg(0.0, 0.0, 0.5), S.SatError),
+    (lambda: S.eta_sg(100.0, 0.0, 0.5), S.SatError),
+    (lambda: S.eta_sg(100.0, math.nan, 0.5), S.SatError),
+    (lambda: S.eta_sg(math.inf, 500.0, 0.5), S.SatError),
+    # t_coh = 0 divided by zero, nan gave nan, a negative one gave a cutoff
+    # of -1, and inf overflowed
+    (lambda: S.memory_f(1, math.nan, 0.5, 0.5), S.SatError),
+    (lambda: S.memory_f(1, math.inf, 0.5, 0.5), S.SatError),
+    (lambda: S.cutoff_steady_sinh(1, 0.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.cutoff_steady_sinh(1, math.inf, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.ftilde_infty_closed(3, 0.0, 0.5, 0.5, 0.5), S.SatError),
+    (lambda: S.forward_cutoff(0.7, -1.0), S.SatError),
+    (lambda: S.forward_cutoff(0.7, 0.0), S.SatError),
+    (lambda: S.forward_cutoff(0.7, math.nan), S.SatError),
+    (lambda: S.forward_cutoff(0.7, math.inf), S.SatError),
+    # a storage bound that is not a count ended in numpy's TypeError
+    (lambda: S.memory_f_vector(2.5, 12.0, 0.5, 0.5), S.SatError),
+    (lambda: S.memory_f_vector(-3, 12.0, 0.5, 0.5), S.SatError),
+    # S above Tsirelson's bound gave a rate (0.531 at S = 5) or overflowed,
+    # and h2 took any q
+    (lambda: S.key_rate_di(0.1, 5.0), S.SatError),
+    (lambda: S.key_rate_di(0.1, 1e300), S.SatError),
+    (lambda: S.h2(math.nan), S.SatError),
+    (lambda: S.h2(1.5), S.SatError),
+    (lambda: S.h2(-0.5), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
@@ -335,7 +362,32 @@ def test_qber_formulas_match_state_qbers(rng):
         "key_rate_di-Q-negative", "key_rate_di-Q-above-one", "key_rate_di-Q-nan",
         "multiplexed_p-p-above-one", "multiplexed_p-p-negative", "multiplexed_p-p-nan",
         "multiplexed_p-M-fractional", "cutoff_steady_sinh-t_star-fractional",
-        "cutoff_steady_sinh-t_star-inf", "ftilde_infty_closed-t-fractional"])
+        "cutoff_steady_sinh-t_star-inf", "ftilde_infty_closed-t-fractional",
+        "eta_sg-h-zero-at-L-zero", "eta_sg-h-zero", "eta_sg-h-nan", "eta_sg-path-inf",
+        "memory_f-t_coh-nan", "memory_f-t_coh-inf", "cutoff_steady_sinh-t_coh-zero",
+        "cutoff_steady_sinh-t_coh-inf", "ftilde_infty_closed-t_coh-zero",
+        "forward_cutoff-negative", "forward_cutoff-zero", "forward_cutoff-nan",
+        "forward_cutoff-inf", "memory_f_vector-fractional", "memory_f_vector-negative",
+        "key_rate_di-S-above-tsirelson", "key_rate_di-S-huge", "h2-nan", "h2-above-one",
+        "h2-negative"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_memory_f_vector_takes_numpy_integers():
+    assert S.memory_f_vector(np.int64(2), 12.0, 0.5, 0.5).tolist() == \
+        S.memory_f_vector(2, 12.0, 0.5, 0.5).tolist()
+
+
+def test_di_rate_accepts_every_chsh_value_it_computes():
+    # S = 2 sqrt(2) (1 - 2Q) never exceeds the bound it is checked against,
+    # so a link rate is a number, or a SatError only below S = 2
+    for fidelity in np.linspace(0.75, 1.0, 2001):
+        alpha, beta = fidelity / 2 + 0.125, fidelity / 2 - 0.125
+        Q = (2 / 3) * (1 - (alpha + beta))
+        if 2 * math.sqrt(2) * (1 - 2 * Q) < 2:
+            with pytest.raises(S.SatError, match="below 2"):
+                S.qber_and_rates(alpha, beta, "di", 1, 0.5)
+        elif Q >= 0:
+            assert math.isfinite(S.qber_and_rates(alpha, beta, "di", 1, 0.5)[1])

@@ -200,6 +200,16 @@ def test_analytic_waiting_time_at_small_p():
     assert TL.analytic_symmetric_waiting_time(1.0, 0.5, 3) == 2.0
 
 
+def test_analytic_waiting_time_that_overflows_raises():
+    # q p (p + 2u(1 - p)) underflowed to 0 at p = 1e-170 (ZeroDivisionError)
+    # and to a subnormal at 1e-160, which gave inf
+    for p in (1e-160, 1e-170, 5e-324):
+        with pytest.raises(markov.NumericalError, match="analytic_symmetric_waiting_time"):
+            TL.analytic_symmetric_waiting_time(p, 0.5, 2)
+    assert TL.analytic_symmetric_waiting_time(1e-150, 0.5, 2) == pytest.approx(
+        1 / (0.5 * 1e-150 * 5e-150), rel=1e-12)
+
+
 def test_evaluate_matches_the_oracle_chain(rng):
     # random decisions: the renewal ratios against (I - Q)^{-1} of the
     # oracle's dense absorbing chain; the swap action counts as "00" away
