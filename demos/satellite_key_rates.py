@@ -6,7 +6,7 @@ Run: python demos/satellite_key_rates.py
 
 import math
 
-from entlink import satlink as S
+from entlink import elemlink, satlink as S
 
 geom_h = 500.0
 eta_zen = 0.5  # atmospheric transmittance at zenith
@@ -33,5 +33,6 @@ print(f"  t_coh = {t_coh:.1f} steps, multiplexed p = {p:.4f}")
 cut = S.forward_cutoff(p, t_coh)
 print(f"  greedy cutoff: {cut if cut != math.inf else 'never discard'}")
 for ts in (0, 5, 20, 100):
-    ft, fr = S.cutoff_steady_sinh(ts, t_coh, link.alpha, link.beta, p)
+    model = elemlink.ElemLinkModel(p, ts, S.memory_f_vector(ts, t_coh, link.alpha, link.beta))
+    ft, _, fr = elemlink.cutoff_steady_values(model, ts)
     print(f"  t* = {ts:>3}: steady Ftilde = {ft:.5f}, F = {fr:.5f}")

@@ -19,9 +19,9 @@ from .markov import (
     Policy,
     ProbVector,
     evolve,
+    is_count,
 )
 from . import lp as _lp
-from .qstate import DensityOperator, KrausChannel, fidelity_to_pure
 
 WAIT, REQUEST = 0, 1
 
@@ -35,7 +35,7 @@ class ElemLinkModel:
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ModelError("ElemLinkModel: p out of [0, 1]")
-        if not isinstance(self.m_star, (int, np.integer)) or self.m_star < 0:
+        if not is_count(self.m_star, 0):
             raise ModelError("ElemLinkModel: m_star must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)
         if f.size != self.m_star + 2:
@@ -76,28 +76,11 @@ def build_mdp(model: ElemLinkModel) -> Mdp:
     return Mdp(T)
 
 
-def aged_states(sigma0: DensityOperator, memory: KrausChannel, m_star: int):
-    """Density matrices of the link after 0, 1, ..., m_star steps in memory."""
-    states = [sigma0.mat]
-    for _ in range(m_star):
-        states.append(memory(states[-1]))
-    return states
-
-
-def f_from_physics(sigma0: DensityOperator, memory: KrausChannel,
-                   target, m_star: int) -> np.ndarray:
-    """f(m) = overlap of the m-times-decohered link state with the target."""
-    f = np.zeros(m_star + 2)
-    for m, state in enumerate(aged_states(sigma0, memory, m_star)):
-        f[m + 1] = np.clip(fidelity_to_pure(state, target), 0.0, 1.0)
-    return f
-
-
 def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
     """Memory-cutoff rule d^{t*}: request when inactive or when the pair has
     reached age t*; wait at ages below t*.  t_star is an integer >= 0, or
     math.inf, which never discards."""
-    if not (t_star == math.inf or (isinstance(t_star, (int, np.integer)) and t_star >= 0)):
+    if not (t_star == math.inf or is_count(t_star, 0)):
         raise ModelError("cutoff_decision: t_star must be an integer >= 0 or math.inf")
     ages = np.arange(model.m_star + 1)
     return DecisionFunction.deterministic(
@@ -120,7 +103,7 @@ def expected_waiting_time(model: ElemLinkModel, d: DecisionFunction, t_req: int)
     active (step t_req + 1 counts 1), from the post-request distribution at
     t=1 under d.  The one inactive state leaves with the same probability
     r = p d(-1)(request) at every step, so the wait is 1 + (1 - X(t_req + 1)) / r."""
-    if not isinstance(t_req, (int, np.integer)) or t_req < 0:
+    if not is_count(t_req, 0):
         raise ModelError("expected_waiting_time: t_req must be an integer >= 0")
     _, x, _ = ftilde_x_f(model, Policy.stationary(d), t_req + 1)
     if x >= 1:
@@ -162,8 +145,9 @@ def cutoff_steady_values(model: ElemLinkModel, t_star):
     or math.inf.  Never discarding holds a pair to age m_star and then spends
     one step inactive, so a cycle has 1/p inactive steps, not (1 - p)/p."""
     never = t_star == math.inf
-    if not (never or 0 <= t_star <= model.m_star):
-        raise ModelError("cutoff_steady_values: t_star must lie in [0, m_star] or be math.inf")
+    if not (never or (is_count(t_star, 0) and t_star <= model.m_star)):
+        raise ModelError("cutoff_steady_values: t_star must be an integer in [0, m_star] "
+                         "or math.inf")
     p = model.p
     held = model.m_star + 1 if never else t_star + 1
     fsum = float(model.f[1:held + 1].sum())  # f(0) + ... + f(held - 1)
@@ -207,7 +191,7 @@ def optimal_backward(model: ElemLinkModel, t: int):
     """Best achievable expected figure of merit at horizon t, by backward
     induction over (age, time); returns the value and the time-indexed
     deterministic policy.  Ties broken toward waiting."""
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not is_count(t, 1):
         raise ModelError("optimal_backward: t must be an integer >= 1")
     T = build_mdp(model).T
     V = model.f.copy()

@@ -19,6 +19,11 @@ class ModelError(ValueError):
     """Raised on malformed probabilistic inputs (bad sums, shape mismatch)."""
 
 
+def is_count(value, low: int) -> bool:
+    """Whether value is an integer (Python or numpy; a bool is not) >= low."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
 class NumericalError(ModelError):
     """Raised when a well-posed model defeats the numerics: an
     ill-conditioned solve or a solver that stops early."""
@@ -168,7 +173,7 @@ def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
 def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
     """Distribution at time t, starting from `initial` at time 1; P^d is
     built once per (read-only) decision object."""
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not is_count(t, 1):
         raise ModelError("evolve: t must be an integer >= 1")
     if len(initial) != mdp.n:
         raise ModelError("evolve: initial vector size mismatch")
@@ -180,26 +185,3 @@ def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
             mats[id(d)] = policy_matrix(mdp, d).entries
         v = mats[id(d)] @ v
     return ProbVector(v)
-
-
-def stationary_distribution(P: StochasticMatrix) -> ProbVector:
-    """The probability vector v with P v = v, by one least-squares solve of
-    [P - I; 1^T] v = e_{n+1}; periodic chains need nothing else.
-
-    Raises ModelError when v is not unique (more than one closed class, so
-    the stacked matrix has rank below n) or fails the residual or sign check.
-    """
-    n = P.n
-    A = P.entries
-    M = np.vstack([A - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    if rank < n:
-        raise ModelError(f"stationary_distribution: not unique, the chain has "
-                         f"more than one closed class (rank {rank} < {n})")
-    resid = np.max(np.abs(A @ sol - sol))
-    if resid > 1e-10 or np.any(sol < -1e-9):
-        raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")
-    sol = np.clip(sol, 0.0, None)
-    return ProbVector(sol / sol.sum())

@@ -19,6 +19,7 @@ from . import lp as _lp
 from .elemlink import ElemLinkModel, build_mdp, g_vector
 from .markov import ModelError, Policy, policy_matrix
 from .twolink import TwoLinkModel, initial_distribution, policy_kernel
+from .waiting import _check
 
 RNG_ALGORITHM = "PCG64"
 
@@ -131,9 +132,8 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
 
 def simulate_collective(M: int, p: float, t_req: int, cfg: SimConfig):
     """Waiting-time samples for M independent never-discarded links after a
-    request at step t_req."""
-    if M < 1 or not 0 < p <= 1 or t_req < 0:
-        raise ModelError("simulate_collective: bad arguments")
+    request at step t_req; the arguments are checked as in `waiting`."""
+    _check("simulate_collective", M, p, t_req)
     rng = cfg.rng()
     # each link first succeeds at a geometric step; it stays up afterwards
     first_up = rng.geometric(p, size=(cfg.trials, M))

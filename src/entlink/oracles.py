@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the selftest and the test
 suite.  Nothing here shares code paths with the implementations it checks:
-stationary vectors come from an eigendecomposition, optimal policies from
-exhaustive enumeration or Howard's policy iteration (for two links on an
-explicit dense absorbing chain, not the renewal form), finite-horizon
-optima from a literal history-indexed recursion, and the heralded
-satellite link from an explicit beamsplitter dilation on truncated Fock
-spaces.
+stationary vectors come from a least-squares solve and, checking that, an
+eigendecomposition; Pauli error rates from traces against the state;
+optimal policies from exhaustive enumeration or Howard's policy iteration
+(for two links on an explicit dense absorbing chain, not the renewal form),
+finite-horizon optima from a literal history-indexed recursion, and the
+heralded satellite link from an explicit beamsplitter dilation on
+truncated Fock spaces.
 
 The dilation's unitary comes from numpy's `eigh`, not `scipy.linalg.expm`:
 dense linear algebra uses numpy's OpenBLAS pool only (see `qstate`), since
@@ -20,9 +21,31 @@ import itertools
 import numpy as np
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, Mdp, ModelError, StochasticMatrix
-from .qstate import bell, partial_trace, permute_subsystems
+from .markov import DecisionFunction, Mdp, ModelError, ProbVector, StochasticMatrix
+from .qstate import (DensityOperator, QuantumError, bell, partial_trace, permute_subsystems,
+                     weyl_x, weyl_z)
 from .twolink import SWAP, TwoLinkModel
+
+
+def stationary_distribution(P: StochasticMatrix) -> ProbVector:
+    """The probability vector v with P v = v, by one least-squares solve of
+    [P - I; 1^T] v = e_{n+1}; periodic chains need nothing else.  Raises
+    ModelError when v is not unique (more than one closed class, so the
+    stacked matrix has rank below n) or fails the residual or sign check."""
+    n = P.n
+    A = P.entries
+    M = np.vstack([A - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    if rank < n:
+        raise ModelError(f"stationary_distribution: not unique, the chain has "
+                         f"more than one closed class (rank {rank} < {n})")
+    resid = np.max(np.abs(A @ sol - sol))
+    if resid > 1e-10 or np.any(sol < -1e-9):
+        raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")
+    sol = np.clip(sol, 0.0, None)
+    return ProbVector(sol / sol.sum())
 
 
 def stationary_eig(P: StochasticMatrix) -> np.ndarray:
@@ -34,6 +57,19 @@ def stationary_eig(P: StochasticMatrix) -> np.ndarray:
     if v.sum() < 0:
         v = -v
     return v / v.sum()
+
+
+def qbers_from_state(rho: DensityOperator):
+    """Pauli-correlation error rates of a two-qubit state."""
+    if rho.dim != 4:
+        raise QuantumError("qbers_from_state: expected a two-qubit state")
+    X = weyl_x(2)
+    Z = weyl_z(2).real.astype(complex)
+    Y = 1j * X @ Z
+    qx = 0.5 * (1 - np.trace(np.kron(X, X) @ rho.mat).real)
+    qy = 0.5 * (1 + np.trace(np.kron(Y, Y) @ rho.mat).real)
+    qz = 0.5 * (1 - np.trace(np.kron(Z, Z) @ rho.mat).real)
+    return qx, qy, qz
 
 
 def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:

@@ -2,13 +2,13 @@
 
 Everything here is dense complex linear algebra: Bell/GHZ/graph states,
 the three joining protocols as brute-force channels, their closed-form
-output fidelities, BBPSSW distillation, amplitude damping, and the d-rail
-pure-loss map.  Subsystems are ordered as written: A, R_1^1, R_1^2, ...,
-R_n^1, R_n^2, B for swapping chains.  The swap and GHZ chains apply each
-node's measurement to the reshaped joint state, one node at a time, by a
-matmul on the ket side and a batched matmul on the bra side, and never
-form a Kraus matrix of the whole chain.  `DensityOperator` validates with
-one transposed copy and a Cholesky factor of conj(H), read by columns.
+output fidelities, BBPSSW distillation and amplitude damping.  Subsystems
+are ordered as written: A, R_1^1, R_1^2, ..., R_n^1, R_n^2, B for
+swapping chains.  The swap and GHZ chains apply each node's measurement
+to the reshaped joint state, one node at a time, by a matmul on the ket
+side and a batched matmul on the bra side, and never form a Kraus matrix
+of the whole chain.  `DensityOperator` validates with one transposed
+copy and a Cholesky factor of conj(H), read by columns.
 
 The whole package does its dense linear algebra with numpy's OpenBLAS
 only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
@@ -474,19 +474,3 @@ def distill_bbpssw(f1: float, f2: float):
     p_succ = (8 / 9) * f1 * f2 - (2 / 9) * (f1 + f2) + 5 / 9
     f_out = ((10 / 9) * f1 * f2 - (1 / 9) * (f1 + f2) + 1 / 9) / p_succ
     return p_succ, f_out
-
-
-# ---------------------------------------------------------------------------
-# loss
-
-def pure_loss_drail(X, eta: float) -> np.ndarray:
-    """d-rail erasure: eta X + (1-eta) Tr[X] |vac><vac|, vacuum appended as
-    the last basis index."""
-    if not 0 <= eta <= 1:
-        raise QuantumError("pure_loss_drail: eta out of range")
-    X = X.mat if isinstance(X, DensityOperator) else np.asarray(X, dtype=complex)
-    d = X.shape[0]
-    out = np.zeros((d + 1, d + 1), dtype=complex)
-    out[:d, :d] = eta * X
-    out[d, d] = (1 - eta) * np.trace(X)
-    return out

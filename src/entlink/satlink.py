@@ -1,6 +1,7 @@
 """Satellite-to-ground link case study: geometry, transmittance, the
-heralded Bell-diagonal state with thermal background, memory decay,
-closed-form policy values, the greedy cutoff, and QKD key rates.
+heralded Bell-diagonal state with thermal background, memory decay, the
+greedy cutoff, and QKD key rates.  Policy values under memory decay are
+`elemlink`'s, evaluated on `memory_f_vector`.
 
 Lengths: ground separation, altitude, and path length in km; aperture,
 beam waist, and wavelength in meters.  Time is counted in heralding steps
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BellDiagCoeffs, DensityOperator, QuantumError, weyl_x, weyl_z
+from .markov import is_count
+from .qstate import BellDiagCoeffs
 
 C_KM_PER_S = 299792.458
 R_EARTH_KM = 6378.0
@@ -50,8 +52,8 @@ class SatSourceParams:
         for nb in (self.nbar1, self.nbar2):
             if not 0 <= nb <= 1:
                 raise SatError("SatSourceParams: nbar out of [0, 1]")
-        if not self.M >= 1:
-            raise SatError("SatSourceParams: M must be >= 1")
+        if not is_count(self.M, 1):
+            raise SatError("SatSourceParams: M must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,15 +125,15 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta, a=a, b=b, c=c)
 
 
-def _is_count(value, low):
-    return isinstance(value, (int, np.integer)) and value >= low
+def _check_multiplexing(name, p, M):
+    if not 0 <= p <= 1:  # NaN fails too
+        raise SatError(f"{name}: p must lie in [0, 1]")
+    if not is_count(M, 1):
+        raise SatError(f"{name}: M must be an integer >= 1")
 
 
 def multiplexed_p(p_single: float, M: int) -> float:
-    if not 0 <= p_single <= 1:  # NaN fails too
-        raise SatError("multiplexed_p: p_single must lie in [0, 1]")
-    if not _is_count(M, 1):
-        raise SatError("multiplexed_p: M must be an integer >= 1")
+    _check_multiplexing("multiplexed_p", p_single, M)
     return 1 - (1 - p_single) ** M
 
 
@@ -162,54 +164,12 @@ def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
 
 def memory_f_vector(m_star: int, t_coh: float, alpha: float, beta: float) -> np.ndarray:
     """f over the link states (-1, 0, ..., m_star)."""
-    if not _is_count(m_star, 0):
+    if not is_count(m_star, 0):
         raise SatError("memory_f_vector: m_star must be an integer >= 0")
     f = np.zeros(m_star + 2)
     for m in range(m_star + 1):
         f[m + 1] = memory_f(m, t_coh, alpha, beta)
     return f
-
-
-def _geom_exp_sum(t_star, t_coh):
-    # sum_{m=0}^{t*} e^{-m/t_coh} as an expm1 ratio, which cannot overflow
-    # for small t_coh as a sinh ratio does
-    return math.expm1(-(t_star + 1) / t_coh) / math.expm1(-1 / t_coh)
-
-
-def cutoff_steady_sinh(t_star: int, t_coh: float, alpha: float, beta: float,
-                       p: float):
-    """Stationary (F~, F) under the cutoff rule, with the decay sums in
-    closed form."""
-    if not _is_count(t_star, 0):
-        raise SatError("cutoff_steady_sinh: t_star must be an integer >= 0")
-    _check_t_coh("cutoff_steady_sinh", t_coh)
-    s1 = _geom_exp_sum(t_star, t_coh)
-    s2 = _geom_exp_sum(t_star, t_coh / 2)
-    fsum = alpha * s2 + (beta - 0.5) * s1 + 0.5 * (t_star + 1)
-    ftilde = p * fsum / (1 + t_star * p)
-    return ftilde, fsum / (t_star + 1)
-
-
-def ftilde_infty_closed(t: int, t_coh: float, alpha: float, beta: float,
-                        p: float) -> float:
-    """Expected figure of merit at time t under the never-discard rule."""
-    if not _is_count(t, 1):
-        raise SatError("ftilde_infty_closed: t must be an integer >= 1")
-    if not 0 < p <= 1:
-        raise SatError("ftilde_infty_closed: p must lie in (0, 1]")
-    _check_t_coh("ftilde_infty_closed", t_coh)
-    e1 = math.exp(1 / t_coh)
-    e2 = math.exp(2 / t_coh)
-    d2 = 1 - e2 * (1 - p)
-    d1 = 1 - e1 * (1 - p)
-    if abs(d1) < 1e-9 or abs(d2) < 1e-9:
-        # geometric ratio 1: evaluate the sum directly instead
-        return sum(memory_f(m, t_coh, alpha, beta) * p * (1 - p) ** (t - m - 1)
-                   for m in range(t))
-    term2 = alpha * p * e2 * (math.exp(-2 * t / t_coh) - (1 - p) ** t) / d2
-    term1 = (beta - 0.5) * p * e1 * (math.exp(-t / t_coh) - (1 - p) ** t) / d1
-    term0 = 0.5 * (1 - (1 - p) ** t)
-    return term2 + term1 + term0
 
 
 def forward_cutoff(p: float, t_coh: float):
@@ -284,6 +244,7 @@ def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):
     Bell-diagonal link with coefficients (alpha+beta, alpha-beta, g, g);
     protocol is "bb84", "6state" or "di", the last with CHSH value
     S = 2 sqrt(2) (1 - 2Q)."""
+    _check_multiplexing("qber_and_rates", p, M)
     if protocol == "bb84":
         Q = 0.75 - beta / 2 - alpha
         K = key_rate_bb84(Q)
@@ -297,16 +258,3 @@ def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):
         raise SatError(f"qber_and_rates: unknown protocol {protocol!r}")
     rate = M * p * max(K, 0.0)
     return Q, K, rate
-
-
-def qbers_from_state(rho: DensityOperator):
-    """Pauli-correlation error rates of a two-qubit state."""
-    if rho.dim != 4:
-        raise QuantumError("qbers_from_state: expected a two-qubit state")
-    X = weyl_x(2)
-    Z = weyl_z(2).real.astype(complex)
-    Y = 1j * X @ Z
-    qx = 0.5 * (1 - np.trace(np.kron(X, X) @ rho.mat).real)
-    qy = 0.5 * (1 + np.trace(np.kron(Y, Y) @ rho.mat).real)
-    qz = 0.5 * (1 - np.trace(np.kron(Z, Z) @ rho.mat).real)
-    return qx, qy, qz

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import elemlink, mc, oracles, qstate, satlink, twolink, waiting
-from .markov import policy_matrix, stationary_distribution
+from .markov import policy_matrix
 
 DEFAULT_SEED = 20260824  # of every criterion, run_all and the CLI's --seed
 
@@ -44,7 +44,7 @@ def criterion_steady_state(seed=DEFAULT_SEED):
         d = oracles.random_decision(rng, model.n, 2)
         s_closed, _ = elemlink.steady_state_closed_form(model, d)
         P = policy_matrix(elemlink.build_mdp(model), d)
-        s_num = stationary_distribution(P)
+        s_num = oracles.stationary_distribution(P)
         max_err = max(max_err, float(np.max(np.abs(s_closed.entries - s_num.entries))))
     dt = time.perf_counter() - t0
     return _record("steady-state closed form vs direct solve",

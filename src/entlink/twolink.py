@@ -27,9 +27,10 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .markov import MASS_RTOL, DecisionFunction, ModelError, NumericalError, ProbVector
+from .markov import (MASS_RTOL, DecisionFunction, ModelError, NumericalError, ProbVector,
+                     is_count)
 from . import lp as _lp
-from .elemlink import WAIT, ElemLinkModel, aged_states, build_mdp, g_vector
+from .elemlink import WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
                      bell_overlap_table, swap_fidelity)
 
@@ -54,8 +55,7 @@ class TwoLinkModel:
         for val, name in ((self.p1, "p1"), (self.p2, "p2"), (self.q, "q")):
             if not 0 <= val <= 1:
                 raise ModelError(f"TwoLinkModel: {name} out of [0, 1]")
-        if not all(isinstance(m, (int, np.integer)) and m >= 0
-                   for m in (self.m1_star, self.m2_star)):
+        if not (is_count(self.m1_star, 0) and is_count(self.m2_star, 0)):
             raise ModelError("TwoLinkModel: storage bounds must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)
         if f.shape != (2, self.m1_star + 2, self.m2_star + 2):
@@ -94,7 +94,7 @@ class TwoLinkModel:
 def uniform_f_table(m1_star, m2_star):
     """f[1] = 1 wherever both links are active; handy for waiting-time-only
     studies."""
-    if not all(isinstance(m, (int, np.integer)) and m >= 0 for m in (m1_star, m2_star)):
+    if not (is_count(m1_star, 0) and is_count(m2_star, 0)):
         raise ModelError("uniform_f_table: storage bounds must be >= 0 and of integer type")
     f = np.zeros((2, m1_star + 2, m2_star + 2))
     f[1, 1:, 1:] = 1.0
@@ -168,9 +168,13 @@ def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
             or abs(abs(np.vdot(phi, target)) - 1) > TARGET_TOL):
         raise QuantumError("two_link_f_from_physics: target must be bell(d) "
                            "up to a global phase")
-    T1, T2 = [bell_overlap_table(np.array(aged_states(sigma, mem, m_star)), d)
-              for sigma, mem, m_star in ((sigma1_0, mem1, m1_star),
-                                         (sigma2_0, mem2, m2_star))]
+    tables = []
+    for sigma, mem, m_star in ((sigma1_0, mem1, m1_star), (sigma2_0, mem2, m2_star)):
+        aged = [sigma.mat]  # the link's state after 0, 1, ..., m_star steps in memory
+        for _ in range(m_star):
+            aged.append(mem(aged[-1]))
+        tables.append(bell_overlap_table(np.array(aged), d))
+    T1, T2 = tables
     f = np.zeros((2, m1_star + 2, m2_star + 2))
     f[1, 1:, 1:] = np.clip(swap_fidelity([T1[:, None], T2[None]]), 0.0, 1.0)
     return f
@@ -182,7 +186,7 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
     old and waits otherwise, action "ab" = 2a + b.  The cutoffs are integers
     within the storage bounds."""
     for t, bound in ((t1_star, model.m1_star), (t2_star, model.m2_star)):
-        if not isinstance(t, (int, np.integer)) or not 0 <= t <= bound:
+        if not (is_count(t, 0) and t <= bound):
             raise ModelError("cutoff_decision: cutoffs must be integers that "
                              "respect the storage bounds")
     m1, m2 = np.arange(-1, model.m1_star + 1)[:, None], np.arange(-1, model.m2_star + 1)
@@ -280,7 +284,7 @@ def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:
     (1 + 2u(1 - p)) / (q p (p + 2u(1 - p)))."""
     if not (0 < p <= 1 and 0 < q <= 1):
         raise ModelError("analytic_symmetric_waiting_time: p, q must lie in (0, 1]")
-    if not isinstance(t_star, (int, np.integer)) or t_star < 0:
+    if not is_count(t_star, 0):
         raise ModelError("analytic_symmetric_waiting_time: t_star must be an integer >= 0")
     u = float(t_star > 0) if p == 1 else -math.expm1(t_star * math.log1p(-p))
     v = 2 * u * (1 - p)

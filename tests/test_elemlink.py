@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlink import elemlink as E
-from entlink import oracles, qstate
+from entlink import oracles
 from entlink.markov import ModelError, Policy, evolve, policy_matrix
 
 
@@ -42,12 +42,23 @@ def test_transition_matrices_shape_and_columns():
     assert np.allclose(T1[2:], 0.0)
 
 
-@pytest.mark.parametrize("t_star", [-1, 1.5, 2.0, np.nan, -math.inf, "2"])
+@pytest.mark.parametrize("t_star", [-1, 1.5, 2.0, np.nan, -math.inf, "2",
+                                    pytest.param(np.float64(2.0), id="float64-2.0"),
+                                    pytest.param(True, id="bool")])
 def test_cutoff_decision_rejects_non_cutoffs(t_star):
-    # NaN and -1 used to give request-always, the t* = 0 rule
+    # NaN and -1 used to give request-always, the t* = 0 rule, in
+    # cutoff_decision; 1.5 and np.float64(2.0) ended in a slicing TypeError
+    # in cutoff_steady_values
     m = model(0.5, [1.0, 0.9, 0.8])
-    with pytest.raises(ModelError, match="t_star must be an integer"):
-        E.cutoff_decision(m, t_star)
+    for rule in (E.cutoff_decision, E.cutoff_steady_values):
+        with pytest.raises(ModelError, match="t_star must be an integer"):
+            rule(m, t_star)
+
+
+def test_bool_storage_bound_raises():
+    # built a model whose m_star was True
+    with pytest.raises(ModelError, match="m_star must be >= 0 and of integer type"):
+        E.ElemLinkModel(0.5, True, [0.0, 1.0, 0.9])
 
 
 def test_cutoff_decision_accepts_integers_and_infinity():
@@ -266,22 +277,6 @@ def test_backward_policy_achieves_its_value(rng):
         v, pol = E.optimal_backward(m, t)
         ft, _, _ = E.ftilde_x_f(m, pol, t)
         assert ft == pytest.approx(v, abs=1e-12)
-
-
-def test_f_from_physics_amplitude_damping():
-    phi = qstate.bell(2)
-    sigma0 = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
-    gamma = 0.2
-    ch = qstate.amplitude_damping(gamma)
-    mem = qstate.KrausChannel(
-        [np.kron(K1, K2) for K1 in ch.kraus for K2 in ch.kraus])
-    f = E.f_from_physics(sigma0, mem, phi, 2)
-    assert f[0] == 0.0
-    assert f[1] == pytest.approx(1.0, abs=1e-12)
-    # one step of two-sided damping on |Phi+>: F = (1 + 2(1-g) + (1-g)^2)/4 + g^2/4
-    g = gamma
-    expect = (1 + 2 * (1 - g) + (1 - g) ** 2 + g * g) / 4
-    assert f[2] == pytest.approx(expect, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,11 @@
 """Every name a module imports is read somewhere in that module, every
 module-level `_private` name or UPPER_CASE constant of the package is read
 somewhere in the package, and every public module-level function or class
-of the package is read somewhere in the package, the tests, the demos or
-the benchmark.  The package has one LP solver path: no module reaches
+of the package is read somewhere in the package, the demos or the
+benchmark; a test alone is a reader only of `oracles.py`, the tests'
+reference code.  Two paper results that README.md documents and only the
+tests read are named exceptions.  The
+package has one LP solver path: no module reaches
 `linprog`, and only `lp.py` imports scipy's HiGHS binding.  The package
 does its dense linear algebra with numpy only, since `scipy.linalg` loads a
 second OpenBLAS thread pool that stalls numpy's: no module imports or reads
@@ -24,6 +27,10 @@ FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
 READERS = sorted(p for d in ("src/entlink", "tests", "demos", "bench")
                  for p in (ROOT / d).glob("*.py"))
+# public definitions that only the tests read: README.md documents them as
+# results of the paper
+TEST_READ_RESULTS = {("elemlink.py", "cutoff_infty_transient"),
+                     ("elemlink.py", "expected_waiting_time")}
 
 
 def unused_imports(source):
@@ -93,13 +100,17 @@ def unread_names(sources):
 
 def unread_public_definitions(sources, readers):
     """(file, line, name) of every public module-level function or class
-    defined in `sources` (file -> source text) that none of `readers`
-    (more source texts) reads."""
-    read = _read_names(ast.parse(text) for text in readers)
+    defined in `sources` (file -> source text) that no reader (path from the
+    root -> source text) reads; readers under `tests/` count for `oracles.py`
+    only."""
+    trees = {path: ast.parse(text) for path, text in readers.items()}
+    read = _read_names(tree for path, tree in trees.items() if not path.startswith("tests/"))
+    read_by_tests = _read_names(trees.values())
     return sorted((path, node.lineno, node.name) for path, text in sources.items()
                   for node in ast.parse(text).body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in read)
+                  and not node.name.startswith("_")
+                  and node.name not in (read_by_tests if path == "oracles.py" else read))
 
 
 def test_guard_sees_an_unread_name():
@@ -115,13 +126,25 @@ def test_no_unread_module_level_names():
 def test_guard_sees_an_unread_public_definition():
     sources = {"m.py": "class Kept:\n    pass\ndef called():\n    pass\n"
                        "def orphan():\n    return called()\ndef _private():\n    pass\n"}
-    readers = [*sources.values(), "import m\nm.Kept()\n"]
+    readers = {"src/m.py": sources["m.py"], "demos/d.py": "import m\nm.Kept()\n"}
     assert unread_public_definitions(sources, readers) == [("m.py", 5, "orphan")]
 
 
+def test_guard_counts_a_test_as_a_reader_of_oracles_only():
+    sources = {"m.py": "def used():\n    pass\ndef tested():\n    pass\n",
+               "oracles.py": "def reference():\n    pass\ndef unread():\n    pass\n"}
+    readers = {"src/m.py": sources["m.py"], "src/oracles.py": sources["oracles.py"],
+               "bench/b.py": "import m\nm.used()\n",
+               "tests/test_m.py": "import m, oracles\nm.tested()\noracles.reference()\n"}
+    assert unread_public_definitions(sources, readers) == [("m.py", 3, "tested"),
+                                                           ("oracles.py", 3, "unread")]
+
+
 def test_no_unread_public_definitions():
-    assert unread_public_definitions({p.name: p.read_text() for p in PACKAGE},
-                                     [p.read_text() for p in READERS]) == []
+    found = unread_public_definitions({p.name: p.read_text() for p in PACKAGE},
+                                      {str(p.relative_to(ROOT)): p.read_text()
+                                       for p in READERS})
+    assert {(path, name) for path, _, name in found} == TEST_READ_RESULTS
 
 
 def imported_names(source):

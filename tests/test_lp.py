@@ -9,12 +9,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from entlink import lp as L
 from entlink import twolink as TL
-from entlink.markov import (
-    Mdp,
-    policy_matrix,
-    stationary_distribution,
-)
-from entlink.oracles import policy_iteration_absorbing
+from entlink.markov import Mdp, policy_matrix
+from entlink.oracles import policy_iteration_absorbing, stationary_distribution
 
 from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
 

@@ -12,13 +12,11 @@ from entlink.markov import (
     StochasticMatrix,
     evolve,
     policy_matrix,
-    stationary_distribution,
 )
 from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
                               steady_state_closed_form)
-from entlink.oracles import stationary_eig
 from entlink.lp import mdp_occupation_lp
-from entlink.oracles import policy_iteration_absorbing
+from entlink.oracles import policy_iteration_absorbing, stationary_distribution, stationary_eig
 from entlink import markov, twolink as TL
 from entlink.twolink import TwoLinkModel
 
@@ -274,3 +272,10 @@ def test_absorption_distribution_sums_to_one(rng):
         assert S @ z == pytest.approx(1.0, abs=1e-10)
         assert np.all(z >= -1e-12)
 
+
+
+@pytest.mark.parametrize("value, low, want", [
+    (3, 1, True), (np.int64(0), 0, True), (0, 1, False), (-1, 0, False),
+    (2.0, 0, False), (np.float64(2.0), 0, False), (True, 0, False), ("2", 0, False)])
+def test_is_count_takes_integers_but_no_bools(value, low, want):
+    assert markov.is_count(value, low) == want

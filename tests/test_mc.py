@@ -98,6 +98,17 @@ def test_collective_validation():
         mc.simulate_collective(1, 0.0, 0, cfg)
 
 
+# t_req = 0.5 gave the waits 1.5 and 2.5, and a fractional or bool M ended in
+# numpy's TypeError
+@pytest.mark.parametrize("M, p, t_req", [
+    (2, 0.5, 0.5), (2, 0.5, 2.0), (2, 0.5, -1), (2.5, 0.5, 0), (2.0, 0.5, 0),
+    (True, 0.5, 0), (2, 0.5, True), (2, 1.5, 0), (2, math.nan, 0)])
+def test_collective_arguments_are_checked_as_in_waiting(M, p, t_req):
+    cfg = mc.SimConfig(seed=1, trials=10)
+    with pytest.raises(ModelError, match="^simulate_collective: (M|p) must"):
+        mc.simulate_collective(M, p, t_req, cfg)
+
+
 def _digest(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
 

@@ -409,14 +409,6 @@ def test_amplitude_damping_fixed_point_and_tp():
     assert np.allclose(ch(ground), ground, atol=1e-14)
 
 
-def test_pure_loss_drail(rng=np.random.default_rng(12)):
-    rho = random_density(rng, 3)
-    out = Q.pure_loss_drail(rho, 0.7)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out[:3, :3], 0.7 * rho, atol=1e-14)
-    assert out[3, 3].real == pytest.approx(0.3, abs=1e-12)
-
-
 def test_bell_diag_coeffs_roundtrip():
     c = Q.BellDiagCoeffs(0.4, 0.3, 0.2, 0.1)
     t = Q.bell_overlap_table(c.to_density(), 2)  # [z, x]
@@ -471,7 +463,6 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.graph_dist_fidelity([_TABLE], _PAIR),
     lambda: Q.isotropic_twirl(Q.DensityOperator(_MIXED1)),
     lambda: Q.distill_bbpssw(0.1, 0.9),
-    lambda: Q.pure_loss_drail(_MIXED1, 1.5),
     lambda: Q.DensityOperator(np.full((2, 2), np.nan)),
     lambda: Q.DensityOperator(np.diag([np.inf, 1.0])),
     lambda: Q.KrausChannel([np.full((2, 2), np.nan)]),
@@ -494,9 +485,8 @@ _TABLE = np.full((2, 2), 0.25)
         "swap_fidelity-shapes", "swap_fidelity-negative", "swap_fidelity-sum",
         "ghz_swap_channel-subsystems", "ghz_swap_fidelity-one-link",
         "graph_dist_channel-subsystems", "graph_dist_fidelity-tables",
-        "isotropic_twirl-dim", "distill_bbpssw-fidelity", "pure_loss_drail-eta",
-        "DensityOperator-nan", "DensityOperator-inf", "KrausChannel-nan",
-        "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf",
+        "isotropic_twirl-dim", "distill_bbpssw-fidelity", "DensityOperator-nan",
+        "DensityOperator-inf", "KrausChannel-nan", "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf",
         "ghz_swap_fidelity-nan", "ghz_swap_fidelity-negative", "ghz_swap_fidelity-shape",
         "graph_dist_fidelity-nan", "graph_dist_fidelity-negative",
         "graph_dist_fidelity-shape", "graph_state-scalar", "graph_state-self-loop"])

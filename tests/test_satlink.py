@@ -138,32 +138,19 @@ def test_memory_f_vector_feeds_elem_model():
     assert m.f[1] == pytest.approx(S.memory_f(0, 10.0, 0.45, 0.5))
 
 
-def test_cutoff_steady_sinh_matches_elemlink(rng):
-    for _ in range(10):
-        p = rng.uniform(0.1, 1.0)
-        t_coh = rng.uniform(2.0, 100.0)
-        ts = int(rng.integers(0, 6))
-        al, be = rng.uniform(0.2, 0.5), rng.uniform(0.4, 0.5)
-        f = S.memory_f_vector(ts, t_coh, al, be)
-        m = elemlink.ElemLinkModel(p, ts, f)
-        ft, _, fr = elemlink.cutoff_steady_values(m, ts)
-        ft2, fr2 = S.cutoff_steady_sinh(ts, t_coh, al, be, p)
-        assert ft == pytest.approx(ft2, abs=1e-12)
-        assert fr == pytest.approx(fr2, abs=1e-12)
-
-
-def test_cutoff_steady_sinh_vs_direct_sum():
-    # coherence times of 1e-3 and below used to overflow sinh
+def test_cutoff_steady_values_on_memory_decay_vs_direct_sum():
+    # coherence times of 1e-3 and below decay to 0 within one step
     p, al, be = 0.3, 0.45, 0.5
     for t_coh in (1e-4, 1e-3, 0.5, 50.0, 1e6):
         for ts in (0, 1, 7, 40):
             fsum = sum(S.memory_f(m, t_coh, al, be) for m in range(ts + 1))
-            ft, fr = S.cutoff_steady_sinh(ts, t_coh, al, be, p)
+            model = elemlink.ElemLinkModel(p, ts, S.memory_f_vector(ts, t_coh, al, be))
+            ft, _, fr = elemlink.cutoff_steady_values(model, ts)
             assert fr == pytest.approx(fsum / (ts + 1), rel=1e-12)
             assert ft == pytest.approx(p * fsum / (1 + ts * p), rel=1e-12)
 
 
-def test_ftilde_infty_closed_vs_direct_sum(rng):
+def test_never_discard_transient_on_memory_decay_vs_direct_sum(rng):
     for _ in range(10):
         p = rng.uniform(0.05, 1.0)
         t_coh = rng.uniform(2.0, 100.0)
@@ -171,18 +158,9 @@ def test_ftilde_infty_closed_vs_direct_sum(rng):
         al, be = rng.uniform(0.2, 0.5), rng.uniform(0.4, 0.5)
         direct = sum(S.memory_f(m, t_coh, al, be) * p * (1 - p) ** (t - m - 1)
                      for m in range(t))
-        assert S.ftilde_infty_closed(t, t_coh, al, be, p) == pytest.approx(
+        model = elemlink.ElemLinkModel(p, t - 1, S.memory_f_vector(t - 1, t_coh, al, be))
+        assert elemlink.cutoff_infty_transient(model, t)[0] == pytest.approx(
             direct, abs=1e-12)
-
-
-def test_ftilde_infty_closed_degenerate_ratio():
-    # pick p so that e^{2/t_coh}(1-p) = 1 and the closed form must fall back
-    t_coh = 5.0
-    p = 1 - math.exp(-2 / t_coh)
-    t = 12
-    direct = sum(S.memory_f(m, t_coh, 0.4, 0.5) * p * (1 - p) ** (t - m - 1)
-                 for m in range(t))
-    assert S.ftilde_infty_closed(t, t_coh, 0.4, 0.5, p) == pytest.approx(direct, abs=1e-10)
 
 
 def test_forward_cutoff_anchors():
@@ -250,7 +228,7 @@ def test_qbers_match_fidelity_identity(rng):
         G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mat = G @ G.conj().T
         rho = qstate.DensityOperator(mat / np.trace(mat).real, (2, 2))
-        qx, qy, qz = S.qbers_from_state(rho)
+        qx, qy, qz = oracles.qbers_from_state(rho)
         f = qstate.fidelity_to_pure(rho, qstate.bell(2))
         assert f == pytest.approx(1 - (qx + qy + qz) / 2, abs=1e-10)
 
@@ -259,7 +237,7 @@ def test_qber_formulas_match_state_qbers(rng):
     # Bell-diagonal link: z-basis QBER equals the BB84 formula's ingredients
     link = S.heralded_link(0.7, 0.8, S.SatSourceParams(0.92, 0.1, 0.05))
     rho = link.coeffs.to_density()
-    qx, qy, qz = S.qbers_from_state(rho)
+    qx, qy, qz = oracles.qbers_from_state(rho)
     Q6, _, _ = S.qber_and_rates(link.alpha, link.beta, "6state", 1, link.p)
     assert Q6 == pytest.approx((qx + qy + qz) / 3, abs=1e-10)
     Qb, _, _ = S.qber_and_rates(link.alpha, link.beta, "bb84", 1, link.p)
@@ -277,13 +255,11 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.heralded_link(0.0, 0.5, S.SatSourceParams(1.0)), S.SatError),
     (lambda: S.multiplexed_p(0.5, 0), S.SatError),
     (lambda: S.memory_f(1, 0.0, 0.5, 0.5), S.SatError),
-    (lambda: S.cutoff_steady_sinh(-1, 10.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.ftilde_infty_closed(0, 10.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.ftilde_infty_closed(1, 10.0, 0.5, 0.5, 0.0), S.SatError),
     (lambda: S.forward_cutoff(1.5, 10.0), S.SatError),
     (lambda: S.coherence_steps(1.0, 0.0), S.SatError),
     (lambda: S.qber_and_rates(0.5, 0.5, "b92", 1, 0.5), S.SatError),
-    (lambda: S.qbers_from_state(qstate.DensityOperator(np.eye(2) / 2)), qstate.QuantumError),
+    (lambda: oracles.qbers_from_state(qstate.DensityOperator(np.eye(2) / 2)),
+     qstate.QuantumError),
     (lambda: S.SatGeometry(math.nan, 500.0), S.SatError),
     (lambda: S.SatGeometry(math.inf, 500.0), S.SatError),
     (lambda: S.SatGeometry(100.0, math.nan), S.SatError),
@@ -292,8 +268,6 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.eta_sg(math.nan, 500.0, 0.5), S.SatError),
     (lambda: S.heralded_link(math.nan, 0.5, S.SatSourceParams(1.0)), S.SatError),
     (lambda: S.multiplexed_p(0.5, math.nan), S.SatError),
-    (lambda: S.cutoff_steady_sinh(math.nan, 10.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.ftilde_infty_closed(math.nan, 10.0, 0.5, 0.5, 0.5), S.SatError),
     (lambda: S.coherence_steps(1.0, math.nan), S.SatError),
     (lambda: S.key_rate_di(0.1, math.nan), S.SatError),
     # a negative age once gave a "fidelity" of 1.1107 (m = -1), 1.859 (m = -5)
@@ -310,16 +284,12 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.key_rate_di(-0.1, 2.5), S.SatError),
     (lambda: S.key_rate_di(1.2, 2.5), S.SatError),
     (lambda: S.key_rate_di(math.nan, 2.5), S.SatError),
-    # a probability outside [0, 1] once gave multiplexed_p(1.5, 2) = 0.75, a
-    # fractional M gave multiplexed_p(0.5, 2.5) = 0.823, and a fractional
-    # cutoff or time gave a value for a rule that does not exist
+    # a probability outside [0, 1] once gave multiplexed_p(1.5, 2) = 0.75 and
+    # a fractional M gave multiplexed_p(0.5, 2.5) = 0.823
     (lambda: S.multiplexed_p(1.5, 2), S.SatError),
     (lambda: S.multiplexed_p(-0.1, 2), S.SatError),
     (lambda: S.multiplexed_p(math.nan, 2), S.SatError),
     (lambda: S.multiplexed_p(0.5, 2.5), S.SatError),
-    (lambda: S.cutoff_steady_sinh(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.cutoff_steady_sinh(math.inf, 10.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.ftilde_infty_closed(2.5, 10.0, 0.5, 0.5, 0.5), S.SatError),
     # an altitude of 0 divided by zero at L = 0 and gave a transmittance of
     # 0.0 at L > 0, for a geometry SatGeometry rejects
     (lambda: S.eta_sg(0.0, 0.0, 0.5), S.SatError),
@@ -330,9 +300,6 @@ def test_qber_formulas_match_state_qbers(rng):
     # of -1, and inf overflowed
     (lambda: S.memory_f(1, math.nan, 0.5, 0.5), S.SatError),
     (lambda: S.memory_f(1, math.inf, 0.5, 0.5), S.SatError),
-    (lambda: S.cutoff_steady_sinh(1, 0.0, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.cutoff_steady_sinh(1, math.inf, 0.5, 0.5, 0.5), S.SatError),
-    (lambda: S.ftilde_infty_closed(3, 0.0, 0.5, 0.5, 0.5), S.SatError),
     (lambda: S.forward_cutoff(0.7, -1.0), S.SatError),
     (lambda: S.forward_cutoff(0.7, 0.0), S.SatError),
     (lambda: S.forward_cutoff(0.7, math.nan), S.SatError),
@@ -347,29 +314,38 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.h2(math.nan), S.SatError),
     (lambda: S.h2(1.5), S.SatError),
     (lambda: S.h2(-0.5), S.SatError),
+    # M and p went unchecked: M = -3 gave a key rate of -1.5, p = 1.7 gave
+    # 1.7 and p = nan gave nan, and SatSourceParams took M = 2.5
+    (lambda: S.qber_and_rates(0.5, 0.5, "bb84", -3, 0.5), S.SatError),
+    (lambda: S.qber_and_rates(0.5, 0.5, "bb84", 2.5, 0.5), S.SatError),
+    (lambda: S.qber_and_rates(0.5, 0.5, "bb84", 1, 1.7), S.SatError),
+    (lambda: S.qber_and_rates(0.5, 0.5, "bb84", 1, math.nan), S.SatError),
+    (lambda: S.SatSourceParams(1.0, M=2.5), S.SatError),
+    # a bool passed as a count: multiplexed_p(0.5, True) gave 0.5
+    (lambda: S.multiplexed_p(0.5, True), S.SatError),
+    (lambda: S.SatSourceParams(1.0, M=True), S.SatError),
+    (lambda: S.memory_f_vector(True, 12.0, 0.5, 0.5), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
-        "multiplexed_p-M", "memory_f-t_coh", "cutoff_steady_sinh-t_star",
-        "ftilde_infty_closed-t", "ftilde_infty_closed-p", "forward_cutoff-p",
-        "coherence_steps-d", "qber_and_rates-protocol", "qbers_from_state-dim",
-        "SatGeometry-d-nan", "SatGeometry-d-inf", "SatGeometry-h-nan", "SatGeometry-h-inf",
+        "multiplexed_p-M", "memory_f-t_coh", "forward_cutoff-p", "coherence_steps-d",
+        "qber_and_rates-protocol", "qbers_from_state-dim", "SatGeometry-d-nan",
+        "SatGeometry-d-inf", "SatGeometry-h-nan", "SatGeometry-h-inf",
         "SatSourceParams-M-nan", "eta_sg-path-nan", "heralded_link-eta-nan",
-        "multiplexed_p-M-nan", "cutoff_steady_sinh-t_star-nan", "ftilde_infty_closed-t-nan",
-        "coherence_steps-d-nan", "key_rate_di-S-nan", "memory_f-m-negative",
-        "memory_f-m-nan", "memory_f-m-inf", "key_rate_bb84-Q-negative",
-        "key_rate_bb84-Q-above-one", "key_rate_bb84-Q-nan", "key_rate_six_state-Q-negative",
-        "key_rate_six_state-Q-above-one", "key_rate_six_state-Q-nan",
-        "key_rate_di-Q-negative", "key_rate_di-Q-above-one", "key_rate_di-Q-nan",
-        "multiplexed_p-p-above-one", "multiplexed_p-p-negative", "multiplexed_p-p-nan",
-        "multiplexed_p-M-fractional", "cutoff_steady_sinh-t_star-fractional",
-        "cutoff_steady_sinh-t_star-inf", "ftilde_infty_closed-t-fractional",
-        "eta_sg-h-zero-at-L-zero", "eta_sg-h-zero", "eta_sg-h-nan", "eta_sg-path-inf",
-        "memory_f-t_coh-nan", "memory_f-t_coh-inf", "cutoff_steady_sinh-t_coh-zero",
-        "cutoff_steady_sinh-t_coh-inf", "ftilde_infty_closed-t_coh-zero",
-        "forward_cutoff-negative", "forward_cutoff-zero", "forward_cutoff-nan",
-        "forward_cutoff-inf", "memory_f_vector-fractional", "memory_f_vector-negative",
-        "key_rate_di-S-above-tsirelson", "key_rate_di-S-huge", "h2-nan", "h2-above-one",
-        "h2-negative"])
+        "multiplexed_p-M-nan", "coherence_steps-d-nan", "key_rate_di-S-nan",
+        "memory_f-m-negative", "memory_f-m-nan", "memory_f-m-inf",
+        "key_rate_bb84-Q-negative", "key_rate_bb84-Q-above-one", "key_rate_bb84-Q-nan",
+        "key_rate_six_state-Q-negative", "key_rate_six_state-Q-above-one",
+        "key_rate_six_state-Q-nan", "key_rate_di-Q-negative", "key_rate_di-Q-above-one",
+        "key_rate_di-Q-nan", "multiplexed_p-p-above-one", "multiplexed_p-p-negative",
+        "multiplexed_p-p-nan", "multiplexed_p-M-fractional", "eta_sg-h-zero-at-L-zero",
+        "eta_sg-h-zero", "eta_sg-h-nan", "eta_sg-path-inf", "memory_f-t_coh-nan",
+        "memory_f-t_coh-inf", "forward_cutoff-negative", "forward_cutoff-zero",
+        "forward_cutoff-nan", "forward_cutoff-inf", "memory_f_vector-fractional",
+        "memory_f_vector-negative", "key_rate_di-S-above-tsirelson", "key_rate_di-S-huge",
+        "h2-nan", "h2-above-one", "h2-negative", "qber_and_rates-M-negative",
+        "qber_and_rates-M-fractional", "qber_and_rates-p-above-one", "qber_and_rates-p-nan",
+        "SatSourceParams-M-fractional", "multiplexed_p-M-bool", "SatSourceParams-M-bool",
+        "memory_f_vector-bool"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

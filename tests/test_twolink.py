@@ -52,6 +52,8 @@ def test_f_table_validation():
         TL.TwoLinkModel(0.5, 0.5, 0.5, 2.0, 2.0, TL.uniform_f_table(2, 2))
     with pytest.raises(ModelError, match="storage bounds must be >= 0 and of integer type"):
         TL.uniform_f_table(2.0, 2)
+    with pytest.raises(ModelError, match="storage bounds must be >= 0 and of integer type"):
+        TL.uniform_f_table(True, 2)
     m = np.int64(2)
     assert TL.TwoLinkModel(0.5, 0.5, 0.5, m, 2, TL.uniform_f_table(m, 2)).n == 16
 

@@ -124,10 +124,12 @@ def test_argument_validation():
 
 
 # p = 1.5 once gave the "pmf" [2.25, -1.6875, 0.703125] at t = 1..3 and an
-# expected wait of 3.4035 at M = 2, t_req = 1.5; M = 2.0 raised a TypeError
+# expected wait of 3.4035 at M = 2, t_req = 1.5; M = 2.0 raised a TypeError;
+# a bool is no count
 @pytest.mark.parametrize("M, p, t_req", [
     (2, 1.5, 0), (2, -0.2, 0), (2, 0.0, 0), (2, math.nan, 0),
-    (2, 0.3, 1.5), (2, 0.3, 2.0), (2, 0.3, -1), (2.0, 0.3, 0), (0, 0.3, 0)])
+    (2, 0.3, 1.5), (2, 0.3, 2.0), (2, 0.3, -1), (2.0, 0.3, 0), (0, 0.3, 0),
+    (True, 0.3, 0), (2, 0.3, False)])
 def test_bad_model_raises(M, p, t_req):
     with pytest.raises(ModelError):
         W.collective_pmf_infty(M, p, t_req, 1)
