@@ -86,7 +86,7 @@ def cmd_elem_optimal(args):
 
 def cmd_elem_backward(args):
     model = _elem_model(args)
-    value, policy = elemlink.optimal_backward(model, args.t)
+    value, _ = elemlink.optimal_backward(model, args.t)
     _emit([{"horizon": args.t, "optimal_value": value}], args)
 
 
@@ -167,8 +167,7 @@ def cmd_satlink_sweep(args):
 
 
 def cmd_satlink_keyrates(args):
-    L, eta, src, link = _link_from_args(args, args.d)
-    p = satlink.multiplexed_p(link.p, src.M)
+    _, _, src, link = _link_from_args(args, args.d)
     rows = []
     for proto in ("bb84", "6state", "di"):
         try:

@@ -123,10 +123,6 @@ class DecisionFunction:
         t[np.arange(len(action_indices)), action_indices] = 1.0
         return cls(t)
 
-    @classmethod
-    def uniform(cls, n_states, n_actions):
-        return cls(np.full((n_states, n_actions), 1.0 / n_actions))
-
 
 class Policy:
     """Stationary or time-indexed policy; build it with one of the two

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the selftest and the test
 suite.  Nothing here shares code paths with the implementations it checks:
 stationary vectors come from a least-squares solve and, checking that, an
-eigendecomposition; Pauli error rates from traces against the state;
-optimal policies from exhaustive enumeration or Howard's policy iteration
-(for two links on an explicit dense absorbing chain, not the renewal form),
+eigendecomposition; Bell-diagonal states from the Bell projectors; Pauli
+error rates from traces against the state; optimal policies from
+exhaustive enumeration or Howard's policy iteration (for two links on an
+explicit dense absorbing chain, not the renewal form),
 finite-horizon optima from a literal history-indexed recursion, and the
 heralded satellite link from an explicit beamsplitter dilation on
 truncated Fock spaces.
@@ -22,8 +23,8 @@ import numpy as np
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, Mdp, ModelError, ProbVector, StochasticMatrix
-from .qstate import (DensityOperator, QuantumError, bell, partial_trace, permute_subsystems,
-                     weyl_x, weyl_z)
+from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
+                     permute_subsystems, weyl_x, weyl_z)
 from .twolink import SWAP, TwoLinkModel
 
 
@@ -57,6 +58,12 @@ def stationary_eig(P: StochasticMatrix) -> np.ndarray:
     if v.sum() < 0:
         v = -v
     return v / v.sum()
+
+
+def bell_diagonal_density(coeffs) -> DensityOperator:
+    """The state of `BellDiagCoeffs` coeffs, as sum_i c_i |B_i><B_i|."""
+    mat = sum(c * np.outer(b, b.conj()) for c, b in zip(coeffs.as_array(), bell_basis(2)))
+    return DensityOperator(mat, (2, 2))
 
 
 def qbers_from_state(rho: DensityOperator):

@@ -120,11 +120,6 @@ class BellDiagCoeffs:
     def as_array(self):
         return np.array([self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus])
 
-    def to_density(self) -> DensityOperator:
-        mat = sum(c * np.outer(b, b.conj())
-                  for c, b in zip(self.as_array(), bell_basis(2)))
-        return DensityOperator(mat, (2, 2))
-
 
 # ---------------------------------------------------------------------------
 # elementary constructions
@@ -215,7 +210,7 @@ def partial_trace(mat, dims, keep):
     keep = list(keep)
     drop = [i for i in range(n) if i not in keep]
     perm = keep + drop
-    m, nd = permute_subsystems(mat, dims, perm)
+    m, _ = permute_subsystems(mat, dims, perm)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     dd = int(np.prod([dims[i] for i in drop])) if drop else 1
     m = m.reshape(dk, dd, dk, dd)

@@ -195,46 +195,48 @@ def cutoff_decision(model: TwoLinkModel, t1_star: int, t2_star: int) -> Decision
     return DecisionFunction.deterministic(np.where(swap, SWAP, ab).ravel(), len(ACTIONS))
 
 
-def _visits(A, g):
-    """A^{-1} g, or None when A is exactly singular or the solve is not a
-    finite, nonnegative vector of visits: some mass never ends its cycle."""
-    try:
-        z = splu(A).solve(g)
-    except RuntimeError:  # exactly singular
-        return None
-    return z if np.all(np.isfinite(z)) and np.all(z >= -1e-9 * np.abs(z).max()) else None
+def _closure(seed, src, dst):
+    """The states reached from the mask `seed` along the edges src -> dst."""
+    seen = front = seed
+    while front.any():
+        front = np.bincount(dst[front[src]], minlength=seed.size).astype(bool) & ~seen
+        seen = seen | front
+    return seen
 
 
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected waiting time and expected f of the end-to-end link under d:
     the ratios 1^T z / (q S.z) and sum_s S_s f(s) z_s / S.z, whose division
-    by S.z (= 1 exactly) cancels the solve's scale error at small p.  Raises
-    ModelError when some start mass never ends its cycle, NumericalError
-    when S.z misses 1 by more than MASS_RTOL."""
+    by S.z (= 1 exactly) cancels the solve's scale error at small p.  z is
+    solved on the states g reaches, which lead to no other.  Raises
+    ModelError when a reached state cannot reach a swap attempt, and then
+    NumericalError for a singular factor, negative or non-finite visits, or
+    S.z off 1 by more than MASS_RTOL."""
     if model.q <= 0:
         raise ModelError("evaluate_policy: the end-to-end link is unreachable (q = 0)")
     (rows, cols, vals), S = policy_kernel(model, d)
-    n = model.n
+    g = initial_distribution(model).entries
+    pos = vals > 0
+    live = _closure(g > 0, cols[pos], rows[pos])
+    pos &= live[cols]
+    at = np.cumsum(live) - 1  # the reached states, renumbered
+    rows, cols, vals, k = at[rows[pos]], at[cols[pos]], vals[pos], at[-1] + 1
+    if not _closure(S[live] > 0, rows, cols).all():  # backward from the swap attempts
+        raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
     # the diagonal of I - K^d as the off-diagonal column sum plus S, not as
     # 1 - K_ss, which cancels near 1 (Grassmann, Taksar & Heyman 1985)
     off = rows != cols
-    diag = np.bincount(cols[off], weights=vals[off], minlength=n) + S
-    A = _lp.csc_from_entries(np.append(rows[off], range(n)), np.append(cols[off], range(n)),
-                             np.append(-vals[off], diag), (n, n))
-    g = initial_distribution(model).entries
-    z = _visits(A, g)
-    if z is None:  # a trap g never reaches is harmless: retry on the states it reaches
-        live = front = g > 0
-        pos = vals > 0
-        while front.any():
-            front = np.bincount(rows[pos][front[cols[pos]]], minlength=n).astype(bool) & ~live
-            live = live | front
-        sub = _visits(A[live][:, live], g[live])
-        if sub is not None:
-            z = np.zeros(n)
-            z[live] = sub
-    if z is None:
-        raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
+    diag = np.bincount(cols[off], weights=vals[off], minlength=k) + S[live]
+    A = _lp.csc_from_entries(np.append(rows[off], range(k)), np.append(cols[off], range(k)),
+                             np.append(-vals[off], diag), (k, k))
+    try:
+        visits = splu(A).solve(g[live])
+    except RuntimeError as exc:  # exactly singular
+        raise NumericalError("evaluate_policy: ill-conditioned, I - K^d is singular") from exc
+    if not (np.all(np.isfinite(visits)) and np.all(visits >= -1e-9 * visits.max())):
+        raise NumericalError("evaluate_policy: ill-conditioned, negative or non-finite visits")
+    z = np.zeros(model.n)
+    z[live] = visits
     exits = S * z  # summed alike below, so that f <= 1 gives E[f] <= 1
     mass = exits.sum()
     if abs(mass - 1) > MASS_RTOL:

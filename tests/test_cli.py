@@ -67,6 +67,18 @@ def test_satlink_link_values(run):
     assert rows[0]["entangled"] == "true"
 
 
+def test_satlink_keyrates_below_the_chsh_bound(run):
+    # fs = 0.7 gives QBER 0.2, a CHSH value below 2: no DI key, and the
+    # other two protocols still get their rows
+    r = run(["satlink", "keyrates", "--d", "500", "--fs", "0.7", "--M", "50"])
+    assert r.returncode == 0, r.stderr
+    rows = {row["protocol"]: row for row in csv.DictReader(r.stdout.splitlines())}
+    assert list(rows) == ["bb84", "6state", "di"]
+    for proto in ("bb84", "6state"):
+        assert float(rows[proto]["qber"]) == pytest.approx(0.2, abs=1e-12)
+    assert float(rows["di"]["key_per_step"]) == 0.0
+
+
 def test_output_file(tmp_path, run):
     out = tmp_path / "res.csv"
     r = run(["--out", str(out), "waiting", "collective",

@@ -1,4 +1,5 @@
 """Every name a module imports is read somewhere in that module, every
+local name a package function assigns is read in that function, every
 module-level `_private` name or UPPER_CASE constant of the package is read
 somewhere in the package, and every public module-level function or class
 of the package is read somewhere in the package, the demos or the
@@ -56,6 +57,30 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_locals(source):
+    """(line, name) of every local name a function assigns and never reads,
+    `_` exempt; a nested function's reads count for the functions around it."""
+    out = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            out |= {(node.lineno, node.id) for node in names
+                    if isinstance(node.ctx, ast.Store) and node.id not in read | {"_"}}
+    return sorted(out)
+
+
+def test_guard_sees_an_unused_local():
+    source = ("def f(x):\n    a, b = x\n    c, _ = x\n    for i in a:\n        pass\n"
+              "    def g():\n        return c\n    return g\n")
+    assert unread_locals(source) == [(2, "b"), (4, "i")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unread_locals(path.read_text()) == []
 
 
 def _module_level_names(tree):

@@ -9,7 +9,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from entlink import lp as L
 from entlink import twolink as TL
-from entlink.markov import Mdp, policy_matrix
+from entlink.lp import mdp_occupation_lp
+from entlink.markov import Mdp, StochasticMatrix, policy_matrix
 from entlink.oracles import policy_iteration_absorbing, stationary_distribution
 
 from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
@@ -364,6 +365,33 @@ def test_allowed_pairs_drop_their_columns(rng):
                                init, allowed)[0] == value
     with pytest.raises(L.ModelError, match="allowed"):
         L.mdp_occupation_lp(np.hstack(K), np.ones(3), "min", init, np.zeros((3, 3), bool))
+
+
+def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
+    # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0; the
+    # oracle's policy iteration still treats the state as absorbing
+    loop = 0.7 + 0.2 + 0.1
+    assert loop != 1.0
+    T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
+    mdp = Mdp([T.entries])
+    assert policy_iteration_absorbing(mdp, np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
+        2.0, abs=1e-12)
+    # the renewal LP of the transient block: half the mass ends each step
+    value, _ = mdp_occupation_lp(T.entries[:1, :1], np.ones(1), "min", [1.0])
+    assert value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_occupation_lp_sums_duplicate_entries_of_k_on_a_copy(rng):
+    # every entry of K split into two halves at the same position: the LP of
+    # the summed K, while the caller's K keeps its duplicates
+    K = sparse.csc_array(np.hstack(_transient(random_absorbing_mdp(rng, 3, 1, 3), 3)))
+    dup = sparse.csc_array((np.repeat(K.data / 2, 2), np.repeat(K.indices, 2), 2 * K.indptr),
+                           shape=K.shape)
+    assert not dup.has_canonical_format
+    init = np.array([1.0, 0.0, 0.0])
+    assert (L.mdp_occupation_lp(dup, np.ones(3), "min", init)[0]
+            == L.mdp_occupation_lp(K, np.ones(3), "min", init)[0])
+    assert dup.nnz == 2 * K.nnz and np.array_equal(dup.data, np.repeat(K.data / 2, 2))
 
 
 def _dense_reference_matrix(mdp, keep, steady):

@@ -15,8 +15,7 @@ from entlink.markov import (
 )
 from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
                               steady_state_closed_form)
-from entlink.lp import mdp_occupation_lp
-from entlink.oracles import policy_iteration_absorbing, stationary_distribution, stationary_eig
+from entlink.oracles import stationary_distribution, stationary_eig
 from entlink import markov, twolink as TL
 from entlink.twolink import TwoLinkModel
 
@@ -68,7 +67,7 @@ _ONE_ACTION = DecisionFunction([[1.0], [1.0]])
     lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0]), 0),
     lambda: evolve(_MDP, Policy.stationary(_ONE_ACTION), ProbVector([1.0, 0.0, 0.0]), 2),
     lambda: TL.evaluate_policy(TwoLinkModel(0.5, 0.5, 0.5, 0, 0, TL.uniform_f_table(0, 0)),
-                            DecisionFunction.uniform(5, 5)),
+                            DecisionFunction(np.full((5, 5), 1 / 5))),
 ], ids=["ProbVector-2d", "ProbVector-entries", "ProbVector-sum",
         "StochasticMatrix-not-square", "StochasticMatrix-entries", "StochasticMatrix-sum",
         "Mdp-entries", "DecisionFunction-1d", "DecisionFunction-entries",
@@ -131,7 +130,7 @@ def test_policy_matrix_mixes_actions(rng):
 
 def test_evolve_matches_matrix_powers(rng):
     mdp = random_mdp(rng, 5, 2)
-    d = DecisionFunction.uniform(5, 2)
+    d = DecisionFunction(np.full((5, 2), 1 / 2))
     pol = Policy.stationary(d)
     init = ProbVector(rng.dirichlet(np.ones(5)))
     P = policy_matrix(mdp, d).entries
@@ -167,14 +166,14 @@ def test_stationary_evolve_builds_the_policy_matrix_once(rng, monkeypatch):
         return policy_matrix(mdp, d)
 
     monkeypatch.setattr(markov, "policy_matrix", counting)
-    evolve(mdp, Policy.stationary(DecisionFunction.uniform(4, 2)),
+    evolve(mdp, Policy.stationary(DecisionFunction(np.full((4, 2), 1 / 2))),
            ProbVector(np.full(4, 0.25)), 200)
     assert len(calls) == 1
 
 
 def test_time_indexed_policy_horizon(rng):
     mdp = random_mdp(rng, 3, 2)
-    ds = [DecisionFunction.uniform(3, 2)] * 2
+    ds = [DecisionFunction(np.full((3, 2), 1 / 2))] * 2
     pol = Policy.time_indexed(ds)
     init = ProbVector(np.full(3, 1 / 3))
     evolve(mdp, pol, init, 3)
@@ -234,44 +233,6 @@ def test_stationary_of_a_periodic_chain_is_one_direct_solve(monkeypatch):
 def test_stationary_raises_when_not_unique(P):
     with pytest.raises(ModelError, match="not unique"):
         stationary_distribution(StochasticMatrix(P))
-
-
-def test_absorption_time_geometric():
-    # both links up at every step (p = 1, m* = 0): every cycle is one step
-    # and ends in an attempt that succeeds with probability q, so E[T] = 1/q
-    q = 0.3
-    model = TwoLinkModel(1.0, 1.0, q, 0, 0, TL.uniform_f_table(0, 0))
-    d = TL.cutoff_decision(model, 0, 0)
-    assert TL.evaluate_policy(model, d) == pytest.approx((1 / q, 1.0), abs=1e-12)
-
-
-def test_absorbing_state_with_rounded_self_loop():
-    # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0; the
-    # oracle's policy iteration still treats the state as absorbing
-    loop = 0.7 + 0.2 + 0.1
-    assert loop != 1.0
-    T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
-    mdp = Mdp([T.entries])
-    assert policy_iteration_absorbing(mdp, np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
-        2.0, abs=1e-12)
-    # the renewal LP of the transient block: half the mass ends each step
-    value, _ = mdp_occupation_lp(T.entries[:1, :1], np.ones(1), "min", [1.0])
-    assert value == pytest.approx(2.0, abs=1e-9)
-
-
-def test_absorption_distribution_sums_to_one(rng):
-    # renewal form: under any decision one cycle ends in exactly one swap
-    # attempt, so the exit mass S.z of z = (I - K^d)^{-1} g is 1
-    for _ in range(10):
-        m1, m2 = (int(m) for m in rng.integers(0, 4, 2))
-        model = TwoLinkModel(*rng.uniform(0.1, 1.0, 3), m1, m2, TL.uniform_f_table(m1, m2))
-        (rows, cols, vals), S = TL.policy_kernel(model, DecisionFunction.uniform(model.n, 5))
-        K = np.zeros((model.n, model.n))
-        np.add.at(K, (rows, cols), vals)
-        z = np.linalg.solve(np.eye(model.n) - K, TL.initial_distribution(model).entries)
-        assert S @ z == pytest.approx(1.0, abs=1e-10)
-        assert np.all(z >= -1e-12)
-
 
 
 @pytest.mark.parametrize("value, low, want", [

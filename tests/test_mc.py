@@ -122,7 +122,7 @@ def test_golden_bytes():
     assert _digest(res["freq"]) == "7fe05b3274e2e241"
     # the uniform decision mixes all five actions: the widest successor lists
     model = twolink.TwoLinkModel(0.4, 0.6, 0.7, 3, 4, 0.9 * twolink.uniform_f_table(3, 4))
-    res = mc.simulate_two_link(model, DecisionFunction.uniform(model.n, 5),
+    res = mc.simulate_two_link(model, DecisionFunction(np.full((model.n, 5), 1 / 5)),
                                mc.SimConfig(seed=5, trials=20_000, horizon=2_000))
     assert res["exhausted"] == 0
     assert _digest(res["wait_samples"], res["f_samples"]) == "32192c0873acbdc0"
@@ -134,7 +134,7 @@ def test_golden_bytes():
     model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
     cfg = mc.SimConfig(seed=7, trials=50_000, horizon=50)
     for d, exhausted, digest in [
-            (DecisionFunction.uniform(model.n, 5), 45_264, "2cf13619cc6eae10"),
+            (DecisionFunction(np.full((model.n, 5), 1 / 5)), 45_264, "2cf13619cc6eae10"),
             (twolink.cutoff_decision(model, 5, 5), 3_174, "dc767e621b51778c")]:
         res = mc.simulate_two_link(model, d, cfg)
         assert res["exhausted"] == exhausted
@@ -223,7 +223,8 @@ def test_counts_are_conserved():
     res = mc.simulate_elem(m, pol, mc.SimConfig(seed=2, trials=12_345, horizon=30))
     assert np.all(np.rint(res["freq"] * 12_345).sum(axis=1) == 12_345)
     model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 3, 3, twolink.uniform_f_table(3, 3))
-    for d in (DecisionFunction.uniform(model.n, 5), twolink.cutoff_decision(model, 3, 3)):
+    uniform = DecisionFunction(np.full((model.n, 5), 1 / 5))
+    for d in (uniform, twolink.cutoff_decision(model, 3, 3)):
         for horizon in (1, 7, 60, 10_000):
             res = mc.simulate_two_link(model, d, mc.SimConfig(seed=3, trials=9_999,
                                                               horizon=horizon))
@@ -241,7 +242,7 @@ def test_two_link_exhausted_count_matches_survival_mass():
     model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
     mdp, _, g = oracles.two_link_absorbing_chain(model)
     trials = 50_000
-    for d, exact in [(DecisionFunction.uniform(model.n, 5), 45_311.8),
+    for d, exact in [(DecisionFunction(np.full((model.n, 5), 1 / 5)), 45_311.8),
                      (twolink.cutoff_decision(model, 5, 5), 3_246.0)]:
         table = np.vstack([d.table, np.eye(5)[0]])  # any action at `done`
         P = policy_matrix(mdp, DecisionFunction(table)).entries

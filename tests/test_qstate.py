@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlink import qstate as Q
+from entlink.oracles import bell_diagonal_density
 
 
 def random_density(rng, d):
@@ -411,7 +412,7 @@ def test_amplitude_damping_fixed_point_and_tp():
 
 def test_bell_diag_coeffs_roundtrip():
     c = Q.BellDiagCoeffs(0.4, 0.3, 0.2, 0.1)
-    t = Q.bell_overlap_table(c.to_density(), 2)  # [z, x]
+    t = Q.bell_overlap_table(bell_diagonal_density(c), 2)  # [z, x]
     want = np.array([[c.phi_plus, c.psi_plus], [c.phi_minus, c.psi_minus]])
     assert t == pytest.approx(want, abs=1e-12)
 

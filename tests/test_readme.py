@@ -50,8 +50,9 @@ STDOUT_SHA256 = {
         "54e791ca1152f6b11c1fdff8bbdb93bd786b42d2a0f1b502322d8b88a380f249",
     "twolink lp-fidelity --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t-coh 12":
         "09ee6f4f3c1c4d110ededd55d6ddce694d456d81fec1c15d7ca6570cf2e6c22d",
+    # prints 5.6, the exact wait
     "twolink lp-waiting --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2":
-        "fc9d33afebbe878e06df17c3b38749ccad09bfbe3d8b6fd6dfe02437c4e044c2",
+        "a840276a273f5fbdda475b5279e4ce122b12bfad450ec6fd1a5da4fac24e76c0",
     "waiting collective --M 4 --p 0.3 --t-req 2 --q 0.5":
         "dc5b6e9c0f854e50f4a689cd319fc555647f354ad8594a358acb18000ec04b96",
 }

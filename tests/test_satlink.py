@@ -116,7 +116,7 @@ def test_multiplexed_p():
 def test_memory_f_matches_amplitude_damped_state():
     # Bell-diagonal (a+b, a-b, g, g) aged m steps in two damping memories
     link = S.heralded_link(0.8, 0.7, S.SatSourceParams(0.95, 0.1, 0.2))
-    rho = link.coeffs.to_density()
+    rho = oracles.bell_diagonal_density(link.coeffs)
     t_coh = 8.0
     lam_step = math.exp(-1 / t_coh)
     gamma = 1 - lam_step  # one step of damping per memory per time step
@@ -236,7 +236,7 @@ def test_qbers_match_fidelity_identity(rng):
 def test_qber_formulas_match_state_qbers(rng):
     # Bell-diagonal link: z-basis QBER equals the BB84 formula's ingredients
     link = S.heralded_link(0.7, 0.8, S.SatSourceParams(0.92, 0.1, 0.05))
-    rho = link.coeffs.to_density()
+    rho = oracles.bell_diagonal_density(link.coeffs)
     qx, qy, qz = oracles.qbers_from_state(rho)
     Q6, _, _ = S.qber_and_rates(link.alpha, link.beta, "6state", 1, link.p)
     assert Q6 == pytest.approx((qx + qy + qz) / 3, abs=1e-10)

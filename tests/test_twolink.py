@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from entlink import markov, qstate
 from entlink import twolink as TL
 from entlink.oracles import policy_iteration_absorbing, two_link_absorbing_chain
-from entlink.markov import ModelError
+from entlink.markov import DecisionFunction, ModelError
+from entlink.twolink import TwoLinkModel
 
 
 def sym_model(p, q, m_star):
@@ -231,6 +232,30 @@ def test_evaluate_matches_the_oracle_chain(rng):
         # the total swap reward q f(s) d(s)(swap) over the visits y
         assert f_abs == pytest.approx((reward[TL.SWAP, :-1] * table[:, TL.SWAP]) @ y,
                                       rel=1e-11)
+
+
+def test_evaluate_wait_is_one_over_q_when_both_links_are_always_up():
+    # both links up at every step (p = 1, m* = 0): every cycle is one step
+    # and ends in an attempt that succeeds with probability q, so E[T] = 1/q
+    q = 0.3
+    model = TwoLinkModel(1.0, 1.0, q, 0, 0, TL.uniform_f_table(0, 0))
+    d = TL.cutoff_decision(model, 0, 0)
+    assert TL.evaluate_policy(model, d) == pytest.approx((1 / q, 1.0), abs=1e-12)
+
+
+def test_cycle_exit_mass_is_one_under_the_uniform_decision(rng):
+    # renewal form: under any decision one cycle ends in exactly one swap
+    # attempt, so the exit mass S.z of z = (I - K^d)^{-1} g is 1
+    for _ in range(10):
+        m1, m2 = (int(m) for m in rng.integers(0, 4, 2))
+        model = TwoLinkModel(*rng.uniform(0.1, 1.0, 3), m1, m2, TL.uniform_f_table(m1, m2))
+        (rows, cols, vals), S = TL.policy_kernel(model,
+                                                 DecisionFunction(np.full((model.n, 5), 1 / 5)))
+        K = np.zeros((model.n, model.n))
+        np.add.at(K, (rows, cols), vals)
+        z = np.linalg.solve(np.eye(model.n) - K, TL.initial_distribution(model).entries)
+        assert S @ z == pytest.approx(1.0, abs=1e-10)
+        assert np.all(z >= -1e-12)
 
 
 def test_evaluate_cutoff_matches_analytic():
@@ -467,6 +492,47 @@ def test_evaluate_policy_raises_when_no_link_is_generated():
         TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 2))
 
 
+def test_evaluate_policy_raises_model_error_for_a_decision_that_never_swaps():
+    # (0, 0) requests link 1 instead of attempting the swap, so no cycle
+    # ends; the solve of I - K^d reported this as exit mass 0
+    model = TL.TwoLinkModel(0.32, 0.61, 0.58, 0, 0, TL.uniform_f_table(0, 0))
+    with pytest.raises(ModelError, match="unreachable") as info:
+        TL.evaluate_policy(model, markov.DecisionFunction.deterministic([3, 3, 0, 2], 5))
+    assert not isinstance(info.value, markov.NumericalError)
+
+
+def reaches_a_trap(model, d):
+    """Whether the start reaches a state that cannot reach `done` in the
+    dense absorbing chain under d, by boolean transitive closure."""
+    mdp, _, start = two_link_absorbing_chain(model)
+    P = np.einsum("ats,sa->ts", mdp.T, np.vstack([d.table, np.eye(len(TL.ACTIONS))[0]]))
+    reach = (P > 0) | np.eye(len(P), dtype=bool)  # reach[t, s]: s leads to t
+    for _ in range(len(P).bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    reached = reach[:, start > 0].any(axis=1)
+    return bool(np.any(reached & ~reach[-1]))
+
+
+def test_evaluate_policy_raises_model_error_exactly_for_reached_traps():
+    # a seeded scan of deterministic decisions: a trap the start reaches is
+    # a ModelError, and every other decision evaluates to a finite wait
+    rng = np.random.default_rng(1)
+    traps = 0
+    for _ in range(2000):
+        m1, m2 = (int(m) for m in rng.integers(0, 3, 2))
+        model = TL.TwoLinkModel(*rng.uniform(0.1, 1.0, 3), m1, m2, TL.uniform_f_table(m1, m2))
+        d = markov.DecisionFunction.deterministic(rng.integers(0, 5, model.n), 5)
+        if reaches_a_trap(model, d):
+            traps += 1
+            with pytest.raises(ModelError, match="unreachable") as info:
+                TL.evaluate_policy(model, d)
+            assert not isinstance(info.value, markov.NumericalError)
+        else:
+            wait, f_abs = TL.evaluate_policy(model, d)
+            assert np.isfinite(wait) and f_abs == pytest.approx(1.0)
+    assert 0 < traps < 2000
+
+
 
 _probability = st.floats(0.01, 1.0)
 
@@ -532,15 +598,17 @@ def test_lp_guard_raises_when_the_lp_value_is_off(monkeypatch):
 
 
 def test_large_waiting_lp_memory():
-    # the absorbing form's dense (5, n, n) array alone was ~760 MB at m* = 64
-    code = ("import resource\n"
-            "from entlink import twolink as TL\n"
+    # the absorbing form's dense (5, n, n) array alone was ~760 MB at m* = 64.
+    # The child prints its own peak (VmHWM, kB): Linux carries ru_maxrss
+    # across exec, so that would read the peak of this test process, ~195 MB
+    code = ("from entlink import twolink as TL\n"
             "m = 64\n"
             "model = TL.TwoLinkModel(0.3, 0.4, 0.6, m, m, TL.uniform_f_table(m, m))\n"
             "wait, d = TL.lp_optimal_waiting_time(model)\n"
             "TL.evaluate_policy(model, d)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+            "with open('/proc/self/status') as status:\n"
+            "    print(status.read().split('VmHWM:')[1].split()[0])\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=120)
     assert r.returncode == 0, r.stderr
-    assert float(r.stdout) < 200, r.stdout
+    assert float(r.stdout) / 1024 < 200, r.stdout
