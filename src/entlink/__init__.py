@@ -21,7 +21,6 @@ from .markov import (  # noqa: F401
     ModelError,
     Policy,
     ProbVector,
-    StochasticMatrix,
 )
 
 __version__ = "1.0.0"

@@ -94,7 +94,7 @@ def cmd_elem_forward(args):
     model = _elem_model(args)
     d = elemlink.forward_recursion_decision(model)
     s, ftilde = elemlink.steady_state_closed_form(model, d)
-    rows = [{"state": st, "request": d.table[i, 1], "stationary": s.entries[i]}
+    rows = [{"state": st, "request": d.table[i, 1], "stationary": s[i]}
             for i, st in enumerate(model.states)]
     rows.append({"state": "ftilde", "request": "", "stationary": ftilde})
     _emit(rows, args)

@@ -91,8 +91,8 @@ def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
     """Expected figure of merit, activity probability, and their ratio at
     time t, starting from the post-request distribution at t=1."""
     dist = evolve(build_mdp(model), policy, g_vector(model), t)
-    ftilde = float(model.f @ dist.entries)
-    x = float(dist.entries[1:].sum())  # not 1 - Pr[inactive], which is 0 at tiny p
+    ftilde = float(model.f @ dist)
+    x = float(dist[1:].sum())  # not 1 - Pr[inactive], which is 0 at tiny p
     if x <= 0:
         return ftilde, x, None
     return ftilde, x, ftilde / x
@@ -137,7 +137,7 @@ def steady_state_closed_form(model: ElemLinkModel, d: DecisionFunction):
         raise ModelError("steady_state_closed_form: degenerate normalization")
     s /= norm
     ftilde_inf = float(model.f @ s)
-    return ProbVector(s), ftilde_inf
+    return s, ftilde_inf
 
 
 def cutoff_steady_values(model: ElemLinkModel, t_star):
@@ -162,8 +162,8 @@ def cutoff_infty_transient(model: ElemLinkModel, t: int):
     """(F~, X, F) at time t under the never-discard rule.  Exact for t in
     [1, m_star + 2]; later t would need the regenerations of the pairs
     discarded at the storage bound, so they raise ModelError."""
-    if not 1 <= t <= model.m_star + 2:
-        raise ModelError("cutoff_infty_transient: t must lie in [1, m_star + 2]")
+    if not (is_count(t, 1) and t <= model.m_star + 2):
+        raise ModelError("cutoff_infty_transient: t must be an integer in [1, m_star + 2]")
     p = model.p
     ftilde = x = 0.0
     for m in range(min(t, model.m_star + 1)):

@@ -1,4 +1,7 @@
-"""Finite-state probability vectors, column-stochastic matrices and MDPs.
+"""Finite-state probability vectors, MDPs and policies.
+
+Inputs are checked once, by `ProbVector`, `Mdp` and `DecisionFunction`;
+what is derived from them (P^d, an evolved distribution) is a plain array.
 
 Conventions: matrices act on probability column vectors from the left,
 entry (s', s) is the transition probability s -> s'.  Columns sum to one.
@@ -61,24 +64,6 @@ class ProbVector:
 
     def __repr__(self):
         return f"ProbVector({np.array2string(self.entries, precision=6)})"
-
-
-class StochasticMatrix:
-    """Column-stochastic transition matrix; entry (s', s) = Pr[s -> s']."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = np.array(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ModelError("StochasticMatrix: expected a square matrix")
-        _check_simplex(entries, 0, "StochasticMatrix")
-        self.entries = entries
-        self.entries.setflags(write=False)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
 
 
 class Mdp:
@@ -145,6 +130,8 @@ class Policy:
 
     def decision_at(self, t) -> DecisionFunction:
         """Decision function applied between time t and t+1 (t >= 1)."""
+        if not is_count(t, 1):
+            raise ModelError("Policy.decision_at: t must be an integer >= 1")
         if self.kind == "stationary":
             return self._payload
         ds = self._payload
@@ -153,7 +140,7 @@ class Policy:
         return ds[t - 1]
 
 
-def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
+def policy_matrix(mdp: Mdp, d: DecisionFunction) -> np.ndarray:
     """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
     if d.table.shape != (mdp.n, len(mdp.T)):
         raise ModelError(
@@ -163,21 +150,21 @@ def policy_matrix(mdp: Mdp, d: DecisionFunction) -> StochasticMatrix:
     P = np.zeros((mdp.n, mdp.n))
     for T, da in zip(mdp.T, d.table.T):
         P += T * da  # broadcasts over columns
-    return StochasticMatrix(P)
+    return P
 
 
-def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> ProbVector:
-    """Distribution at time t, starting from `initial` at time 1; P^d is
-    built once per (read-only) decision object."""
+def evolve(mdp: Mdp, policy: Policy, initial: ProbVector, t: int) -> np.ndarray:
+    """Distribution at time t as an array, starting from `initial` at time
+    1; P^d is built once per (read-only) decision object."""
     if not is_count(t, 1):
         raise ModelError("evolve: t must be an integer >= 1")
     if len(initial) != mdp.n:
         raise ModelError("evolve: initial vector size mismatch")
-    v = initial.entries
+    v = initial.entries.copy()  # the caller's to change, at t = 1 as at any t
     mats = {}
     for step in range(1, t):
         d = policy.decision_at(step)
         if id(d) not in mats:
-            mats[id(d)] = policy_matrix(mdp, d).entries
+            mats[id(d)] = policy_matrix(mdp, d)
         v = mats[id(d)] @ v
-    return ProbVector(v)
+    return v

@@ -83,7 +83,7 @@ def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
     for t in range(1, t_max):
         d = policy.decision_at(t)
         if id(d) not in tables:
-            P = policy_matrix(mdp, d).entries
+            P = policy_matrix(mdp, d)
             rows, cols = np.nonzero(P)
             tables[id(d)] = _successor_table(rows, cols, P[rows, cols], (n, n))
         counts[t] = _step(tables[id(d)], counts[t - 1], rng, n)
@@ -106,7 +106,7 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
     rng = cfg.rng()
     n, q = model.n, model.q
     (rows, cols, vals), S = policy_kernel(model, d)
-    g = initial_distribution(model).entries
+    g = initial_distribution(model)
     # an attempt at s restarts (1 - q) S_s from g and finishes q S_s at n + s,
     # so each finished trajectory keeps the state whose f it collected
     s, r = np.flatnonzero(S), np.flatnonzero(g)

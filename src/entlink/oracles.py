@@ -22,36 +22,35 @@ import itertools
 import numpy as np
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, Mdp, ModelError, ProbVector, StochasticMatrix
+from .markov import DecisionFunction, Mdp, ModelError
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
                      permute_subsystems, weyl_x, weyl_z)
 from .twolink import SWAP, TwoLinkModel
 
 
-def stationary_distribution(P: StochasticMatrix) -> ProbVector:
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """The probability vector v with P v = v, by one least-squares solve of
     [P - I; 1^T] v = e_{n+1}; periodic chains need nothing else.  Raises
     ModelError when v is not unique (more than one closed class, so the
     stacked matrix has rank below n) or fails the residual or sign check."""
-    n = P.n
-    A = P.entries
-    M = np.vstack([A - np.eye(n), np.ones((1, n))])
+    n = len(P)
+    M = np.vstack([P - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < n:
         raise ModelError(f"stationary_distribution: not unique, the chain has "
                          f"more than one closed class (rank {rank} < {n})")
-    resid = np.max(np.abs(A @ sol - sol))
+    resid = np.max(np.abs(P @ sol - sol))
     if resid > 1e-10 or np.any(sol < -1e-9):
         raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")
     sol = np.clip(sol, 0.0, None)
-    return ProbVector(sol / sol.sum())
+    return sol / sol.sum()
 
 
-def stationary_eig(P: StochasticMatrix) -> np.ndarray:
+def stationary_eig(P: np.ndarray) -> np.ndarray:
     """Stationary vector via full eigendecomposition (unit eigenvalue)."""
-    vals, vecs = np.linalg.eig(P.entries)
+    vals, vecs = np.linalg.eig(P)
     k = int(np.argmin(np.abs(vals - 1.0)))
     v = np.real(vecs[:, k])
     v = np.where(np.abs(v) < 1e-14, 0.0, v)

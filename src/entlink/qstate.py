@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .markov import is_count
+
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
@@ -74,6 +76,8 @@ class DensityOperator:
         self.mat = mat
         self.mat.setflags(write=False)
         self.dims = tuple(dims) if dims is not None else (mat.shape[0],)
+        if not all(is_count(k, 1) for k in self.dims):
+            raise QuantumError("DensityOperator: dims must be integers >= 1")
         if int(np.prod(self.dims)) != mat.shape[0]:
             raise QuantumError("DensityOperator: dims do not multiply to size")
 

@@ -188,8 +188,8 @@ def forward_cutoff(p: float, t_coh: float):
 
 def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
     """Coherence time in heralding steps of duration 2d/c."""
-    if not d_km > 0:
-        raise SatError("coherence_steps: d must be positive")
+    if not 0 < d_km < math.inf:  # NaN fails too
+        raise SatError("coherence_steps: d must be positive and finite")
     _check_t_coh("coherence_steps", t_coh_seconds)
     return t_coh_seconds * C_KM_PER_S / (2 * d_km)
 

@@ -45,7 +45,7 @@ def criterion_steady_state(seed=DEFAULT_SEED):
         s_closed, _ = elemlink.steady_state_closed_form(model, d)
         P = policy_matrix(elemlink.build_mdp(model), d)
         s_num = oracles.stationary_distribution(P)
-        max_err = max(max_err, float(np.max(np.abs(s_closed.entries - s_num.entries))))
+        max_err = max(max_err, float(np.max(np.abs(s_closed - s_num))))
     dt = time.perf_counter() - t0
     return _record("steady-state closed form vs direct solve",
                    max_err <= 1e-9 and dt < 5.0, max_err, dt)

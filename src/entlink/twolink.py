@@ -27,8 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .markov import (MASS_RTOL, DecisionFunction, ModelError, NumericalError, ProbVector,
-                     is_count)
+from .markov import MASS_RTOL, DecisionFunction, ModelError, NumericalError, is_count
 from . import lp as _lp
 from .elemlink import WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
@@ -135,11 +134,11 @@ def _stacked_blocks(model: TwoLinkModel):
     return K
 
 
-def initial_distribution(model: TwoLinkModel) -> ProbVector:
+def initial_distribution(model: TwoLinkModel) -> np.ndarray:
     """g = g1 (x) g2: both links freshly requested at t = 1, which is also
     where a failed swap attempt restarts them."""
     g1, g2 = [g_vector(link).entries for link in _links(model)]
-    return ProbVector(np.kron(g1, g2))
+    return np.kron(g1, g2)
 
 
 def policy_kernel(model: TwoLinkModel, d: DecisionFunction):
@@ -162,6 +161,8 @@ def two_link_f_from_physics(sigma1_0: DensityOperator, mem1: KrausChannel,
     aged m_j steps: the closed form `swap_fidelity`, in one batched call over
     the two links' Bell-overlap tables of every age.  The target must be
     |Phi> = bell(d) up to a phase."""
+    if not (is_count(m1_star, 0) and is_count(m2_star, 0)):
+        raise ModelError("two_link_f_from_physics: storage bounds must be >= 0 and of integer type")
     d = int(round(math.sqrt(sigma1_0.dim)))
     phi, target = bell(d), np.asarray(target, dtype=complex)
     if (target.shape != phi.shape or abs(np.linalg.norm(target) - 1) > TARGET_TOL
@@ -215,7 +216,7 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     if model.q <= 0:
         raise ModelError("evaluate_policy: the end-to-end link is unreachable (q = 0)")
     (rows, cols, vals), S = policy_kernel(model, d)
-    g = initial_distribution(model).entries
+    g = initial_distribution(model)
     pos = vals > 0
     live = _closure(g > 0, cols[pos], rows[pos])
     pos &= live[cols]
@@ -256,7 +257,7 @@ def _renewal_lp(model: TwoLinkModel, reward, sense, what):
     allowed = np.ones((len(ACTIONS), model.n), bool)
     allowed[SWAP] = _both_active(model)
     value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense,
-                                     initial_distribution(model).entries, allowed)
+                                     initial_distribution(model), allowed)
     wait, f = evaluate_policy(model, d)
     value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
     if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too

@@ -72,13 +72,13 @@ def test_cutoff_decision_accepts_integers_and_infinity():
 def test_steady_state_spec_anchor_t0():
     m = model(0.3, [1.0])
     s, _ = E.steady_state_closed_form(m, E.cutoff_decision(m, 0))
-    assert s.entries == pytest.approx([0.7, 0.3], abs=1e-12)
+    assert s == pytest.approx([0.7, 0.3], abs=1e-12)
 
 
 def test_steady_state_spec_anchor_t2():
     m = model(0.5, [1.0, 0.9, 0.8])
     s, ftilde = E.steady_state_closed_form(m, E.cutoff_decision(m, 2))
-    assert s.entries == pytest.approx([0.25] * 4, abs=1e-12)
+    assert s == pytest.approx([0.25] * 4, abs=1e-12)
     assert ftilde == pytest.approx(0.675, abs=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_closed_form_vs_eig_random_decisions(rng):
         d = oracles.random_decision(rng, m.n, 2)
         s, _ = E.steady_state_closed_form(m, d)
         P = policy_matrix(E.build_mdp(m), d)
-        assert np.max(np.abs(s.entries - oracles.stationary_eig(P))) < 1e-9
+        assert np.max(np.abs(s - oracles.stationary_eig(P))) < 1e-9
 
 
 def test_cutoff_steady_values_consistent_with_closed_form(rng):
@@ -102,7 +102,7 @@ def test_cutoff_steady_values_consistent_with_closed_form(rng):
             s, ftilde = E.steady_state_closed_form(m, E.cutoff_decision(m, ts))
             ft, x, fr = E.cutoff_steady_values(m, ts)
             assert ftilde == pytest.approx(ft, abs=1e-12)
-            assert 1 - s.entries[0] == pytest.approx(x, abs=1e-12)
+            assert 1 - s[0] == pytest.approx(x, abs=1e-12)
             assert ft / x == pytest.approx(fr, abs=1e-12)
 
 
@@ -145,9 +145,9 @@ def test_waiting_time_vs_absorbing_chain(rng):
         t_req = int(rng.integers(0, 12))
         # the one transient state is the inactive one, whose self-loop
         # under d is Q = 1 - r: y = (1 - Q)^{-1} start[inactive]
-        P = policy_matrix(E.build_mdp(m), d).entries
+        P = policy_matrix(E.build_mdp(m), d)
         start = evolve(E.build_mdp(m), Policy.stationary(d), E.g_vector(m), t_req + 1)
-        y = np.linalg.solve(np.eye(1) - P[:1, :1], start.entries[:1])
+        y = np.linalg.solve(np.eye(1) - P[:1, :1], start[:1])
         assert E.expected_waiting_time(m, d, t_req) == pytest.approx(
             1 + y.sum(), rel=1e-9, abs=0)
 
@@ -170,6 +170,13 @@ def test_waiting_time_of_a_slow_link():
                  id="optimal_backward-fractional"),
     pytest.param(lambda m, d: E.ftilde_x_f(m, Policy.stationary(d), 2.5), "evolve",
                  id="evolve-fractional"),
+    # 1.5 and 2.0 ended in range()'s TypeError and True was taken as 1
+    pytest.param(lambda m, d: E.cutoff_infty_transient(m, 1.5), "cutoff_infty_transient",
+                 id="cutoff_infty_transient-fractional"),
+    pytest.param(lambda m, d: E.cutoff_infty_transient(m, np.float64(2.0)),
+                 "cutoff_infty_transient", id="cutoff_infty_transient-float"),
+    pytest.param(lambda m, d: E.cutoff_infty_transient(m, True), "cutoff_infty_transient",
+                 id="cutoff_infty_transient-bool"),
 ])
 def test_non_integer_or_negative_times_raise_model_error(call, name):
     m = model(0.5, [1.0, 0.9, 0.8])
@@ -182,6 +189,7 @@ def test_numpy_integer_times_accepted():
     d = E.cutoff_decision(m, 2)
     assert E.expected_waiting_time(m, d, np.int64(3)) == E.expected_waiting_time(m, d, 3)
     assert E.optimal_backward(m, np.int32(4))[0] == E.optimal_backward(m, 4)[0]
+    assert E.cutoff_infty_transient(m, np.int64(3)) == E.cutoff_infty_transient(m, 3)
 
 
 def test_forward_decision_is_greedy_cutoff(rng):
@@ -288,6 +296,6 @@ def test_steady_state_probabilities_property(p, ms, seed):
     m = E.ElemLinkModel(p, ms, np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
     d = oracles.random_decision(rng, m.n, 2)
     s, ftilde = E.steady_state_closed_form(m, d)
-    assert s.entries.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(s.entries >= -1e-15)
+    assert s.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(s >= -1e-15)
     assert 0 <= ftilde <= 1 + 1e-12

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from entlink import lp as L
 from entlink import twolink as TL
 from entlink.lp import mdp_occupation_lp
-from entlink.markov import Mdp, StochasticMatrix, policy_matrix
+from entlink.markov import Mdp, policy_matrix
 from entlink.oracles import policy_iteration_absorbing, stationary_distribution
 
 from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
@@ -261,11 +261,11 @@ def test_steady_state_lp_vs_exhaustive(rng):
         best = -np.inf
         for dd in deterministic_decisions(n, na):
             s = stationary_distribution(policy_matrix(mdp, dd))
-            best = max(best, float(f @ s.entries))
+            best = max(best, float(f @ s))
         assert value == pytest.approx(best, abs=1e-7)
         # the extracted decision achieves the LP value
         s = stationary_distribution(policy_matrix(mdp, d))
-        assert float(f @ s.entries) == pytest.approx(value, abs=1e-7)
+        assert float(f @ s) == pytest.approx(value, abs=1e-7)
 
 
 def _absorbed_f_reward(mdp, f):
@@ -372,12 +372,12 @@ def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
     # oracle's policy iteration still treats the state as absorbing
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
-    T = StochasticMatrix([[0.5, 0.0], [0.5, loop]])
-    mdp = Mdp([T.entries])
+    T = np.array([[0.5, 0.0], [0.5, loop]])
+    mdp = Mdp([T])
     assert policy_iteration_absorbing(mdp, np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
         2.0, abs=1e-12)
     # the renewal LP of the transient block: half the mass ends each step
-    value, _ = mdp_occupation_lp(T.entries[:1, :1], np.ones(1), "min", [1.0])
+    value, _ = mdp_occupation_lp(T[:1, :1], np.ones(1), "min", [1.0])
     assert value == pytest.approx(2.0, abs=1e-9)
 
 

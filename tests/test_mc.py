@@ -245,7 +245,7 @@ def test_two_link_exhausted_count_matches_survival_mass():
     for d, exact in [(DecisionFunction(np.full((model.n, 5), 1 / 5)), 45_311.8),
                      (twolink.cutoff_decision(model, 5, 5), 3_246.0)]:
         table = np.vstack([d.table, np.eye(5)[0]])  # any action at `done`
-        P = policy_matrix(mdp, DecisionFunction(table)).entries
+        P = policy_matrix(mdp, DecisionFunction(table))
         alive = 1 - (np.linalg.matrix_power(P, 50) @ g)[-1]
         assert trials * alive == pytest.approx(exact, abs=0.05)
         for seed in range(7, 12):
@@ -263,7 +263,7 @@ def test_elem_counts_match_evolve():
     res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=trials, horizon=40))
     mdp = elemlink.build_mdp(m)
     for t in range(1, 41):
-        pi = evolve(mdp, pol, elemlink.g_vector(m), t).entries
+        pi = evolve(mdp, pol, elemlink.g_vector(m), t)
         counts = res["freq"][t - 1] * trials
         assert np.all(counts[pi == 0] == 0)
         mid = pi > 0

@@ -479,6 +479,7 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.graph_dist_fidelity([np.full((3, 3), 0.1), _TABLE], _PAIR),
     lambda: Q.graph_state(np.array(0)),  # once an IndexError
     lambda: Q.graph_state([[1, 0], [0, 0]]),
+    lambda: Q.DensityOperator(np.eye(4) / 4, (-2, -2)),  # once accepted
 ], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
         "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
         "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
@@ -490,7 +491,8 @@ _TABLE = np.full((2, 2), 0.25)
         "DensityOperator-inf", "KrausChannel-nan", "BellDiagCoeffs-nan", "BellDiagCoeffs-inf", "swap_fidelity-nan", "swap_fidelity-inf",
         "ghz_swap_fidelity-nan", "ghz_swap_fidelity-negative", "ghz_swap_fidelity-shape",
         "graph_dist_fidelity-nan", "graph_dist_fidelity-negative",
-        "graph_dist_fidelity-shape", "graph_state-scalar", "graph_state-self-loop"])
+        "graph_dist_fidelity-shape", "graph_state-scalar", "graph_state-self-loop",
+        "DensityOperator-dims-negative"])
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()

@@ -325,6 +325,8 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.multiplexed_p(0.5, True), S.SatError),
     (lambda: S.SatSourceParams(1.0, M=True), S.SatError),
     (lambda: S.memory_f_vector(True, 12.0, 0.5, 0.5), S.SatError),
+    # an infinite d gave 0.0 steps
+    (lambda: S.coherence_steps(1.0, math.inf), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "forward_cutoff-p", "coherence_steps-d",
@@ -345,7 +347,7 @@ def test_qber_formulas_match_state_qbers(rng):
         "h2-nan", "h2-above-one", "h2-negative", "qber_and_rates-M-negative",
         "qber_and_rates-M-fractional", "qber_and_rates-p-above-one", "qber_and_rates-p-nan",
         "SatSourceParams-M-fractional", "multiplexed_p-M-bool", "SatSourceParams-M-bool",
-        "memory_f_vector-bool"])
+        "memory_f_vector-bool", "coherence_steps-d-inf"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

@@ -226,7 +226,7 @@ def test_evaluate_matches_the_oracle_chain(rng):
         wait, f_abs = TL.evaluate_policy(model, markov.DecisionFunction(table))
         mdp, reward, init = two_link_absorbing_chain(model)
         P = markov.policy_matrix(mdp, markov.DecisionFunction(
-            np.vstack([table, np.eye(len(TL.ACTIONS))[0]]))).entries
+            np.vstack([table, np.eye(len(TL.ACTIONS))[0]])))
         y = np.linalg.solve(np.eye(model.n) - P[:-1, :-1], init[:-1])
         assert wait == pytest.approx(y.sum(), rel=1e-11)
         # the total swap reward q f(s) d(s)(swap) over the visits y
@@ -253,7 +253,7 @@ def test_cycle_exit_mass_is_one_under_the_uniform_decision(rng):
                                                  DecisionFunction(np.full((model.n, 5), 1 / 5)))
         K = np.zeros((model.n, model.n))
         np.add.at(K, (rows, cols), vals)
-        z = np.linalg.solve(np.eye(model.n) - K, TL.initial_distribution(model).entries)
+        z = np.linalg.solve(np.eye(model.n) - K, TL.initial_distribution(model))
         assert S @ z == pytest.approx(1.0, abs=1e-10)
         assert np.all(z >= -1e-12)
 
@@ -417,6 +417,17 @@ def test_two_link_f_needs_the_phi_target():
             TL.two_link_f_from_physics(sigma0, memory, sigma0, memory, target, 2, 2)
 
 
+@pytest.mark.parametrize("m1, m2", [(-1, 2), (2, 2.5), (True, 2), (2, np.float64(1.0))])
+def test_two_link_f_from_physics_rejects_bad_storage_bounds(m1, m2):
+    # -1 gave a (2, 1, n2) table no TwoLinkModel accepts, 2.5 ended in a
+    # TypeError and True was taken as 1
+    phi = qstate.bell(2)
+    sigma0 = qstate.DensityOperator(np.outer(phi, phi.conj()), (2, 2))
+    ident = qstate.KrausChannel([np.eye(4)])
+    with pytest.raises(ModelError, match="storage bounds must be >= 0 and of integer type"):
+        TL.two_link_f_from_physics(sigma0, ident, sigma0, ident, phi, m1, m2)
+
+
 def test_evaluate_policy_solves_once(monkeypatch):
     calls = []
 
@@ -435,7 +446,7 @@ def test_evaluate_policy_solves_once(monkeypatch):
 
 def test_initial_distribution():
     model = sym_model(0.4, 0.5, 1)
-    init = TL.initial_distribution(model).entries
+    init = TL.initial_distribution(model)
     assert init.sum() == pytest.approx(1.0)
     assert init[model.idx(0, 0)] == pytest.approx(0.16)
     assert init[model.idx(-1, -1)] == pytest.approx(0.36)
