@@ -20,6 +20,7 @@ from .markov import (
     ProbVector,
     evolve,
     is_count,
+    is_probability,
 )
 from . import lp as _lp
 
@@ -33,8 +34,8 @@ class ElemLinkModel:
     f: np.ndarray  # indexed over (-1, 0, ..., m_star)
 
     def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ModelError("ElemLinkModel: p out of [0, 1]")
+        if not is_probability(self.p):
+            raise ModelError("ElemLinkModel: p must be a real number in [0, 1]")
         if not is_count(self.m_star, 0):
             raise ModelError("ElemLinkModel: m_star must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)

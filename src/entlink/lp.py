@@ -25,27 +25,66 @@ process: `passModel` clears the last model, its solution and its info, so
 each LP starts cold, as in a new object.  That object is not for two
 threads at once.  `solve` then checks the answer as linprog did (no NaN,
 no entry below -10 sqrt(1e-9)) and against a tighter primal residual bound.
+
+scipy's compiled kernels are loaded from their files by `load_scipy_module`,
+since the `__init__` of a scipy package imports most of scipy: two thirds
+of a cold `import entlink.cli`.  So sparse matrices here are `Csc` records
+of plain arrays, and `splu` calls SuperLU (Li 2005, ACM TOMS 31(3)).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-# scipy's private binding to its bundled HiGHS.  linprog reaches the same
-# calls only after cleaning its inputs, a CSC -> COO -> CSC round trip and
-# one options manager per option checked: about three quarters of a small
-# LP's solve time.  Taken as an attribute of scipy.optimize: the form
-# `from scipy.optimize._highspy import _core` measured ~0.1 s more set-up
-# time in the benchmark's worker (-X importtime put it in scipy.special's
-# import), for a reason not found.
-from scipy.optimize import _highspy
 
 from .markov import DecisionFunction, ModelError, NumericalError
 
-highs = _highspy._core
+
+def load_scipy_module(name):
+    """scipy's compiled module `scipy.<name>`, loaded from its file with no
+    scipy package's `__init__` run.  It enters sys.modules under its dotted
+    name before it is executed, so a later import of it, also through its
+    packages, gets this same object.  ImportError names a missing one."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")  # finds scipy, does not import it
+    base = scipy and os.path.join(scipy.submodule_search_locations[0], *name.split("."))
+    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if base and os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"load_scipy_module: scipy has no compiled module {full}",
+                          name=full)
+    spec = importlib.util.spec_from_file_location(full, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# SuperLU links scipy's own OpenBLAS.  Each thread OpenBLAS starts
+# busy-waits for ~0.1 s of CPU, on 2 cores long into the first computation,
+# where it took a core from numpy's BLAS.  SuperLU's supernodes here are
+# too small for threads, so unless OPENBLAS_NUM_THREADS is set, scipy's
+# OpenBLAS loads with one thread and starts none (numpy's is loaded already)
+_unset = "OPENBLAS_NUM_THREADS" not in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    superlu = load_scipy_module("sparse.linalg._dsolve._superlu")
+finally:
+    if _unset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+# scipy's private binding to its bundled HiGHS.  linprog reaches the same
+# calls only after cleaning its inputs, a CSC -> COO -> CSC round trip and
+# one options manager per option checked: about three quarters of a small
+# LP's solve time
+highs = load_scipy_module("optimize._highspy._core")
 
 FEAS_TOL = 1e-8
 # HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
@@ -77,21 +116,85 @@ def _solver():
     return solver
 
 
+@dataclass(frozen=True, eq=False)
+class Csc:
+    """A sparse matrix in compressed sparse column form, as HiGHS and
+    SuperLU take it: column j holds data[indptr[j]:indptr[j + 1]] at the
+    rows indices[indptr[j]:indptr[j + 1]], sorted and distinct, with int32
+    indices (HiGHS's HighsInt).  Made by `csc_from_entries`."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def __ne__(self, other):
+        """Which stored entries differ from the scalar `other`, so that
+        `(A != 0).sum()` counts the nonzeros as for a scipy.sparse array."""
+        return self.data != other
+
+
+def csc_from_entries(rows, cols, vals, shape) -> Csc:
+    """The Csc of vals at (rows, cols), zeros dropped, built from the stably
+    sorted entries.  Duplicates are summed left to right in input order,
+    one pass per repeat, as scipy's `sum_duplicates` sums them: the same
+    bits."""
+    nonzero = np.asarray(vals) != 0
+    rows, cols, vals = (np.asarray(x)[nonzero] for x in (rows, cols, vals))
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order].astype(float)
+    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
+    at = np.cumsum(first) - 1  # the entry each one is summed into
+    repeat = np.arange(at.size) - np.flatnonzero(first)[at]
+    data = vals[first]
+    for k in range(1, repeat.max(initial=0) + 1):
+        data[at[repeat == k]] += vals[repeat == k]
+    indptr = np.append(0, np.cumsum(np.bincount(cols[first], minlength=shape[1])))
+    return Csc(data, rows[first].astype(np.int32), indptr.astype(np.int32), tuple(shape))
+
+
+def _as_csc(A) -> Csc:
+    """A as a Csc: a Csc as it is; a scipy.sparse matrix or array through
+    its own `tocsc`, with zeros dropped and duplicates summed on a copy;
+    anything else as a dense 2-d float array."""
+    if isinstance(A, Csc):
+        return A
+    if hasattr(A, "tocsc"):
+        A = A.tocsc()
+        return csc_from_entries(A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)),
+                                A.data, A.shape)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ModelError("expected a 2-d matrix")
+    rows, cols = np.nonzero(A)
+    return csc_from_entries(rows, cols, A[rows, cols], A.shape)
+
+
+def splu(A: Csc):
+    """SuperLU's LU factors of the square A, made with the options that
+    `scipy.sparse.linalg.splu(A)` passes, so with the same bits; their
+    `solve(b)` solves A x = b (L and U are not built).  RuntimeError when A
+    is exactly singular."""
+    options = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
+    return superlu.gstrf(A.shape[0], A.data.size, A.data, A.indices, A.indptr,
+                         csc_construct_func=None, ilu=False, options=options)
+
+
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, x >= 0; A, dense or
-    scipy.sparse, is stored as a CSC array with sorted row indices and no
-    duplicate entries (summed on a copy, so the caller's array is kept).
-    Every entry of c, b and A must be finite."""
+    """maximize/minimize c.x subject to A x = b, x >= 0; A, a Csc, dense or
+    scipy.sparse, is held as a Csc (for scipy.sparse, built on a copy, so
+    the caller's array is kept).  Every entry of c, b and A must be
+    finite."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
-    A: sparse.csc_array
+    A: Csc
     b: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.A = sparse.csc_array(self.A, dtype=float)
+        self.A = _as_csc(self.A)
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape != (self.b.size, self.objective.size):
             raise ModelError("LinearProgram: constraint matrix shape mismatch")
@@ -99,23 +202,6 @@ class LinearProgram:
             raise ModelError("LinearProgram: sense must be 'max' or 'min'")
         if not all(np.isfinite(v).all() for v in (self.objective, self.b, self.A.data)):
             raise ModelError("LinearProgram: objective, A and b must be finite")
-        if not self.A.has_canonical_format:
-            self.A = self.A.copy()
-            self.A.sum_duplicates()
-
-
-def csc_from_entries(rows, cols, vals, shape) -> sparse.csc_array:
-    """The CSC array of vals at (rows, cols), zeros dropped, duplicates summed
-    in input order, int32 indices (HiGHS's HighsInt), built from the stably
-    sorted entries: scipy's COO conversion costs several times more."""
-    nonzero = np.asarray(vals) != 0
-    rows, cols, vals = (np.asarray(x)[nonzero] for x in (rows, cols, vals))
-    order = np.lexsort((rows, cols))
-    indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=shape[1])))
-    A = sparse.csc_array((vals[order], rows[order].astype(np.int32), indptr.astype(np.int32)),
-                         shape=shape)
-    A.sum_duplicates()
-    return A
 
 
 def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
@@ -152,7 +238,9 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     if np.isnan(x).any() or (x < -BOUND_TOL).any():
         raise NumericalError(f"solve: HiGHS reported optimal, but x has a NaN "
                              f"or an entry below {-BOUND_TOL:.3g} ({detail})")
-    resid = np.max(np.abs(lp.A @ x - lp.b)) if lp.b.size else 0.0
+    A = lp.A
+    Ax = np.bincount(A.indices, A.data * np.repeat(x, np.diff(A.indptr)), minlength=m)
+    resid = np.max(np.abs(Ax - lp.b)) if m else 0.0
     if resid > FEAS_TOL * 10:
         raise NumericalError(f"solve: HiGHS reported optimal, but the primal "
                              f"residual is {resid:.3g} ({detail})")
@@ -165,16 +253,16 @@ def mdp_occupation_lp(K, reward, sense: str, initial=None, allowed=None
     """Best stationary average reward (`initial=None`), or best total reward
     over one cycle from `initial`, and a decision that attains it.
 
-    K = [K^0 | K^1 | ...], dense or scipy.sparse, holds one (n, n) block per
-    action side by side: the column-stochastic T^a in steady state, or with
-    `initial` the K^a whose column s falls short of 1 by the chance that the
-    cycle ends when a is taken at s.  `reward` is r(s) or r(a, s), `initial`
+    K = [K^0 | K^1 | ...], a Csc, dense or scipy.sparse, holds one (n, n)
+    block per action side by side: the column-stochastic T^a in steady
+    state, or with `initial` the K^a whose column s falls short of 1 by the
+    chance that the cycle ends when a is taken at s.  `reward` is r(s) or r(a, s), `initial`
     an array over the n states, and `allowed`, a boolean (actions, n) array,
     keeps the variable z_a(s) only where it is True (default: everywhere).
     The models here give feasible, bounded LPs (two links once p1, p2,
     q > 0), so `solve` raises NumericalError for any other status.
     """
-    K = sparse.csc_array(K, dtype=float)
+    K = _as_csc(K)
     n = K.shape[0]
     na = K.shape[1] // max(n, 1)
     if n == 0 or K.shape[1] != na * n:
@@ -193,9 +281,6 @@ def mdp_occupation_lp(K, reward, sense: str, initial=None, allowed=None
         rhs = np.asarray(initial, dtype=float)
         if rhs.shape != (n,):
             raise ModelError("mdp_occupation_lp: initial size mismatch")
-    if not K.has_canonical_format:
-        K = K.copy()
-        K.sum_duplicates()
     # stacked column j = a*n + s of I - K is (I - K^a)[:, s]; A keeps the
     # allowed ones, renumbered
     c = np.repeat(np.arange(na * n), np.diff(K.indptr))

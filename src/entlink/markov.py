@@ -27,6 +27,13 @@ def is_count(value, low: int) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
+def is_probability(value) -> bool:
+    """Whether value is a real number (Python or numpy; a bool is not) in
+    [0, 1]; NaN is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0 <= value <= 1)
+
+
 class NumericalError(ModelError):
     """Raised when a well-posed model defeats the numerics: an
     ill-conditioned solve or a solver that stops early."""
@@ -119,6 +126,8 @@ class Policy:
 
     @classmethod
     def stationary(cls, d: DecisionFunction):
+        if not isinstance(d, DecisionFunction):
+            raise ModelError("Policy.stationary: the decision must be a DecisionFunction")
         return cls("stationary", d)
 
     @classmethod
@@ -126,6 +135,8 @@ class Policy:
         ds = list(ds)
         if not ds:
             raise ModelError("Policy.time_indexed: empty decision list")
+        if not all(isinstance(d, DecisionFunction) for d in ds):
+            raise ModelError("Policy.time_indexed: every decision must be a DecisionFunction")
         return cls("time_indexed", ds)
 
     def decision_at(self, t) -> DecisionFunction:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lp as _lp
 from .elemlink import ElemLinkModel, build_mdp, g_vector
-from .markov import ModelError, Policy, policy_matrix
+from .markov import ModelError, NumericalError, Policy, policy_matrix
 from .twolink import TwoLinkModel, initial_distribution, policy_kernel
 from .waiting import _check
 
@@ -54,7 +54,7 @@ def _successor_table(rows, cols, vals, shape):
     C = _lp.csc_from_entries(rows, cols, vals, shape)
     width = np.diff(C.indptr)
     s = np.repeat(np.arange(shape[1]), width)
-    rank = np.arange(C.nnz) - C.indptr[s]
+    rank = np.arange(C.data.size) - C.indptr[s]
     succ = np.repeat(C.indices[C.indptr[1:] - 1], width.max()).reshape(shape[1], -1)
     succ[s, rank] = C.indices
     prob = np.zeros(succ.shape)
@@ -132,11 +132,16 @@ def simulate_two_link(model: TwoLinkModel, d, cfg: SimConfig):
 
 def simulate_collective(M: int, p: float, t_req: int, cfg: SimConfig):
     """Waiting-time samples for M independent never-discarded links after a
-    request at step t_req; the arguments are checked as in `waiting`."""
+    request at step t_req; the arguments are checked as in `waiting`.
+    Raises NumericalError when a draw saturates at the int64 maximum, where
+    numpy's geometric sampler clips a step it cannot represent."""
     _check("simulate_collective", M, p, t_req)
     rng = cfg.rng()
     # each link first succeeds at a geometric step; it stays up afterwards
     first_up = rng.geometric(p, size=(cfg.trials, M))
+    if (first_up == np.iinfo(np.int64).max).any():
+        raise NumericalError(f"simulate_collective: a first success step at p = {p:g} "
+                             f"overflows int64")
     ready = first_up.max(axis=1)  # first step when all links are up
     waits = np.maximum(ready - t_req, 1)
     return {"wait_samples": waits, "rng": RNG_ALGORITHM}

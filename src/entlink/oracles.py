@@ -12,7 +12,7 @@ truncated Fock spaces.
 The dilation's unitary comes from numpy's `eigh`, not `scipy.linalg.expm`:
 dense linear algebra uses numpy's OpenBLAS pool only (see `qstate`), since
 after a 9x9 `expm` an 81x81 numpy matmul took 4.0 ms, not 0.08 ms (2 cores;
-scipy's `splu` and HiGHS were measured and cause no such stall).
+scipy's SuperLU and HiGHS were measured and cause no such stall).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ copy and a Cholesky factor of conj(H), read by columns.
 The whole package does its dense linear algebra with numpy's OpenBLAS
 only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
 stall each other: on a 2-core host one 81x81 numpy matmul took 0.08 ms
-alone and 4.0 ms right after a 9x9 `scipy.linalg.expm`.  scipy stays for
-sparse LU (`splu`) and HiGHS, which were measured and do not stall.
+alone and 4.0 ms right after a 9x9 `scipy.linalg.expm`.  Of scipy the
+package loads only the compiled SuperLU and HiGHS modules (see `lp`),
+which were measured and do not stall.
 """
 
 from __future__ import annotations

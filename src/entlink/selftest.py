@@ -11,9 +11,9 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import elemlink, mc, oracles, qstate, satlink, twolink, waiting
+from .lp import load_scipy_module
 from .markov import policy_matrix
 
 DEFAULT_SEED = 20260824  # of every criterion, run_all and the CLI's --seed
@@ -249,17 +249,25 @@ def criterion_backward_recursion(seed=DEFAULT_SEED):
                    max(max_err, hist_err), dt)
 
 
+def _brentq(f, a, b):
+    """`scipy.optimize.brentq(f, a, b, xtol=1e-12)`: its compiled loop,
+    loaded on first use, with the arguments brentq passes (rtol 4 eps, at
+    most 100 iterations, RuntimeError when it does not converge)."""
+    zeros = load_scipy_module("optimize._zeros")
+    return zeros._brentq(f, a, b, 1e-12, 4 * np.finfo(float).eps, 100, (), False, True)
+
+
 def criterion_key_rates(seed=DEFAULT_SEED):
     """Exact key-rate anchor points, the BB84 threshold location, and the
     protocol threshold ordering; the seed is not used."""
     t0 = time.perf_counter()
     ok = satlink.key_rate_bb84(0.0) == 1.0
     ok = ok and satlink.key_rate_di(0.0, 2 * math.sqrt(2)) == 1.0
-    q_bb84 = brentq(satlink.key_rate_bb84, 0.01, 0.25, xtol=1e-12)
+    q_bb84 = _brentq(satlink.key_rate_bb84, 0.01, 0.25)
     ok = ok and abs(q_bb84 - 0.1100) <= 1e-3
-    q_six = brentq(satlink.key_rate_six_state, 0.05, 0.3, xtol=1e-12)
-    q_di = brentq(lambda q: satlink.key_rate_di(q, 2 * math.sqrt(2) * (1 - 2 * q)),
-                  1e-4, 0.14, xtol=1e-12)
+    q_six = _brentq(satlink.key_rate_six_state, 0.05, 0.3)
+    q_di = _brentq(lambda q: satlink.key_rate_di(q, 2 * math.sqrt(2) * (1 - 2 * q)),
+                   1e-4, 0.14)
     ok = ok and q_di < q_bb84 < q_six
     dt = time.perf_counter() - t0
     return _record("key-rate anchors and thresholds", ok,

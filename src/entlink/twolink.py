@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
-from .markov import MASS_RTOL, DecisionFunction, ModelError, NumericalError, is_count
+from .markov import (MASS_RTOL, DecisionFunction, ModelError, NumericalError, is_count,
+                     is_probability)
 from . import lp as _lp
+from .lp import splu
 from .elemlink import WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
                      bell_overlap_table, swap_fidelity)
@@ -52,8 +53,8 @@ class TwoLinkModel:
 
     def __post_init__(self):
         for val, name in ((self.p1, "p1"), (self.p2, "p2"), (self.q, "q")):
-            if not 0 <= val <= 1:
-                raise ModelError(f"TwoLinkModel: {name} out of [0, 1]")
+            if not is_probability(val):
+                raise ModelError(f"TwoLinkModel: {name} must be a real number in [0, 1]")
         if not (is_count(self.m1_star, 0) and is_count(self.m2_star, 0)):
             raise ModelError("TwoLinkModel: storage bounds must be >= 0 and of integer type")
         f = np.array(self.f, dtype=float)
@@ -86,7 +87,7 @@ class TwoLinkModel:
     @cached_property
     def blocks(self):
         """[K^00 | K^01 | K^10 | K^11 | K^swap], the five actions' blocks side
-        by side as one read-only (n, 5n) CSC array, built on first use."""
+        by side as one read-only (n, 5n) `lp.Csc`, built on first use."""
         return _stacked_blocks(self)
 
 

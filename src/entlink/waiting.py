@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .markov import ModelError, is_count
+from .markov import ModelError, is_count, is_probability
 
 
 def _pk(p, k):
@@ -19,8 +19,8 @@ def _pk(p, k):
 
 
 def _check(name, M, p, t_req):
-    if not 0 < p <= 1:  # NaN fails too
-        raise ModelError(f"{name}: p must lie in (0, 1]")
+    if not (is_probability(p) and p > 0):
+        raise ModelError(f"{name}: p must be a real number in (0, 1]")
     for value, low in ((M, 1), (t_req, 0)):
         if not is_count(value, low):
             raise ModelError(f"{name}: M must be an integer >= 1, t_req an integer >= 0")

@@ -397,6 +397,15 @@ def test_twolink_analytic_overflow_exit_code_3(run):
         assert "overflows" in r.stderr
 
 
+def test_saturated_collective_simulation_exit_code_3(run):
+    # numpy's geometric sampler clips at 2**63 - 1: exit 0 with mean
+    # 9.223372036854776e+18 and se 0.0
+    r = run(["--seed", "42", "simulate", "collective", "--M", "2", "--p", "1e-300"])
+    assert r.returncode == 3 and r.stdout == "", r.stderr
+    assert json.loads(r.stderr)["error"] == "numerical"
+    assert "overflows int64" in r.stderr
+
+
 TWO_LINK = ["--p1", "0.5", "--p2", "0.5", "--q", "0.5", "--m1-star", "2", "--m2-star", "2"]
 CUTOFFS = ["--t1-star", "2", "--t2-star", "2"]
 

@@ -61,6 +61,13 @@ def test_bool_storage_bound_raises():
         E.ElemLinkModel(0.5, True, [0.0, 1.0, 0.9])
 
 
+@pytest.mark.parametrize("p", [True, False, np.True_, "0.5", math.nan, 1.5])
+def test_non_probability_p_raises(p):
+    # True was taken as p = 1
+    with pytest.raises(ModelError, match="p must be a real number in"):
+        E.ElemLinkModel(p, 2, [0.0, 1.0, 0.9, 0.8])
+
+
 def test_cutoff_decision_accepts_integers_and_infinity():
     m = model(0.5, [1.0, 0.9, 0.8])
     assert np.array_equal(E.cutoff_decision(m, np.int64(1)).table,

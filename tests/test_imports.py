@@ -5,22 +5,32 @@ somewhere in the package, and every public module-level function or class
 of the package is read somewhere in the package, the demos or the
 benchmark; a test alone is a reader only of `oracles.py`, the tests'
 reference code.  Two paper results that README.md documents and only the
-tests read are named exceptions.  The
-package has one LP solver path: no module reaches
-`linprog`, and only `lp.py` imports scipy's HiGHS binding.  The package
-does its dense linear algebra with numpy only, since `scipy.linalg` loads a
-second OpenBLAS thread pool that stalls numpy's: no module imports or reads
-`scipy.linalg`, and `markov.py`, `mc.py`, `oracles.py` and `qstate.py`
-import no scipy at all.
+tests read are named exceptions.
+
+No module of the package imports scipy: the `__init__` of each scipy
+package imports much of scipy, which was most of a cold start.  scipy's
+compiled kernels (HiGHS, SuperLU, brentq's loop) come in through
+`lp.load_scipy_module` alone, which loads each from its file; only `lp.py`
+imports `importlib`, and an interpreter that imports `entlink.cli` and
+runs the CLI holds no scipy package.  The package has one LP solver path:
+no module reaches `linprog`, and only `lp.py` loads scipy's HiGHS binding.
+The package does its dense linear algebra with numpy only, since
+`scipy.linalg` loads a second OpenBLAS thread pool that stalls numpy's: no
+module imports or reads `scipy.linalg`.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+from entlink.lp import load_scipy_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "entlink").glob("*.py"))
@@ -186,30 +196,42 @@ def imported_names(source):
     return out
 
 
+def _loaded_scipy_modules(tree):
+    """(line, name) of every `load_scipy_module("name")` call with a constant
+    argument."""
+    return [(node.lineno, node.args[0].value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and "load_scipy_module" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+
+
 def second_solver_paths(sources):
     """(file, line, what) of every import or attribute read of `linprog`,
-    and every import of scipy's HiGHS binding outside lp.py."""
+    and every load of scipy's HiGHS binding outside lp.py."""
     out = []
     for path, text in sources.items():
-        for line, name in imported_names(text):
-            if "linprog" in name.split("."):
-                out.append((path, line, name))
-            elif name.startswith("scipy.optimize._highspy") and path != "lp.py":
-                out.append((path, line, name))
-        out += [(path, node.lineno, node.attr) for node in ast.walk(ast.parse(text))
+        tree = ast.parse(text)
+        out += [(path, line, name) for line, name in imported_names(text)
+                if "linprog" in name.split(".")]
+        out += [(path, node.lineno, node.attr) for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "linprog"]
+        if path != "lp.py":
+            out += [(path, line, name) for line, name in _loaded_scipy_modules(tree)
+                    if name.startswith("optimize._highspy")]
     return sorted(out)
 
 
 def test_guard_sees_a_second_solver_path():
-    sources = {"lp.py": "from scipy.optimize import _highspy\n",
+    sources = {"lp.py": 'highs = load_scipy_module("optimize._highspy._core")\n',
                "a.py": "from scipy.optimize import linprog\n",
-               "b.py": "import scipy.optimize._highspy._core as h\n",
+               "b.py": ('from .lp import load_scipy_module\nload_scipy_module("optimize._zeros")\n'
+                        'h = load_scipy_module("optimize._highspy._core")\n'),
                "c.py": "from scipy import optimize\noptimize.linprog\n",
-               "d.py": "import os\nfrom scipy.optimize import _highspy\n"}
+               "d.py": 'import os\nfrom . import lp\nlp.load_scipy_module("optimize._highspy")\n'}
     assert second_solver_paths(sources) == [
-        ("a.py", 1, "scipy.optimize.linprog"), ("b.py", 1, "scipy.optimize._highspy._core"),
-        ("c.py", 2, "linprog"), ("d.py", 2, "scipy.optimize._highspy")]
+        ("a.py", 1, "scipy.optimize.linprog"), ("b.py", 3, "optimize._highspy._core"),
+        ("c.py", 2, "linprog"), ("d.py", 3, "optimize._highspy")]
 
 
 def test_one_solver_path():
@@ -227,17 +249,80 @@ def test_guard_sees_a_scipy_import():
     assert scipy_imports("from .lp import solve\nfrom . import scipy\n") == []
 
 
-def test_markov_does_not_import_scipy():
-    assert scipy_imports((ROOT / "src" / "entlink" / "markov.py").read_text()) == []
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
 
 
-def test_mc_does_not_import_scipy():
-    assert scipy_imports((ROOT / "src" / "entlink" / "mc.py").read_text()) == []
+def dynamic_imports(source):
+    """(line, what) of every import of `importlib` and every read of
+    `__import__`: the ways to load a module by name."""
+    out = [(line, name) for line, name in imported_names(source)
+           if name.split(".")[0] == "importlib"]
+    out += [(node.lineno, "__import__") for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "__import__"]
+    return sorted(out)
 
 
-@pytest.mark.parametrize("name", ["oracles.py", "qstate.py"])
-def test_dense_linear_algebra_modules_do_not_import_scipy(name):
-    assert scipy_imports((ROOT / "src" / "entlink" / name).read_text()) == []
+def test_guard_sees_a_dynamic_import():
+    source = ("import importlib.util\nfrom importlib import import_module\n"
+              "__import__('scipy')\nimport numpy\n")
+    assert dynamic_imports(source) == [(1, "importlib.util"), (2, "importlib.import_module"),
+                                       (3, "__import__")]
+
+
+def test_only_lp_loads_modules_by_name():
+    assert [(p.name, found) for p in PACKAGE if p.name != "lp.py"
+            for found in dynamic_imports(p.read_text())] == []
+
+
+COLD_START = """\
+import contextlib, io, sys
+PACKAGES = {"scipy", "scipy.sparse", "scipy.linalg", "scipy.optimize"}
+import entlink.cli
+print(sorted(PACKAGES & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert entlink.cli.main(["twolink", "lp-waiting", "--p1", "0.5", "--p2", "0.5",
+                             "--q", "0.5", "--m1-star", "2", "--m2-star", "2"]) == 0
+    assert entlink.cli.main(["--selftest"]) == 0
+print(sorted(PACKAGES & set(sys.modules)))
+zeros = sys.modules["scipy.optimize._zeros"]
+from scipy.optimize._highspy import _core
+from scipy.sparse.linalg._dsolve import _superlu
+from scipy.optimize import _zeros, brentq
+root = lambda x: x * x - 2
+print(_core is entlink.lp.highs, _superlu is entlink.lp.superlu, _zeros is zeros,
+      entlink.selftest._brentq(root, 0, 2) == brentq(root, 0, 2, xtol=1e-12))
+"""
+
+
+def test_cli_loads_no_scipy_package():
+    # `import entlink.cli` loaded 795 modules, scipy.sparse, scipy.linalg and
+    # all of scipy.optimize among them; a later import of a kernel, also
+    # through its package, gets the module the package loaded from its file
+    r = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n[]\nTrue True True True\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_scipy_blas_starts_no_thread():
+    # each new OpenBLAS thread busy-waits for ~0.1 s of CPU: scipy's, loaded
+    # with SuperLU, took a core from numpy's BLAS in the first computation
+    code = ("import os, numpy\nn = len(os.listdir('/proc/self/task'))\nimport entlink.cli\n"
+            "print(len(os.listdir('/proc/self/task')) - n, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 None\n"
+
+
+def test_load_scipy_module_names_a_missing_module():
+    with pytest.raises(ImportError, match="scipy.optimize._no_such_kernel"):
+        load_scipy_module("optimize._no_such_kernel")
+    assert "scipy.optimize._no_such_kernel" not in sys.modules
 
 
 def scipy_linalg_uses(source):

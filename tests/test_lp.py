@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse.linalg import splu
 
 from entlink import lp as L
 from entlink import twolink as TL
@@ -61,10 +62,15 @@ def test_random_lps_match_vertex_enumeration(rng):
     assert outcomes == {"optimal", "unbounded"}
 
 
+def scipy_csc(C):
+    """An `lp.Csc` as the scipy.sparse array of the same arrays."""
+    return sparse.csc_array((C.data, C.indices, C.indptr), shape=C.shape)
+
+
 def _linprog_solve(lp):
     """What `solve` returned when it went through scipy.optimize.linprog."""
     sign = -1.0 if lp.sense == "max" else 1.0
-    res = linprog(sign * lp.objective, A_eq=lp.A, b_eq=lp.b, method="highs",
+    res = linprog(sign * lp.objective, A_eq=scipy_csc(lp.A), b_eq=lp.b, method="highs",
                   options={"primal_feasibility_tolerance": L.PRIMAL_FEAS_TOL,
                            "dual_feasibility_tolerance": L.DUAL_FEAS_TOL})
     if res.status != 0:
@@ -133,8 +139,47 @@ def test_duplicate_entries_summed_on_a_copy():
     A = sparse.csc_array(([0.5, 0.5, 1.0], [0, 0, 0], [0, 2, 3]), shape=(1, 2))
     assert not A.has_canonical_format
     lp = L.LinearProgram([1.0, 2.0], "min", A, [1.0])
-    assert lp.A.has_canonical_format and lp.A.toarray().tolist() == [[1.0, 1.0]]
+    assert isinstance(lp.A, L.Csc) and lp.A.shape == (1, 2)
+    assert (lp.A.data.tolist(), lp.A.indices.tolist(), lp.A.indptr.tolist()) == (
+        [1.0, 1.0], [0, 0], [0, 1, 2])
     assert A.data.tolist() == [0.5, 0.5, 1.0] and A.indices.tolist() == [0, 0, 0]
+
+
+def test_csc_from_entries_sums_duplicates_as_scipy_does(rng):
+    # up to 5 entries at one position, as the two-link policy kernel gives:
+    # summed left to right in input order, the bits of scipy's
+    # sum_duplicates on the stably sorted entries
+    for _ in range(30):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        k = int(rng.integers(0, 30))
+        rows, cols = rng.integers(0, shape[0], k), rng.integers(0, shape[1], k)
+        vals = rng.normal(size=k) * (rng.uniform(size=k) < 0.8)  # some exact zeros
+        got = L.csc_from_entries(rows, cols, vals, shape)
+        keep = vals != 0
+        order = np.lexsort((rows[keep], cols[keep]))
+        indptr = np.append(0, np.cumsum(np.bincount(cols[keep], minlength=shape[1])))
+        want = sparse.csc_array((vals[keep][order], rows[keep][order].astype(np.int32),
+                                 indptr.astype(np.int32)), shape=shape)
+        want.sum_duplicates()
+        assert isinstance(got, L.Csc) and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        # what the benchmark counts as the nonzeros of an LP's matrix
+        assert int((got != 0).sum()) == int((want != 0).sum())
+
+
+def test_splu_matches_scipys_bitwise(rng):
+    for n in (1, 4, 30):
+        A = (rng.uniform(size=(n, n)) < 0.3) * rng.normal(size=(n, n)) + n * np.eye(n)
+        rows, cols = np.nonzero(A)
+        C = L.csc_from_entries(rows, cols, A[rows, cols], A.shape)
+        b = rng.normal(size=n)
+        lu, want = L.splu(C), splu(scipy_csc(C))
+        assert lu.solve(b).tobytes() == want.solve(b).tobytes()
+        assert np.array_equal(lu.perm_c, want.perm_c) and np.array_equal(lu.perm_r, want.perm_r)
+    with pytest.raises(RuntimeError, match="singular"):
+        L.splu(L.csc_from_entries([0, 1], [0, 0], [1.0, 1.0], (2, 2)))
 
 
 def test_duplicate_entry_lp_solves():
@@ -446,7 +491,7 @@ def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
         L.mdp_occupation_lp(np.hstack(blocks), np.ones(len(keep)),
                             "min" if init is not None else "max", init)
         got, want = seen[-1].A, _dense_reference_matrix(mdp, keep, steady)
-        assert got.format == "csc" and got.shape == want.shape
+        assert isinstance(got, L.Csc) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

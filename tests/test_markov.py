@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from entlink.markov import (
     policy_matrix,
 )
 from entlink.elemlink import (ElemLinkModel, build_mdp, cutoff_decision,
-                              expected_waiting_time, steady_state_closed_form)
+                              expected_waiting_time, ftilde_x_f,
+                              steady_state_closed_form)
 from entlink.oracles import stationary_distribution, stationary_eig
 from entlink import markov, twolink as TL
 from entlink.twolink import TwoLinkModel
@@ -68,13 +71,16 @@ _ONE_ACTION = DecisionFunction([[1.0], [1.0]])
     lambda: Policy.time_indexed([_ONE_ACTION] * 2).decision_at(1.5),
     lambda: Policy.time_indexed([_ONE_ACTION] * 2).decision_at(True),
     lambda: Policy.stationary(_ONE_ACTION).decision_at(np.float64(2.0)),
+    # a decision that is no DecisionFunction raised an AttributeError later
+    lambda: Policy.stationary(np.eye(2)),
+    lambda: Policy.time_indexed([_ONE_ACTION, np.eye(2)]),
     lambda: TL.evaluate_policy(TwoLinkModel(0.5, 0.5, 0.5, 0, 0, TL.uniform_f_table(0, 0)),
                             DecisionFunction(np.full((5, 5), 1 / 5))),
 ], ids=["ProbVector-2d", "ProbVector-entries", "ProbVector-sum",
         "Mdp-entries", "DecisionFunction-1d", "DecisionFunction-entries",
         "DecisionFunction-rows", "policy_matrix-shape", "evolve-t-0", "evolve-size",
         "decision_at-0", "decision_at-negative", "decision_at-fractional", "decision_at-bool",
-        "decision_at-stationary-float",
+        "decision_at-stationary-float", "stationary-array", "time_indexed-array",
         "evaluate_policy-size"])
 def test_malformed_input_raises_model_error(make):
     # NaN entries, Mdp shapes and Mdp column sums have their own tests
@@ -296,3 +302,19 @@ def test_stationary_raises_when_not_unique(P):
     (2.0, 0, False), (np.float64(2.0), 0, False), (True, 0, False), ("2", 0, False)])
 def test_is_count_takes_integers_but_no_bools(value, low, want):
     assert markov.is_count(value, low) == want
+
+
+@pytest.mark.parametrize("value, want", [
+    (0, True), (1, True), (0.5, True), (np.float64(0.25), True), (np.int64(1), True),
+    (np.float32(0.5), True), (-0.1, False), (1.5, False), (math.nan, False),
+    (True, False), (False, False), (np.True_, False), ("0.5", False), (None, False),
+    (np.array(0.5), False)])
+def test_is_probability_takes_real_numbers_but_no_bools(value, want):
+    assert markov.is_probability(value) == want
+
+
+def test_policy_of_a_non_decision_raises_model_error():
+    # raised AttributeError: 'numpy.ndarray' object has no attribute 'table'
+    model = ElemLinkModel(0.5, 2, [0, 1, .9, .8])
+    with pytest.raises(ModelError, match="DecisionFunction"):
+        ftilde_x_f(model, Policy.stationary(np.eye(2)), 3)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entlink import lp as L
 from entlink import markov, qstate
 from entlink import twolink as TL
 from entlink.oracles import policy_iteration_absorbing, two_link_absorbing_chain
@@ -24,6 +24,13 @@ def sym_model(p, q, m_star):
 
 def both_active(model):
     return np.outer(np.arange(model.n1) > 0, np.arange(model.n2) > 0).ravel()
+
+
+def dense(C):
+    """The dense array of an `lp.Csc`, whose entries are distinct."""
+    out = np.zeros(C.shape)
+    out[C.indices, np.repeat(np.arange(C.shape[1]), np.diff(C.indptr))] = C.data
+    return out
 
 
 def exact_symmetric_wait(p, q, t_star):
@@ -66,11 +73,11 @@ def test_all_action_matrices_column_stochastic():
                                 (1.0, 0.4, 1.0, 1, 3), (0.0, 1.0, 0.5, 2, 2)]:
         model = TL.TwoLinkModel(p1, p2, q, m1, m2, TL.uniform_f_table(m1, m2))
         B = model.blocks
-        assert B.format == "csc" and B.shape == (model.n, len(TL.ACTIONS) * model.n)
+        assert isinstance(B, L.Csc) and B.shape == (model.n, len(TL.ACTIONS) * model.n)
         assert np.all(B.data > 0) and not B.data.flags.writeable
         exits = np.concatenate([both_active(model) * (k == TL.SWAP)
                                 for k in range(len(TL.ACTIONS))])
-        np.testing.assert_allclose(B.sum(axis=0) + exits, 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense(B).sum(axis=0) + exits, 1.0, rtol=0, atol=1e-15)
 
 
 def test_absorbing_set_is_done():
@@ -85,6 +92,15 @@ def test_absorbing_set_is_done():
         leaves = np.any(mdp.T * (1 - np.eye(done + 1)) != 0, axis=(0, 1))
         assert np.flatnonzero(~leaves).tolist() == [done]
         assert init[done] == 0 and reward.shape == (len(TL.ACTIONS), done + 1)
+
+
+@pytest.mark.parametrize("p1, p2, q", [(True, 0.5, 0.5), (0.5, np.True_, 0.5),
+                                       (0.5, 0.5, True), (True, 0.5, True), (0.5, 0.5, "1"),
+                                       (0.5, float("nan"), 0.5)])
+def test_non_probability_parameters_raise(p1, p2, q):
+    # TwoLinkModel(True, .5, True, 1, 1, ...) was accepted as p1 = q = 1
+    with pytest.raises(ModelError, match="must be a real number in"):
+        TL.TwoLinkModel(p1, p2, q, 1, 1, TL.uniform_f_table(1, 1))
 
 
 def test_lps_need_positive_probabilities():
@@ -112,7 +128,7 @@ def test_swap_action_success_mass():
 
 def test_swap_on_inactive_links_shifts_ages():
     model = sym_model(0.5, 0.7, 2)
-    T = model.blocks[:, TL.SWAP * model.n:].toarray()
+    T = dense(model.blocks)[:, TL.SWAP * model.n:]
     # link 1 active at age 0, link 2 inactive: age shifts, no swap attempt
     src = model.idx(0, -1)
     assert T[model.idx(1, -1), src] == pytest.approx(1.0)
@@ -175,7 +191,7 @@ def test_build_matches_state_by_state_rules():
             K = T[:n, :n].copy()
             if a == "swap":
                 K[:, both_active(model)] = 0.0
-            np.testing.assert_allclose(model.blocks[:, k * n:(k + 1) * n].toarray(), K,
+            np.testing.assert_allclose(dense(model.blocks)[:, k * n:(k + 1) * n], K,
                                        rtol=0, atol=1e-15)
 
 
@@ -431,9 +447,9 @@ def test_two_link_f_from_physics_rejects_bad_storage_bounds(m1, m2):
 def test_evaluate_policy_solves_once(monkeypatch):
     calls = []
 
-    def counting_splu(A, *args, **kwargs):
+    def counting_splu(A):
         calls.append(A)
-        return splu(A, *args, **kwargs)
+        return L.splu(A)
 
     monkeypatch.setattr(TL, "splu", counting_splu)
     model = sym_model(0.4, 0.5, 4)
@@ -441,7 +457,7 @@ def test_evaluate_policy_solves_once(monkeypatch):
     assert len(calls) == 1
     assert np.isfinite(wait) and f_abs == pytest.approx(1.0)
     # one sparse LU of I - K^d, with no zeros stored
-    assert calls[0].format == "csc" and np.all(calls[0].data != 0)
+    assert isinstance(calls[0], L.Csc) and np.all(calls[0].data != 0)
 
 
 def test_initial_distribution():

@@ -129,7 +129,7 @@ def test_argument_validation():
 @pytest.mark.parametrize("M, p, t_req", [
     (2, 1.5, 0), (2, -0.2, 0), (2, 0.0, 0), (2, math.nan, 0),
     (2, 0.3, 1.5), (2, 0.3, 2.0), (2, 0.3, -1), (2.0, 0.3, 0), (0, 0.3, 0),
-    (True, 0.3, 0), (2, 0.3, False)])
+    (True, 0.3, 0), (2, 0.3, False), (2, True, 0), (2, np.True_, 0), (2, "0.5", 0)])
 def test_bad_model_raises(M, p, t_req):
     with pytest.raises(ModelError):
         W.collective_pmf_infty(M, p, t_req, 1)
