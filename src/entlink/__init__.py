@@ -15,12 +15,6 @@ from . import (  # noqa: F401
     twolink,
     waiting,
 )
-from .markov import (  # noqa: F401
-    DecisionFunction,
-    Mdp,
-    ModelError,
-    Policy,
-    ProbVector,
-)
+from .markov import DecisionFunction, ModelError, Policy  # noqa: F401
 
 __version__ = "1.0.0"

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import (
-    DecisionFunction,
-    Mdp,
-    ModelError,
-    Policy,
-    ProbVector,
-    evolve,
-    is_count,
-    is_probability,
-)
+from .markov import DecisionFunction, ModelError, Policy, is_count, is_probability
 from . import lp as _lp
 
 WAIT, REQUEST = 0, 1
@@ -57,15 +48,17 @@ class ElemLinkModel:
         return self.m_star + 2
 
 
-def g_vector(model: ElemLinkModel) -> ProbVector:
+def g_vector(model: ElemLinkModel) -> np.ndarray:
     """Post-request distribution: inactive with prob 1-p, fresh with prob p."""
     v = np.zeros(model.n)
     v[0] = 1 - model.p
     v[1] = model.p
-    return ProbVector(v)
+    return v
 
 
-def build_mdp(model: ElemLinkModel) -> Mdp:
+def build_mdp(model: ElemLinkModel) -> np.ndarray:
+    """T[a] for a = WAIT, REQUEST as one (2, n, n) array; each column sums
+    to 1 by construction from the checked model."""
     n = model.n
     T = np.zeros((2, n, n))
     T[WAIT, 0, 0] = 1.0  # inactive stays inactive under wait
@@ -74,7 +67,33 @@ def build_mdp(model: ElemLinkModel) -> Mdp:
     T[WAIT, 0, n - 1] = 1.0  # storage bound hit: link discarded
     T[REQUEST, 0, :] = 1 - model.p
     T[REQUEST, 1, :] = model.p
-    return Mdp(T)
+    return T
+
+
+def policy_matrix(model: ElemLinkModel, d: DecisionFunction) -> np.ndarray:
+    """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
+    if d.table.shape != (model.n, 2):
+        raise ModelError(
+            f"decision table shape {d.table.shape} does not match ({model.n}, 2)")
+    P = np.zeros((model.n, model.n))
+    for T, da in zip(build_mdp(model), d.table.T):
+        P += T * da  # broadcasts over columns
+    return P
+
+
+def evolve(model: ElemLinkModel, policy: Policy, t: int) -> np.ndarray:
+    """Distribution at time t as a fresh array, from `g_vector` at time 1;
+    P^d is built once per (read-only) decision object."""
+    if not is_count(t, 1):
+        raise ModelError("evolve: t must be an integer >= 1")
+    v = g_vector(model)
+    mats = {}
+    for step in range(1, t):
+        d = policy.decision_at(step)
+        if id(d) not in mats:
+            mats[id(d)] = policy_matrix(model, d)
+        v = mats[id(d)] @ v
+    return v
 
 
 def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
@@ -91,7 +110,7 @@ def cutoff_decision(model: ElemLinkModel, t_star) -> DecisionFunction:
 def ftilde_x_f(model: ElemLinkModel, policy: Policy, t: int):
     """Expected figure of merit, activity probability, and their ratio at
     time t, starting from the post-request distribution at t=1."""
-    dist = evolve(build_mdp(model), policy, g_vector(model), t)
+    dist = evolve(model, policy, t)
     ftilde = float(model.f @ dist)
     x = float(dist[1:].sum())  # not 1 - Pr[inactive], which is 0 at tiny p
     if x <= 0:
@@ -185,7 +204,7 @@ def forward_recursion_decision(model: ElemLinkModel) -> DecisionFunction:
 
 def lp_optimal_steady(model: ElemLinkModel):
     """Best stationary steady-state expected value via the occupation LP."""
-    return _lp.mdp_occupation_lp(np.hstack(build_mdp(model).T), model.f, "max")
+    return _lp.mdp_occupation_lp(np.hstack(build_mdp(model)), model.f, "max")
 
 
 def optimal_backward(model: ElemLinkModel, t: int):
@@ -194,7 +213,7 @@ def optimal_backward(model: ElemLinkModel, t: int):
     deterministic policy.  Ties broken toward waiting."""
     if not is_count(t, 1):
         raise ModelError("optimal_backward: t must be an integer >= 1")
-    T = build_mdp(model).T
+    T = build_mdp(model)
     V = model.f.copy()
     decisions = []
     for _ in range(t - 1):
@@ -205,7 +224,7 @@ def optimal_backward(model: ElemLinkModel, t: int):
         decisions.append(DecisionFunction.deterministic(
             np.where(choose_req, REQUEST, WAIT), 2))
     decisions.reverse()
-    value = float(g_vector(model).entries @ V)
+    value = float(g_vector(model) @ V)
     policy = Policy.time_indexed(decisions) if decisions else Policy.stationary(
         cutoff_decision(model, math.inf))
     return value, policy

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp as _lp
-from .elemlink import ElemLinkModel, build_mdp, g_vector
-from .markov import ModelError, NumericalError, Policy, policy_matrix
+from .elemlink import ElemLinkModel, g_vector, policy_matrix
+from .markov import ModelError, NumericalError, Policy, is_count
 from .twolink import TwoLinkModel, initial_distribution, policy_kernel
 from .waiting import _check
 
@@ -31,13 +31,10 @@ class SimConfig:
     horizon: int = 1_000
 
     def __post_init__(self):
-        for v in (self.seed, self.trials, self.horizon):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ModelError("SimConfig: seed, trials and horizon must be integers")
-        if self.seed < 0:
-            raise ModelError("SimConfig: seed must be >= 0")
-        if self.trials < 1 or self.horizon < 1:
-            raise ModelError("SimConfig: trials and horizon must be >= 1")
+        if not (is_count(self.seed, 0) and is_count(self.trials, 1)
+                and is_count(self.horizon, 1)):
+            raise ModelError("SimConfig: seed must be an integer >= 0, and trials and "
+                             "horizon integers >= 1")
 
     def rng(self):
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
@@ -76,14 +73,13 @@ def simulate_elem(model: ElemLinkModel, policy: Policy, cfg: SimConfig):
     estimates of the state distribution, F~ and X with standard errors."""
     rng = cfg.rng()
     n, t_max = model.n, cfg.horizon
-    mdp = build_mdp(model)
     counts = np.zeros((t_max, n), dtype=np.int64)
-    counts[0] = rng.multinomial(cfg.trials, g_vector(model).entries)
+    counts[0] = rng.multinomial(cfg.trials, g_vector(model))
     tables = {}  # successor table per decision function seen
     for t in range(1, t_max):
         d = policy.decision_at(t)
         if id(d) not in tables:
-            P = policy_matrix(mdp, d)
+            P = policy_matrix(model, d)
             rows, cols = np.nonzero(P)
             tables[id(d)] = _successor_table(rows, cols, P[rows, cols], (n, n))
         counts[t] = _step(tables[id(d)], counts[t - 1], rng, n)

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, Mdp, ModelError
+from .markov import DecisionFunction, ModelError
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
                      permute_subsystems, weyl_x, weyl_z)
 from .twolink import SWAP, TwoLinkModel
@@ -85,7 +85,7 @@ def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
     prefix share its propagated distribution."""
     if t < 1:
         raise ModelError("exhaustive_markov_policy_value: t must be >= 1")
-    T = build_mdp(model).T
+    T = build_mdp(model)
     n = model.n
     n_actions = len(T)
     steps = []
@@ -100,7 +100,7 @@ def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
             return float(model.f @ dist)
         return max(best(P @ dist, remaining - 1) for P in steps)
 
-    return best(g_vector(model).entries, t - 1)
+    return best(g_vector(model), t - 1)
 
 
 _HISTORY_T_CAP = 8
@@ -113,8 +113,8 @@ def optimal_backward_history(model: ElemLinkModel, t: int):
         raise ModelError("optimal_backward_history: t must be >= 1")
     if t > _HISTORY_T_CAP:
         raise ModelError(f"optimal_backward_history: t capped at {_HISTORY_T_CAP}")
-    T = build_mdp(model).T
-    g = g_vector(model).entries
+    T = build_mdp(model)
+    g = g_vector(model)
     states = range(model.n)
     policy_table = {}
 
@@ -151,11 +151,12 @@ def two_link_absorbing_chain(model: TwoLinkModel):
     states, then one absorbing state `done`.  Action "ab" is the Kronecker
     product of the links' matrices; "swap" moves q to `done` and restarts
     both links with the rest at a both-active state, and waits on both
-    elsewhere.  Returns the MDP, the reward q f(m1, m2) a swap collects, and
-    the start distribution over all states."""
+    elsewhere.  Returns the (actions, n + 1, n + 1) array T, the reward
+    q f(m1, m2) a swap collects, and the start distribution over all
+    states."""
     links = [ElemLinkModel(p, m, np.zeros(m + 2))
              for p, m in ((model.p1, model.m1_star), (model.p2, model.m2_star))]
-    (T1, g1), (T2, g2) = [(build_mdp(link).T, g_vector(link).entries) for link in links]
+    (T1, g1), (T2, g2) = [(build_mdp(link), g_vector(link)) for link in links]
     done = model.n
     T = np.zeros((SWAP + 1, done + 1, done + 1))
     for k in range(SWAP + 1):
@@ -167,22 +168,21 @@ def two_link_absorbing_chain(model: TwoLinkModel):
     T[SWAP][done, both] = model.q
     reward = np.zeros((SWAP + 1, done + 1))
     reward[SWAP, :done] = model.q * model.f[1].reshape(-1)
-    return Mdp(T), reward, np.append(np.kron(g1, g2), 0.0)
+    return T, reward, np.append(np.kron(g1, g2), 0.0)
 
 
-def policy_iteration_absorbing(mdp: Mdp, reward, sense: str, initial) -> float:
+def policy_iteration_absorbing(T: np.ndarray, reward, sense: str, initial) -> float:
     """Best total reward until absorption from `initial`, by Howard's policy
     iteration (Howard 1960): evaluate with (I - Q)^{-1}, then switch each
     state to its greedy action where that is strictly better.  A state is
     absorbing when no action moves mass off it; `reward` is r(s) or r(a, s)
     over all states.  The start is the uniform decision, which must reach
     absorption."""
-    n = mdp.n
-    tra = np.flatnonzero(np.any(mdp.T * (1 - np.eye(n)) != 0, axis=(0, 1)))
-    na = len(mdp.T)
+    na, n, _ = T.shape
+    tra = np.flatnonzero(np.any(T * (1 - np.eye(n)) != 0, axis=(0, 1)))
     sign = 1.0 if sense == "max" else -1.0
     r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, n))[:, tra]
-    Q = mdp.T[:, tra[:, None], tra]
+    Q = T[:, tra[:, None], tra]
     table = np.full((len(tra), na), 1.0 / na)
     for _ in range(1000):
         Qd = np.einsum("ats,sa->ts", Q, table)

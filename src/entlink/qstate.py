@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import is_count
+from .markov import is_count, is_probability
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -231,8 +231,8 @@ def fidelity_to_pure(rho, psi):
 
 
 def amplitude_damping(gamma) -> KrausChannel:
-    if not 0 <= gamma <= 1:
-        raise QuantumError("amplitude_damping: gamma out of range")
+    if not is_probability(gamma):
+        raise QuantumError("amplitude_damping: gamma must be a real number in [0, 1]")
     K0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     K1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return KrausChannel([K0, K1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import is_count
+from .markov import is_count, is_probability
 from .qstate import BellDiagCoeffs
 
 C_KM_PER_S = 299792.458
@@ -47,11 +47,10 @@ class SatSourceParams:
     M: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.f_S <= 1:
-            raise SatError("SatSourceParams: f_S out of [0, 1]")
-        for nb in (self.nbar1, self.nbar2):
-            if not 0 <= nb <= 1:
-                raise SatError("SatSourceParams: nbar out of [0, 1]")
+        if not is_probability(self.f_S):
+            raise SatError("SatSourceParams: f_S must be a real number in [0, 1]")
+        if not (is_probability(self.nbar1) and is_probability(self.nbar2)):
+            raise SatError("SatSourceParams: nbar must be a real number in [0, 1]")
         if not is_count(self.M, 1):
             raise SatError("SatSourceParams: M must be an integer >= 1")
 
@@ -78,8 +77,8 @@ def eta_sg(L: float, h: float, eta_zen: float) -> float:
     """Satellite-to-ground transmittance: diffraction-limited free-space
     collection times zenith-angle-corrected atmospheric absorption, with
     eta_zen the atmospheric transmittance at zenith."""
-    if not 0 < eta_zen <= 1:
-        raise SatError("eta_sg: eta_zen must lie in (0, 1]")
+    if not (is_probability(eta_zen) and eta_zen > 0):
+        raise SatError("eta_sg: eta_zen must be a real number in (0, 1]")
     if not 0 < h < math.inf:  # NaN fails too, as in SatGeometry
         raise SatError("eta_sg: need finite h > 0")
     if not h <= L < math.inf:
@@ -106,9 +105,8 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     """Bell-diagonal state and success probability of the dual-rail link
     after loss and thermal background on both arms, heralded on one photon
     arriving at each station."""
-    for eta in (eta1, eta2):
-        if not 0 <= eta <= 1:
-            raise SatError("heralded_link: eta out of [0, 1]")
+    if not (is_probability(eta1) and is_probability(eta2)):
+        raise SatError("heralded_link: eta must be a real number in [0, 1]")
     x1, y1, z1 = _arm_factors(eta1, src.nbar1)
     x2, y2, z2 = _arm_factors(eta2, src.nbar2)
     a = x1 * x2 + y1 * y2
@@ -126,8 +124,8 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
 
 
 def _check_multiplexing(name, p, M):
-    if not 0 <= p <= 1:  # NaN fails too
-        raise SatError(f"{name}: p must lie in [0, 1]")
+    if not is_probability(p):
+        raise SatError(f"{name}: p must be a real number in [0, 1]")
     if not is_count(M, 1):
         raise SatError(f"{name}: M must be an integer >= 1")
 
@@ -176,8 +174,8 @@ def forward_cutoff(p: float, t_coh: float):
     """Cutoff equivalent to the greedy lookahead rule for an ideal source
     in decaying memories: never discard at low p, discard immediately when
     generation is near-deterministic."""
-    if not 0 <= p <= 1:
-        raise SatError("forward_cutoff: p out of [0, 1]")
+    if not is_probability(p):
+        raise SatError("forward_cutoff: p must be a real number in [0, 1]")
     _check_t_coh("forward_cutoff", t_coh)
     if p <= 0.5:
         return math.inf
@@ -199,16 +197,16 @@ def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
 
 def h2(q: float) -> float:
     """Binary entropy in bits of q in [0, 1]."""
-    if not 0 <= q <= 1:  # NaN fails too
-        raise SatError("h2: q must lie in [0, 1]")
+    if not is_probability(q):
+        raise SatError("h2: q must be a real number in [0, 1]")
     if q == 0 or q == 1:
         return 0.0
     return -q * math.log2(q) - (1 - q) * math.log2(1 - q)
 
 
 def _check_qber(name, Q):
-    if not 0 <= Q <= 1:  # NaN fails too
-        raise SatError(f"{name}: QBER must lie in [0, 1]")
+    if not is_probability(Q):
+        raise SatError(f"{name}: QBER must be a real number in [0, 1]")
 
 
 def key_rate_bb84(Q: float) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import elemlink, mc, oracles, qstate, satlink, twolink, waiting
 from .lp import load_scipy_module
-from .markov import policy_matrix
 
 DEFAULT_SEED = 20260824  # of every criterion, run_all and the CLI's --seed
 
@@ -43,7 +42,7 @@ def criterion_steady_state(seed=DEFAULT_SEED):
         model = elemlink.ElemLinkModel(p, m_star, f)
         d = oracles.random_decision(rng, model.n, 2)
         s_closed, _ = elemlink.steady_state_closed_form(model, d)
-        P = policy_matrix(elemlink.build_mdp(model), d)
+        P = elemlink.policy_matrix(model, d)
         s_num = oracles.stationary_distribution(P)
         max_err = max(max_err, float(np.max(np.abs(s_closed - s_num))))
     dt = time.perf_counter() - t0

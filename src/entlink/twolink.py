@@ -118,7 +118,7 @@ def _stacked_blocks(model: TwoLinkModel):
     (r2, c2) of the links' matrices, K^ab has v1 v2 at (r1 n2 + r2,
     c1 n2 + c2), and no n x n block is formed.  K^swap is K^00 with the
     both-active columns empty, since an attempt ends the cycle."""
-    T1, T2 = [build_mdp(link).T for link in _links(model)]
+    T1, T2 = [build_mdp(link) for link in _links(model)]
     n, both = model.n, _both_active(model)
     rows, cols, vals = [], [], []
     for k in range(len(ACTIONS)):
@@ -138,7 +138,7 @@ def _stacked_blocks(model: TwoLinkModel):
 def initial_distribution(model: TwoLinkModel) -> np.ndarray:
     """g = g1 (x) g2: both links freshly requested at t = 1, which is also
     where a failed swap attempt restarts them."""
-    g1, g2 = [g_vector(link).entries for link in _links(model)]
+    g1, g2 = [g_vector(link) for link in _links(model)]
     return np.kron(g1, g2)
 
 
@@ -286,8 +286,8 @@ def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:
     """Known closed form for equal links under the joint cutoff rule, with
     u = 1 - (1 - p)^t* computed without cancellation:
     (1 + 2u(1 - p)) / (q p (p + 2u(1 - p)))."""
-    if not (0 < p <= 1 and 0 < q <= 1):
-        raise ModelError("analytic_symmetric_waiting_time: p, q must lie in (0, 1]")
+    if not (is_probability(p) and is_probability(q) and p > 0 and q > 0):
+        raise ModelError("analytic_symmetric_waiting_time: p, q must be real numbers in (0, 1]")
     if not is_count(t_star, 0):
         raise ModelError("analytic_symmetric_waiting_time: t_star must be an integer >= 0")
     u = float(t_star > 0) if p == 1 else -math.expm1(t_star * math.log1p(-p))

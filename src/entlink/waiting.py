@@ -65,8 +65,8 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
 def virtual_expected(collective_expected: float, q: float) -> float:
     """Expected virtual-link waiting time: collective waiting scaled by the
     mean number of joining attempts (independent geometric with success q)."""
-    if not 0 < q <= 1:
-        raise ModelError("virtual_expected: q must lie in (0, 1]")
+    if not (is_probability(q) and q > 0):
+        raise ModelError("virtual_expected: q must be a real number in (0, 1]")
     if not 0 <= collective_expected < np.inf:  # NaN fails too
         raise ModelError("virtual_expected: the collective wait must be finite and >= 0")
     return collective_expected / q

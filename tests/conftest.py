@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entlink
-from entlink.markov import DecisionFunction, Mdp
+from entlink.markov import DecisionFunction
 
 # The CLI tests run `python -m entlink.cli` in subprocesses: point them at the
 # package these tests import, also when pytest alone put `src` on sys.path.
@@ -20,12 +20,13 @@ def rng():
 
 
 def random_mdp(rng, n, na):
-    """Fully supported transition matrices, so every policy chain is ergodic."""
+    """Fully supported column-stochastic matrices as one (na, n, n) array,
+    so every policy chain is ergodic."""
     T = np.empty((na, n, n))
     for a in range(na):
         cols = rng.dirichlet(np.ones(n) * 0.7, size=n).T + 1e-3
         T[a] = cols / cols.sum(axis=0)
-    return Mdp(T)
+    return T
 
 
 def random_absorbing_mdp(rng, nt, nb, na):
@@ -38,7 +39,12 @@ def random_absorbing_mdp(rng, nt, nb, na):
             col = rng.dirichlet(np.ones(n)) + 1e-3
             T[a, :, s] = col / col.sum()
         T[a, nt:, nt:] = np.eye(nb)
-    return Mdp(T)
+    return T
+
+
+def policy_chain(T, d):
+    """P^d = sum_a T^a D_a of an (actions, n, n) array T."""
+    return np.einsum("ats,sa->ts", T, d.table)
 
 
 def deterministic_decisions(n, na):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from entlink import elemlink as E
 from entlink import oracles
-from entlink.markov import ModelError, Policy, evolve, policy_matrix
+from entlink.markov import ModelError, Policy
+from entlink.twolink import TwoLinkModel, uniform_f_table
 
 
 def model(p, f_vals):
@@ -31,8 +32,7 @@ def test_validation():
 
 def test_transition_matrices_shape_and_columns():
     m = model(0.4, [1.0, 0.9, 0.8])
-    mdp = E.build_mdp(m)
-    T0, T1 = mdp.T[E.WAIT], mdp.T[E.REQUEST]
+    T0, T1 = E.build_mdp(m)
     # wait: inactive absorbs, ages shift, top age wraps to inactive
     assert T0[0, 0] == 1.0
     assert T0[2, 1] == 1.0 and T0[3, 2] == 1.0
@@ -96,7 +96,7 @@ def test_closed_form_vs_eig_random_decisions(rng):
         m = E.ElemLinkModel(p, ms, np.concatenate([[0.0], rng.uniform(0, 1, ms + 1)]))
         d = oracles.random_decision(rng, m.n, 2)
         s, _ = E.steady_state_closed_form(m, d)
-        P = policy_matrix(E.build_mdp(m), d)
+        P = E.policy_matrix(m, d)
         assert np.max(np.abs(s - oracles.stationary_eig(P))) < 1e-9
 
 
@@ -152,8 +152,8 @@ def test_waiting_time_vs_absorbing_chain(rng):
         t_req = int(rng.integers(0, 12))
         # the one transient state is the inactive one, whose self-loop
         # under d is Q = 1 - r: y = (1 - Q)^{-1} start[inactive]
-        P = policy_matrix(E.build_mdp(m), d)
-        start = evolve(E.build_mdp(m), Policy.stationary(d), E.g_vector(m), t_req + 1)
+        P = E.policy_matrix(m, d)
+        start = E.evolve(m, Policy.stationary(d), t_req + 1)
         y = np.linalg.solve(np.eye(1) - P[:1, :1], start[:1])
         assert E.expected_waiting_time(m, d, t_req) == pytest.approx(
             1 + y.sum(), rel=1e-9, abs=0)
@@ -243,11 +243,11 @@ def test_backward_vs_exhaustive(rng):
 def _exhaustive_literal(model, t):
     """Every deterministic time-indexed Markov policy enumerated on its own:
     one step matrix per step, one propagation from g per policy."""
-    T = E.build_mdp(model).T
+    T = E.build_mdp(model)
     n, n_actions = model.n, len(T)
     best = -np.inf
     for assignment in itertools.product(range(n_actions ** n), repeat=t - 1):
-        dist = E.g_vector(model).entries
+        dist = E.g_vector(model)
         for code in assignment:
             P = np.empty((n, n))
             for s in range(n):
@@ -306,3 +306,43 @@ def test_steady_state_probabilities_property(p, ms, seed):
     assert s.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(s >= -1e-15)
     assert 0 <= ftilde <= 1 + 1e-12
+
+
+# p at the ends of [0, 1] and at the tiniest normal scale, then anywhere in it
+_PROBABILITIES = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+def _assert_column_stochastic(T):
+    assert ((T >= 0) & (T <= 1)).all()
+    assert np.abs(T.sum(axis=-2) - 1).max() <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PROBABILITIES, st.integers(min_value=0, max_value=8))
+def test_build_mdp_is_column_stochastic(p, m_star):
+    # the check the chain's wrapper type made on every build, now held by
+    # construction
+    m = E.ElemLinkModel(p, m_star, np.zeros(m_star + 2))
+    T = E.build_mdp(m)
+    assert T.shape == (2, m.n, m.n)
+    _assert_column_stochastic(T)
+    g = E.g_vector(m)
+    assert ((g >= 0) & (g <= 1)).all() and abs(g.sum() - 1) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROBABILITIES, _PROBABILITIES, _PROBABILITIES,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_two_link_absorbing_chain_is_column_stochastic(p1, p2, q, m1, m2):
+    model = TwoLinkModel(p1, p2, q, m1, m2, uniform_f_table(m1, m2))
+    T, _, start = oracles.two_link_absorbing_chain(model)
+    assert T.shape[1:] == (model.n + 1, model.n + 1)
+    _assert_column_stochastic(T)
+    assert abs(start.sum() - 1) <= 1e-15
+
+
+def test_chain_builders_return_fresh_arrays():
+    m = model(0.5, [1.0, 0.9])
+    for build in (E.build_mdp, E.g_vector):
+        a, b = build(m), build(m)
+        assert a is not b and a.flags.writeable

@@ -11,10 +11,9 @@ from scipy.sparse.linalg import splu
 from entlink import lp as L
 from entlink import twolink as TL
 from entlink.lp import mdp_occupation_lp
-from entlink.markov import Mdp, policy_matrix
 from entlink.oracles import policy_iteration_absorbing, stationary_distribution
 
-from conftest import deterministic_decisions, random_absorbing_mdp, random_mdp
+from conftest import deterministic_decisions, policy_chain, random_absorbing_mdp, random_mdp
 
 
 def _vertices(A, b):
@@ -300,22 +299,22 @@ def test_degenerate_lp_terminates():
 def test_steady_state_lp_vs_exhaustive(rng):
     for _ in range(8):
         n, na = int(rng.integers(2, 5)), 2
-        mdp = random_mdp(rng, n, na)
+        T = random_mdp(rng, n, na)
         f = rng.uniform(0, 1, n)
-        value, d = L.mdp_occupation_lp(np.hstack(mdp.T), f, "max")
+        value, d = L.mdp_occupation_lp(np.hstack(T), f, "max")
         best = -np.inf
         for dd in deterministic_decisions(n, na):
-            s = stationary_distribution(policy_matrix(mdp, dd))
+            s = stationary_distribution(policy_chain(T, dd))
             best = max(best, float(f @ s))
         assert value == pytest.approx(best, abs=1e-7)
         # the extracted decision achieves the LP value
-        s = stationary_distribution(policy_matrix(mdp, d))
+        s = stationary_distribution(policy_chain(T, d))
         assert float(f @ s) == pytest.approx(value, abs=1e-7)
 
 
-def _absorbed_f_reward(mdp, f):
+def _absorbed_f_reward(T, f):
     # f vanishes on transient states: f @ T^a is the f collected on absorption
-    return np.array([f @ T for T in mdp.T])
+    return f @ T
 
 
 def _visits(K, d, init):
@@ -324,30 +323,30 @@ def _visits(K, d, init):
     return np.linalg.solve(np.eye(len(init)) - Kd, init)
 
 
-def _transient(mdp, nt):
-    """The renewal form of an absorbing MDP whose first nt states are
+def _transient(T, nt):
+    """The renewal form of an absorbing MDP T whose first nt states are
     transient: the blocks K^a = T^a on them, with absorption ending the
     cycle, as an (actions, nt, nt) array."""
-    return mdp.T[:, :nt, :nt]
+    return T[:, :nt, :nt]
 
 
 def test_absorbing_value_lp_vs_exhaustive(rng):
     for _ in range(6):
         nt, nb, na = int(rng.integers(2, 4)), 2, 2
-        mdp = random_absorbing_mdp(rng, nt, nb, na)
+        T = random_absorbing_mdp(rng, nt, nb, na)
         f = np.zeros(nt + nb)
         f[nt:] = rng.uniform(0, 1, nb)
         init = np.zeros(nt + nb)
         init[:nt] = rng.dirichlet(np.ones(nt))
-        reward = _absorbed_f_reward(mdp, f)
-        K = _transient(mdp, nt)
+        reward = _absorbed_f_reward(T, f)
+        K = _transient(T, nt)
         value, d = L.mdp_occupation_lp(np.hstack(K), reward[:, :nt], "max", init[:nt])
         best = -np.inf
         for dd in deterministic_decisions(nt, na):
             y = _visits(K, dd, init[:nt])
             best = max(best, float((reward[:, :nt].T * dd.table).sum(axis=1) @ y))
         assert value == pytest.approx(best, abs=1e-7)
-        assert policy_iteration_absorbing(mdp, reward, "max", init) == pytest.approx(
+        assert policy_iteration_absorbing(T, reward, "max", init) == pytest.approx(
             best, abs=1e-9)
         y = _visits(K, d, init[:nt])
         assert float((reward[:, :nt].T * d.table).sum(axis=1) @ y) == pytest.approx(
@@ -357,23 +356,23 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
 def test_min_absorption_lp_vs_exhaustive(rng):
     for _ in range(6):
         nt, nb, na = int(rng.integers(2, 4)), 1, 2
-        mdp = random_absorbing_mdp(rng, nt, nb, na)
+        T = random_absorbing_mdp(rng, nt, nb, na)
         init = rng.dirichlet(np.ones(nt))
-        K = _transient(mdp, nt)
+        K = _transient(T, nt)
         value, d = L.mdp_occupation_lp(np.hstack(K), np.ones(nt), "min", init)
         best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(nt, na))
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(
-            mdp, np.ones(nt + nb), "min", np.append(init, 0.0)) == pytest.approx(
+            T, np.ones(nt + nb), "min", np.append(init, 0.0)) == pytest.approx(
             best, abs=1e-9)
         assert _visits(K, d, init).sum() == pytest.approx(value, abs=1e-7)
 
 
 def test_absorbing_lp_counts_initial_absorbed_mass(rng):
-    mdp = random_absorbing_mdp(rng, 2, 2, 2)
+    T = random_absorbing_mdp(rng, 2, 2, 2)
     f = np.array([0.0, 0.0, 0.3, 0.9])
-    reward = _absorbed_f_reward(mdp, f)[:, :2]
-    K = _transient(mdp, 2)
+    reward = _absorbed_f_reward(T, f)[:, :2]
+    K = _transient(T, 2)
     # all mass already absorbed: the cycle starts with no mass and earns nothing
     value, _ = L.mdp_occupation_lp(np.hstack(K), reward, "max", np.zeros(2))
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -387,16 +386,15 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
 
 
 def test_reward_shape_checked():
-    mdp = random_mdp(np.random.default_rng(1), 3, 2)
+    T = random_mdp(np.random.default_rng(1), 3, 2)
     with pytest.raises(L.ModelError):
-        L.mdp_occupation_lp(np.hstack(mdp.T), np.ones(4), "max")
+        L.mdp_occupation_lp(np.hstack(T), np.ones(4), "max")
 
 
 def test_allowed_pairs_drop_their_columns(rng):
     # a pair the mask drops has no variable and gets no decision mass; a
     # state with no mass is uniform over its allowed actions
-    mdp = random_absorbing_mdp(rng, 3, 1, 3)
-    K = _transient(mdp, 3)
+    K = _transient(random_absorbing_mdp(rng, 3, 1, 3), 3)
     allowed = np.ones((3, 3), bool)
     allowed[2, :2] = False
     init = np.array([1.0, 0.0, 0.0])
@@ -418,8 +416,7 @@ def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
     T = np.array([[0.5, 0.0], [0.5, loop]])
-    mdp = Mdp([T])
-    assert policy_iteration_absorbing(mdp, np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
+    assert policy_iteration_absorbing(T[None], np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
         2.0, abs=1e-12)
     # the renewal LP of the transient block: half the mass ends each step
     value, _ = mdp_occupation_lp(T[:1, :1], np.ones(1), "min", [1.0])
@@ -439,20 +436,20 @@ def test_occupation_lp_sums_duplicate_entries_of_k_on_a_copy(rng):
     assert dup.nnz == 2 * K.nnz and np.array_equal(dup.data, np.repeat(K.data / 2, 2))
 
 
-def _dense_reference_matrix(mdp, keep, steady):
+def _dense_reference_matrix(T, keep, steady):
     """The constraint matrix as first built: a dense I - T^a block per action,
     side by side, plus the row of ones in steady state."""
     k = keep.size
-    A = np.hstack([np.eye(k) - T[np.ix_(keep, keep)] for T in mdp.T])
+    A = np.hstack([np.eye(k) - Ta[np.ix_(keep, keep)] for Ta in T])
     if steady:
         A = np.vstack([A, np.ones((1, A.shape[1]))])
     return sparse.csc_array(A)
 
 
-def _sparsify(mdp, rng, s_loop):
+def _sparsify(T, rng, s_loop):
     """Zero some entries of every column (exact zeros in the LP blocks) and
     make action 0 keep state `s_loop` where it is (a zero diagonal entry)."""
-    T = mdp.T.copy()
+    T = T.copy()
     for Ta in T:
         for s in range(Ta.shape[1]):
             col = Ta[:, s] * (rng.uniform(size=Ta.shape[0]) < 0.6)
@@ -460,7 +457,7 @@ def _sparsify(mdp, rng, s_loop):
                 Ta[:, s] = col / col.sum()
     T[0, :, s_loop] = 0.0
     T[0, s_loop, s_loop] = 1.0
-    return Mdp(T)
+    return T
 
 
 @pytest.mark.parametrize("steady", [True, False], ids=["steady", "absorbing"])
@@ -477,20 +474,20 @@ def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
         na = int(rng.integers(2, 4))
         if steady:
             n = int(rng.integers(2, 7))
-            mdp = _sparsify(random_mdp(rng, n, na), rng, int(rng.integers(n)))
+            T = _sparsify(random_mdp(rng, n, na), rng, int(rng.integers(n)))
             keep, init = np.arange(n), None
         else:
             nt, nb = int(rng.integers(2, 6)), int(rng.integers(1, 3))
             n = nt + nb
-            mdp = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng,
-                            int(rng.integers(nt)))
+            T = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng,
+                          int(rng.integers(nt)))
             keep, init = np.arange(nt), rng.dirichlet(np.ones(nt))
         # absorbing: "min" of the time spent keeps the self-looping action
         # bounded; the blocks are the transient ones, as in the renewal form
-        blocks = mdp.T if steady else _transient(mdp, nt)
+        blocks = T if steady else _transient(T, nt)
         L.mdp_occupation_lp(np.hstack(blocks), np.ones(len(keep)),
                             "min" if init is not None else "max", init)
-        got, want = seen[-1].A, _dense_reference_matrix(mdp, keep, steady)
+        got, want = seen[-1].A, _dense_reference_matrix(T, keep, steady)
         assert isinstance(got, L.Csc) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)

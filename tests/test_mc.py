@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from entlink import elemlink, mc, oracles, twolink, waiting
-from entlink.markov import DecisionFunction, ModelError, Policy, evolve, policy_matrix
+from entlink.markov import DecisionFunction, ModelError, Policy
+
+from conftest import policy_chain
 
 
 def elem_model(p=0.5, f_vals=(1.0, 0.9, 0.8)):
@@ -240,12 +242,12 @@ def test_two_link_exhausted_count_matches_survival_mass():
     f = twolink.uniform_f_table(5, 5)
     f[1] *= np.linspace(0.5, 1.0, 49).reshape(7, 7)
     model = twolink.TwoLinkModel(0.1, 0.2, 0.7, 5, 5, f)
-    mdp, _, g = oracles.two_link_absorbing_chain(model)
+    T, _, g = oracles.two_link_absorbing_chain(model)
     trials = 50_000
     for d, exact in [(DecisionFunction(np.full((model.n, 5), 1 / 5)), 45_311.8),
                      (twolink.cutoff_decision(model, 5, 5), 3_246.0)]:
         table = np.vstack([d.table, np.eye(5)[0]])  # any action at `done`
-        P = policy_matrix(mdp, DecisionFunction(table))
+        P = policy_chain(T, DecisionFunction(table))
         alive = 1 - (np.linalg.matrix_power(P, 50) @ g)[-1]
         assert trials * alive == pytest.approx(exact, abs=0.05)
         for seed in range(7, 12):
@@ -261,9 +263,8 @@ def test_elem_counts_match_evolve():
     pol = Policy.time_indexed([elemlink.cutoff_decision(m, t % 5) for t in range(40)])
     trials = 20_000
     res = mc.simulate_elem(m, pol, mc.SimConfig(seed=3, trials=trials, horizon=40))
-    mdp = elemlink.build_mdp(m)
     for t in range(1, 41):
-        pi = evolve(mdp, pol, elemlink.g_vector(m), t)
+        pi = elemlink.evolve(m, pol, t)
         counts = res["freq"][t - 1] * trials
         assert np.all(counts[pi == 0] == 0)
         mid = pi > 0

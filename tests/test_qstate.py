@@ -480,6 +480,8 @@ _TABLE = np.full((2, 2), 0.25)
     lambda: Q.graph_state(np.array(0)),  # once an IndexError
     lambda: Q.graph_state([[1, 0], [0, 0]]),
     lambda: Q.DensityOperator(np.eye(4) / 4, (-2, -2)),  # once accepted
+    lambda: Q.amplitude_damping(True),  # once built, as gamma = 1
+    lambda: Q.amplitude_damping("0.5"),  # once a bare TypeError
 ], ids=["DensityOperator-not-square", "DensityOperator-dims", "KrausChannel-empty",
         "BellDiagCoeffs-negative", "BellDiagCoeffs-sum", "bell-z", "ghz-n",
         "graph_state-asymmetric", "fidelity_to_pure-size", "amplitude_damping-gamma",
@@ -492,7 +494,8 @@ _TABLE = np.full((2, 2), 0.25)
         "ghz_swap_fidelity-nan", "ghz_swap_fidelity-negative", "ghz_swap_fidelity-shape",
         "graph_dist_fidelity-nan", "graph_dist_fidelity-negative",
         "graph_dist_fidelity-shape", "graph_state-scalar", "graph_state-self-loop",
-        "DensityOperator-dims-negative"])
+        "DensityOperator-dims-negative", "amplitude_damping-gamma-bool",
+        "amplitude_damping-gamma-str"])
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()

@@ -1,11 +1,17 @@
-"""Every command of README.md's CLI section runs and prints the pinned bytes."""
+"""Every command of README.md's CLI section runs and prints the pinned bytes,
+and every API name the prose gives resolves."""
 
 import hashlib
+import importlib
+import inspect
 import pathlib
+import pkgutil
+import re
 import shlex
 
 import pytest
 
+import entlink
 from entlink import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -68,3 +74,50 @@ def test_readme_command_runs(command, capsys):
     assert cli.main(argv) == 0, capsys.readouterr().err
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command[len("entlink "):]]
+
+
+def _api_heads():
+    """The package, its modules, and the public classes they define, by name."""
+    heads = {"entlink": entlink}
+    for info in pkgutil.iter_modules(entlink.__path__):
+        module = importlib.import_module(f"entlink.{info.name}")
+        heads[info.name] = module
+        heads.update((name, obj) for name, obj in vars(module).items()
+                     if inspect.isclass(obj) and not name.startswith("_")
+                     and obj.__module__.startswith("entlink."))
+    return heads
+
+
+def readme_api_names():
+    """The backticked dotted names of README.md's prose (code blocks left
+    out), alone or called as in `Policy.stationary(d)`, whose head is the
+    package, one of its modules or a public class."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", prose))
+    heads = _api_heads()
+    return sorted(name for name in names if name.split(".")[0] in heads)
+
+
+def _resolves(name, heads):
+    head, *rest = name.split(".")
+    obj = heads[head]
+    for attr in rest:
+        # a dataclass field without a default is no class attribute
+        if not (hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", {})):
+            return False
+        obj = getattr(obj, attr, None)
+    return True
+
+
+def test_readme_api_names_resolve():
+    names = readme_api_names()
+    assert "Policy.stationary" in names and "elemlink.evolve" in names
+    heads = _api_heads()
+    assert [name for name in names if not _resolves(name, heads)] == []
+
+
+def test_readme_api_guard_sees_a_moved_name():
+    heads = _api_heads()
+    assert not _resolves("markov.evolve", heads)
+    assert not _resolves("Policy.uniform", heads)
+    assert _resolves("TwoLinkModel.f", heads)

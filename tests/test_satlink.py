@@ -327,6 +327,26 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.memory_f_vector(True, 12.0, 0.5, 0.5), S.SatError),
     # an infinite d gave 0.0 steps
     (lambda: S.coherence_steps(1.0, math.inf), S.SatError),
+    # a bool passed as a probability (forward_cutoff(True, 10.0) gave 0 and
+    # multiplexed_p(True, 2) gave 1), and a string raised a bare TypeError
+    (lambda: S.SatSourceParams(True), S.SatError),
+    (lambda: S.SatSourceParams("0.9"), S.SatError),
+    (lambda: S.SatSourceParams(1.0, nbar1=True), S.SatError),
+    (lambda: S.SatSourceParams(1.0, nbar1="0.1"), S.SatError),
+    (lambda: S.SatSourceParams(1.0, nbar2=True), S.SatError),
+    (lambda: S.SatSourceParams(1.0, nbar2="0.1"), S.SatError),
+    (lambda: S.eta_sg(600.0, 500.0, True), S.SatError),
+    (lambda: S.eta_sg(600.0, 500.0, "0.5"), S.SatError),
+    (lambda: S.heralded_link(True, 0.5, S.SatSourceParams(1.0)), S.SatError),
+    (lambda: S.heralded_link(0.5, "0.5", S.SatSourceParams(1.0)), S.SatError),
+    (lambda: S.multiplexed_p(True, 2), S.SatError),
+    (lambda: S.multiplexed_p("0.5", 2), S.SatError),
+    (lambda: S.forward_cutoff(True, 10.0), S.SatError),
+    (lambda: S.forward_cutoff("0.7", 10.0), S.SatError),
+    (lambda: S.h2(True), S.SatError),
+    (lambda: S.h2("0.5"), S.SatError),
+    (lambda: S.key_rate_bb84(True), S.SatError),
+    (lambda: S.key_rate_bb84("0.1"), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "forward_cutoff-p", "coherence_steps-d",
@@ -347,7 +367,13 @@ def test_qber_formulas_match_state_qbers(rng):
         "h2-nan", "h2-above-one", "h2-negative", "qber_and_rates-M-negative",
         "qber_and_rates-M-fractional", "qber_and_rates-p-above-one", "qber_and_rates-p-nan",
         "SatSourceParams-M-fractional", "multiplexed_p-M-bool", "SatSourceParams-M-bool",
-        "memory_f_vector-bool", "coherence_steps-d-inf"])
+        "memory_f_vector-bool", "coherence_steps-d-inf", "SatSourceParams-f_S-bool",
+        "SatSourceParams-f_S-str", "SatSourceParams-nbar1-bool", "SatSourceParams-nbar1-str",
+        "SatSourceParams-nbar2-bool", "SatSourceParams-nbar2-str", "eta_sg-eta_zen-bool",
+        "eta_sg-eta_zen-str", "heralded_link-eta-bool", "heralded_link-eta-str",
+        "multiplexed_p-p-bool", "multiplexed_p-p-str", "forward_cutoff-p-bool",
+        "forward_cutoff-p-str", "h2-bool", "h2-str", "key_rate_bb84-Q-bool",
+        "key_rate_bb84-Q-str"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

@@ -16,6 +16,8 @@ from entlink.oracles import policy_iteration_absorbing, two_link_absorbing_chain
 from entlink.markov import DecisionFunction, ModelError
 from entlink.twolink import TwoLinkModel
 
+from conftest import policy_chain
+
 
 def sym_model(p, q, m_star):
     return TL.TwoLinkModel(p, p, q, m_star, m_star,
@@ -86,10 +88,10 @@ def test_absorbing_set_is_done():
     # within 1e-12 of 1 under every action, yet the state is transient
     for p, m_star in ((0.5, 1), (1e-13, 2)):
         model = sym_model(p, 0.5, m_star)
-        mdp, reward, init = two_link_absorbing_chain(model)
+        T, reward, init = two_link_absorbing_chain(model)
         done = model.n1 * model.n2
-        assert model.n == done and mdp.T.shape == (len(TL.ACTIONS), done + 1, done + 1)
-        leaves = np.any(mdp.T * (1 - np.eye(done + 1)) != 0, axis=(0, 1))
+        assert model.n == done and T.shape == (len(TL.ACTIONS), done + 1, done + 1)
+        leaves = np.any(T * (1 - np.eye(done + 1)) != 0, axis=(0, 1))
         assert np.flatnonzero(~leaves).tolist() == [done]
         assert init[done] == 0 and reward.shape == (len(TL.ACTIONS), done + 1)
 
@@ -120,7 +122,7 @@ def test_swap_action_success_mass():
     assert model.blocks.indptr[col + 1] == model.blocks.indptr[col]
     # in the oracle's absorbing chain the swap succeeds with probability q
     # into done, and a failure regenerates both links afresh
-    T = two_link_absorbing_chain(model)[0].T[TL.SWAP]
+    T = two_link_absorbing_chain(model)[0][TL.SWAP]
     assert T[model.n, src] == pytest.approx(0.7)
     assert T[model.idx(-1, -1), src] == pytest.approx(0.3 * 0.5 * 0.5)
     assert T[model.idx(0, 0), src] == pytest.approx(0.3 * 0.5 * 0.5)
@@ -182,11 +184,11 @@ def test_build_matches_state_by_state_rules():
     for p1, p2, q, m1, m2 in cases:
         model = TL.TwoLinkModel(p1, p2, q, int(m1), int(m2),
                                 TL.uniform_f_table(int(m1), int(m2)))
-        mdp = two_link_absorbing_chain(model)[0]
+        chain = two_link_absorbing_chain(model)[0]
         n = model.n
         for a, T in _rule_matrices(model).items():
             k = TL.ACTIONS.index(a)
-            np.testing.assert_allclose(mdp.T[k], T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(chain[k], T, rtol=0, atol=1e-15)
             # the renewal block: the attempt mass leaves the cycle
             K = T[:n, :n].copy()
             if a == "swap":
@@ -219,6 +221,15 @@ def test_analytic_waiting_time_at_small_p():
     assert TL.analytic_symmetric_waiting_time(1.0, 0.5, 3) == 2.0
 
 
+@pytest.mark.parametrize("p, q", [(True, 0.5), ("0.5", 0.5), (0.5, True), (0.5, "0.5")],
+                         ids=["p-bool", "p-str", "q-bool", "q-str"])
+def test_analytic_waiting_time_rejects_non_probabilities(p, q):
+    # analytic_symmetric_waiting_time(True, 0.5, 2) gave 2.0, and a string
+    # raised a bare TypeError
+    with pytest.raises(ModelError, match="must be real numbers in"):
+        TL.analytic_symmetric_waiting_time(p, q, 2)
+
+
 def test_analytic_waiting_time_that_overflows_raises():
     # q p (p + 2u(1 - p)) underflowed to 0 at p = 1e-170 (ZeroDivisionError)
     # and to a subnormal at 1e-160, which gave inf
@@ -240,8 +251,8 @@ def test_evaluate_matches_the_oracle_chain(rng):
         model = TL.TwoLinkModel(*rng.uniform(0.05, 1.0, 3), m1, m2, f)
         table = rng.dirichlet(np.ones(len(TL.ACTIONS)), size=model.n)
         wait, f_abs = TL.evaluate_policy(model, markov.DecisionFunction(table))
-        mdp, reward, init = two_link_absorbing_chain(model)
-        P = markov.policy_matrix(mdp, markov.DecisionFunction(
+        T, reward, init = two_link_absorbing_chain(model)
+        P = policy_chain(T, markov.DecisionFunction(
             np.vstack([table, np.eye(len(TL.ACTIONS))[0]])))
         y = np.linalg.solve(np.eye(model.n) - P[:-1, :-1], init[:-1])
         assert wait == pytest.approx(y.sum(), rel=1e-11)
@@ -312,8 +323,8 @@ def test_lp_value_equals_policy_iteration_on_random_models(rng):
         model = TL.TwoLinkModel(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
                                 rng.uniform(0.3, 1.0), m1, m2, f)
         v1, d = TL.lp_optimal_value(model)
-        mdp, reward, init = two_link_absorbing_chain(model)
-        v2 = policy_iteration_absorbing(mdp, reward, "max", init)
+        T, reward, init = two_link_absorbing_chain(model)
+        v2 = policy_iteration_absorbing(T, reward, "max", init)
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
@@ -362,12 +373,12 @@ def test_lps_vs_policy_iteration(rng, m_star):
     model = _damped_bell_model(*rng.uniform(0.1, 0.9, 2), rng.uniform(0.3, 1.0),
                                rng.uniform(0.005, 0.05), m_star)
     # the renewal LPs against Howard's iteration on the absorbing chain
-    mdp, reward, init = two_link_absorbing_chain(model)
+    T, reward, init = two_link_absorbing_chain(model)
     t_lp, _ = TL.lp_optimal_waiting_time(model)
-    t_pi = policy_iteration_absorbing(mdp, np.ones(mdp.n), "min", init)
+    t_pi = policy_iteration_absorbing(T, np.ones(len(init)), "min", init)
     assert t_lp == pytest.approx(t_pi, rel=1e-10)
     v_lp, _ = TL.lp_optimal_value(model)
-    v_pi = policy_iteration_absorbing(mdp, reward, "max", init)
+    v_pi = policy_iteration_absorbing(T, reward, "max", init)
     assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
@@ -531,8 +542,9 @@ def test_evaluate_policy_raises_model_error_for_a_decision_that_never_swaps():
 def reaches_a_trap(model, d):
     """Whether the start reaches a state that cannot reach `done` in the
     dense absorbing chain under d, by boolean transitive closure."""
-    mdp, _, start = two_link_absorbing_chain(model)
-    P = np.einsum("ats,sa->ts", mdp.T, np.vstack([d.table, np.eye(len(TL.ACTIONS))[0]]))
+    T, _, start = two_link_absorbing_chain(model)
+    P = policy_chain(T, markov.DecisionFunction(
+        np.vstack([d.table, np.eye(len(TL.ACTIONS))[0]])))
     reach = (P > 0) | np.eye(len(P), dtype=bool)  # reach[t, s]: s leads to t
     for _ in range(len(P).bit_length()):
         reach = (reach.astype(int) @ reach.astype(int)) > 0

@@ -114,6 +114,13 @@ def test_virtual_expected_rejects_bad_collective_wait(wait):
         W.virtual_expected(wait, 0.5)
 
 
+@pytest.mark.parametrize("q", [True, "0.5"], ids=["bool", "str"])
+def test_virtual_expected_rejects_a_non_probability_q(q):
+    # virtual_expected(2.0, True) gave 2.0, and "0.5" raised a bare TypeError
+    with pytest.raises(ModelError, match="q must be a real number"):
+        W.virtual_expected(2.0, q)
+
+
 def test_argument_validation():
     with pytest.raises(ModelError):
         W.collective_pmf_infty(0, 0.5, 0, 1)
