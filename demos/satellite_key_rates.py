@@ -20,7 +20,7 @@ for d in (100, 400, 800, 1200, 1600, 2000):
     p = S.multiplexed_p(link.p, src.M)
     Q, K, rate = S.qber_and_rates(link.alpha, link.beta, "bb84", src.M, link.p)
     print(f"  {d:>5}  {L:7.1f}  {eta:.2e}  {p:.3e}  {link.coeffs.phi_plus:.5f}"
-          f"  {'y' if S.entangled(link, src.f_S) else 'n'}   {K:6.3f}  {rate:.3e}")
+          f"  {'y' if S.entangled(link) else 'n'}   {K:6.3f}  {rate:.3e}")
 
 print("\nmemory decay at d = 500 km, 1 s coherence time:")
 d = 500.0

@@ -150,7 +150,7 @@ def cmd_satlink_link(args):
             "p": satlink.multiplexed_p(link.p, src.M),
             "phi_plus": c.phi_plus, "phi_minus": c.phi_minus,
             "psi_plus": c.psi_plus, "psi_minus": c.psi_minus,
-            "entangled": satlink.entangled(link, args.fs)}], args)
+            "entangled": satlink.entangled(link)}], args)
 
 
 def cmd_satlink_sweep(args):
@@ -162,7 +162,7 @@ def cmd_satlink_sweep(args):
         rows.append({"d_km": float(d), "path_length_km": L, "eta": eta,
                      "p": satlink.multiplexed_p(link.p, src.M),
                      "phi_plus": link.coeffs.phi_plus,
-                     "entangled": satlink.entangled(link, args.fs)})
+                     "entangled": satlink.entangled(link)})
     _emit(rows, args)
 
 

@@ -70,11 +70,16 @@ def build_mdp(model: ElemLinkModel) -> np.ndarray:
     return T
 
 
-def policy_matrix(model: ElemLinkModel, d: DecisionFunction) -> np.ndarray:
-    """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
+def _check_decision(model: ElemLinkModel, d: DecisionFunction, name: str):
+    """ModelError unless d has a (wait, request) row for each of model's states."""
     if d.table.shape != (model.n, 2):
         raise ModelError(
-            f"decision table shape {d.table.shape} does not match ({model.n}, 2)")
+            f"{name}: decision table shape {d.table.shape} does not match ({model.n}, 2)")
+
+
+def policy_matrix(model: ElemLinkModel, d: DecisionFunction) -> np.ndarray:
+    """P^d = sum_a T^a D_a, with D_a = diag of the per-state action probs."""
+    _check_decision(model, d, "policy_matrix")
     P = np.zeros((model.n, model.n))
     for T, da in zip(build_mdp(model), d.table.T):
         P += T * da  # broadcasts over columns
@@ -125,6 +130,7 @@ def expected_waiting_time(model: ElemLinkModel, d: DecisionFunction, t_req: int)
     r = p d(-1)(request) at every step, so the wait is 1 + (1 - X(t_req + 1)) / r."""
     if not is_count(t_req, 0):
         raise ModelError("expected_waiting_time: t_req must be an integer >= 0")
+    _check_decision(model, d, "expected_waiting_time")
     _, x, _ = ftilde_x_f(model, Policy.stationary(d), t_req + 1)
     if x >= 1:
         return 1.0
@@ -139,6 +145,7 @@ def expected_waiting_time(model: ElemLinkModel, d: DecisionFunction, t_req: int)
 def steady_state_closed_form(model: ElemLinkModel, d: DecisionFunction):
     """Stationary distribution of P^d and the stationary expected value, in
     closed form, for any stationary decision d (alpha(m) = wait prob)."""
+    _check_decision(model, d, "steady_state_closed_form")
     p = model.p
     alpha = d.table[:, WAIT]  # indexed like states: alpha[0] is state -1
     a_minus1 = alpha[0]

@@ -2,12 +2,13 @@
 
 `mdp_occupation_lp` builds the one LP every model here needs (Puterman
 1994, *Markov Decision Processes*, ch. 6-8), from the actions' matrices
-side by side, sparse or dense.  Its variables z_a(s) >= 0 are the
-occupation of state s under action a:
+side by side, as a `Csc` or a dense array.  Its variables z_a(s) >= 0,
+one per state-action pair, are the occupation of state s under action a:
 
 - steady state (`initial=None`): the long-run fraction of steps spent in
   s choosing a, with sum_a (I - T^a) z_a = 0 and sum z = 1; the objective
-  is the average reward;
+  is the average reward.  The diagonal of I - T^a is the off-diagonal
+  column sum of T^a, not 1 - T^a_ss, which cancels at small p;
 - one renewal cycle (`initial` given): the expected number of visits to s
   choosing a before the cycle ends, with sum_a (I - K^a) z_a = `initial`,
   where K^a is T^a with the mass that ends the cycle removed; the
@@ -15,7 +16,7 @@ occupation of state s under action a:
   the one user: a swap attempt ends the cycle.
 
 The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform over the
-allowed actions where a state carries no mass.  `solve` hands a
+actions where a state carries no mass.  `solve` hands a
 `LinearProgram`'s CSC arrays straight to the HiGHS dual simplex solver
 that ships with scipy (Huangfu & Hall 2018, Math. Prog. Comp. 10), with
 the options `scipy.optimize.linprog(method="highs")` would pass, so HiGHS
@@ -136,36 +137,28 @@ class Csc:
 
 def csc_from_entries(rows, cols, vals, shape) -> Csc:
     """The Csc of vals at (rows, cols), zeros dropped, built from the stably
-    sorted entries.  Duplicates are summed left to right in input order,
-    one pass per repeat, as scipy's `sum_duplicates` sums them: the same
+    sorted entries.  Duplicates are summed by one `np.bincount`, left to
+    right in input order, as scipy's `sum_duplicates` sums them: the same
     bits."""
     nonzero = np.asarray(vals) != 0
     rows, cols, vals = (np.asarray(x)[nonzero] for x in (rows, cols, vals))
     order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order].astype(float)
+    rows, cols, vals = rows[order], cols[order], vals[order]
     first = (np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
     at = np.cumsum(first) - 1  # the entry each one is summed into
-    repeat = np.arange(at.size) - np.flatnonzero(first)[at]
-    data = vals[first]
-    for k in range(1, repeat.max(initial=0) + 1):
-        data[at[repeat == k]] += vals[repeat == k]
+    data = np.bincount(at, weights=vals).astype(float)  # int64 when there are none
     indptr = np.append(0, np.cumsum(np.bincount(cols[first], minlength=shape[1])))
     return Csc(data, rows[first].astype(np.int32), indptr.astype(np.int32), tuple(shape))
 
 
 def _as_csc(A) -> Csc:
-    """A as a Csc: a Csc as it is; a scipy.sparse matrix or array through
-    its own `tocsc`, with zeros dropped and duplicates summed on a copy;
-    anything else as a dense 2-d float array."""
+    """A as a Csc: a Csc as it is, else a dense 2-d real array; anything
+    else raises ModelError (a scipy.sparse matrix is a 0-d object array)."""
     if isinstance(A, Csc):
         return A
-    if hasattr(A, "tocsc"):
-        A = A.tocsc()
-        return csc_from_entries(A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)),
-                                A.data, A.shape)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ModelError("expected a 2-d matrix")
+    A = np.asarray(A)
+    if A.ndim != 2 or A.dtype.kind not in "biuf":
+        raise ModelError("expected an lp.Csc or a dense 2-d real matrix")
     rows, cols = np.nonzero(A)
     return csc_from_entries(rows, cols, A[rows, cols], A.shape)
 
@@ -182,9 +175,8 @@ def splu(A: Csc):
 
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, x >= 0; A, a Csc, dense or
-    scipy.sparse, is held as a Csc (for scipy.sparse, built on a copy, so
-    the caller's array is kept).  Every entry of c, b and A must be
+    """maximize/minimize c.x subject to A x = b, x >= 0; A, a Csc or a dense
+    2-d array, is held as a Csc.  Every entry of c, b and A must be
     finite."""
 
     objective: np.ndarray
@@ -248,19 +240,17 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     return float(lp.objective @ x), x
 
 
-def mdp_occupation_lp(K, reward, sense: str, initial=None, allowed=None
-                      ) -> tuple[float, DecisionFunction]:
+def mdp_occupation_lp(K, reward, sense: str, initial=None) -> tuple[float, DecisionFunction]:
     """Best stationary average reward (`initial=None`), or best total reward
     over one cycle from `initial`, and a decision that attains it.
 
-    K = [K^0 | K^1 | ...], a Csc, dense or scipy.sparse, holds one (n, n)
-    block per action side by side: the column-stochastic T^a in steady
-    state, or with `initial` the K^a whose column s falls short of 1 by the
-    chance that the cycle ends when a is taken at s.  `reward` is r(s) or r(a, s), `initial`
-    an array over the n states, and `allowed`, a boolean (actions, n) array,
-    keeps the variable z_a(s) only where it is True (default: everywhere).
-    The models here give feasible, bounded LPs (two links once p1, p2,
-    q > 0), so `solve` raises NumericalError for any other status.
+    K = [K^0 | K^1 | ...], a Csc or a dense array, holds one (n, n) block
+    per action side by side: the column-stochastic T^a in steady state, or
+    with `initial` the K^a whose column s falls short of 1 by the chance
+    that the cycle ends when a is taken at s.  `reward` is r(s) or r(a, s),
+    and `initial` an array over the n states.  The models here give
+    feasible, bounded LPs (two links once p1, p2, q > 0), so `solve` raises
+    NumericalError for any other status.
     """
     K = _as_csc(K)
     n = K.shape[0]
@@ -271,38 +261,26 @@ def mdp_occupation_lp(K, reward, sense: str, initial=None, allowed=None
     if reward.shape not in ((n,), (na, n)):
         raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
                          "(actions, n)")
-    allowed = np.ones((na, n), bool) if allowed is None else np.asarray(allowed, bool)
-    if allowed.shape != (na, n) or not allowed.any(axis=0).all():
-        raise ModelError("mdp_occupation_lp: allowed must be an (actions, n) mask "
-                         "with an action at every state")
+    j = np.arange(na * n)  # stacked column j = a*n + s of I - K is (I - K^a)[:, s]
+    c = np.repeat(j, np.diff(K.indptr))
+    on = K.indices == c % n
     if initial is None:
-        rhs = np.append(np.zeros(n), 1.0)
+        # each column sums to 1: the diagonal 1 - K_ss is the off-diagonal sum,
+        # which does not cancel; a last row of ones sums the occupations to 1
+        diag = np.bincount(c[~on], weights=K.data[~on], minlength=j.size)
+        rhs, summed = np.append(np.zeros(n), 1.0), j
     else:
-        rhs = np.asarray(initial, dtype=float)
+        rhs, summed = np.asarray(initial, dtype=float), j[:0]
         if rhs.shape != (n,):
             raise ModelError("mdp_occupation_lp: initial size mismatch")
-    # stacked column j = a*n + s of I - K is (I - K^a)[:, s]; A keeps the
-    # allowed ones, renumbered
-    c = np.repeat(np.arange(na * n), np.diff(K.indptr))
-    on = K.indices == c % n
-    diag = np.ones(na * n)
-    diag[c[on]] -= K.data[on]
-    row = np.append(K.indices[~on], np.tile(np.arange(n), na))
-    c = np.append(c[~on], range(na * n))
-    keep = allowed.ravel()[c]
-    row, column = row[keep], (np.cumsum(allowed.ravel()) - 1)[c[keep]]
-    data = np.append(-K.data[~on], diag)[keep]
-    k = int(allowed.sum())
-    if initial is None:  # the occupations sum to 1
-        row = np.append(row, np.full(k, n))
-        column = np.append(column, range(k))
-        data = np.append(data, np.ones(k))
-    A = csc_from_entries(row, column, data, (rhs.size, k))
-    value, x = solve(LinearProgram(np.broadcast_to(reward, (na, n))[allowed], sense, A, rhs))
-    z = np.zeros((na, n))
-    z[allowed] = x
-    mass = z.sum(axis=0)
-    table = allowed / allowed.sum(axis=0)  # uniform over the allowed actions
-    hit = mass > 0
-    table[:, hit] = z[:, hit] / mass[hit]
+        diag = np.ones(j.size)
+        diag[c[on]] -= K.data[on]
+    A = csc_from_entries(np.concatenate([K.indices[~on], j % n, np.full(summed.size, n)]),
+                         np.concatenate([c[~on], j, summed]),
+                         np.concatenate([-K.data[~on], diag, np.ones(summed.size)]),
+                         (rhs.size, j.size))
+    value, x = solve(LinearProgram(np.broadcast_to(reward, (na, n)).ravel(), sense, A, rhs))
+    z = x.reshape(na, n)
+    mass = z.sum(axis=0)  # uniform over the actions where a state has no mass
+    table = np.where(mass > 0, z / np.where(mass > 0, mass, 1.0), 1 / na)
     return value, DecisionFunction(table.T)

@@ -59,8 +59,15 @@ class DecisionFunction:
 
     @classmethod
     def deterministic(cls, action_indices, n_actions):
-        t = np.zeros((len(action_indices), n_actions))
-        t[np.arange(len(action_indices)), action_indices] = 1.0
+        """The rule that takes action action_indices[s] at state s; each is
+        an integer (a bool is not) in [0, n_actions)."""
+        actions = np.asarray(action_indices)
+        if not (is_count(n_actions, 1) and actions.ndim == 1 and actions.dtype.kind in "iu"
+                and ((actions >= 0) & (actions < n_actions)).all()):
+            raise ModelError("DecisionFunction.deterministic: actions must be integers "
+                             "in [0, n_actions)")
+        t = np.zeros((actions.size, n_actions))
+        t[np.arange(actions.size), actions] = 1.0
         return cls(t)
 
 

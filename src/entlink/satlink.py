@@ -61,9 +61,6 @@ class HeraldedLink:
     coeffs: BellDiagCoeffs
     alpha: float
     beta: float
-    a: float
-    b: float
-    c: float
 
 
 def path_length(geom: SatGeometry) -> float:
@@ -120,7 +117,7 @@ def heralded_link(eta1: float, eta2: float, src: SatSourceParams) -> HeraldedLin
     beta = (0.5 * src.f_S * b - 0.5 * qt * b) / (a + c)
     gamma = (0.5 * src.f_S * c + 0.5 * qt * (2 * a + c)) / (a + c)
     coeffs = BellDiagCoeffs(alpha + beta, alpha - beta, gamma, gamma)
-    return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta, a=a, b=b, c=c)
+    return HeraldedLink(p=p, coeffs=coeffs, alpha=alpha, beta=beta)
 
 
 def _check_multiplexing(name, p, M):
@@ -135,16 +132,18 @@ def multiplexed_p(p_single: float, M: int) -> float:
     return 1 - (1 - p_single) ** M
 
 
-def entangled(link: HeraldedLink, f_S: float) -> bool:
-    """Partial-transpose criterion for the heralded Bell-diagonal state."""
-    if f_S <= 0.5:
-        return False
-    return (2 * (f_S - 1) * link.a + (4 * f_S - 1) * link.b
-            - (1 + 2 * f_S) * link.c) > 0
+def entangled(link: HeraldedLink) -> bool:
+    """Partial-transpose criterion for the heralded Bell-diagonal state: it
+    is entangled iff one Bell coefficient exceeds 1/2 (Horodecki &
+    Horodecki 1996)."""
+    return bool(link.coeffs.as_array().max() > 0.5)
 
 
 # ---------------------------------------------------------------------------
 # memory decay and policy values
+
+_REAL = (int, float, np.integer, np.floating)
+
 
 def _check_t_coh(name, t_coh):
     if not 0 < t_coh < math.inf:  # NaN fails too
@@ -152,12 +151,19 @@ def _check_t_coh(name, t_coh):
 
 
 def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
-    """Target overlap after m steps in two amplitude-damping memories."""
+    """Target overlap after m steps in two amplitude-damping memories;
+    SatError unless alpha and beta are real and the overlap is in [0, 1]."""
     _check_t_coh("memory_f", t_coh)
     if not 0 <= m < math.inf:  # NaN fails too
         raise SatError("memory_f: the age m must be finite and >= 0")
+    real = isinstance(alpha, _REAL) and isinstance(beta, _REAL)
+    if not real or isinstance(alpha, bool) or isinstance(beta, bool):
+        raise SatError("memory_f: alpha and beta must be real numbers")
     lam = math.exp(-m / t_coh)
-    return alpha * lam * lam + (beta - 0.5) * lam + 0.5
+    f = alpha * lam * lam + (beta - 0.5) * lam + 0.5
+    if not 0 <= f <= 1:  # NaN fails too
+        raise SatError(f"memory_f: f values must lie in [0, 1]; alpha, beta give {f!r}")
+    return f
 
 
 def memory_f_vector(m_star: int, t_coh: float, alpha: float, beta: float) -> np.ndarray:

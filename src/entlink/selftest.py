@@ -199,7 +199,7 @@ def criterion_satellite_link(seed=DEFAULT_SEED):
         f_S = rng.uniform(0.0, 1.0)
         link = satlink.heralded_link(eta1, eta2,
                                      satlink.SatSourceParams(f_S, nb1, nb2))
-        if satlink.entangled(link, f_S) != (link.coeffs.phi_plus > 0.5):
+        if satlink.entangled(link) != (link.coeffs.phi_plus > 0.5):
             ent_ok = False
             break
     cut_ok = satlink.forward_cutoff(0.6, 100) == 80

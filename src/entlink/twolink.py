@@ -13,8 +13,9 @@ Under a decision d, S_s is the chance that d attempts the swap at s and K^d
 is P^d with that attempt mass removed.  The expected visits of one cycle,
 z = (I - K^d)^{-1} g, satisfy S.z = 1; the expected wait is 1^T z / q
 (Wald's identity) and the expected fidelity of the end-to-end link is
-sum_s S_s f(s) z_s.  The LPs are sum_a (I - K^a) z_a = g, z >= 0, with swap
-variables at the both-active states only, so q enters no solve.  Each K^a
+sum_s S_s f(s) z_s.  The LPs are sum_a (I - K^a) z_a = g, z >= 0, with a
+variable per state and action, so q enters no solve; where a link is
+inactive the swap variable duplicates "00".  Each K^a
 is a sparse Kronecker product of the two links' own matrices.
 """
 
@@ -255,10 +256,7 @@ def _renewal_lp(model: TwoLinkModel, reward, sense, what):
     optimum optimal."""
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError(f"{what}: needs q, p1, p2 > 0")
-    allowed = np.ones((len(ACTIONS), model.n), bool)
-    allowed[SWAP] = _both_active(model)
-    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense,
-                                     initial_distribution(model), allowed)
+    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model))
     wait, f = evaluate_policy(model, d)
     value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
     if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,6 +228,38 @@ def test_lp_optimum_is_best_cutoff(rng):
         # re-evaluating the extracted decision reproduces the optimum
         _, ftilde = E.steady_state_closed_form(m, d)
         assert ftilde == pytest.approx(value, abs=1e-7)
+
+
+def _best_cutoff_exact(m):
+    """The best cutoff's F~ = p (f(0) + ... + f(t)) / (1 + t p), in exact
+    rationals of the model's floats."""
+    p, f = Fraction(m.p), [Fraction(x) for x in m.f[1:]]
+    return max(p * sum(f[:t + 1]) / (1 + t * p) for t in range(m.m_star + 1))
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-6, 1e-7, 1e-8])
+def test_lp_optimum_is_exact_at_small_p(p):
+    # the diagonal 1 - fl(1 - p) of I - T^request was off by ~ulp(1)/p
+    # relative: 5e-9 at p = 1e-8
+    m = model(p, [1.0, 0.9, 0.8, 0.7])
+    value, _ = E.lp_optimal_steady(m)
+    best = _best_cutoff_exact(m)
+    assert abs(Fraction(value) - best) <= Fraction(1e-14) * best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=math.log10(1 - 1e-8)) | st.just(0.0),
+       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**32))
+def test_lp_optimum_is_best_cutoff_at_any_p(log10_p, m_star, seed):
+    # for a non-increasing f some cutoff is optimal (the paper's theorem).
+    # HiGHS drops matrix entries below 1e-9, so 1 - p stays above it, and f
+    # is drawn at random: near-ties and rewards below its 1e-10 dual
+    # tolerance are left to a certified optimum
+    f = np.sort(np.random.default_rng(seed).uniform(0, 1, m_star + 1))[::-1]
+    m = model(10.0 ** log10_p, f)
+    value, _ = E.lp_optimal_steady(m)
+    best = _best_cutoff_exact(m)
+    assert abs(Fraction(value) - best) <= Fraction(1e-12) * best
 
 
 def test_backward_vs_exhaustive(rng):

@@ -133,17 +133,6 @@ def test_non_finite_input_rejected(where, bad):
         L.LinearProgram(c, "min", A, b)
 
 
-def test_duplicate_entries_summed_on_a_copy():
-    # column 0 holds row 0 twice
-    A = sparse.csc_array(([0.5, 0.5, 1.0], [0, 0, 0], [0, 2, 3]), shape=(1, 2))
-    assert not A.has_canonical_format
-    lp = L.LinearProgram([1.0, 2.0], "min", A, [1.0])
-    assert isinstance(lp.A, L.Csc) and lp.A.shape == (1, 2)
-    assert (lp.A.data.tolist(), lp.A.indices.tolist(), lp.A.indptr.tolist()) == (
-        [1.0, 1.0], [0, 0], [0, 1, 2])
-    assert A.data.tolist() == [0.5, 0.5, 1.0] and A.indices.tolist() == [0, 0, 0]
-
-
 def test_csc_from_entries_sums_duplicates_as_scipy_does(rng):
     # up to 5 entries at one position, as the two-link policy kernel gives:
     # summed left to right in input order, the bits of scipy's
@@ -183,9 +172,10 @@ def test_splu_matches_scipys_bitwise(rng):
 
 def test_duplicate_entry_lp_solves():
     # a column with a repeated row index made HiGHS abort the interpreter
-    # ("double free or corruption"), so the solve runs in its own process
-    code = ("from scipy import sparse\nfrom entlink import lp as L\n"
-            "A = sparse.csc_array(([0.5, 0.5, 1.0], [0, 0, 0], [0, 2, 3]), shape=(1, 2))\n"
+    # ("double free or corruption"), so the solve of repeated entries runs
+    # in its own process
+    code = ("from entlink import lp as L\n"
+            "A = L.csc_from_entries([0, 0, 0], [0, 0, 1], [0.5, 0.5, 1.0], (1, 2))\n"
             "v, x = L.solve(L.LinearProgram([1.0, 2.0], 'min', A, [1.0]))\n"
             "print(v, x.tolist())")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -373,9 +363,11 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     f = np.array([0.0, 0.0, 0.3, 0.9])
     reward = _absorbed_f_reward(T, f)[:, :2]
     K = _transient(T, 2)
-    # all mass already absorbed: the cycle starts with no mass and earns nothing
-    value, _ = L.mdp_occupation_lp(np.hstack(K), reward, "max", np.zeros(2))
+    # all mass already absorbed: the cycle starts with no mass and earns
+    # nothing, and a state with no mass is uniform over all actions
+    value, d = L.mdp_occupation_lp(np.hstack(K), reward, "max", np.zeros(2))
     assert value == pytest.approx(0.0, abs=1e-12)
+    assert np.array_equal(d.table, np.full((2, 2), 0.5))
     # part absorbed: the LP value over the transient mass plus the absorbed f
     # is the exhaustive optimum
     init = np.array([0.3, 0.2, 0.4, 0.1])
@@ -385,29 +377,20 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     assert value + f[2:] @ init[2:] == pytest.approx(best, abs=1e-7)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: L.LinearProgram([1.0, 2.0], "min", sparse.csc_array([[1.0, 1.0]]), [1.0]),
+    lambda: mdp_occupation_lp(sparse.csc_array(np.eye(2)), np.ones(2), "max"),
+], ids=["LinearProgram-scipy-sparse", "mdp_occupation_lp-scipy-sparse"])
+def test_malformed_input_raises_model_error(make):
+    # a matrix is an lp.Csc or a dense array; scipy.sparse was converted
+    with pytest.raises(L.ModelError, match="lp.Csc or a dense"):
+        make()
+
+
 def test_reward_shape_checked():
     T = random_mdp(np.random.default_rng(1), 3, 2)
     with pytest.raises(L.ModelError):
         L.mdp_occupation_lp(np.hstack(T), np.ones(4), "max")
-
-
-def test_allowed_pairs_drop_their_columns(rng):
-    # a pair the mask drops has no variable and gets no decision mass; a
-    # state with no mass is uniform over its allowed actions
-    K = _transient(random_absorbing_mdp(rng, 3, 1, 3), 3)
-    allowed = np.ones((3, 3), bool)
-    allowed[2, :2] = False
-    init = np.array([1.0, 0.0, 0.0])
-    value, d = L.mdp_occupation_lp(np.hstack(K), np.ones(3), "min", init, allowed)
-    best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(3, 3)
-               if allowed.T[dd.table > 0].all())
-    assert value == pytest.approx(best, abs=1e-9)
-    assert np.all(d.table[~allowed.T] == 0)
-    # sparse blocks give the same LP
-    assert L.mdp_occupation_lp(sparse.csc_array(np.hstack(K)), np.ones(3), "min",
-                               init, allowed)[0] == value
-    with pytest.raises(L.ModelError, match="allowed"):
-        L.mdp_occupation_lp(np.hstack(K), np.ones(3), "min", init, np.zeros((3, 3), bool))
 
 
 def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
@@ -423,27 +406,20 @@ def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_occupation_lp_sums_duplicate_entries_of_k_on_a_copy(rng):
-    # every entry of K split into two halves at the same position: the LP of
-    # the summed K, while the caller's K keeps its duplicates
-    K = sparse.csc_array(np.hstack(_transient(random_absorbing_mdp(rng, 3, 1, 3), 3)))
-    dup = sparse.csc_array((np.repeat(K.data / 2, 2), np.repeat(K.indices, 2), 2 * K.indptr),
-                           shape=K.shape)
-    assert not dup.has_canonical_format
-    init = np.array([1.0, 0.0, 0.0])
-    assert (L.mdp_occupation_lp(dup, np.ones(3), "min", init)[0]
-            == L.mdp_occupation_lp(K, np.ones(3), "min", init)[0])
-    assert dup.nnz == 2 * K.nnz and np.array_equal(dup.data, np.repeat(K.data / 2, 2))
-
-
 def _dense_reference_matrix(T, keep, steady):
-    """The constraint matrix as first built: a dense I - T^a block per action,
-    side by side, plus the row of ones in steady state."""
+    """The constraint matrix built densely: an I - T^a block per action, side
+    by side, plus the row of ones in steady state.  There each column of T^a
+    sums to 1, and the diagonal of I - T^a is its off-diagonal column sum."""
     k = keep.size
-    A = np.hstack([np.eye(k) - Ta[np.ix_(keep, keep)] for Ta in T])
-    if steady:
-        A = np.vstack([A, np.ones((1, A.shape[1]))])
-    return sparse.csc_array(A)
+    if not steady:
+        return sparse.csc_array(np.hstack([np.eye(k) - Ta[np.ix_(keep, keep)] for Ta in T]))
+    blocks = []
+    for Ta in T:
+        off = Ta.copy()
+        np.fill_diagonal(off, 0.0)
+        blocks.append(np.diag(off.sum(axis=0)) - off)
+    A = np.hstack(blocks)
+    return sparse.csc_array(np.vstack([A, np.ones((1, A.shape[1]))]))
 
 
 def _sparsify(T, rng, s_loop):

@@ -31,6 +31,7 @@ def test_nan_entries_are_rejected(make):
 _MODEL = ElemLinkModel(0.5, 0, [0.0, 1.0])  # states -1 and 0
 _ONE_ACTION = DecisionFunction([[1.0], [1.0]])
 _TWO_ACTIONS = DecisionFunction([[0.5, 0.5], [0.5, 0.5]])
+_THREE_AGES = ElemLinkModel(0.5, 2, [0, 1, .9, .8])
 
 
 @pytest.mark.parametrize("make", [
@@ -53,11 +54,24 @@ _TWO_ACTIONS = DecisionFunction([[0.5, 0.5], [0.5, 0.5]])
     lambda: Policy.time_indexed([_ONE_ACTION, np.eye(2)]),
     lambda: TL.evaluate_policy(TwoLinkModel(0.5, 0.5, 0.5, 0, 0, TL.uniform_f_table(0, 0)),
                             DecisionFunction(np.full((5, 5), 1 / 5))),
+    # a decision whose shape does not match the model: column 0 read as
+    # wait, a bare IndexError, and a wait that took no step
+    lambda: steady_state_closed_form(_THREE_AGES, DecisionFunction(np.full((4, 3), 1 / 3))),
+    lambda: steady_state_closed_form(_THREE_AGES, DecisionFunction(np.full((3, 2), 0.5))),
+    lambda: expected_waiting_time(_THREE_AGES, DecisionFunction(np.full((3, 2), 0.5)), 0),
+    # -1 picked the last action; the others raised a bare IndexError
+    lambda: DecisionFunction.deterministic([-1, 0], 2),
+    lambda: DecisionFunction.deterministic([2, 0], 2),
+    lambda: DecisionFunction.deterministic([0.5, 0], 2),
+    lambda: DecisionFunction.deterministic([True, False], 2),
 ], ids=["DecisionFunction-1d", "DecisionFunction-entries",
         "DecisionFunction-rows", "policy_matrix-shape", "evolve-t-0", "evolve-size",
         "decision_at-0", "decision_at-negative", "decision_at-fractional", "decision_at-bool",
         "decision_at-stationary-float", "stationary-array", "time_indexed-array",
-        "evaluate_policy-size"])
+        "evaluate_policy-size", "steady_state_closed_form-actions",
+        "steady_state_closed_form-states", "expected_waiting_time-states",
+        "deterministic-negative", "deterministic-too-large", "deterministic-fractional",
+        "deterministic-bool"])
 def test_malformed_input_raises_model_error(make):
     # NaN entries have their own test
     with pytest.raises(ModelError):

@@ -99,13 +99,21 @@ def test_coefficients_sum_to_one(rng):
         assert link.coeffs.as_array().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _npt(rho):
+    """Whether the partial transpose of the two-qubit rho has a negative
+    eigenvalue (Peres-Horodecki)."""
+    pt = rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return bool(np.linalg.eigvalsh(pt).min() < 0)
+
+
 def test_entangled_iff_fidelity_above_half(rng):
+    # the partial transpose of the state is the independent check
     for _ in range(300):
-        fS = rng.uniform(0.0, 1.0)
         link = S.heralded_link(rng.uniform(0.05, 1), rng.uniform(0.05, 1),
-                               S.SatSourceParams(fS, rng.uniform(0, 1),
+                               S.SatSourceParams(rng.uniform(0.0, 1.0), rng.uniform(0, 1),
                                                 rng.uniform(0, 1)))
-        assert S.entangled(link, fS) == (link.coeffs.phi_plus > 0.5)
+        assert S.entangled(link) is _npt(oracles.bell_diagonal_density(link.coeffs))
+        assert S.entangled(link) == (link.coeffs.phi_plus > 0.5)
 
 
 def test_multiplexed_p():
@@ -347,6 +355,11 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.h2("0.5"), S.SatError),
     (lambda: S.key_rate_bb84(True), S.SatError),
     (lambda: S.key_rate_bb84("0.1"), S.SatError),
+    # alpha and beta were read unchecked: 4.0, NaN, 0.5 and a TypeError
+    (lambda: S.memory_f(0, 10.0, 2.0, 2.0), S.SatError),
+    (lambda: S.memory_f(0, 10.0, math.nan, 0.5), S.SatError),
+    (lambda: S.memory_f(0, 10.0, False, 0.5), S.SatError),
+    (lambda: S.memory_f(0, 10.0, 0.5, "0.5"), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "forward_cutoff-p", "coherence_steps-d",
@@ -373,7 +386,8 @@ def test_qber_formulas_match_state_qbers(rng):
         "eta_sg-eta_zen-str", "heralded_link-eta-bool", "heralded_link-eta-str",
         "multiplexed_p-p-bool", "multiplexed_p-p-str", "forward_cutoff-p-bool",
         "forward_cutoff-p-str", "h2-bool", "h2-str", "key_rate_bb84-Q-bool",
-        "key_rate_bb84-Q-str"])
+        "key_rate_bb84-Q-str", "memory_f-above-one", "memory_f-alpha-nan",
+        "memory_f-alpha-bool", "memory_f-beta-str"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()

@@ -315,6 +315,17 @@ def test_lp_waiting_equals_analytic_grid():
             assert wait == pytest.approx(t_lp, abs=1e-6)
 
 
+def test_lp_has_a_variable_per_state_and_action(monkeypatch):
+    # "swap" where a link is inactive duplicates "00"; a state with no LP
+    # mass is uniform over all five actions
+    seen, real_solve = [], L.solve
+    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+    model = TwoLinkModel(0.5, 0.5, 0.5, 3, 3, TL.uniform_f_table(3, 3))
+    _, d = TL.lp_optimal_waiting_time(model)
+    assert seen[0].A.shape == (model.n, len(TL.ACTIONS) * model.n)
+    assert (d.table == 1 / len(TL.ACTIONS)).all(axis=1).any()
+
+
 def test_lp_value_equals_policy_iteration_on_random_models(rng):
     for _ in range(4):
         m1, m2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
