@@ -170,12 +170,8 @@ def cmd_satlink_keyrates(args):
     _, _, src, link = _link_from_args(args, args.d)
     rows = []
     for proto in ("bb84", "6state", "di"):
-        try:
-            Q, K, rate = satlink.qber_and_rates(link.alpha, link.beta, proto,
-                                                src.M, link.p)
-        except SatError:
-            Q, K, rate = float("nan"), float("-inf"), 0.0
-        rows.append({"protocol": proto, "qber": Q, "key_fraction": K,
+        Q, K, rate = satlink.qber_and_rates(link.alpha, link.beta, proto, src.M, link.p)
+        rows.append({"protocol": proto, "qber": Q, "key_fraction": "" if K is None else K,
                      "key_per_step": rate})
     _emit(rows, args)
 

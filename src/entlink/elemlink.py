@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import DecisionFunction, ModelError, Policy, is_count, is_probability
-from . import lp as _lp
 
 WAIT, REQUEST = 0, 1
 
@@ -210,8 +209,18 @@ def forward_recursion_decision(model: ElemLinkModel) -> DecisionFunction:
 
 
 def lp_optimal_steady(model: ElemLinkModel):
-    """Best stationary steady-state expected value via the occupation LP."""
-    return _lp.mdp_occupation_lp(np.hstack(build_mdp(model)), model.f, "max")
+    """Best stationary steady-state expected value, which the occupation LP
+    would give, and the best memory cutoff that attains it, for any f.  The
+    LP has a deterministic optimum (Puterman 1994, sec. 8.8).  A
+    deterministic decision that waits at -1 ends inactive, with value 0.
+    One that requests at -1 holds each fresh pair until the first age at
+    which it requests, so on the states it visits it is a cutoff rule.  So
+    the optimum is the best of the cutoffs t* = 0, ..., m_star, inf; the
+    first best wins."""
+    cutoffs = (*range(model.m_star + 1), math.inf)
+    values = [cutoff_steady_values(model, t)[0] for t in cutoffs]
+    best = int(np.argmax(values))
+    return values[best], cutoff_decision(model, cutoffs[best])
 
 
 def optimal_backward(model: ElemLinkModel, t: int):

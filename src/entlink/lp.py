@@ -1,19 +1,14 @@
 """Occupation-measure linear programs for MDPs, solved with HiGHS.
 
 `mdp_occupation_lp` builds the one LP every model here needs (Puterman
-1994, *Markov Decision Processes*, ch. 6-8), from the actions' matrices
-side by side, as a `Csc` or a dense array.  Its variables z_a(s) >= 0,
-one per state-action pair, are the occupation of state s under action a:
-
-- steady state (`initial=None`): the long-run fraction of steps spent in
-  s choosing a, with sum_a (I - T^a) z_a = 0 and sum z = 1; the objective
-  is the average reward.  The diagonal of I - T^a is the off-diagonal
-  column sum of T^a, not 1 - T^a_ss, which cancels at small p;
-- one renewal cycle (`initial` given): the expected number of visits to s
-  choosing a before the cycle ends, with sum_a (I - K^a) z_a = `initial`,
-  where K^a is T^a with the mass that ends the cycle removed; the
-  objective is the total reward over the cycle.  The two-link model is
-  the one user: a swap attempt ends the cycle.
+1994, *Markov Decision Processes*, ch. 6-8), over one renewal cycle, from
+the actions' matrices side by side as a `Csc`.  Its variables z_a(s) >= 0,
+one per state-action pair, are the expected number of visits to state s
+choosing a before the cycle ends: sum_a (I - K^a) z_a = `initial`, where
+K^a is T^a with the mass that ends the cycle removed.  The objective is
+the total reward over the cycle.  The two-link model is the one user: a
+swap attempt ends the cycle.  (The single-link steady-state optimum is a
+memory cutoff in closed form, `elemlink.lp_optimal_steady`.)
 
 The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform over the
 actions where a state carries no mass.  `solve` hands a
@@ -151,18 +146,6 @@ def csc_from_entries(rows, cols, vals, shape) -> Csc:
     return Csc(data, rows[first].astype(np.int32), indptr.astype(np.int32), tuple(shape))
 
 
-def _as_csc(A) -> Csc:
-    """A as a Csc: a Csc as it is, else a dense 2-d real array; anything
-    else raises ModelError (a scipy.sparse matrix is a 0-d object array)."""
-    if isinstance(A, Csc):
-        return A
-    A = np.asarray(A)
-    if A.ndim != 2 or A.dtype.kind not in "biuf":
-        raise ModelError("expected an lp.Csc or a dense 2-d real matrix")
-    rows, cols = np.nonzero(A)
-    return csc_from_entries(rows, cols, A[rows, cols], A.shape)
-
-
 def splu(A: Csc):
     """SuperLU's LU factors of the square A, made with the options that
     `scipy.sparse.linalg.splu(A)` passes, so with the same bits; their
@@ -175,9 +158,8 @@ def splu(A: Csc):
 
 @dataclass
 class LinearProgram:
-    """maximize/minimize c.x subject to A x = b, x >= 0; A, a Csc or a dense
-    2-d array, is held as a Csc.  Every entry of c, b and A must be
-    finite."""
+    """maximize/minimize c.x subject to A x = b, x >= 0, with A a Csc.
+    Every entry of c, b and A must be finite."""
 
     objective: np.ndarray
     sense: str  # "max" | "min"
@@ -186,7 +168,8 @@ class LinearProgram:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.A = _as_csc(self.A)
+        if not isinstance(self.A, Csc):
+            raise ModelError("LinearProgram: A must be an lp.Csc")
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape != (self.b.size, self.objective.size):
             raise ModelError("LinearProgram: constraint matrix shape mismatch")
@@ -240,19 +223,19 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     return float(lp.objective @ x), x
 
 
-def mdp_occupation_lp(K, reward, sense: str, initial=None) -> tuple[float, DecisionFunction]:
-    """Best stationary average reward (`initial=None`), or best total reward
-    over one cycle from `initial`, and a decision that attains it.
+def mdp_occupation_lp(K: Csc, reward, sense: str, initial) -> tuple[float, DecisionFunction]:
+    """Best total reward over one cycle from `initial`, and a decision that
+    attains it.
 
-    K = [K^0 | K^1 | ...], a Csc or a dense array, holds one (n, n) block
-    per action side by side: the column-stochastic T^a in steady state, or
-    with `initial` the K^a whose column s falls short of 1 by the chance
-    that the cycle ends when a is taken at s.  `reward` is r(s) or r(a, s),
-    and `initial` an array over the n states.  The models here give
-    feasible, bounded LPs (two links once p1, p2, q > 0), so `solve` raises
-    NumericalError for any other status.
+    K = [K^0 | K^1 | ...], a Csc, holds one (n, n) block per action side by
+    side: K^a's column s falls short of 1 by the chance that the cycle ends
+    when a is taken at s.  `reward` is r(s) or r(a, s), and `initial` an
+    array over the n states.  The models here give feasible, bounded LPs
+    (two links once p1, p2, q > 0), so `solve` raises NumericalError for
+    any other status.
     """
-    K = _as_csc(K)
+    if not isinstance(K, Csc):
+        raise ModelError("mdp_occupation_lp: K must be an lp.Csc")
     n = K.shape[0]
     na = K.shape[1] // max(n, 1)
     if n == 0 or K.shape[1] != na * n:
@@ -261,24 +244,16 @@ def mdp_occupation_lp(K, reward, sense: str, initial=None) -> tuple[float, Decis
     if reward.shape not in ((n,), (na, n)):
         raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
                          "(actions, n)")
+    rhs = np.asarray(initial, dtype=float)
+    if rhs.shape != (n,):
+        raise ModelError("mdp_occupation_lp: initial size mismatch")
     j = np.arange(na * n)  # stacked column j = a*n + s of I - K is (I - K^a)[:, s]
     c = np.repeat(j, np.diff(K.indptr))
     on = K.indices == c % n
-    if initial is None:
-        # each column sums to 1: the diagonal 1 - K_ss is the off-diagonal sum,
-        # which does not cancel; a last row of ones sums the occupations to 1
-        diag = np.bincount(c[~on], weights=K.data[~on], minlength=j.size)
-        rhs, summed = np.append(np.zeros(n), 1.0), j
-    else:
-        rhs, summed = np.asarray(initial, dtype=float), j[:0]
-        if rhs.shape != (n,):
-            raise ModelError("mdp_occupation_lp: initial size mismatch")
-        diag = np.ones(j.size)
-        diag[c[on]] -= K.data[on]
-    A = csc_from_entries(np.concatenate([K.indices[~on], j % n, np.full(summed.size, n)]),
-                         np.concatenate([c[~on], j, summed]),
-                         np.concatenate([-K.data[~on], diag, np.ones(summed.size)]),
-                         (rhs.size, j.size))
+    diag = np.ones(j.size)
+    diag[c[on]] -= K.data[on]
+    A = csc_from_entries(np.append(K.indices[~on], j % n), np.append(c[~on], j),
+                         np.append(-K.data[~on], diag), (n, j.size))
     value, x = solve(LinearProgram(np.broadcast_to(reward, (na, n)).ravel(), sense, A, rhs))
     z = x.reshape(na, n)
     mass = z.sum(axis=0)  # uniform over the actions where a state has no mass

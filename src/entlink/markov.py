@@ -2,9 +2,10 @@
 
 A chain is a plain array built from a checked model (`elemlink`,
 `twolink`), so the inputs a caller supplies are checked here: a
-`DecisionFunction` table, a `Policy`, a count (`is_count`) or a
-probability (`is_probability`).  What is derived from them (P^d, an
-evolved distribution) is a plain array, checked no further.
+`DecisionFunction` table, a `Policy`, a count (`is_count`), a real
+number (`is_real`) or a probability (`is_probability`).  What is derived
+from them (P^d, an evolved distribution) is a plain array, checked no
+further.
 
 Conventions: matrices act on probability column vectors from the left,
 entry (s', s) is the transition probability s -> s'.  Columns sum to one.
@@ -27,11 +28,15 @@ def is_count(value, low: int) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number: a Python or numpy int or float, not a
+    bool.  NaN and the infinities are real numbers here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def is_probability(value) -> bool:
-    """Whether value is a real number (Python or numpy; a bool is not) in
-    [0, 1]; NaN is not."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and 0 <= value <= 1)
+    """Whether value is a real number (`is_real`) in [0, 1]; NaN is not."""
+    return is_real(value) and 0 <= value <= 1
 
 
 class NumericalError(ModelError):

@@ -4,7 +4,8 @@ stationary vectors come from a least-squares solve and, checking that, an
 eigendecomposition; Bell-diagonal states from the Bell projectors; Pauli
 error rates from traces against the state; optimal policies from
 exhaustive enumeration or Howard's policy iteration (for two links on an
-explicit dense absorbing chain, not the renewal form),
+explicit dense absorbing chain, not the renewal form), the single-link
+steady-state optimum from the occupation LP (not the best cutoff),
 finite-horizon optima from a literal history-indexed recursion, and the
 heralded satellite link from an explicit beamsplitter dilation on
 truncated Fock spaces.
@@ -21,6 +22,7 @@ import itertools
 
 import numpy as np
 
+from . import lp
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, ModelError
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
@@ -139,6 +141,19 @@ def optimal_backward_history(model: ElemLinkModel, t: int):
 
     value = sum(g[m1] * w((m1,)) for m1 in states if g[m1] > 0)
     return float(value), policy_table
+
+
+def steady_state_lp(T: np.ndarray, reward) -> float:
+    """Best stationary average reward of the MDP T ((actions, n, n), T[a]
+    column-stochastic) for reward r(s), by the occupation LP built densely:
+    sum_a (I - T^a) z_a = 0, sum z = 1.  The diagonal of I - T^a is its
+    off-diagonal column sum, which does not cancel at small p."""
+    na, n, _ = T.shape
+    off = T * (1 - np.eye(n))
+    A = np.vstack([np.hstack([np.diag(o.sum(axis=0)) - o for o in off]), np.ones(na * n)])
+    rows, cols = np.nonzero(A)
+    A = lp.csc_from_entries(rows, cols, A[rows, cols], A.shape)
+    return lp.solve(lp.LinearProgram(np.tile(reward, na), "max", A, np.append(np.zeros(n), 1.0)))[0]
 
 
 def random_decision(rng, n_states: int, n_actions: int) -> DecisionFunction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import is_count, is_probability
+from .markov import is_count, is_probability, is_real
 from .qstate import BellDiagCoeffs
 
 C_KM_PER_S = 299792.458
@@ -35,8 +35,9 @@ class SatGeometry:
     h: float  # orbit altitude, km
 
     def __post_init__(self):
-        if not (0 <= self.d < math.inf and 0 < self.h < math.inf):  # NaN fails too
-            raise SatError("SatGeometry: need finite d >= 0 and h > 0")
+        if not (is_real(self.d) and is_real(self.h)
+                and 0 <= self.d < math.inf and 0 < self.h < math.inf):  # NaN fails too
+            raise SatError("SatGeometry: need real, finite d >= 0 and h > 0")
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,9 @@ def eta_sg(L: float, h: float, eta_zen: float) -> float:
     eta_zen the atmospheric transmittance at zenith."""
     if not (is_probability(eta_zen) and eta_zen > 0):
         raise SatError("eta_sg: eta_zen must be a real number in (0, 1]")
-    if not 0 < h < math.inf:  # NaN fails too, as in SatGeometry
-        raise SatError("eta_sg: need finite h > 0")
-    if not h <= L < math.inf:
+    if not (is_real(h) and 0 < h < math.inf):  # NaN fails too, as in SatGeometry
+        raise SatError("eta_sg: need real, finite h > 0")
+    if not (is_real(L) and h <= L < math.inf):
         raise SatError("eta_sg: path length cannot be below the altitude or infinite")
     L_m = L * 1000.0
     rayleigh_range_m = math.pi * BEAM_WAIST_M ** 2 / WAVELENGTH_M
@@ -142,11 +143,8 @@ def entangled(link: HeraldedLink) -> bool:
 # ---------------------------------------------------------------------------
 # memory decay and policy values
 
-_REAL = (int, float, np.integer, np.floating)
-
-
 def _check_t_coh(name, t_coh):
-    if not 0 < t_coh < math.inf:  # NaN fails too
+    if not (is_real(t_coh) and 0 < t_coh < math.inf):  # NaN fails too
         raise SatError(f"{name}: t_coh must be positive and finite")
 
 
@@ -154,10 +152,9 @@ def memory_f(m: int, t_coh: float, alpha: float, beta: float) -> float:
     """Target overlap after m steps in two amplitude-damping memories;
     SatError unless alpha and beta are real and the overlap is in [0, 1]."""
     _check_t_coh("memory_f", t_coh)
-    if not 0 <= m < math.inf:  # NaN fails too
-        raise SatError("memory_f: the age m must be finite and >= 0")
-    real = isinstance(alpha, _REAL) and isinstance(beta, _REAL)
-    if not real or isinstance(alpha, bool) or isinstance(beta, bool):
+    if not (is_real(m) and 0 <= m < math.inf):  # NaN fails too
+        raise SatError("memory_f: the age m must be a real number, finite and >= 0")
+    if not (is_real(alpha) and is_real(beta)):
         raise SatError("memory_f: alpha and beta must be real numbers")
     lam = math.exp(-m / t_coh)
     f = alpha * lam * lam + (beta - 0.5) * lam + 0.5
@@ -192,7 +189,7 @@ def forward_cutoff(p: float, t_coh: float):
 
 def coherence_steps(t_coh_seconds: float, d_km: float) -> float:
     """Coherence time in heralding steps of duration 2d/c."""
-    if not 0 < d_km < math.inf:  # NaN fails too
+    if not (is_real(d_km) and 0 < d_km < math.inf):  # NaN fails too
         raise SatError("coherence_steps: d must be positive and finite")
     _check_t_coh("coherence_steps", t_coh_seconds)
     return t_coh_seconds * C_KM_PER_S / (2 * d_km)
@@ -247,7 +244,8 @@ def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):
     """QBER, raw key fraction, and multiplexed key bits per time step for a
     Bell-diagonal link with coefficients (alpha+beta, alpha-beta, g, g);
     protocol is "bb84", "6state" or "di", the last with CHSH value
-    S = 2 sqrt(2) (1 - 2Q)."""
+    S = 2 sqrt(2) (1 - 2Q).  Below S = 2 the DI key fraction is None (no
+    real-valued rate) and the rate 0."""
     _check_multiplexing("qber_and_rates", p, M)
     if protocol == "bb84":
         Q = 0.75 - beta / 2 - alpha
@@ -257,7 +255,10 @@ def qber_and_rates(alpha: float, beta: float, protocol: str, M: int, p: float):
         K = key_rate_six_state(Q)
     elif protocol == "di":
         Q = (2 / 3) * (1 - (alpha + beta))
-        K = key_rate_di(Q, 2 * math.sqrt(2) * (1 - 2 * Q))
+        S = 2 * math.sqrt(2) * (1 - 2 * Q)
+        if is_probability(Q) and S < 2:
+            return Q, None, 0.0
+        K = key_rate_di(Q, S)
     else:
         raise SatError(f"qber_and_rates: unknown protocol {protocol!r}")
     rate = M * p * max(K, 0.0)

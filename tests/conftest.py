@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import entlink
+from entlink import lp
 from entlink.markov import DecisionFunction
 
 # The CLI tests run `python -m entlink.cli` in subprocesses: point them at the
@@ -50,3 +51,10 @@ def policy_chain(T, d):
 def deterministic_decisions(n, na):
     for combo in itertools.product(range(na), repeat=n):
         yield DecisionFunction.deterministic(list(combo), na)
+
+
+def csc(A):
+    """A dense test matrix as the `lp.Csc` of its nonzero entries."""
+    A = np.asarray(A, dtype=float)
+    rows, cols = np.nonzero(A)
+    return lp.csc_from_entries(rows, cols, A[rows, cols], A.shape)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from entlink import cli
+from entlink import cli, satlink
 
 
 def run_cli(args, **kw):
@@ -68,14 +68,17 @@ def test_satlink_link_values(run):
 
 
 def test_satlink_keyrates_below_the_chsh_bound(run):
-    # fs = 0.7 gives QBER 0.2, a CHSH value below 2: no DI key, and the
-    # other two protocols still get their rows
+    # fs = 0.7 gives QBER 0.2, a CHSH value below 2: no DI key fraction,
+    # and all three protocols get their rows
     r = run(["satlink", "keyrates", "--d", "500", "--fs", "0.7", "--M", "50"])
     assert r.returncode == 0, r.stderr
     rows = {row["protocol"]: row for row in csv.DictReader(r.stdout.splitlines())}
     assert list(rows) == ["bb84", "6state", "di"]
-    for proto in ("bb84", "6state"):
+    for proto in ("bb84", "6state", "di"):
         assert float(rows[proto]["qber"]) == pytest.approx(0.2, abs=1e-12)
+    # the DI QBER was printed as nan, and the key fraction as -inf
+    assert rows["di"]["qber"] == rows["6state"]["qber"]
+    assert rows["di"]["key_fraction"] == ""
     assert float(rows["di"]["key_per_step"]) == 0.0
 
 
@@ -349,6 +352,33 @@ def test_elem_optimal_writes_one_table(run):
     assert j.returncode == 0, j.stderr
     data = json.loads(j.stdout)["data"]
     assert [{k: str(v) for k, v in row.items()} for row in data] == rows
+
+
+@pytest.mark.parametrize("args", [
+    # the LP printed 0.0: HiGHS drops matrix entries below 1e-9, here p
+    "--p 1e-10 --m-star 3 --t-coh 4",
+    "--p 1e-12 --m-star 2 --f 1,0.9,0.8",
+    # 1.0: the 1 - p entries dropped out
+    "--p 0.9999999999976974 --m-star 0 --f 1",
+    # 0.0: every reward below HiGHS's 1e-10 dual feasibility tolerance
+    "--p 1 --m-star 0 --f 6.25e-74",
+    # 1e-8 and 3.4e-9 relative off, within HiGHS's tolerances
+    "--p 1e-8 --m-star 0 --f 0.0039",
+    "--p 1e-8 --m-star 3 --f 1,5.960464477539063e-08,5.960464477539063e-08,"
+    "5.960464477539063e-08",
+])
+def test_elem_optimal_prints_the_best_cutoff(args, run):
+    argv = args.split()
+    r = run(["elem", "optimal", *argv])
+    assert r.returncode == 0, r.stderr
+    opts = dict(zip(argv[::2], argv[1::2]))
+    m_star = int(opts["--m-star"])
+    f = ([float(v) for v in opts["--f"].split(",")] if "--f" in opts
+         else satlink.memory_f_vector(m_star, float(opts["--t-coh"]), 0.5, 0.5)[1:])
+    p, f = Fraction(float(opts["--p"])), [Fraction(float(v)) for v in f]
+    best = max(p * sum(f[:t + 1]) / (1 + t * p) for t in range(m_star + 1))
+    value = Fraction(float(next(csv.DictReader(r.stdout.splitlines()))["optimal_ftilde"]))
+    assert abs(value - best) <= Fraction(1e-12) * best
 
 
 def test_simulate_twolink_fails_when_trajectories_exhaust_the_horizon(run):

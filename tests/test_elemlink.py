@@ -12,6 +12,8 @@ from entlink import oracles
 from entlink.markov import ModelError, Policy
 from entlink.twolink import TwoLinkModel, uniform_f_table
 
+from conftest import deterministic_decisions
+
 
 def model(p, f_vals):
     f = np.concatenate([[0.0], np.asarray(f_vals, dtype=float)])
@@ -247,19 +249,34 @@ def test_lp_optimum_is_exact_at_small_p(p):
     assert abs(Fraction(value) - best) <= Fraction(1e-14) * best
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-8.0, max_value=math.log10(1 - 1e-8)) | st.just(0.0),
-       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**32))
-def test_lp_optimum_is_best_cutoff_at_any_p(log10_p, m_star, seed):
-    # for a non-increasing f some cutoff is optimal (the paper's theorem).
-    # HiGHS drops matrix entries below 1e-9, so 1 - p stays above it, and f
-    # is drawn at random: near-ties and rewards below its 1e-10 dual
-    # tolerance are left to a certified optimum
-    f = np.sort(np.random.default_rng(seed).uniform(0, 1, m_star + 1))[::-1]
-    m = model(10.0 ** log10_p, f)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 1.0]) | st.floats(min_value=-12.0, max_value=0.0).map(
+           lambda e: 10.0 ** e),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9))
+def test_lp_optimum_is_best_cutoff_at_any_p(p, f):
+    # some cutoff is optimal for any f (the paper's theorem); a subnormal f
+    # times p underflows, hence the absolute 1e-300
+    m = model(p, f)
     value, _ = E.lp_optimal_steady(m)
     best = _best_cutoff_exact(m)
-    assert abs(Fraction(value) - best) <= Fraction(1e-12) * best
+    assert abs(Fraction(value) - best) <= Fraction(1e-12) * best + Fraction(1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1 - 1e-3),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
+def test_best_cutoff_is_the_best_deterministic_decision(p, f):
+    # the theorem checked: the best cutoff is the best of all 2^(m*+2)
+    # deterministic decisions, and the steady-state occupation LP, solved,
+    # agrees.  1 - p >= 1e-3 keeps the least-squares oracle away from p = 1,
+    # where requesting at age 0 makes a second closed class
+    m = model(p, f)
+    value, d = E.lp_optimal_steady(m)
+    best = max(float(m.f @ oracles.stationary_distribution(E.policy_matrix(m, dd)))
+               for dd in deterministic_decisions(m.n, 2))
+    assert value == pytest.approx(best, rel=0, abs=1e-12)
+    assert value == pytest.approx(oracles.steady_state_lp(E.build_mdp(m), m.f), rel=0, abs=1e-9)
+    assert E.steady_state_closed_form(m, d)[1] == pytest.approx(value, rel=0, abs=1e-12)
 
 
 def test_backward_vs_exhaustive(rng):

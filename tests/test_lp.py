@@ -11,9 +11,10 @@ from scipy.sparse.linalg import splu
 from entlink import lp as L
 from entlink import twolink as TL
 from entlink.lp import mdp_occupation_lp
-from entlink.oracles import policy_iteration_absorbing, stationary_distribution
+from entlink.oracles import policy_iteration_absorbing, stationary_distribution, steady_state_lp
 
-from conftest import deterministic_decisions, policy_chain, random_absorbing_mdp, random_mdp
+from conftest import (csc, deterministic_decisions, policy_chain, random_absorbing_mdp,
+                      random_mdp)
 
 
 def _vertices(A, b):
@@ -44,7 +45,7 @@ def test_random_lps_match_vertex_enumeration(rng):
     outcomes = set()
     for trial, (A, b, c) in enumerate(_random_lps(rng)):
         m, n = A.shape
-        prob = L.LinearProgram(c, "min", A, b)
+        prob = L.LinearProgram(c, "min", csc(A), b)
         # extreme rays of the recession cone: A d = 0, d >= 0, sum d = 1
         rays = _vertices(np.vstack([A, np.ones(n)]), np.append(np.zeros(m), 1.0))
         if any(c @ d < -1e-9 for d in rays):
@@ -107,7 +108,7 @@ def test_solve_matches_linprog_bitwise(rng, monkeypatch):
     # with linprog's options, so x and the value agree to the bit.  This is
     # not an oracle; vertex enumeration, the assignment LP and policy
     # iteration stay the independent checks.
-    lps = [L.LinearProgram(c, "min", A, b) for A, b, c in _random_lps(rng)]
+    lps = [L.LinearProgram(c, "min", csc(A), b) for A, b, c in _random_lps(rng)]
     two_link = _two_link_lps(monkeypatch)
     assert len(two_link) == 6
     for i, lp in enumerate(lps + two_link):
@@ -130,7 +131,7 @@ def test_non_finite_input_rejected(where, bad):
     c, A, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
     {"c": c, "b": b, "A": A}[where].flat[0] = bad
     with pytest.raises(L.ModelError, match="finite"):
-        L.LinearProgram(c, "min", A, b)
+        L.LinearProgram(c, "min", csc(A), b)
 
 
 def test_csc_from_entries_sums_duplicates_as_scipy_does(rng):
@@ -216,8 +217,8 @@ def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
     # unbounded or a stopped-early LP before a feasible one must leave
     # neither the feasible LP's bits nor a later message's iteration count
     # different from what a new object gives
-    infeasible = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [-1.0])
-    unbounded = L.LinearProgram([-1.0, 0.0], "min", [[0.0, 1.0]], [1.0])
+    infeasible = L.LinearProgram([1.0, 1.0], "min", csc([[1.0, 1.0]]), [-1.0])
+    unbounded = L.LinearProgram([-1.0, 0.0], "min", csc([[0.0, 1.0]]), [1.0])
     feasible = _two_link_lps(monkeypatch)[:2]
     seen, real_solve = [], L.solve
     monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
@@ -240,7 +241,8 @@ def test_solver_is_made_on_the_first_solve():
     # also those that solve no LP
     code = ("from entlink import cli, lp as L\n"
             "print(L._solver.cache_info().currsize)\n"
-            "L.solve(L.LinearProgram([1.0], 'min', [[1.0]], [1.0]))\n"
+            "A = L.csc_from_entries([0], [0], [1.0], (1, 1))\n"
+            "L.solve(L.LinearProgram([1.0], 'min', A, [1.0]))\n"
             "print(L._solver.cache_info().currsize)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=60)
@@ -250,20 +252,20 @@ def test_solver_is_made_on_the_first_solve():
 
 def test_infeasible_detected():
     # x1 + x2 = -1 with x >= 0
-    prob = L.LinearProgram([1.0, 1.0], "min", [[1.0, 1.0]], [-1.0])
+    prob = L.LinearProgram([1.0, 1.0], "min", csc([[1.0, 1.0]]), [-1.0])
     with pytest.raises(L.NumericalError, match="infeasible"):
         L.solve(prob)
 
 
 def test_unbounded_detected():
-    prob = L.LinearProgram([-1.0, 0.0], "min", [[0.0, 1.0]], [1.0])
+    prob = L.LinearProgram([-1.0, 0.0], "min", csc([[0.0, 1.0]]), [1.0])
     with pytest.raises(L.NumericalError, match="unbounded"):
         L.solve(prob)
 
 
 def test_max_sense():
     # x1 + x2 = 1 with x >= 0 already bounds both variables by 1
-    prob = L.LinearProgram([1.0, 2.0], "max", [[1.0, 1.0]], [1.0])
+    prob = L.LinearProgram([1.0, 2.0], "max", csc([[1.0, 1.0]]), [1.0])
     value, x = L.solve(prob)
     assert value == pytest.approx(2.0, abs=1e-9)
     assert x == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -280,7 +282,7 @@ def test_degenerate_lp_terminates():
     b = np.ones(2 * n)
     rng = np.random.default_rng(0)
     c = rng.integers(0, 3, n * n).astype(float)
-    value, _ = L.solve(L.LinearProgram(c, "min", A, b))
+    value, _ = L.solve(L.LinearProgram(c, "min", csc(A), b))
     cost = c.reshape(n, n)
     rows, cols = linear_sum_assignment(cost)
     assert value == pytest.approx(cost[rows, cols].sum(), abs=1e-8)
@@ -291,15 +293,11 @@ def test_steady_state_lp_vs_exhaustive(rng):
         n, na = int(rng.integers(2, 5)), 2
         T = random_mdp(rng, n, na)
         f = rng.uniform(0, 1, n)
-        value, d = L.mdp_occupation_lp(np.hstack(T), f, "max")
         best = -np.inf
         for dd in deterministic_decisions(n, na):
             s = stationary_distribution(policy_chain(T, dd))
             best = max(best, float(f @ s))
-        assert value == pytest.approx(best, abs=1e-7)
-        # the extracted decision achieves the LP value
-        s = stationary_distribution(policy_chain(T, d))
-        assert float(f @ s) == pytest.approx(value, abs=1e-7)
+        assert steady_state_lp(T, f) == pytest.approx(best, abs=1e-7)
 
 
 def _absorbed_f_reward(T, f):
@@ -330,7 +328,7 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
         init[:nt] = rng.dirichlet(np.ones(nt))
         reward = _absorbed_f_reward(T, f)
         K = _transient(T, nt)
-        value, d = L.mdp_occupation_lp(np.hstack(K), reward[:, :nt], "max", init[:nt])
+        value, d = L.mdp_occupation_lp(csc(np.hstack(K)), reward[:, :nt], "max", init[:nt])
         best = -np.inf
         for dd in deterministic_decisions(nt, na):
             y = _visits(K, dd, init[:nt])
@@ -349,7 +347,7 @@ def test_min_absorption_lp_vs_exhaustive(rng):
         T = random_absorbing_mdp(rng, nt, nb, na)
         init = rng.dirichlet(np.ones(nt))
         K = _transient(T, nt)
-        value, d = L.mdp_occupation_lp(np.hstack(K), np.ones(nt), "min", init)
+        value, d = L.mdp_occupation_lp(csc(np.hstack(K)), np.ones(nt), "min", init)
         best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(nt, na))
         assert value == pytest.approx(best, abs=1e-7)
         assert policy_iteration_absorbing(
@@ -365,13 +363,13 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
     K = _transient(T, 2)
     # all mass already absorbed: the cycle starts with no mass and earns
     # nothing, and a state with no mass is uniform over all actions
-    value, d = L.mdp_occupation_lp(np.hstack(K), reward, "max", np.zeros(2))
+    value, d = L.mdp_occupation_lp(csc(np.hstack(K)), reward, "max", np.zeros(2))
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(d.table, np.full((2, 2), 0.5))
     # part absorbed: the LP value over the transient mass plus the absorbed f
     # is the exhaustive optimum
     init = np.array([0.3, 0.2, 0.4, 0.1])
-    value, _ = L.mdp_occupation_lp(np.hstack(K), reward, "max", init[:2])
+    value, _ = L.mdp_occupation_lp(csc(np.hstack(K)), reward, "max", init[:2])
     best = max(float(f[2:] @ init[2:] + (reward.T * dd.table).sum(axis=1)
                      @ _visits(K, dd, init[:2])) for dd in deterministic_decisions(2, 2))
     assert value + f[2:] @ init[2:] == pytest.approx(best, abs=1e-7)
@@ -379,18 +377,22 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
 
 @pytest.mark.parametrize("make", [
     lambda: L.LinearProgram([1.0, 2.0], "min", sparse.csc_array([[1.0, 1.0]]), [1.0]),
-    lambda: mdp_occupation_lp(sparse.csc_array(np.eye(2)), np.ones(2), "max"),
-], ids=["LinearProgram-scipy-sparse", "mdp_occupation_lp-scipy-sparse"])
+    lambda: mdp_occupation_lp(sparse.csc_array(np.eye(2)), np.ones(2), "max", np.ones(2)),
+    lambda: L.LinearProgram([1.0, 2.0], "min", np.array([[1.0, 1.0]]), [1.0]),
+    lambda: mdp_occupation_lp(np.eye(2), np.ones(2), "max", np.ones(2)),
+], ids=["LinearProgram-scipy-sparse", "mdp_occupation_lp-scipy-sparse",
+        "LinearProgram-dense", "mdp_occupation_lp-dense"])
 def test_malformed_input_raises_model_error(make):
-    # a matrix is an lp.Csc or a dense array; scipy.sparse was converted
-    with pytest.raises(L.ModelError, match="lp.Csc or a dense"):
+    # a matrix is an lp.Csc, nothing else: scipy.sparse and dense arrays
+    # were converted
+    with pytest.raises(L.ModelError, match="lp.Csc"):
         make()
 
 
 def test_reward_shape_checked():
     T = random_mdp(np.random.default_rng(1), 3, 2)
-    with pytest.raises(L.ModelError):
-        L.mdp_occupation_lp(np.hstack(T), np.ones(4), "max")
+    with pytest.raises(L.ModelError, match="reward must have shape"):
+        L.mdp_occupation_lp(csc(np.hstack(T)), np.ones(4), "max", np.ones(3))
 
 
 def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
@@ -402,24 +404,14 @@ def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
     assert policy_iteration_absorbing(T[None], np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
         2.0, abs=1e-12)
     # the renewal LP of the transient block: half the mass ends each step
-    value, _ = mdp_occupation_lp(T[:1, :1], np.ones(1), "min", [1.0])
+    value, _ = mdp_occupation_lp(csc(T[:1, :1]), np.ones(1), "min", [1.0])
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
-def _dense_reference_matrix(T, keep, steady):
-    """The constraint matrix built densely: an I - T^a block per action, side
-    by side, plus the row of ones in steady state.  There each column of T^a
-    sums to 1, and the diagonal of I - T^a is its off-diagonal column sum."""
-    k = keep.size
-    if not steady:
-        return sparse.csc_array(np.hstack([np.eye(k) - Ta[np.ix_(keep, keep)] for Ta in T]))
-    blocks = []
-    for Ta in T:
-        off = Ta.copy()
-        np.fill_diagonal(off, 0.0)
-        blocks.append(np.diag(off.sum(axis=0)) - off)
-    A = np.hstack(blocks)
-    return sparse.csc_array(np.vstack([A, np.ones((1, A.shape[1]))]))
+def _dense_reference_matrix(K):
+    """The constraint matrix built densely: an I - K^a block per action,
+    side by side."""
+    return sparse.csc_array(np.hstack([np.eye(K.shape[1]) - Ka for Ka in K]))
 
 
 def _sparsify(T, rng, s_loop):
@@ -436,8 +428,7 @@ def _sparsify(T, rng, s_loop):
     return T
 
 
-@pytest.mark.parametrize("steady", [True, False], ids=["steady", "absorbing"])
-def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
+def test_constraint_matrix_matches_dense_construction(rng, monkeypatch):
     seen = []
     real_solve = L.solve
 
@@ -448,22 +439,13 @@ def test_constraint_matrix_matches_dense_construction(rng, monkeypatch, steady):
     monkeypatch.setattr(L, "solve", capture)
     for _ in range(10):
         na = int(rng.integers(2, 4))
-        if steady:
-            n = int(rng.integers(2, 7))
-            T = _sparsify(random_mdp(rng, n, na), rng, int(rng.integers(n)))
-            keep, init = np.arange(n), None
-        else:
-            nt, nb = int(rng.integers(2, 6)), int(rng.integers(1, 3))
-            n = nt + nb
-            T = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng,
-                          int(rng.integers(nt)))
-            keep, init = np.arange(nt), rng.dirichlet(np.ones(nt))
-        # absorbing: "min" of the time spent keeps the self-looping action
-        # bounded; the blocks are the transient ones, as in the renewal form
-        blocks = T if steady else _transient(T, nt)
-        L.mdp_occupation_lp(np.hstack(blocks), np.ones(len(keep)),
-                            "min" if init is not None else "max", init)
-        got, want = seen[-1].A, _dense_reference_matrix(T, keep, steady)
+        nt, nb = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        T = _sparsify(random_absorbing_mdp(rng, nt, nb, na), rng, int(rng.integers(nt)))
+        # "min" of the time spent keeps the self-looping action bounded; the
+        # blocks are the transient ones, as in the renewal form
+        K = _transient(T, nt)
+        L.mdp_occupation_lp(csc(np.hstack(K)), np.ones(nt), "min", rng.dirichlet(np.ones(nt)))
+        got, want = seen[-1].A, _dense_reference_matrix(K)
         assert isinstance(got, L.Csc) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)

@@ -274,6 +274,14 @@ def test_is_probability_takes_real_numbers_but_no_bools(value, want):
     assert markov.is_probability(value) == want
 
 
+@pytest.mark.parametrize("value, want", [
+    (0, True), (-3, True), (2.5, True), (math.nan, True), (-math.inf, True),
+    (np.float32(0.5), True), (np.int64(7), True), (True, False), (np.True_, False),
+    ("1", False), (None, False), (1j, False), (np.array(0.5), False)])
+def test_is_real_takes_numbers_but_no_bools(value, want):
+    assert markov.is_real(value) == want
+
+
 def test_policy_of_a_non_decision_raises_model_error():
     # raised AttributeError: 'numpy.ndarray' object has no attribute 'table'
     model = ElemLinkModel(0.5, 2, [0, 1, .9, .8])

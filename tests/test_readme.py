@@ -4,6 +4,7 @@ and every API name the prose gives resolves."""
 import hashlib
 import importlib
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -40,8 +41,10 @@ STDOUT_SHA256 = {
         "5db85f75a74dba489c2fe8e429851703867b53005a77eb399cb9c99e2767d2d0",
     "elem forward --p 0.6 --m-star 3 --t-coh 100":
         "6870bef10458c6b8c30149e14e7e27f5b37eb141beced67e74391f6b4b2d98e4",
+    # prints 0.6363636363636364, the double nearest 7/11, as `elem steady`
+    # does for t* = 3
     "elem optimal --p 0.4 --m-star 3 --f 1,0.95,0.85,0.7":
-        "060831c15cabb57374ee0e4ac4a888be8a26f4e746ab8535cc548e27cdc0e797",
+        "2a4e982eab0bd28166880e59054bf0274575c78ace7bc7aee6bdf437a4530da1",
     "elem steady --p 0.5 --m-star 2 --f 1,0.9,0.8":
         "355802b1ebbb3cefb85656fb47e799e99ef32d5adfa8161e2eb700129cc3a16d",
     "satlink keyrates --d 500 --fs 0.99 --M 50":
@@ -74,6 +77,19 @@ def test_readme_command_runs(command, capsys):
     assert cli.main(argv) == 0, capsys.readouterr().err
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command[len("entlink "):]]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259 has no NaN or Infinity)")
+
+
+@pytest.mark.parametrize("command", [*LINES, "entlink satlink keyrates --d 500 --fs 0.7 --M 50"])
+def test_json_output_is_strict_json(command, capsys):
+    # below the CHSH bound the DI row printed "qber": NaN and
+    # "key_fraction": -Infinity
+    assert cli.main(["--format", "json", *shlex.split(command)[1:]]) == 0, \
+        capsys.readouterr().err
+    json.loads(capsys.readouterr().out, parse_constant=_not_json)
 
 
 def _api_heads():

@@ -360,6 +360,17 @@ def test_qber_formulas_match_state_qbers(rng):
     (lambda: S.memory_f(0, 10.0, math.nan, 0.5), S.SatError),
     (lambda: S.memory_f(0, 10.0, False, 0.5), S.SatError),
     (lambda: S.memory_f(0, 10.0, 0.5, "0.5"), S.SatError),
+    # a string raised a bare TypeError, and a bool passed as a number:
+    # memory_f(True, ...) gave 0.835 and coherence_steps(True, 2.0) 74948.1
+    (lambda: S.memory_f(1, "5", 0.5, 0.5), S.SatError),
+    (lambda: S.coherence_steps("1", 2.0), S.SatError),
+    (lambda: S.SatGeometry("1", 500.0), S.SatError),
+    (lambda: S.forward_cutoff(0.7, "5"), S.SatError),
+    (lambda: S.memory_f(True, 5.0, 0.5, 0.5), S.SatError),
+    (lambda: S.coherence_steps(True, 2.0), S.SatError),
+    (lambda: S.SatGeometry(1.0, "500"), S.SatError),
+    (lambda: S.eta_sg(600.0, "500", 0.5), S.SatError),
+    (lambda: S.eta_sg("600", 500.0, 0.5), S.SatError),
 ], ids=["SatGeometry-d", "SatGeometry-h", "SatSourceParams-f_S", "SatSourceParams-nbar",
         "SatSourceParams-M", "eta_sg-path", "heralded_link-eta", "heralded_link-zero-p",
         "multiplexed_p-M", "memory_f-t_coh", "forward_cutoff-p", "coherence_steps-d",
@@ -387,7 +398,10 @@ def test_qber_formulas_match_state_qbers(rng):
         "multiplexed_p-p-bool", "multiplexed_p-p-str", "forward_cutoff-p-bool",
         "forward_cutoff-p-str", "h2-bool", "h2-str", "key_rate_bb84-Q-bool",
         "key_rate_bb84-Q-str", "memory_f-above-one", "memory_f-alpha-nan",
-        "memory_f-alpha-bool", "memory_f-beta-str"])
+        "memory_f-alpha-bool", "memory_f-beta-str", "memory_f-t_coh-str",
+        "coherence_steps-t_coh-str", "SatGeometry-d-str", "forward_cutoff-t_coh-str",
+        "memory_f-m-bool", "coherence_steps-t_coh-bool", "SatGeometry-h-str",
+        "eta_sg-h-str", "eta_sg-path-str"])
 def test_malformed_input_raises(make, error):
     with pytest.raises(error):
         make()
@@ -400,12 +414,11 @@ def test_memory_f_vector_takes_numpy_integers():
 
 def test_di_rate_accepts_every_chsh_value_it_computes():
     # S = 2 sqrt(2) (1 - 2Q) never exceeds the bound it is checked against,
-    # so a link rate is a number, or a SatError only below S = 2
+    # so a link rate is a number, or below S = 2 none, with the QBER kept
     for fidelity in np.linspace(0.75, 1.0, 2001):
         alpha, beta = fidelity / 2 + 0.125, fidelity / 2 - 0.125
         Q = (2 / 3) * (1 - (alpha + beta))
         if 2 * math.sqrt(2) * (1 - 2 * Q) < 2:
-            with pytest.raises(S.SatError, match="below 2"):
-                S.qber_and_rates(alpha, beta, "di", 1, 0.5)
+            assert S.qber_and_rates(alpha, beta, "di", 1, 0.5) == (Q, None, 0.0)
         elif Q >= 0:
             assert math.isfinite(S.qber_and_rates(alpha, beta, "di", 1, 0.5)[1])
