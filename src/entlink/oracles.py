@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the selftest and the test
 suite.  Nothing here shares code paths with the implementations it checks:
-stationary vectors come from a least-squares solve and, checking that, an
-eigendecomposition; Bell-diagonal states from the Bell projectors; Pauli
-error rates from traces against the state; optimal policies from
+stationary vectors come from a least-squares solve on the one closed class
+of the chain's graph and, checking that, an eigendecomposition;
+Bell-diagonal states from the Bell projectors; Pauli error rates from
+traces against the state; optimal policies from
 exhaustive enumeration or Howard's policy iteration (for two links on an
 explicit dense absorbing chain, not the renewal form), the single-link
 steady-state optimum from the occupation LP (not the best cutoff),
@@ -31,18 +32,27 @@ from .twolink import SWAP, TwoLinkModel
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """The probability vector v with P v = v, by one least-squares solve of
-    [P - I; 1^T] v = e_{n+1}; periodic chains need nothing else.  Raises
-    ModelError when v is not unique (more than one closed class, so the
-    stacked matrix has rank below n) or fails the residual or sign check."""
+    """The probability vector v with P v = v.  The graph of P > 0 decides
+    uniqueness: v is unique when the chain has exactly one closed class,
+    that is when some states C are reached from every state, and C is that
+    class.  v is 0 off C and, on C, comes from one least-squares solve of
+    [P_C - I; 1^T] v_C = e; periodic chains need nothing else.  Raises
+    ModelError when there is more than one closed class or v fails the
+    residual or sign check."""
     n = len(P)
-    M = np.vstack([P - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
+    reach = (P.T > 0) | np.eye(n, dtype=bool)  # reach[s, t]: s leads to t
+    for _ in range(max(n - 1, 1).bit_length()):
+        reach = reach @ reach
+    C = reach.all(axis=0)
+    if not C.any():
+        raise ModelError("stationary_distribution: not unique, the chain has "
+                         "more than one closed class")
+    k = int(C.sum())
+    M = np.vstack([P[np.ix_(C, C)] - np.eye(k), np.ones((1, k))])
+    rhs = np.zeros(k + 1)
     rhs[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    if rank < n:
-        raise ModelError(f"stationary_distribution: not unique, the chain has "
-                         f"more than one closed class (rank {rank} < {n})")
+    sol = np.zeros(n)
+    sol[C] = np.linalg.lstsq(M, rhs, rcond=None)[0]
     resid = np.max(np.abs(P @ sol - sol))
     if resid > 1e-10 or np.any(sol < -1e-9):
         raise ModelError(f"stationary_distribution: chain appears non-ergodic (resid {resid:g})")

@@ -249,14 +249,17 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
             float((model.f[1].reshape(-1) * exits).sum() / mass))
 
 
-def _renewal_lp(model: TwoLinkModel, reward, sense, what):
+def _renewal_lp(model: TwoLinkModel, reward, sense, what, cutoffs):
     """The renewal LP's decision and its `evaluate_policy` value (the wait
     for "min", f for "max"), or NumericalError when the LP's own value is
     further than LP_RTOL from that: at small p HiGHS can call a wrong
-    optimum optimal."""
+    optimum optimal.  The simplex starts from the cutoff decision at
+    `cutoffs`, whose cycle ends from every state once p1, p2 > 0."""
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError(f"{what}: needs q, p1, p2 > 0")
-    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model))
+    start = cutoff_decision(model, *cutoffs).table.argmax(axis=1)
+    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model),
+                                     start)
     wait, f = evaluate_policy(model, d)
     value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
     if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too
@@ -270,14 +273,15 @@ def lp_optimal_value(model: TwoLinkModel):
     sum_s f(s) z_swap(s), and a decision that attains it."""
     reward = np.zeros((len(ACTIONS), model.n))
     reward[SWAP] = model.f[1].reshape(-1)
-    return _renewal_lp(model, reward, "max", "lp_optimal_value")
+    return _renewal_lp(model, reward, "max", "lp_optimal_value", (0, 0))
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):
     """Minimum expected steps to form the end-to-end link over stationary
     policies, from the fresh-request start (the least 1^T z, over q), and a
     decision that attains it."""
-    return _renewal_lp(model, np.ones(model.n), "min", "lp_optimal_waiting_time")
+    return _renewal_lp(model, np.ones(model.n), "min", "lp_optimal_waiting_time",
+                       (model.m1_star, model.m2_star))
 
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:

@@ -9,6 +9,8 @@ included, is `elemlink.expected_waiting_time`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .markov import ModelError, is_count, is_probability
@@ -49,17 +51,57 @@ def _binomial_rows(M, p):
         yield w
 
 
-def collective_expected_infty(M: int, p: float, t_req: int) -> float:
-    """Expected collective waiting time from non-negative terms only: the
-    wait E_m for m links still down solves E_m (1 - (1-p)^m) =
+# M^2 up to which the recursion runs, so small M keep its bits (M <= 1000)
+RECURSION_TERMS = 10**6
+# the most terms either form may take: a few seconds
+MAX_TERMS = 10**8
+_CHUNK = 2**20  # tail-sum terms per vector
+
+
+def _recursion(M, p, t_req):
+    """The wait E_m for m links still down solves E_m (1 - (1-p)^m) =
     1 + sum_{j>=1} Bin(j; m, p) E_{m-j}, and E[W] = 1 + sum_k Bin(k; M, head)
-    E_{M-k} with head = 1 - (1-p)^(t_req+1) the share up at the first step."""
-    _check("collective_expected_infty", M, p, t_req)
+    E_{M-k} with head = 1 - (1-p)^(t_req+1) the share up at the first step:
+    M^2 / 2 terms."""
     E = np.zeros(M + 1)
     for m, w in enumerate(_binomial_rows(M, p), start=1):
         E[m] = (1 + w[1:] @ E[m - 1::-1]) / w[1:].sum()
     *_, head = _binomial_rows(M, _pk(p, t_req + 1))
     return float(1 + head @ E[::-1])
+
+
+def _tail_terms(M, p, t_req):
+    """How many terms `_tail_sum` adds, rounded up: past j = (ln M - ln p +
+    40) / -ln(1-p) the rest of the tail is below M (1-p)^j / p <= e^-40."""
+    if p == 1:
+        return 0.0
+    return max(0.0, (math.log(M) - math.log(p) + 40) / -math.log1p(-p) - t_req)
+
+
+def _tail_sum(M, p, t_req):
+    """E[W] = 1 + sum_{t>=1} Pr[W > t], where a link is down at step t with
+    probability (1-p)^(t_req+t), so Pr[W > t] = 1 - (1 - (1-p)^(t_req+t))^M,
+    each term positive as -expm1(M log1p(-(1-p)^(t_req+t)))."""
+    total, terms = 1.0, math.ceil(_tail_terms(M, p, t_req))
+    for start in range(0, terms, _CHUNK):
+        j = t_req + 1.0 + np.arange(start, min(start + _CHUNK, terms))
+        total += -np.expm1(M * np.log1p(-np.exp(j * math.log1p(-p)))).sum()
+    return float(total)
+
+
+def collective_expected_infty(M: int, p: float, t_req: int) -> float:
+    """Expected collective waiting time from non-negative terms only: by the
+    recursion over the links still down while M^2 <= RECURSION_TERMS or it
+    needs fewer terms, else by the tail sum.  ModelError when both need more
+    than MAX_TERMS."""
+    _check("collective_expected_infty", M, p, t_req)
+    square, tail = int(M) ** 2, _tail_terms(M, p, t_req)
+    if min(square, tail) > MAX_TERMS:
+        raise ModelError(f"collective_expected_infty: M = {M}, p = {p:g} needs more than "
+                         f"{MAX_TERMS:.0e} terms")
+    if square <= max(RECURSION_TERMS, tail):
+        return _recursion(M, p, t_req)
+    return _tail_sum(M, p, t_req)
 
 
 def virtual_expected(collective_expected: float, q: float) -> float:

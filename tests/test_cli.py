@@ -208,6 +208,15 @@ def test_lp_fidelity_is_right_or_exits_3(p, run):
         assert abs(value - 1) <= 1e-9 and value <= 1
 
 
+def test_lp_fidelity_with_one_slow_link_is_exact(run):
+    # HiGHS called this LP, bounded by 1, unbounded (exit 3); started from
+    # cutoff (0, 0), which is optimal for f decreasing with age, it is not
+    r = run(["twolink", "lp-fidelity", "--p1", "1e-5", "--p2", "0.5", "--q", "0.5",
+             "--m1-star", "2", "--m2-star", "2", "--t-coh", "12"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "optimal_f_at_absorption\n1.0\n"
+
+
 def test_bad_config_exit_code_2(tmp_path, run):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

@@ -263,19 +263,22 @@ def test_lp_optimum_is_best_cutoff_at_any_p(p, f):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=1 - 1e-3),
+@given(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
 def test_best_cutoff_is_the_best_deterministic_decision(p, f):
     # the theorem checked: the best cutoff is the best of all 2^(m*+2)
     # deterministic decisions, and the steady-state occupation LP, solved,
-    # agrees.  1 - p >= 1e-3 keeps the least-squares oracle away from p = 1,
-    # where requesting at age 0 makes a second closed class
+    # agrees.  Not p = 1, where waiting at -1 and requesting at age 0 make
+    # two closed classes, so the stationary distribution is not unique; and
+    # the LP only while 1 - p >= 1e-9, since HiGHS drops smaller entries
     m = model(p, f)
     value, d = E.lp_optimal_steady(m)
     best = max(float(m.f @ oracles.stationary_distribution(E.policy_matrix(m, dd)))
                for dd in deterministic_decisions(m.n, 2))
     assert value == pytest.approx(best, rel=0, abs=1e-12)
-    assert value == pytest.approx(oracles.steady_state_lp(E.build_mdp(m), m.f), rel=0, abs=1e-9)
+    if 1 - p >= 1e-9:
+        assert value == pytest.approx(oracles.steady_state_lp(E.build_mdp(m), m.f), rel=0,
+                                      abs=1e-9)
     assert E.steady_state_closed_form(m, d)[1] == pytest.approx(value, rel=0, abs=1e-12)
 
 

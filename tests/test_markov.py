@@ -287,3 +287,12 @@ def test_policy_of_a_non_decision_raises_model_error():
     model = ElemLinkModel(0.5, 2, [0, 1, .9, .8])
     with pytest.raises(ModelError, match="DecisionFunction"):
         ftilde_x_f(model, Policy.stationary(np.eye(2)), 3)
+
+
+def test_stationary_of_one_closed_class_with_a_tiny_leak():
+    # waiting at -1 and requesting at age 0: the one closed class is {-1},
+    # reached from age 0 with probability 1.1e-16, which the least-squares
+    # rank cutoff dropped ("not unique, rank 1 < 2")
+    model = ElemLinkModel(0.9999999999999999, 0, [0, 1])
+    d = DecisionFunction.deterministic([elemlink.WAIT, elemlink.REQUEST], 2)
+    assert stationary_distribution(policy_matrix(model, d)).tolist() == [1.0, 0.0]

@@ -319,11 +319,52 @@ def test_lp_has_a_variable_per_state_and_action(monkeypatch):
     # "swap" where a link is inactive duplicates "00"; a state with no LP
     # mass is uniform over all five actions
     seen, real_solve = [], L.solve
-    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+    monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
     model = TwoLinkModel(0.5, 0.5, 0.5, 3, 3, TL.uniform_f_table(3, 3))
     _, d = TL.lp_optimal_waiting_time(model)
     assert seen[0].A.shape == (model.n, len(TL.ACTIONS) * model.n)
     assert (d.table == 1 / len(TL.ACTIONS)).all(axis=1).any()
+
+
+@pytest.mark.parametrize("m_star", [2, 5, 8])
+def test_waiting_lp_starts_at_its_optimum(m_star, rng):
+    # swapping as soon as both links are up, cutoff (m1*, m2*), waits least
+    # for any f; started from its basis, HiGHS prices and takes no pivot
+    for _ in range(4):
+        f = TL.uniform_f_table(m_star, m_star)
+        f[1, 1:, 1:] = rng.uniform(0, 1, (m_star + 1, m_star + 1))
+        model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
+        wait, _ = TL.lp_optimal_waiting_time(model)
+        assert L._solver().getInfo().simplex_iteration_count == 0
+        want, _ = TL.evaluate_policy(model, TL.cutoff_decision(model, m_star, m_star))
+        assert wait == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m_star", [2, 5, 8])
+def test_fidelity_lp_starts_at_its_optimum_for_f_decreasing_with_age(m_star, rng):
+    # for such an f, swapping only fresh links, cutoff (0, 0), is optimal
+    for _ in range(4):
+        u = rng.uniform(0, 1, (m_star + 1, m_star + 1))
+        f = TL.uniform_f_table(m_star, m_star)
+        f[1, 1:, 1:] = np.minimum.accumulate(np.minimum.accumulate(u, axis=0), axis=1)
+        model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
+        value, _ = TL.lp_optimal_value(model)
+        assert L._solver().getInfo().simplex_iteration_count == 0
+        assert value == pytest.approx(f[1, 1, 1], rel=1e-12)
+
+
+def test_lp_optima_at_p_near_one_are_exact():
+    # started cold, HiGHS stopped at its tolerances: a decision waiting
+    # 1.0000100003500023 steps against cutoff (1, 0)'s 1.000010000100001,
+    # and an f of 0.9999999999859491 where the best is 1
+    model = TL.TwoLinkModel(1.0, 0.99999, 1.0, 1, 0, TL.uniform_f_table(1, 0))
+    wait, _ = TL.lp_optimal_waiting_time(model)
+    want, _ = TL.evaluate_policy(model, TL.cutoff_decision(model, 1, 0))
+    assert wait == pytest.approx(want, rel=1e-15)
+    f = np.zeros((2, 6, 7))
+    f[1, 5, 4], f[1, 5, 6] = 1.0, 0.0625
+    value, _ = TL.lp_optimal_value(TL.TwoLinkModel(0.5, 0.99999, 1.0, 4, 5, f))
+    assert value == pytest.approx(1.0, rel=1e-15)
 
 
 def test_lp_value_equals_policy_iteration_on_random_models(rng):

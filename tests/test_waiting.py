@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_expected_monotone_in_M(M, p, t_req):
     b = W.collective_expected_infty(M + 1, p, t_req)
     assert b >= a - 1e-9
     assert a >= 1 - 1e-12
+
+
+def test_collective_wait_of_many_links_takes_the_tail_sum():
+    # the recursion's Pascal rows are O(M^2): M = 100000 ran for minutes
+    t0 = time.perf_counter()
+    wait = W.collective_expected_infty(100_000, 0.3, 2)
+    assert time.perf_counter() - t0 < 0.1
+    assert wait == W._tail_sum(100_000, 0.3, 2)
+    for M, p in ((4000, 0.3), (1000, 1e-3), (16000, 0.3)):
+        assert W._tail_sum(M, p, 2) == pytest.approx(W._recursion(M, p, 2), rel=1e-13, abs=0)
+
+
+def test_collective_wait_past_both_term_bounds_raises():
+    # M^2 = 1e10 recursion terms and ~6e10 tail-sum terms
+    with pytest.raises(ModelError, match="needs more than"):
+        W.collective_expected_infty(100_000, 1e-9, 0)
 
 
 def _never_discard(p):
