@@ -6,9 +6,9 @@ the actions' matrices side by side as a `Csc`.  Its variables z_a(s) >= 0,
 one per state-action pair, are the expected number of visits to state s
 choosing a before the cycle ends: sum_a (I - K^a) z_a = `initial`, where
 K^a is T^a with the mass that ends the cycle removed.  The objective is
-the total reward over the cycle.  The two-link model is the one user: a
-swap attempt ends the cycle.  (The single-link steady-state optimum is a
-memory cutoff in closed form, `elemlink.lp_optimal_steady`.)
+the total reward over the cycle.  Its one user is `oracles.two_link_lp`,
+the two-link LP (a swap attempt ends the cycle) that checks `twolink`'s
+Howard steps: no production path solves an LP.
 
 The optimal decision is d(s)(a) = z_a(s) / sum_a z_a(s), uniform over the
 actions where a state carries no mass.  `solve` hands a

@@ -4,8 +4,9 @@ stationary vectors come from a least-squares solve on the one closed class
 of the chain's graph and, checking that, an eigendecomposition;
 Bell-diagonal states from the Bell projectors; Pauli error rates from
 traces against the state; optimal policies from
-exhaustive enumeration or Howard's policy iteration (for two links on an
-explicit dense absorbing chain, not the renewal form), the single-link
+exhaustive enumeration, Howard's policy iteration on an explicit dense
+absorbing chain, or, for the two-link optimum that production finds by
+Howard's steps, the renewal LP by HiGHS's dual simplex; the single-link
 steady-state optimum from the occupation LP (not the best cutoff),
 finite-horizon optima from a literal history-indexed recursion, and the
 heralded satellite link from an explicit beamsplitter dilation on
@@ -25,10 +26,13 @@ import numpy as np
 
 from . import lp
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, ModelError
+from .markov import DecisionFunction, ModelError, NumericalError
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
                      permute_subsystems, weyl_x, weyl_z)
-from .twolink import SWAP, TwoLinkModel
+from .twolink import (SWAP, TwoLinkModel, evaluate_policy, initial_distribution,
+                      optimum_setup)
+
+LP_RTOL = 1e-9  # an LP's value may differ from its decision's value by this share
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -219,6 +223,23 @@ def policy_iteration_absorbing(T: np.ndarray, reward, sense: str, initial) -> fl
             return sign * float(np.asarray(initial, dtype=float)[tra] @ v)
         table[better] = np.eye(na)[best[better]]
     raise ModelError("policy_iteration_absorbing: no convergence")
+
+
+def two_link_lp(model: TwoLinkModel, sense: str):
+    """The two-link optimum of `sense` by the paper's renewal LP, solved by
+    HiGHS's simplex from `twolink.optimum_setup`'s start: the LP decision's
+    `evaluate_policy` value and the decision.  NumericalError when the LP's
+    own value is further than LP_RTOL from that value (at small p HiGHS can
+    call a wrong optimum optimal)."""
+    reward, start = optimum_setup(model, sense, "two_link_lp")
+    value, d = lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model),
+                                    start.table.argmax(axis=1))
+    wait, f = evaluate_policy(model, d)
+    value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
+    if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too
+        raise NumericalError(f"two_link_lp: the LP value {value!r} differs from the value "
+                             f"{evaluated!r} of its decision")
+    return evaluated, d
 
 
 # ---------------------------------------------------------------------------

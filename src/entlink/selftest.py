@@ -70,8 +70,8 @@ def criterion_lp_vs_cutoffs(seed=DEFAULT_SEED):
 
 
 def criterion_two_link_waiting(seed=DEFAULT_SEED):
-    """Two-link minimum-waiting LP vs the symmetric closed form on a fixed
-    grid; the seed is not used."""
+    """Two-link minimum wait by Howard's steps (`lp_optimal_waiting_time`)
+    vs the symmetric closed form on a fixed grid; the seed is not used."""
     t0 = time.perf_counter()
     max_err = 0.0
     f = twolink.uniform_f_table(5, 5)
@@ -82,7 +82,7 @@ def criterion_two_link_waiting(seed=DEFAULT_SEED):
             t_an = twolink.analytic_symmetric_waiting_time(p, q, 5)
             max_err = max(max_err, abs(t_lp - t_an))
     dt = time.perf_counter() - t0
-    return _record("two-link waiting LP vs closed form",
+    return _record("two-link optimal wait vs closed form",
                    max_err <= 1e-6 and dt < 60.0, max_err, dt)
 
 

@@ -13,9 +13,9 @@ Under a decision d, S_s is the chance that d attempts the swap at s and K^d
 is P^d with that attempt mass removed.  The expected visits of one cycle,
 z = (I - K^d)^{-1} g, satisfy S.z = 1; the expected wait is 1^T z / q
 (Wald's identity) and the expected fidelity of the end-to-end link is
-sum_s S_s f(s) z_s.  The LPs are sum_a (I - K^a) z_a = g, z >= 0, with a
-variable per state and action, so q enters no solve; where a link is
-inactive the swap variable duplicates "00".  Each K^a
+sum_s S_s f(s) z_s.  The optima solve the LPs sum_a (I - K^a) z_a = g,
+z >= 0, by Howard's steps, which the simplex takes on them (Puterman 1994,
+sec. 6.9), so q enters no solve; `oracles.two_link_lp` is the LP.  Each K^a
 is a sparse Kronecker product of the two links' own matrices.
 """
 
@@ -38,7 +38,9 @@ from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
 ACTIONS = ("00", "01", "10", "11", "swap")  # the names of the action positions
 SWAP = 4
 TARGET_TOL = 1e-10  # |Phi> up to a phase: unit norm and |<Phi|target>| = 1
-LP_RTOL = 1e-9  # an LP's value may differ from its decision's value by this share
+HOWARD_RTOL = 1e-10  # the least gain that switches an action, relative to max(1, max|v|)
+ERROR_MARGIN = 10  # ... and the least, in multiples of the values' solve error
+HOWARD_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,20 @@ def _closure(seed, src, dst):
     return seen
 
 
+def _cycle_lu(rows, cols, vals, exits, what):
+    """SuperLU's factors of I - K^d, K^d the entries (rows, cols, vals), with
+    the diagonal the off-diagonal column sum plus the exit mass, not 1 - K_ss,
+    which cancels near 1 (Grassmann, Taksar & Heyman 1985)."""
+    k, off = exits.size, rows != cols
+    diag = np.bincount(cols[off], weights=vals[off], minlength=k) + exits
+    A = _lp.csc_from_entries(np.append(rows[off], range(k)), np.append(cols[off], range(k)),
+                             np.append(-vals[off], diag), (k, k))
+    try:
+        return splu(A)
+    except RuntimeError as exc:  # exactly singular
+        raise NumericalError(f"{what}: ill-conditioned, I - K^d is singular") from exc
+
+
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected waiting time and expected f of the end-to-end link under d:
     the ratios 1^T z / (q S.z) and sum_s S_s f(s) z_s / S.z, whose division
@@ -223,19 +239,10 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     live = _closure(g > 0, cols[pos], rows[pos])
     pos &= live[cols]
     at = np.cumsum(live) - 1  # the reached states, renumbered
-    rows, cols, vals, k = at[rows[pos]], at[cols[pos]], vals[pos], at[-1] + 1
+    rows, cols, vals = at[rows[pos]], at[cols[pos]], vals[pos]
     if not _closure(S[live] > 0, rows, cols).all():  # backward from the swap attempts
         raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
-    # the diagonal of I - K^d as the off-diagonal column sum plus S, not as
-    # 1 - K_ss, which cancels near 1 (Grassmann, Taksar & Heyman 1985)
-    off = rows != cols
-    diag = np.bincount(cols[off], weights=vals[off], minlength=k) + S[live]
-    A = _lp.csc_from_entries(np.append(rows[off], range(k)), np.append(cols[off], range(k)),
-                             np.append(-vals[off], diag), (k, k))
-    try:
-        visits = splu(A).solve(g[live])
-    except RuntimeError as exc:  # exactly singular
-        raise NumericalError("evaluate_policy: ill-conditioned, I - K^d is singular") from exc
+    visits = _cycle_lu(rows, cols, vals, S[live], "evaluate_policy").solve(g[live])
     if not (np.all(np.isfinite(visits)) and np.all(visits >= -1e-9 * visits.max())):
         raise NumericalError("evaluate_policy: ill-conditioned, negative or non-finite visits")
     z = np.zeros(model.n)
@@ -249,39 +256,66 @@ def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
             float((model.f[1].reshape(-1) * exits).sum() / mass))
 
 
-def _renewal_lp(model: TwoLinkModel, reward, sense, what, cutoffs):
-    """The renewal LP's decision and its `evaluate_policy` value (the wait
-    for "min", f for "max"), or NumericalError when the LP's own value is
-    further than LP_RTOL from that: at small p HiGHS can call a wrong
-    optimum optimal.  The simplex starts from the cutoff decision at
-    `cutoffs`, whose cycle ends from every state once p1, p2 > 0."""
+def optimum_setup(model: TwoLinkModel, sense, what):
+    """An optimum's reward and start: 1 per step ("min") from cutoff (m1*,
+    m2*), which waits least for any f, or f per swap attempt ("max") from
+    cutoff (0, 0), best for an f that falls with age.  Both starts end their
+    cycle from every state: ModelError unless q, p1, p2 > 0."""
     if model.q <= 0 or model.p1 <= 0 or model.p2 <= 0:
         raise ModelError(f"{what}: needs q, p1, p2 > 0")
-    start = cutoff_decision(model, *cutoffs).table.argmax(axis=1)
-    value, d = _lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model),
-                                     start)
-    wait, f = evaluate_policy(model, d)
-    value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
-    if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too
-        raise NumericalError(f"{what}: the LP value {value!r} differs from the value "
-                             f"{evaluated!r} of its decision")
-    return evaluated, d
+    if sense == "min":
+        return (np.ones((len(ACTIONS), model.n)),
+                cutoff_decision(model, model.m1_star, model.m2_star))
+    reward = np.zeros((len(ACTIONS), model.n))
+    reward[SWAP] = model.f[1].reshape(-1)
+    return reward, cutoff_decision(model, 0, 0)
+
+
+def _howard(model: TwoLinkModel, sense, what):
+    """Howard's policy iteration (Howard 1960) from `optimum_setup`'s start.
+    Each step solves (I - K^d)^T v = r_d for the values and prices every
+    action, Q = r + K^T v.  The same factor solves (I - K^d)^T x = S, whose
+    answer is 1 exactly, so err = max|x - 1| is the solve's error.  A state
+    switches to its best action where the gain exceeds max(HOWARD_RTOL,
+    ERROR_MARGIN err) max(1, max|v|): switching on smaller, noisy gains
+    cycled.  Once none switches, returns the decision's `evaluate_policy`
+    value (the wait for "min", f for "max") and the decision."""
+    reward, start = optimum_setup(model, sense, what)
+    B, states = model.blocks, np.arange(model.n)
+    cols = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))
+    r = reward if sense == "max" else -reward
+    act = start.table.argmax(axis=1)
+    for _ in range(HOWARD_STEPS):
+        d = DecisionFunction.deterministic(act, len(ACTIONS))
+        kernel, S = policy_kernel(model, d)
+        v, x = _cycle_lu(*kernel, S, what).solve(np.column_stack([r[act, states], S]),
+                                                 trans="T").T
+        if not (np.isfinite(v).all() and np.isfinite(x).all()):
+            raise NumericalError(f"{what}: ill-conditioned, non-finite values")
+        Q = r + np.bincount(cols, B.data * v[B.indices], B.shape[1]).reshape(r.shape)
+        best = Q.argmax(axis=0)
+        gain = Q[best, states] - Q[act, states]
+        err = np.abs(x - 1).max()
+        switch = gain > max(HOWARD_RTOL, ERROR_MARGIN * err) * max(1.0, np.abs(v).max())
+        if not switch.any():
+            wait, f = evaluate_policy(model, d)
+            return (wait if sense == "min" else f), d
+        act = np.where(switch, best, act)
+    raise NumericalError(f"{what}: no optimum after {HOWARD_STEPS} Howard steps, the "
+                         f"last largest gain {gain.max():.3g}")
 
 
 def lp_optimal_value(model: TwoLinkModel):
     """Best stationary expected f of the end-to-end link, the most
-    sum_s f(s) z_swap(s), and a decision that attains it."""
-    reward = np.zeros((len(ACTIONS), model.n))
-    reward[SWAP] = model.f[1].reshape(-1)
-    return _renewal_lp(model, reward, "max", "lp_optimal_value", (0, 0))
+    sum_s f(s) z_swap(s), and a deterministic decision that attains it."""
+    return _howard(model, "max", "lp_optimal_value")
 
 
 def lp_optimal_waiting_time(model: TwoLinkModel):
     """Minimum expected steps to form the end-to-end link over stationary
     policies, from the fresh-request start (the least 1^T z, over q), and a
-    decision that attains it."""
-    return _renewal_lp(model, np.ones(model.n), "min", "lp_optimal_waiting_time",
-                       (model.m1_star, model.m2_star))
+    deterministic decision that attains it."""
+    return _howard(model, "min", "lp_optimal_waiting_time")
 
 
 def analytic_symmetric_waiting_time(p: float, q: float, t_star: int) -> float:

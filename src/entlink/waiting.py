@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .markov import ModelError, is_count, is_probability
+from .markov import ModelError, NumericalError, is_count, is_probability
 
 
 def _pk(p, k):
@@ -93,15 +93,19 @@ def collective_expected_infty(M: int, p: float, t_req: int) -> float:
     """Expected collective waiting time from non-negative terms only: by the
     recursion over the links still down while M^2 <= RECURSION_TERMS or it
     needs fewer terms, else by the tail sum.  ModelError when both need more
-    than MAX_TERMS."""
+    than MAX_TERMS, NumericalError when the wait, about H_M / p, overflows a
+    float."""
     _check("collective_expected_infty", M, p, t_req)
     square, tail = int(M) ** 2, _tail_terms(M, p, t_req)
     if min(square, tail) > MAX_TERMS:
         raise ModelError(f"collective_expected_infty: M = {M}, p = {p:g} needs more than "
                          f"{MAX_TERMS:.0e} terms")
-    if square <= max(RECURSION_TERMS, tail):
-        return _recursion(M, p, t_req)
-    return _tail_sum(M, p, t_req)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wait = (_recursion if square <= max(RECURSION_TERMS, tail) else _tail_sum)(M, p, t_req)
+    if not math.isfinite(wait):
+        raise NumericalError(f"collective_expected_infty: the wait at M = {M}, p = {p:g} "
+                             f"overflows a float")
+    return wait
 
 
 def virtual_expected(collective_expected: float, q: float) -> float:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -155,12 +156,15 @@ def _small_p(command, p, *extra):
             "--m2-star", "2", *extra]
 
 
+def _exact_wait(p, q, t_star):
+    """The symmetric-cutoff closed form in `Fraction`s, at the float inputs'
+    exact values."""
+    p, q = Fraction(float(p)), Fraction(q)
+    rr = (1 - p) ** t_star
+    return (3 - 2 * p * (1 - rr) - 2 * rr) / (q * p * (2 - p * (1 - 2 * rr) - 2 * rr))
+
+
 NUMERICAL_FAILURES = {
-    "highs-stopped-early": _small_p("lp-waiting", "1e-4"),
-    # HiGHS reports optimal, but the primal residual check fails
-    "lp-waiting-residual": _small_p("lp-waiting", "1e-5"),
-    # HiGHS calls an LP bounded by 1 unbounded
-    "lp-fidelity-unbounded": _small_p("lp-fidelity", "1e-5", "--t-coh", "12"),
     # the start state's self-loop is 1 - 2e-13; the cycle's exit mass comes
     # out 1e-3 short of 1
     "evaluate-p-1e-13": _small_p("evaluate", "1e-13", "--t1-star", "2", "--t2-star", "2"),
@@ -177,6 +181,20 @@ def test_numerical_failure_exit_code_3(args, run):
     assert r.stdout == ""
 
 
+def test_collective_wait_that_overflows_exits_3(run):
+    # the recursion overflowed to NaN with two RuntimeWarnings, and the
+    # command exited 2 blaming virtual_expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run(["waiting", "collective", "--M", "2", "--p", "5e-324", "--t-req", "0",
+                 "--q", "0.5"])
+    assert r.returncode == 3 and r.stdout == ""
+    error = json.loads(r.stderr)
+    assert error["error"] == "numerical"
+    assert error["detail"].startswith("collective_expected_infty:")
+    assert "overflows a float" in error["detail"]
+
+
 def test_numerical_failure_exits_3_from_the_process():
     r = run_cli(NUMERICAL_FAILURES["evaluate-p-1e-13"])
     assert r.returncode == 3, r.stderr
@@ -188,9 +206,7 @@ def test_evaluate_at_small_p_is_exact(run):
     r = run(_small_p("evaluate", "1e-6", "--t1-star", "2", "--t2-star", "2"))
     assert r.returncode == 0, r.stderr
     row = next(csv.DictReader(r.stdout.splitlines()))
-    p, q = Fraction(1e-6), Fraction(1, 2)
-    rr = (1 - p) ** 2
-    exact = (3 - 2 * p * (1 - rr) - 2 * rr) / (q * p * (2 - p * (1 - 2 * rr) - 2 * rr))
+    exact = _exact_wait("1e-6", Fraction(1, 2), 2)
     assert abs(Fraction(row["expected_waiting"]) / exact - 1) <= 1e-9
     assert float(row["f_at_absorption"]) == 1.0
 
@@ -198,14 +214,29 @@ def test_evaluate_at_small_p_is_exact(run):
 @pytest.mark.parametrize("p", ["1e-6", "1e-3"])
 def test_lp_fidelity_is_right_or_exits_3(p, run):
     # at p = 1e-6 the absorbing LP printed 0.9231877689426496 with exit 0,
-    # and at p = 1e-3 1.000000000054378; the exact optimum is f(0, 0) = 1
+    # and at p = 1e-3 1.000000000054378; the renewal LP could exit 3.  The
+    # optimum by Howard's steps is exactly f(0, 0) = 1
     r = run(_small_p("lp-fidelity", p, "--t-coh", "12"))
-    if r.returncode == 3:
-        assert json.loads(r.stderr)["error"] == "numerical" and r.stdout == ""
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "optimal_f_at_absorption\n1.0\n"
+
+
+@pytest.mark.parametrize("command, p", [("lp-waiting", "1e-4"), ("lp-waiting", "1e-5"),
+                                        ("lp-waiting", "1e-6"), ("lp-fidelity", "1e-4"),
+                                        ("lp-fidelity", "1e-5")],
+                         ids=lambda v: v)
+def test_small_p_optima_are_exact(command, p, run):
+    # the renewal LP exited 3 at these p: HiGHS's value off its decision's
+    # (lp-waiting 1e-4), a failed primal residual check (lp-waiting 1e-5,
+    # 1e-6) and "unbounded" for an LP bounded by 1 (lp-fidelity 1e-5)
+    r = run(_small_p(command, p, *(("--t-coh", "12") if command == "lp-fidelity" else ())))
+    assert r.returncode == 0, r.stderr
+    if command == "lp-fidelity":
+        assert r.stdout == "optimal_f_at_absorption\n1.0\n"
     else:
-        assert r.returncode == 0, r.stderr
-        value = float(r.stdout.split()[-1])
-        assert abs(value - 1) <= 1e-9 and value <= 1
+        row = next(csv.DictReader(r.stdout.splitlines()))
+        exact = _exact_wait(p, Fraction(1, 2), 2)
+        assert abs(Fraction(row["min_expected_waiting"]) / exact - 1) <= 1e-12
 
 
 def test_lp_fidelity_with_one_slow_link_is_exact(run):

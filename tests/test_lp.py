@@ -11,7 +11,8 @@ from scipy.sparse.linalg import splu
 from entlink import lp as L
 from entlink import twolink as TL
 from entlink.lp import mdp_occupation_lp
-from entlink.oracles import policy_iteration_absorbing, stationary_distribution, steady_state_lp
+from entlink.oracles import (policy_iteration_absorbing, stationary_distribution, steady_state_lp,
+                             two_link_lp)
 
 from conftest import (csc, deterministic_decisions, policy_chain, random_absorbing_mdp,
                       random_mdp)
@@ -98,8 +99,8 @@ def _two_link_lps(monkeypatch):
     monkeypatch.setattr(L, "solve", capture)
     for m_star in (2, 4, 6):
         model = TL.TwoLinkModel(0.5, 0.6, 0.7, m_star, m_star, _decay_table(m_star))
-        TL.lp_optimal_waiting_time(model)
-        TL.lp_optimal_value(model)
+        two_link_lp(model, "min")
+        two_link_lp(model, "max")
     monkeypatch.undo()
     return seen
 
@@ -193,7 +194,7 @@ def test_failed_solve_names_status_and_writes_nothing(capfd, monkeypatch):
     monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
     model = TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2, TL.uniform_f_table(2, 2))
     with pytest.raises(L.NumericalError):
-        TL.lp_optimal_waiting_time(model)
+        two_link_lp(model, "min")
     monkeypatch.undo()
     # stopped early: HiGHS's cold run of that LP fails after presolve, with
     # no solve info
@@ -203,7 +204,7 @@ def test_failed_solve_names_status_and_writes_nothing(capfd, monkeypatch):
     model = TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, TL.uniform_f_table(2, 2))
     with pytest.raises(L.NumericalError,
                        match=r"residual .* .model status 'Optimal', \d+ simplex iterations"):
-        TL.lp_optimal_waiting_time(model)
+        two_link_lp(model, "min")
     assert capfd.readouterr() == ("", "")
 
 
@@ -233,8 +234,7 @@ def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
     seen, real_solve = [], L.solve
     monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
     with pytest.raises(L.NumericalError, match="differs from the value"):
-        TL.lp_optimal_waiting_time(TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2,
-                                                   TL.uniform_f_table(2, 2)))
+        two_link_lp(TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2, TL.uniform_f_table(2, 2)), "min")
     monkeypatch.undo()
     stopped = (seen[0], None)
     sequence = [infeasible, warm[0], cold[0], unbounded, cold[1], warm[1], stopped, warm[0],
@@ -266,7 +266,7 @@ def test_a_start_that_fails_is_solved_again_cold(monkeypatch, capfd):
     monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append((lp, *basic)) or
                         real_solve(lp, *basic))
     with pytest.raises(L.NumericalError, match="unbounded"):
-        TL.lp_optimal_value(TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, _decay_table(2)))
+        two_link_lp(TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, _decay_table(2)), "max")
     monkeypatch.undo()
     lp, basic = seen[0]
     runs, real_run = [], L._run

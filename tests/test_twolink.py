@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from entlink import lp as L
 from entlink import markov, qstate
 from entlink import twolink as TL
-from entlink.oracles import policy_iteration_absorbing, two_link_absorbing_chain
+from entlink import oracles
+from entlink.oracles import two_link_absorbing_chain, two_link_lp
 from entlink.markov import DecisionFunction, ModelError
 from entlink.twolink import TwoLinkModel
 
@@ -309,19 +310,19 @@ def test_lp_waiting_equals_analytic_grid():
             model = TL.TwoLinkModel(p, p, q, 5, 5, f)
             t_lp, d = TL.lp_optimal_waiting_time(model)
             assert t_lp == pytest.approx(
-                TL.analytic_symmetric_waiting_time(p, q, 5), abs=1e-6)
+                TL.analytic_symmetric_waiting_time(p, q, 5), rel=1e-12)
             # the extracted decision achieves the optimum
             wait, _ = TL.evaluate_policy(model, d)
-            assert wait == pytest.approx(t_lp, abs=1e-6)
+            assert wait == pytest.approx(t_lp, rel=1e-12)
 
 
 def test_lp_has_a_variable_per_state_and_action(monkeypatch):
-    # "swap" where a link is inactive duplicates "00"; a state with no LP
-    # mass is uniform over all five actions
+    # the renewal LP oracle: "swap" where a link is inactive duplicates
+    # "00"; a state with no LP mass is uniform over all five actions
     seen, real_solve = [], L.solve
     monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
     model = TwoLinkModel(0.5, 0.5, 0.5, 3, 3, TL.uniform_f_table(3, 3))
-    _, d = TL.lp_optimal_waiting_time(model)
+    _, d = two_link_lp(model, "min")
     assert seen[0].A.shape == (model.n, len(TL.ACTIONS) * model.n)
     assert (d.table == 1 / len(TL.ACTIONS)).all(axis=1).any()
 
@@ -329,12 +330,13 @@ def test_lp_has_a_variable_per_state_and_action(monkeypatch):
 @pytest.mark.parametrize("m_star", [2, 5, 8])
 def test_waiting_lp_starts_at_its_optimum(m_star, rng):
     # swapping as soon as both links are up, cutoff (m1*, m2*), waits least
-    # for any f; started from its basis, HiGHS prices and takes no pivot
+    # for any f; started from its basis, the LP oracle's HiGHS prices and
+    # takes no pivot
     for _ in range(4):
         f = TL.uniform_f_table(m_star, m_star)
         f[1, 1:, 1:] = rng.uniform(0, 1, (m_star + 1, m_star + 1))
         model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
-        wait, _ = TL.lp_optimal_waiting_time(model)
+        wait, _ = two_link_lp(model, "min")
         assert L._solver().getInfo().simplex_iteration_count == 0
         want, _ = TL.evaluate_policy(model, TL.cutoff_decision(model, m_star, m_star))
         assert wait == pytest.approx(want, rel=1e-12)
@@ -342,13 +344,14 @@ def test_waiting_lp_starts_at_its_optimum(m_star, rng):
 
 @pytest.mark.parametrize("m_star", [2, 5, 8])
 def test_fidelity_lp_starts_at_its_optimum_for_f_decreasing_with_age(m_star, rng):
-    # for such an f, swapping only fresh links, cutoff (0, 0), is optimal
+    # for such an f, swapping only fresh links, cutoff (0, 0), is optimal;
+    # the LP oracle starts there and takes no pivot
     for _ in range(4):
         u = rng.uniform(0, 1, (m_star + 1, m_star + 1))
         f = TL.uniform_f_table(m_star, m_star)
         f[1, 1:, 1:] = np.minimum.accumulate(np.minimum.accumulate(u, axis=0), axis=1)
         model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
-        value, _ = TL.lp_optimal_value(model)
+        value, _ = two_link_lp(model, "max")
         assert L._solver().getInfo().simplex_iteration_count == 0
         assert value == pytest.approx(f[1, 1, 1], rel=1e-12)
 
@@ -375,8 +378,7 @@ def test_lp_value_equals_policy_iteration_on_random_models(rng):
         model = TL.TwoLinkModel(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
                                 rng.uniform(0.3, 1.0), m1, m2, f)
         v1, d = TL.lp_optimal_value(model)
-        T, reward, init = two_link_absorbing_chain(model)
-        v2 = policy_iteration_absorbing(T, reward, "max", init)
+        v2, _ = two_link_lp(model, "max")  # the simplex, not Howard's steps
         assert v1 == pytest.approx(v2, abs=1e-7)
         # re-evaluation reproduces the optimum
         _, f_abs = TL.evaluate_policy(model, d)
@@ -392,7 +394,7 @@ def test_lp_value_beats_every_cutoff(rng):
     for t1 in range(m_star + 1):
         for t2 in range(m_star + 1):
             _, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, t1, t2))
-            assert f_abs <= v + 1e-8
+            assert f_abs <= v * (1 + 1e-12)
 
 
 def _damped_memory(gamma):
@@ -424,13 +426,12 @@ def test_lp_waiting_tight_solver_tolerance():
 def test_lps_vs_policy_iteration(rng, m_star):
     model = _damped_bell_model(*rng.uniform(0.1, 0.9, 2), rng.uniform(0.3, 1.0),
                                rng.uniform(0.005, 0.05), m_star)
-    # the renewal LPs against Howard's iteration on the absorbing chain
-    T, reward, init = two_link_absorbing_chain(model)
-    t_lp, _ = TL.lp_optimal_waiting_time(model)
-    t_pi = policy_iteration_absorbing(T, np.ones(len(init)), "min", init)
+    # the optima by Howard's steps against the renewal LP oracle
+    t_pi, _ = TL.lp_optimal_waiting_time(model)
+    t_lp, _ = two_link_lp(model, "min")
     assert t_lp == pytest.approx(t_pi, rel=1e-10)
-    v_lp, _ = TL.lp_optimal_value(model)
-    v_pi = policy_iteration_absorbing(T, reward, "max", init)
+    v_pi, _ = TL.lp_optimal_value(model)
+    v_lp, _ = two_link_lp(model, "max")
     assert v_lp == pytest.approx(v_pi, rel=1e-10)
 
 
@@ -653,21 +654,23 @@ def test_lp_value_is_the_best_f(model):
 @given(two_link_models())
 def test_lp_wait_is_the_storage_bound_cutoff(model):
     # keeping each link up to its storage bound is optimal (the paper shows
-    # the one-link analogue); HiGHS's 1e-10 tolerances leave the LP's
+    # the one-link analogue); HiGHS's 1e-10 tolerances left the LP's
     # decision up to ~2.5e-10 relative above it (p1 = 1, p2 = 0.99999)
     wait, _ = TL.lp_optimal_waiting_time(model)
     cutoff = TL.cutoff_decision(model, model.m1_star, model.m2_star)
-    assert wait == pytest.approx(TL.evaluate_policy(model, cutoff)[0], rel=TL.LP_RTOL)
+    assert wait == pytest.approx(TL.evaluate_policy(model, cutoff)[0], rel=1e-12)
 
 
 def test_lp_value_at_small_p_is_right_or_raises():
     # f = 0.9 on every both-active state, so every policy gives 0.9; the
-    # absorbing LP returned 0.8999741207 at p = 1e-6 without an error
+    # absorbing LP returned 0.8999741207 at p = 1e-6 without an error.  The
+    # renewal LP oracle is right or raises, and Howard's steps are right
     f = 0.9 * TL.uniform_f_table(2, 2)
     for q in (0.5, 1.0):
         model = TL.TwoLinkModel(1e-6, 1e-6, q, 2, 2, f)
+        assert TL.lp_optimal_value(model)[0] == pytest.approx(0.9, rel=1e-12)
         try:
-            value, _ = TL.lp_optimal_value(model)
+            value, _ = two_link_lp(model, "max")
         except markov.NumericalError as exc:
             assert "differs from the value" in str(exc) or "solve:" in str(exc)
         else:
@@ -676,16 +679,16 @@ def test_lp_value_at_small_p_is_right_or_raises():
 
 def test_lp_guard_raises_when_the_lp_value_is_off(monkeypatch):
     model = sym_model(0.5, 0.5, 2)
-    real = TL._lp.mdp_occupation_lp
+    real = oracles.lp.mdp_occupation_lp
 
     def off(*args, **kwargs):
         value, d = real(*args, **kwargs)
         return value * (1 + 2e-9), d
 
-    monkeypatch.setattr(TL._lp, "mdp_occupation_lp", off)
-    for solve in (TL.lp_optimal_value, TL.lp_optimal_waiting_time):
+    monkeypatch.setattr(oracles.lp, "mdp_occupation_lp", off)
+    for sense in ("max", "min"):
         with pytest.raises(markov.NumericalError, match="differs from the value"):
-            solve(model)
+            two_link_lp(model, sense)
 
 
 def test_large_waiting_lp_memory():
@@ -703,3 +706,56 @@ def test_large_waiting_lp_memory():
                        timeout=120)
     assert r.returncode == 0, r.stderr
     assert float(r.stdout) / 1024 < 200, r.stdout
+
+
+def test_waiting_optimum_at_m_star_256():
+    # the renewal LP took 2.7 s and 340 MB here; Howard's steps take one
+    # factor of I - K^d per step, ~0.2 s and ~110 MB (2 cores)
+    code = ("import time\n"
+            "from entlink import twolink as TL\n"
+            "model = TL.TwoLinkModel(0.3, 0.3, 0.5, 256, 256, TL.uniform_f_table(256, 256))\n"
+            "t0 = time.perf_counter()\n"
+            "wait, _ = TL.lp_optimal_waiting_time(model)\n"
+            "seconds = time.perf_counter() - t0\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(repr(wait), seconds, status.read().split('VmHWM:')[1].split()[0])\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    wait, seconds, peak_kb = (float(x) for x in r.stdout.split())
+    assert rel_err(wait, exact_symmetric_wait(0.3, 0.5, 256)) <= 1e-12
+    assert seconds < 1.5 and peak_kb / 1024 < 150, r.stdout
+
+
+def _random_models(rng, count):
+    """m* <= 6, p1, p2, q in 10^U[-3, 0] and a uniform random f, in the
+    order of draws (m1*, m2*), (p1, p2, q), f."""
+    for _ in range(count):
+        m1, m2 = (int(m) for m in rng.integers(0, 7, 2))
+        p1, p2, q = 10 ** rng.uniform(-3, 0, 3)
+        f = TL.uniform_f_table(m1, m2)
+        f[1, 1:, 1:] = rng.uniform(0, 1, (m1 + 1, m2 + 1))
+        yield TL.TwoLinkModel(p1, p2, q, m1, m2, f)
+
+
+def test_fidelity_optimum_is_deterministic_where_the_lp_mixed():
+    # from its start basis the LP ended with 2.7e-7 on a second action at one
+    # state, a decision worth 0.9800966854343841, 1.0e-9 below the optimum
+    *_, model = _random_models(np.random.default_rng(2024), 142)
+    assert (model.m1_star, model.m2_star) == (3, 3)
+    value, d = TL.lp_optimal_value(model)
+    assert set(np.unique(d.table)) == {0.0, 1.0}
+    assert value == pytest.approx(0.9800966864123505, rel=1e-12)
+
+
+def test_optima_are_never_worse_than_the_lp_oracle():
+    # Howard's steps against the simplex on the same renewal LP: each
+    # optimum is at least the LP's within 1e-12, from a deterministic
+    # decision, and the steps stop under their cap (else NumericalError)
+    for model in _random_models(np.random.default_rng(7), 150):
+        f, d_f = TL.lp_optimal_value(model)
+        wait, d_wait = TL.lp_optimal_waiting_time(model)
+        for d in (d_f, d_wait):
+            assert set(np.unique(d.table)) == {0.0, 1.0}
+        assert f >= two_link_lp(model, "max")[0] * (1 - 1e-12)
+        assert wait <= two_link_lp(model, "min")[0] * (1 + 1e-12)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlink import elemlink, waiting as W
-from entlink.markov import DecisionFunction, ModelError
+from entlink.markov import DecisionFunction, ModelError, NumericalError
 
 
 def test_pmf_is_a_distribution():
@@ -204,3 +205,13 @@ def test_pmf_scalar_t_gives_float_and_bad_t_raises():
         W.collective_pmf_infty(2, 0.5, 0, np.array([3, 0, 5]))
     with pytest.raises(ModelError):
         W.collective_pmf_infty(2, 0.5, 0, np.array([-1]))
+
+
+def test_collective_wait_that_overflows_raises():
+    # the true wait, about H_M / p, overflows a float: the recursion
+    # returned NaN with two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="the wait at M = 2, .* overflows a float"):
+            W.collective_expected_infty(2, 5e-324, 0)
+        assert W.collective_expected_infty(2, 1e-300, 0) == pytest.approx(1.5e300)
