@@ -15,20 +15,13 @@ actions where a state carries no mass.  `solve` hands a
 `LinearProgram`'s CSC arrays straight to the HiGHS dual simplex solver
 that ships with scipy (Huangfu & Hall 2018, Math. Prog. Comp. 10), with
 the options `scipy.optimize.linprog(method="highs")` would pass, so HiGHS
-does the same computation and returns the same bits.  One HiGHS object,
-made with those options on the first solve, serves every solve in the
-process: `passModel` clears the last model, its basis, its solution and
-its info, as in a new object.  That object is not for two threads at
-once.  `solve` then checks the answer as linprog did (no NaN, no entry
-below -10 sqrt(1e-9)) and against a tighter primal residual bound.
-
-A solve may start from a basis: for an occupation LP, the columns of a
-deterministic decision whose cycle ends, a basic feasible solution, from
-which the simplex method is policy iteration (Puterman 1994, sec. 6.9).
-HiGHS skips presolve and prices every column from that basis, so the start
-is priced, not trusted: a known optimum takes no pivot, any other start
-ends at the LP's optimum.  A start that ends in no checked optimum is
-solved once more cold.
+does the same computation, presolve and dual simplex from no basis, and
+returns the same bits.  One HiGHS object, made with those options on the
+first solve, serves every solve in the process: `passModel` clears the
+last model, its solution and its info, as in a new object.  That object
+is not for two threads at once.  `solve` then checks the answer as
+linprog did (no NaN, no entry below -10 sqrt(1e-9)) and against a
+tighter primal residual bound.
 
 scipy's compiled kernels are loaded from their files by `load_scipy_module`,
 since the `__init__` of a scipy package imports most of scipy: two thirds
@@ -112,6 +105,8 @@ _VERDICT = {highs.HighsModelStatus.kInfeasible: "infeasible",
             highs.HighsModelStatus.kUnbounded: "unbounded"}
 
 
+# a new _Highs() with passOptions costs ~88 us (2-core host), a quarter of
+# a small steady-state LP's solve, and the selftest solves 100 of those
 @functools.cache
 def _solver():
     """The one HiGHS object of the process, made on the first solve."""
@@ -187,27 +182,11 @@ class LinearProgram:
             raise ModelError("LinearProgram: objective, A and b must be finite")
 
 
-def _basis(basic, m, n):
-    """The HiGHS basis whose basic columns are `basic`, one per row, with
-    every other column and every row at its lower bound."""
-    basis = highs.HighsBasis()
-    col = np.full(n, highs.HighsBasisStatus.kLower, dtype=object)
-    col[basic] = highs.HighsBasisStatus.kBasic
-    basis.col_status, basis.row_status = col.tolist(), [highs.HighsBasisStatus.kLower] * m
-    basis.valid, basis.alien = True, False
-    return basis
-
-
-def solve(lp: LinearProgram, basic=None) -> tuple[float, np.ndarray]:
+def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     """Optimal value and an optimal x, or NumericalError naming HiGHS's
     verdict ("infeasible", "unbounded" or "stopped early"), its model status
     and its simplex iteration count; also when the answer has a NaN, an
-    entry below -BOUND_TOL or a primal residual above 10 FEAS_TOL.
-
-    `basic`, the column indices of a basis of A, one per row, is where the
-    simplex starts: HiGHS prices every column from there, so x is an optimum
-    of the LP, not the start's.  When that run raises, the same LP is
-    solved once more from no basis, as when `basic` is None."""
+    entry below -BOUND_TOL or a primal residual above 10 FEAS_TOL."""
     m, n = lp.A.shape
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = n, m
@@ -220,23 +199,10 @@ def solve(lp: LinearProgram, basic=None) -> tuple[float, np.ndarray]:
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, highs.kHighsInf)
     model.row_lower_ = model.row_upper_ = lp.b
-    if basic is not None:
-        try:
-            return _run(model, lp, _basis(basic, m, n))
-        except NumericalError:
-            pass  # passModel drops the basis and all the run left
-    return _run(model, lp, None)
-
-
-def _run(model, lp: LinearProgram, basis):
-    """`solve`'s one HiGHS run of `model`, from `basis` if it is not None,
-    and the checks of its answer."""
     solver = _solver()
     if solver.passModel(model) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
-        if basis is not None:
-            solver.setBasis(basis)  # a rejected basis leaves the run cold
         solver.run()
         status = solver.getModelStatus()
     info = solver.getInfo()
@@ -250,7 +216,7 @@ def _run(model, lp: LinearProgram, basis):
     if np.isnan(x).any() or (x < -BOUND_TOL).any():
         raise NumericalError(f"solve: HiGHS reported optimal, but x has a NaN "
                              f"or an entry below {-BOUND_TOL:.3g} ({detail})")
-    A, m = lp.A, lp.A.shape[0]
+    A = lp.A
     Ax = np.bincount(A.indices, A.data * np.repeat(x, np.diff(A.indptr)), minlength=m)
     resid = np.max(np.abs(Ax - lp.b)) if m else 0.0
     if resid > FEAS_TOL * 10:
@@ -260,8 +226,7 @@ def _run(model, lp: LinearProgram, basis):
     return float(lp.objective @ x), x
 
 
-def mdp_occupation_lp(K: Csc, reward, sense: str, initial,
-                      start=None) -> tuple[float, DecisionFunction]:
+def mdp_occupation_lp(K: Csc, reward, sense: str, initial) -> tuple[float, DecisionFunction]:
     """Best total reward over one cycle from `initial`, and a decision that
     attains it.
 
@@ -270,12 +235,7 @@ def mdp_occupation_lp(K: Csc, reward, sense: str, initial,
     when a is taken at s.  `reward` is r(s) or r(a, s), and `initial` an
     array over the n states.  The models here give feasible, bounded LPs
     (two links once p1, p2, q > 0), so `solve` raises NumericalError for
-    any other status.
-
-    `start[s]`, the action at each state s of a decision whose cycle ends
-    from every state, starts the simplex from the basis of the columns
-    start[s] n + s, its I - K^start; a start that is optimal takes no pivot.
-    """
+    any other status."""
     if not isinstance(K, Csc):
         raise ModelError("mdp_occupation_lp: K must be an lp.Csc")
     n = K.shape[0]
@@ -297,7 +257,7 @@ def mdp_occupation_lp(K: Csc, reward, sense: str, initial,
     A = csc_from_entries(np.append(K.indices[~on], j % n), np.append(c[~on], j),
                          np.append(-K.data[~on], diag), (n, j.size))
     lp = LinearProgram(np.broadcast_to(reward, (na, n)).ravel(), sense, A, rhs)
-    value, x = solve(lp) if start is None else solve(lp, np.asarray(start) * n + np.arange(n))
+    value, x = solve(lp)
     z = x.reshape(na, n)
     mass = z.sum(axis=0)  # uniform over the actions where a state has no mass
     table = np.where(mass > 0, z / np.where(mass > 0, mass, 1.0), 1 / na)

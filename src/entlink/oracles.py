@@ -6,8 +6,9 @@ Bell-diagonal states from the Bell projectors; Pauli error rates from
 traces against the state; optimal policies from
 exhaustive enumeration, Howard's policy iteration on an explicit dense
 absorbing chain, or, for the two-link optimum that production finds by
-Howard's steps, the renewal LP by HiGHS's dual simplex; the single-link
-steady-state optimum from the occupation LP (not the best cutoff),
+Howard's steps, the renewal LP by HiGHS's dual simplex from no basis (so
+not Howard's method); the single-link steady-state optimum from the
+occupation LP (not the best cutoff),
 finite-horizon optima from a literal history-indexed recursion, and the
 heralded satellite link from an explicit beamsplitter dilation on
 truncated Fock spaces.
@@ -227,13 +228,12 @@ def policy_iteration_absorbing(T: np.ndarray, reward, sense: str, initial) -> fl
 
 def two_link_lp(model: TwoLinkModel, sense: str):
     """The two-link optimum of `sense` by the paper's renewal LP, solved by
-    HiGHS's simplex from `twolink.optimum_setup`'s start: the LP decision's
-    `evaluate_policy` value and the decision.  NumericalError when the LP's
-    own value is further than LP_RTOL from that value (at small p HiGHS can
-    call a wrong optimum optimal)."""
-    reward, start = optimum_setup(model, sense, "two_link_lp")
-    value, d = lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model),
-                                    start.table.argmax(axis=1))
+    HiGHS's dual simplex from no basis, not by Howard's steps: the LP
+    decision's `evaluate_policy` value and the decision.  NumericalError
+    when the LP's own value is further than LP_RTOL from that value (at
+    small p HiGHS can call a wrong optimum optimal)."""
+    reward, _ = optimum_setup(model, sense, "two_link_lp")
+    value, d = lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model))
     wait, f = evaluate_policy(model, d)
     value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
     if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too

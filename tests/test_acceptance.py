@@ -8,7 +8,7 @@ byte.
 import subprocess
 import sys
 
-from entlink import cli, selftest
+from entlink import cli, selftest, twolink
 
 
 def _run(fn, *args):
@@ -29,6 +29,15 @@ def test_criterion_02_lp_vs_best_cutoff():
 
 def test_criterion_03_two_link_waiting_lp():
     _run(selftest.criterion_two_link_waiting)
+
+
+def test_criterion_03_fails_a_wait_off_by_1e_9(monkeypatch):
+    # the optimum matches the closed form within ~1e-14 relative, so an
+    # error of 1e-9 relative (up to ~1e-7 steps on this grid) must fail
+    real = twolink.lp_optimal_waiting_time
+    monkeypatch.setattr(twolink, "lp_optimal_waiting_time",
+                        lambda model: (real(model)[0] * (1 + 1e-9), None))
+    assert not selftest.criterion_two_link_waiting()["passed"]
 
 
 def test_criterion_04_joining_fidelity_formulas():

@@ -88,13 +88,13 @@ def _decay_table(m_star):
 
 
 def _two_link_lps(monkeypatch):
-    """The two-link LPs and the start bases they are solved from."""
+    """The two-link LPs that `two_link_lp` solves."""
     seen = []
     real_solve = L.solve
 
-    def capture(lp, basic=None):
-        seen.append((lp, basic))
-        return real_solve(lp, basic)
+    def capture(lp):
+        seen.append(lp)
+        return real_solve(lp)
 
     monkeypatch.setattr(L, "solve", capture)
     for m_star in (2, 4, 6):
@@ -111,7 +111,7 @@ def test_solve_matches_linprog_bitwise(rng, monkeypatch):
     # not an oracle; vertex enumeration, the assignment LP and policy
     # iteration stay the independent checks.
     lps = [L.LinearProgram(c, "min", csc(A), b) for A, b, c in _random_lps(rng)]
-    two_link = [lp for lp, _ in _two_link_lps(monkeypatch)]
+    two_link = _two_link_lps(monkeypatch)
     assert len(two_link) == 6
     for i, lp in enumerate(lps + two_link):
         want = _linprog_solve(lp)
@@ -188,18 +188,15 @@ def test_duplicate_entry_lp_solves():
 
 
 def test_failed_solve_names_status_and_writes_nothing(capfd, monkeypatch):
-    # from its start basis the LP ends optimal, and the LP-vs-evaluation
-    # guard fails
+    # stopped early: HiGHS's run of this p = 1e-4 LP fails after presolve,
+    # with no solve info
     seen, real_solve = [], L.solve
-    monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
+    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
     model = TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2, TL.uniform_f_table(2, 2))
-    with pytest.raises(L.NumericalError):
+    with pytest.raises(L.NumericalError, match="stopped early .model status 'Not Set'"):
         two_link_lp(model, "min")
     monkeypatch.undo()
-    # stopped early: HiGHS's cold run of that LP fails after presolve, with
-    # no solve info
-    with pytest.raises(L.NumericalError, match="stopped early .model status 'Not Set'"):
-        L.solve(seen[0])
+    assert len(seen) == 1
     # optimal, but the primal residual check fails
     model = TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, TL.uniform_f_table(2, 2))
     with pytest.raises(L.NumericalError,
@@ -214,9 +211,9 @@ def _fresh_solver():
     return solver
 
 
-def _outcome(lp, basic=None):
+def _outcome(lp):
     try:
-        value, x = L.solve(lp, basic)
+        value, x = L.solve(lp)
     except L.NumericalError as exc:
         return str(exc)
     return value, x.tobytes()
@@ -224,60 +221,26 @@ def _outcome(lp, basic=None):
 
 def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
     # `solve` keeps one HiGHS object for the process: an infeasible, an
-    # unbounded or a stopped-early LP, or a warm start, before a cold solve
-    # must leave neither the feasible LP's bits nor a later message's
-    # iteration count different from what a new object gives
-    infeasible = (L.LinearProgram([1.0, 1.0], "min", csc([[1.0, 1.0]]), [-1.0]), None)
-    unbounded = (L.LinearProgram([-1.0, 0.0], "min", csc([[0.0, 1.0]]), [1.0]), None)
-    warm = _two_link_lps(monkeypatch)[:2]
-    cold = [(lp, None) for lp, _ in warm]
+    # unbounded or a stopped-early LP before a feasible one must leave
+    # neither the feasible LP's bits nor a later message's iteration count
+    # different from what a new object gives
+    infeasible = L.LinearProgram([1.0, 1.0], "min", csc([[1.0, 1.0]]), [-1.0])
+    unbounded = L.LinearProgram([-1.0, 0.0], "min", csc([[0.0, 1.0]]), [1.0])
+    feasible = _two_link_lps(monkeypatch)[:2]
     seen, real_solve = [], L.solve
-    monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
-    with pytest.raises(L.NumericalError, match="differs from the value"):
+    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+    with pytest.raises(L.NumericalError, match="stopped early"):
         two_link_lp(TL.TwoLinkModel(1e-4, 1e-4, 0.5, 2, 2, TL.uniform_f_table(2, 2)), "min")
     monkeypatch.undo()
-    stopped = (seen[0], None)
-    sequence = [infeasible, warm[0], cold[0], unbounded, cold[1], warm[1], stopped, warm[0],
-                cold[0], infeasible, stopped, warm[1], cold[1]]
-    shared = [_outcome(*lp) for lp in sequence]
+    stopped = seen[0]
+    sequence = [infeasible, feasible[0], unbounded, feasible[1], stopped, feasible[0],
+                infeasible, stopped, feasible[1]]
+    shared = [_outcome(lp) for lp in sequence]
     assert L._solver() is L._solver()
     monkeypatch.setattr(L, "_solver", _fresh_solver)
-    assert shared == [_outcome(*lp) for lp in sequence]
-    assert [type(o) for o in shared] == [str, tuple, tuple, str, tuple, tuple, str, tuple,
-                                         tuple, str, str, tuple, tuple]
-    assert "stopped early" in shared[6] and "unbounded" in shared[3]
-    monkeypatch.undo()
-    # passModel drops the basis: right after a warm solve of the same LP, a
-    # cold one searches again, for as many iterations as in a new object
-    L.solve(*warm[0])
-    assert L._solver().getInfo().simplex_iteration_count == 0
-    L.solve(cold[0][0])
-    iterations = L._solver().getInfo().simplex_iteration_count
-    fresh = _fresh_solver()
-    monkeypatch.setattr(L, "_solver", lambda: fresh)
-    L.solve(cold[0][0])
-    assert iterations == fresh.getInfo().simplex_iteration_count > 0
-
-
-def test_a_start_that_fails_is_solved_again_cold(monkeypatch, capfd):
-    # from cutoff (0, 0) HiGHS calls this p = 1e-5 fidelity LP unbounded;
-    # the LP is solved once more from no basis, with a cold solve's outcome
-    seen, real_solve = [], L.solve
-    monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append((lp, *basic)) or
-                        real_solve(lp, *basic))
-    with pytest.raises(L.NumericalError, match="unbounded"):
-        two_link_lp(TL.TwoLinkModel(1e-5, 1e-5, 0.5, 2, 2, _decay_table(2)), "max")
-    monkeypatch.undo()
-    lp, basic = seen[0]
-    runs, real_run = [], L._run
-    monkeypatch.setattr(L, "_run", lambda model, lp, basis: runs.append(basis is None) or
-                        real_run(model, lp, basis))
-    assert _outcome(lp, basic) == _outcome(lp)
-    assert runs == [False, True, True]
-    # a column list that is no basis is rejected, and the run is cold
-    lp, basic = _two_link_lps(monkeypatch)[0]
-    assert _outcome(lp, np.zeros_like(basic)) == _outcome(lp)
-    assert capfd.readouterr() == ("", "")
+    assert shared == [_outcome(lp) for lp in sequence]
+    assert [type(o) for o in shared] == [str, tuple, str, tuple, str, tuple, str, str, tuple]
+    assert "stopped early" in shared[4] and "unbounded" in shared[2]
 
 
 def test_solver_is_made_on_the_first_solve():

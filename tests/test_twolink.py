@@ -320,7 +320,7 @@ def test_lp_has_a_variable_per_state_and_action(monkeypatch):
     # the renewal LP oracle: "swap" where a link is inactive duplicates
     # "00"; a state with no LP mass is uniform over all five actions
     seen, real_solve = [], L.solve
-    monkeypatch.setattr(L, "solve", lambda lp, *basic: seen.append(lp) or real_solve(lp, *basic))
+    monkeypatch.setattr(L, "solve", lambda lp: seen.append(lp) or real_solve(lp))
     model = TwoLinkModel(0.5, 0.5, 0.5, 3, 3, TL.uniform_f_table(3, 3))
     _, d = two_link_lp(model, "min")
     assert seen[0].A.shape == (model.n, len(TL.ACTIONS) * model.n)
@@ -328,31 +328,28 @@ def test_lp_has_a_variable_per_state_and_action(monkeypatch):
 
 
 @pytest.mark.parametrize("m_star", [2, 5, 8])
-def test_waiting_lp_starts_at_its_optimum(m_star, rng):
+def test_waiting_lp_reaches_its_optimum(m_star, rng):
     # swapping as soon as both links are up, cutoff (m1*, m2*), waits least
-    # for any f; started from its basis, the LP oracle's HiGHS prices and
-    # takes no pivot
+    # for any f; the LP oracle, solved from no basis, finds that wait
     for _ in range(4):
         f = TL.uniform_f_table(m_star, m_star)
         f[1, 1:, 1:] = rng.uniform(0, 1, (m_star + 1, m_star + 1))
         model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
         wait, _ = two_link_lp(model, "min")
-        assert L._solver().getInfo().simplex_iteration_count == 0
         want, _ = TL.evaluate_policy(model, TL.cutoff_decision(model, m_star, m_star))
         assert wait == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("m_star", [2, 5, 8])
-def test_fidelity_lp_starts_at_its_optimum_for_f_decreasing_with_age(m_star, rng):
+def test_fidelity_lp_reaches_its_optimum_for_f_decreasing_with_age(m_star, rng):
     # for such an f, swapping only fresh links, cutoff (0, 0), is optimal;
-    # the LP oracle starts there and takes no pivot
+    # the LP oracle, solved from no basis, finds its value
     for _ in range(4):
         u = rng.uniform(0, 1, (m_star + 1, m_star + 1))
         f = TL.uniform_f_table(m_star, m_star)
         f[1, 1:, 1:] = np.minimum.accumulate(np.minimum.accumulate(u, axis=0), axis=1)
         model = TL.TwoLinkModel(*10 ** rng.uniform(-3, 0, 3), m_star, m_star, f)
         value, _ = two_link_lp(model, "max")
-        assert L._solver().getInfo().simplex_iteration_count == 0
         assert value == pytest.approx(f[1, 1, 1], rel=1e-12)
 
 
