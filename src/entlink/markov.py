@@ -31,6 +31,8 @@ def is_count(value, low: int) -> bool:
 def is_real(value) -> bool:
     """Whether value is a real number: a Python or numpy int or float, not a
     bool.  NaN and the infinities are real numbers here."""
+    if type(value) is float:  # the common case, on the hot path of satlink.memory_f
+        return True
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 

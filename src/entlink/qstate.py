@@ -10,6 +10,10 @@ side and a batched matmul on the bra side, and never form a Kraus matrix
 of the whole chain.  `DensityOperator` validates with one transposed
 copy and a Cholesky factor of conj(H), read by columns.
 
+Constant operators (Bell vectors, Weyl corrections, node factors), which
+the selftest asks for hundreds of times, are built on first use into
+small private caches of read-only arrays; public functions hand out copies.
+
 The whole package does its dense linear algebra with numpy's OpenBLAS
 only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
 stall each other: on a 2-core host one 81x81 numpy matmul took 0.08 ms
@@ -20,7 +24,9 @@ which were measured and do not stall.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +53,27 @@ class DensityOperator:
             raise QuantumError("DensityOperator: not square")
         if not np.isfinite(mat).all():  # NaN would pass the tests below
             raise QuantumError("DensityOperator: non-finite entries")
-        # the one work buffer: conj(mat.T), compared with mat in row chunks
-        # of ~4096 entries so that no second n x n array is made
+        # the one work buffer: conj(mat.T), transposed in cache-sized tiles, then
+        # compared with mat and made the Hermitian part H = 0.5 (mat + conj(mat.T))
+        # in one pass over row blocks of ~2^14 entries
         n = mat.shape[0]
         work = np.empty(mat.shape, dtype=complex)
-        np.conj(mat.T, out=work)
-        step = max(1, 2 ** 12 // n)
+        for i in range(0, n, 64):
+            for j in range(0, n, 64):
+                np.conj(mat[j:j + 64, i:i + 64].T, out=work[i:i + 64, j:j + 64])
+        step = max(1, 2 ** 14 // n)
         for i in range(0, n, step):
-            if np.max(np.abs(mat[i:i + step] - work[i:i + step])) > HERM_TOL:
+            block, rows = mat[i:i + step], work[i:i + step]
+            if np.max(np.abs(block - rows)) > HERM_TOL:
                 raise QuantumError("DensityOperator: not Hermitian")
+            rows += block
+            rows *= 0.5
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
             raise QuantumError(f"DensityOperator: trace {np.trace(mat).real!r}")
-        # positive semidefinite down to EIG_FLOOR iff the Hermitian part H plus
-        # |EIG_FLOOR| I has a Cholesky factor; eigvalsh decides only the
-        # near-misses Cholesky refuses.  H is exactly Hermitian, so work.T is
-        # conj(H), whose F order numpy copies for LAPACK column by column
-        work += mat
-        work *= 0.5
+        # positive semidefinite down to EIG_FLOOR iff H plus |EIG_FLOOR| I has a
+        # Cholesky factor; eigvalsh decides only the near-misses Cholesky
+        # refuses.  H is exactly Hermitian, so work.T is conj(H), whose F order
+        # numpy copies for LAPACK column by column
         work.flat[::n + 1] -= EIG_FLOOR
         try:
             np.linalg.cholesky(work.T)
@@ -145,18 +155,33 @@ def bell(d, z=0, x=0):
     |k+x, k> is omega^{z(k+x)} / sqrt(d)."""
     if not (0 <= z < d and 0 <= x < d):
         raise QuantumError("bell: z, x must lie in [0, d)")
-    omega_z = np.diag(np.linalg.matrix_power(weyl_z(d), z))
-    k = np.arange(d)
-    row = (k + x) % d
-    phi = np.zeros(d * d, dtype=complex)
-    phi[row * d + k] = omega_z[row] * (1.0 / np.sqrt(d))
-    return phi
+    return _bell(operator.index(d), operator.index(z), operator.index(x)).copy()
 
 
 def bell_basis(d):
     """The d^2 Bell vectors as rows, row x*d + z holding bell(d, z, x); for
     d = 2 that is Phi+, Phi-, Psi+, Psi- (up to phase)."""
-    return np.array([bell(d, z, x) for x in range(d) for z in range(d)])
+    return _bell_basis(operator.index(d)).copy()
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _bell(d, z, x):
+    omega_z = np.diag(np.linalg.matrix_power(weyl_z(d), z))
+    k = np.arange(d)
+    row = (k + x) % d
+    phi = np.zeros(d * d, dtype=complex)
+    phi[row * d + k] = omega_z[row] * (1.0 / np.sqrt(d))
+    return _read_only(phi)
+
+
+@functools.lru_cache(maxsize=4)
+def _bell_basis(d):
+    return _read_only(np.array([_bell(d, z, x) for x in range(d) for z in range(d)]))
 
 
 def ghz(n):
@@ -171,8 +196,8 @@ def _adjacency(adjacency, name):
     """The adjacency matrix of a simple graph: square, symmetric, entries 0
     or 1, zero diagonal."""
     A = np.asarray(adjacency)
-    if (A.ndim != 2 or A.shape[0] != A.shape[1] or np.any(A != A.T)
-            or np.any(np.diag(A) != 0) or not np.isin(A, (0, 1)).all()):
+    if (A.ndim != 2 or A.shape[0] != A.shape[1] or (A != A.T).any()
+            or A.diagonal().any() or not ((A == 0) | (A == 1)).all()):
         raise QuantumError(f"{name}: adjacency must be symmetric 0/1 with zero diagonal")
     return A
 
@@ -182,19 +207,22 @@ def graph_state(adjacency):
     <alpha|G> = (-1)^(sum over edges ij of alpha_i alpha_j) / sqrt(2^n)."""
     A = _adjacency(adjacency, "graph_state")
     n = A.shape[0]
-    v = np.zeros(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        alpha = np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)])
-        exponent = sum(A[i, j] * alpha[i] * alpha[j]
-                       for i in range(n) for j in range(i + 1, n))
-        v[idx] = (-1) ** exponent
-    return v / np.sqrt(2 ** n)
+    alpha = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # row = bits of alpha
+    exponent = np.einsum("ki,ij,kj->k", alpha, np.triu(A, 1), alpha)
+    return np.where(exponent % 2, -1.0, 1.0).astype(complex) / np.sqrt(2 ** n)
+
+
+def _kron(x, y):
+    """np.kron(x, y) of 2-d arrays: the same products, so the same bits,
+    without np.kron's per-call reshaping."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
 
 
 def tensor(*mats):
     out = np.array([[1.0 + 0j]])
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        out = _kron(out, np.atleast_2d(np.asarray(m, dtype=complex)))
     return out
 
 
@@ -284,8 +312,9 @@ def swap_chain_channel(rho_joint: DensityOperator, n: int, d: int) -> DensityOpe
     dA, dB = dims[0], dims[-1]
     if any(dims[i] != d for i in range(1, 2 * n + 1)) or dB != d:
         raise QuantumError("swap_chain_channel: middle/B factors must have dimension d")
-    Z, X = weyl_z(d), weyl_x(d)
-    bras = bell_basis(d).conj()[:, None, :]  # outcome x*d + z -> <Phi^{z,x}|
+    d = operator.index(d)
+    bras = _bell_basis(d).conj()[:, None, :]  # outcome x*d + z -> <Phi^{z,x}|
+    corrections = _weyl_corrections(d)
 
     def node(key):
         s, t = key
@@ -293,9 +322,17 @@ def swap_chain_channel(rho_joint: DensityOperator, n: int, d: int) -> DensityOpe
 
     out = np.zeros((dA * dB, dA * dB), dtype=complex)
     for (s, t), M in _measure_nodes(rho_joint.mat, dA, n, (0, 0), node).items():
-        W = np.kron(np.eye(dA), np.linalg.matrix_power(Z, s) @ np.linalg.matrix_power(X, t))
+        W = _kron(np.eye(dA), corrections[s, t])
         out += W @ M @ W.conj().T
     return DensityOperator(out, (dA, dB))
+
+
+@functools.lru_cache(maxsize=4)
+def _weyl_corrections(d):
+    """Z^s X^t at [s, t]."""
+    Z, X = weyl_z(d), weyl_x(d)
+    return _read_only(np.array([[np.linalg.matrix_power(Z, s) @ np.linalg.matrix_power(X, t)
+                                 for t in range(d)] for s in range(d)]))
 
 
 def _overlap_tables(tables, what, shape=None):
@@ -343,11 +380,21 @@ _CNOT = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0]], dtype=complex)
 
 
+@functools.lru_cache(maxsize=2)
 def _K_meas(x):
     # <x| on the second qubit after a CNOT across the pair
     bra = np.zeros((1, 2), dtype=complex)
     bra[0, x] = 1.0
-    return np.kron(np.eye(2), bra) @ _CNOT
+    return _read_only(_kron(np.eye(2), bra) @ _CNOT)
+
+
+@functools.lru_cache(maxsize=1)
+def _ghz_node():
+    """X^0, X^1 and node j's factors (one per outcome) after the correction
+    X^k that node j-1's outcome asks of R_j^1, at [k]."""
+    X = (_read_only(np.eye(2)), _read_only(weyl_x(2).real))
+    return X, tuple(_read_only(np.array([_K_meas(x) @ _kron(X[k], np.eye(2)) for x in (0, 1)]))
+                    for k in (0, 1))
 
 
 def ghz_swap_channel(rho_joint: DensityOperator, n: int) -> DensityOperator:
@@ -356,15 +403,11 @@ def ghz_swap_channel(rho_joint: DensityOperator, n: int) -> DensityOperator:
     dims = rho_joint.dims
     if len(dims) != 2 * n + 2 or any(di != 2 for di in dims):
         raise QuantumError("ghz_swap_channel: expected 2n+2 qubit subsystems")
-    X = weyl_x(2).real
-    # node j's factor (one per outcome x_j) after the correction X^{x_{j-1}}
-    # that node j-1's outcome asks of R_j^1
-    factors = [np.array([_K_meas(x) @ np.kron(np.linalg.matrix_power(X, k), np.eye(2))
-                         for x in (0, 1)]) for k in (0, 1)]
+    X, factors = _ghz_node()
     dim_out = 2 ** (n + 2)
     out = np.zeros((dim_out, dim_out), dtype=complex)
     for x, M in _measure_nodes(rho_joint.mat, 2, n, 0, lambda k: (factors[k], [0, 1])).items():
-        W = np.kron(np.eye(dim_out // 2), np.linalg.matrix_power(X, x))  # correction on B
+        W = _kron(np.eye(dim_out // 2), X[x])  # correction on B
         out += W @ M @ W.conj().T
     return DensityOperator(out, tuple([2] * (n + 2)))
 
@@ -403,7 +446,7 @@ def graph_dist_channel(rho_joint: DensityOperator, adjacency) -> DensityOperator
     for xs in itertools.product(range(2), repeat=n):
         zvec = tensor(*[Zs[x] for x in xs])
         gx = (zvec @ G)  # |G^x> = Z^x |G>
-        K = np.kron(zvec, gx.conj()[None, :])
+        K = _kron(zvec, gx.conj()[None, :])
         out += K @ m @ K.conj().T
     return DensityOperator(out, tuple([2] * n))
 
@@ -432,7 +475,7 @@ def bell_overlap_table(rho, d: int) -> np.ndarray:
     mat = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     if mat.shape[-2:] != (d * d, d * d):
         raise QuantumError("bell_overlap_table: dimension mismatch")
-    basis = bell_basis(d)  # row x*d + z
+    basis = _bell_basis(operator.index(d))  # row x*d + z
     overlaps = np.sum((basis.conj() @ mat) * basis, axis=-1).real
     return overlaps.reshape(*mat.shape[:-2], d, d).swapaxes(-1, -2)
 
@@ -443,7 +486,7 @@ def bell_overlap_table(rho, d: int) -> np.ndarray:
 def isotropic_twirl(rho: DensityOperator) -> DensityOperator:
     if rho.dim != 4:
         raise QuantumError("isotropic_twirl: expected a two-qubit state")
-    phi = bell(2, 0, 0)
+    phi = _bell(2, 0, 0)
     F = fidelity_to_pure(rho, phi)
     P = np.outer(phi, phi.conj())
     return DensityOperator(F * P + (1 - F) * (np.eye(4) - P) / 3, (2, 2))
@@ -454,11 +497,11 @@ def bbpssw_instrument(rho1: DensityOperator, rho2: DensityOperator):
     matching outcomes.  Returns (p_succ, conditional output state)."""
     r1 = isotropic_twirl(rho1).mat
     r2 = isotropic_twirl(rho2).mat
-    joint = np.kron(r1, r2)  # order A1 B1 A2 B2
+    joint = _kron(r1, r2)  # order A1 B1 A2 B2
     m, _ = permute_subsystems(joint, (2, 2, 2, 2), [0, 2, 1, 3])  # A1 A2 B1 B2
     succ = np.zeros((4, 4), dtype=complex)
     for xa, xb in ((0, 0), (1, 1)):
-        K = np.kron(_K_meas(xa), _K_meas(xb))  # (A1A2 -> A1) (x) (B1B2 -> B1)
+        K = _kron(_K_meas(xa), _K_meas(xb))  # (A1A2 -> A1) (x) (B1B2 -> B1)
         succ += K @ m @ K.conj().T
     # twirled inputs give p = (8/9) F1 F2 - (2/9)(F1 + F2) + 5/9 >= 1/3
     p = float(np.real(np.trace(succ)))

@@ -44,11 +44,14 @@ def collective_pmf_infty(M: int, p: float, t_req: int, t):
 
 def _binomial_rows(M, p):
     """Yield the Bin(j; m, p) weights, j = 0..m, for m = 1..M.  Pascal's rule
-    builds each weight as a sum of non-negative terms."""
-    w = np.ones(1)
-    for _ in range(M):
-        w = np.append(w * (1 - p), 0.0) + np.insert(w * p, 0, 0.0)
-        yield w
+    builds each weight as a sum of non-negative terms, row m over row m - 1
+    in one array: each yielded row is a view that the next one overwrites."""
+    w = np.zeros(M + 1)
+    w[0] = 1.0
+    for m in range(1, M + 1):
+        w[1:m + 1] = w[1:m + 1] * (1 - p) + w[:m] * p  # w[m] was 0: 0 + w[m-1] p
+        w[0] *= 1 - p
+        yield w[:m + 1]
 
 
 # M^2 up to which the recursion runs, so small M keep its bits (M <= 1000)

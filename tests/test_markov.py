@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,3 +297,10 @@ def test_stationary_of_one_closed_class_with_a_tiny_leak():
     model = ElemLinkModel(0.9999999999999999, 0, [0, 1])
     d = DecisionFunction.deterministic([elemlink.WAIT, elemlink.REQUEST], 2)
     assert stationary_distribution(policy_matrix(model, d)).tolist() == [1.0, 0.0]
+
+
+def test_is_real_keeps_its_verdicts_past_the_float_fast_path():
+    for value in (True, np.bool_(True), 1j, np.complex128(1), Fraction(1, 2), "0.5"):
+        assert not markov.is_real(value)
+    for value in (0.5, math.nan, math.inf, 3, np.float32(0.5), np.float64(0.5), np.int8(3)):
+        assert markov.is_real(value)

@@ -1,6 +1,10 @@
 import ast
+import functools
+import hashlib
 import inspect
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +140,19 @@ def test_density_operator_sees_a_deviation_on_one_side_only(upper):
     Q.DensityOperator(rho)
 
 
+def test_density_operator_sees_a_deviation_in_a_far_tile():
+    # conj(mat.T) is written in 64 x 64 tiles; (250, 3) lies in the tile
+    # farthest below the diagonal, and its mirror in the one farthest above
+    rng = np.random.default_rng(6)
+    rho = random_density(rng, 256)
+    rho = (rho + rho.conj().T) / 2
+    rho[250, 3] += 2e-10
+    with pytest.raises(Q.QuantumError, match="not Hermitian"):
+        Q.DensityOperator(rho)
+    rho[250, 3] -= 2e-10 - 1e-11
+    Q.DensityOperator(rho)
+
+
 @pytest.mark.parametrize("dim", [4, 64, 256])
 def test_density_operator_eigenvalue_floor(dim):
     # the floor is EIG_FLOOR = -1e-9, on the lowest eigenvalue
@@ -218,6 +235,28 @@ def test_graph_state_matches_cz_construction():
                 A[i, j] = A[j, i] = 1
             assert np.allclose(Q.graph_state(A), _cz_graph_state(n, edges),
                                rtol=0, atol=1e-12)
+
+
+def _graph_state_by_loops(A):
+    n = A.shape[0]
+    v = np.zeros(2 ** n, dtype=complex)
+    for idx in range(2 ** n):
+        alpha = np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)])
+        exponent = sum(A[i, j] * alpha[i] * alpha[j]
+                       for i in range(n) for j in range(i + 1, n))
+        v[idx] = (-1) ** exponent
+    return v / np.sqrt(2 ** n)
+
+
+def test_graph_state_is_bitwise_the_loop_over_basis_states():
+    for n in (0, 1, 2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            A = np.zeros((n, n), dtype=int)
+            for k, (i, j) in enumerate(pairs):
+                A[i, j] = A[j, i] = mask >> k & 1
+            for B in (A, A.astype(bool), A.astype(float)):
+                assert Q.graph_state(B).tobytes() == _graph_state_by_loops(B).tobytes()
 
 
 def test_graph_state_two_vertices_is_bell_like():
@@ -330,6 +369,23 @@ def test_graph_functions_reject_a_weighted_graph(w):
         Q.graph_dist_channel(joint, A)
     with pytest.raises(Q.QuantumError, match="0/1"):
         Q.graph_dist_fidelity(tables, A)
+
+
+@pytest.mark.parametrize("A", [
+    [[0, 1], [1, 0]], [[False, True], [True, False]], [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, np.nan], [np.nan, 0.0]], [[0, 2], [2, 0]], [[0, 2, 0], [2, 0, 1], [0, 1, 0]],
+    [[0, 1 + 0j], [1, 0]], [[0, 0], [0, 0]],
+], ids=["int", "bool", "float", "nan", "two", "two-in-3x3", "complex", "empty-graph"])
+def test_adjacency_entries_are_judged_as_isin_judged_them(A):
+    A = np.asarray(A)
+    accepted = (not np.any(A != A.T) and not np.any(np.diag(A) != 0)
+                and np.isin(A, (0, 1)).all())
+    try:
+        Q._adjacency(A, "graph_state")
+    except Q.QuantumError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_isotropic_twirl_preserves_fidelity(rng=np.random.default_rng(10)):
@@ -499,3 +555,68 @@ _TABLE = np.full((2, 2), 0.25)
 def test_malformed_input_raises_quantum_error(make):
     with pytest.raises(Q.QuantumError):
         make()
+
+
+_ENTRIES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _tensor_operand(draw):
+    """A 1-d or 2-d operand, (k, 1) and (1, k) among them, real or complex,
+    in C or Fortran order."""
+    shape = draw(st.sampled_from([(1,), (3,), (1, 1), (1, 3), (3, 1), (2, 3), (4, 4)]))
+    size = int(np.prod(shape))
+    parts = [np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+             for _ in range(1 + draw(st.booleans()))]
+    m = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_tensor_operand(), min_size=1, max_size=3))
+def test_tensor_is_bitwise_the_kron_product(ms):
+    reference = functools.reduce(
+        np.kron, [np.array([[1.0 + 0j]]), *(np.asarray(m, dtype=complex) for m in ms)])
+    out = Q.tensor(*ms)
+    assert out.shape == reference.shape and out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: Q.bell(2, 1, 1), lambda: Q.bell(3),
+                                  lambda: Q.bell_basis(2), lambda: Q.weyl_z(3),
+                                  lambda: Q.weyl_x(2)],
+                         ids=["bell", "bell-qutrit", "bell_basis", "weyl_z", "weyl_x"])
+def test_a_returned_constant_operator_is_the_callers_to_change(make):
+    # the constant operators are built once: what a call returns is a copy
+    first = make()
+    before = first.tobytes()
+    first[...] = 7.0
+    again = make()
+    assert again.flags.writeable and again.tobytes() == before
+
+
+def test_importing_the_cli_builds_no_constant_operator():
+    # the caches fill on first use, so an import does no new work
+    code = ("import entlink.cli\nfrom entlink import qstate\n"
+            "caches = [f for f in vars(qstate).values() if hasattr(f, 'cache_info')]\n"
+            "print(len(caches), sum(f.cache_info().currsize for f in caches))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "5 0\n"
+
+
+def test_channel_outputs_keep_their_bits():
+    # sha256 of the swap, GHZ and graph-state channels' outputs on seeded
+    # joint states of dimension 16, 64, 256 and 1024, pinned from the code
+    # that rebuilt its constant operators per call and used np.kron; the
+    # digest holds for one numpy and OpenBLAS build on one kind of CPU
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        joint = Q.DensityOperator(random_density(rng, 4 ** (n + 1)), (2,) * (2 * n + 2))
+        path = np.eye(n + 1, k=1, dtype=int) + np.eye(n + 1, k=-1, dtype=int)
+        for out in (Q.swap_chain_channel(joint, n, 2), Q.ghz_swap_channel(joint, n),
+                    Q.graph_dist_channel(joint, path)):
+            digest.update(out.mat.tobytes())
+    assert digest.hexdigest() == (
+        "e3765e3d5bf65298d4071b6429f01f351cf43e31f25dc5b5bcf67772aaa229c8")

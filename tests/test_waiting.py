@@ -215,3 +215,15 @@ def test_collective_wait_that_overflows_raises():
         with pytest.raises(NumericalError, match="the wait at M = 2, .* overflows a float"):
             W.collective_expected_infty(2, 5e-324, 0)
         assert W.collective_expected_infty(2, 1e-300, 0) == pytest.approx(1.5e300)
+
+
+def test_binomial_rows_are_bitwise_the_append_insert_rule():
+    # each row built in place does the additions that np.append and
+    # np.insert spelled out, in the same order
+    for p in (1e-12, 0.1, 1 / 3, 0.5, 0.7, 0.9, 1.0):
+        for M in (1, 2, 1000):
+            w = np.ones(1)
+            for row in W._binomial_rows(M, p):
+                w = np.append(w * (1 - p), 0.0) + np.insert(w * p, 0, 0.0)
+                assert row.tobytes() == w.tobytes()
+            assert len(w) == M + 1
