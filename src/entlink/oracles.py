@@ -29,7 +29,7 @@ from . import lp
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
 from .markov import DecisionFunction, ModelError, NumericalError
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
-                     permute_subsystems, weyl_x, weyl_z)
+                     permute_subsystems, tensor, weyl_x, weyl_z)
 from .twolink import (SWAP, TwoLinkModel, evaluate_policy, initial_distribution,
                       optimum_setup)
 
@@ -89,9 +89,9 @@ def qbers_from_state(rho: DensityOperator):
     X = weyl_x(2)
     Z = weyl_z(2).real.astype(complex)
     Y = 1j * X @ Z
-    qx = 0.5 * (1 - np.trace(np.kron(X, X) @ rho.mat).real)
-    qy = 0.5 * (1 + np.trace(np.kron(Y, Y) @ rho.mat).real)
-    qz = 0.5 * (1 - np.trace(np.kron(Z, Z) @ rho.mat).real)
+    qx = 0.5 * (1 - np.trace(tensor(X, X) @ rho.mat).real)
+    qy = 0.5 * (1 + np.trace(tensor(Y, Y) @ rho.mat).real)
+    qz = 0.5 * (1 - np.trace(tensor(Z, Z) @ rho.mat).real)
     return qx, qy, qz
 
 
@@ -259,7 +259,7 @@ def _bs_unitary(eta, dim=_FOCK_DIM):
     """Two-mode beamsplitter exp(theta G), transmittance eta = cos^2 theta;
     exact on the photon-number-conserving subspace despite the truncation."""
     a = _annihilation(dim)
-    G = np.kron(a.T, a) - np.kron(a, a.T)
+    G = tensor(a.T, a) - tensor(a, a.T)
     w, V = np.linalg.eigh(1j * G)  # G real antisymmetric: iG Hermitian, U real
     theta = np.arccos(np.sqrt(eta))
     return ((V * np.exp(-1j * theta * w)) @ V.conj().T).real
@@ -270,7 +270,7 @@ def _arm_channel_outputs(eta, nbar):
     single-photon basis operators |i><j| (i, j in {H, V})."""
     d = _FOCK_DIM
     U = _bs_unitary(eta)
-    U_full = np.kron(U, U)  # order (A_H, E_H, A_V, E_V)
+    U_full = tensor(U, U)  # order (A_H, E_H, A_V, E_V)
     env = np.zeros((d * d, d * d))
     env[0, 0] = 1 - nbar               # vacuum in both background modes
     env[1 * d + 0, 1 * d + 0] = nbar / 2  # one background photon, H
@@ -282,7 +282,7 @@ def _arm_channel_outputs(eta, nbar):
         for j in ("H", "V"):
             S = np.zeros((d * d, d * d))
             S[sig[i], sig[j]] = 1.0
-            inp = np.kron(S, env)  # order (A_H, A_V, E_H, E_V)
+            inp = tensor(S, env)  # order (A_H, A_V, E_H, E_V)
             inp, _ = permute_subsystems(inp, (d, d, d, d), [0, 2, 1, 3])
             out = U_full @ inp @ U_full.conj().T
             outs[(i, j)] = partial_trace(out, (d, d, d, d), keep=[0, 2])
@@ -309,7 +309,7 @@ def beamsplitter_heralded_link(eta1, eta2, f_S, nbar1, nbar2):
     for i, j, k, l in itertools.product(range(2), repeat=4):
         w = rho_s[i * 2 + k, j * 2 + l]
         if w != 0:
-            out += w * np.kron(o1[(pols[i], pols[j])], o2[(pols[k], pols[l])])
+            out += w * tensor(o1[(pols[i], pols[j])], o2[(pols[k], pols[l])])
     sig = {"H": 1 * d + 0, "V": 0 * d + 1}
     idx = [sig[p1] * dd + sig[p2] for p1 in pols for p2 in pols]
     sigma = out[np.ix_(idx, idx)]  # unnormalized heralded two-qubit block

@@ -5,10 +5,9 @@ the three joining protocols as brute-force channels, their closed-form
 output fidelities, BBPSSW distillation and amplitude damping.  Subsystems
 are ordered as written: A, R_1^1, R_1^2, ..., R_n^1, R_n^2, B for
 swapping chains.  The swap and GHZ chains apply each node's measurement
-to the reshaped joint state, one node at a time, by a matmul on the ket
-side and a batched matmul on the bra side, and never form a Kraus matrix
-of the whole chain.  `DensityOperator` validates with one transposed
-copy and a Cholesky factor of conj(H), read by columns.
+to the reshaped joint state, one node and one outcome at a time, and
+never form a Kraus matrix of the whole chain.  `DensityOperator`
+validates in one work buffer, which LAPACK's zpotrf factors in place.
 
 Constant operators (Bell vectors, Weyl corrections, node factors), which
 the selftest asks for hundreds of times, are built on first use into
@@ -19,11 +18,13 @@ only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
 stall each other: on a 2-core host one 81x81 numpy matmul took 0.08 ms
 alone and 4.0 ms right after a 9x9 `scipy.linalg.expm`.  Of scipy the
 package loads only the compiled SuperLU and HiGHS modules (see `lp`),
-which were measured and do not stall.
+which were measured and do not stall.  zpotrf is numpy's OpenBLAS one,
+called through ctypes, and only in its ILP64 (64-bit integer) build.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import operator
@@ -40,6 +41,35 @@ EIG_FLOOR = -1e-9
 
 class QuantumError(ValueError):
     pass
+
+
+def _lapack_routine(names):
+    """The first ILP64 routine of `names` that the OpenBLAS numpy loaded
+    exports, typed as zpotrf(uplo, n, a, lda, info)."""
+    path = np.linalg._umath_linalg.__file__
+    lib, int64 = ctypes.CDLL(path), ctypes.POINTER(ctypes.c_int64)
+    for routine in (getattr(lib, name) for name in names if hasattr(lib, name)):
+        routine.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64]
+        routine.restype = None
+        return routine
+    raise ImportError(f"qstate: {path} exports none of {', '.join(names)}")
+
+
+_zpotrf = _lapack_routine(("scipy_zpotrf_64_", "zpotrf_64_"))
+
+
+def _cholesky_in_place(work):
+    """zpotrf('L') in place on `work` read by columns: 0, or the order of
+    the first leading minor that is not positive definite."""
+    n = len(work)
+    if work.dtype != np.complex128 or work.shape != (n, n) or not work.flags.c_contiguous:
+        raise TypeError("_cholesky_in_place: needs a C-ordered square complex128 array")
+    info = ctypes.c_int64()
+    _zpotrf(b"L", ctypes.c_int64(n), work.ctypes.data, ctypes.c_int64(n), info)
+    if info.value < 0:  # a fault of the binding, not of the matrix
+        arg = ("uplo", "n", "a", "lda")[-info.value - 1]
+        raise RuntimeError(f"zpotrf: illegal argument {-info.value} ({arg})")
+    return info.value
 
 
 class DensityOperator:
@@ -71,16 +101,13 @@ class DensityOperator:
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
             raise QuantumError(f"DensityOperator: trace {np.trace(mat).real!r}")
         # positive semidefinite down to EIG_FLOOR iff H plus |EIG_FLOOR| I has a
-        # Cholesky factor; eigvalsh decides only the near-misses Cholesky
-        # refuses.  H is exactly Hermitian, so work.T is conj(H), whose F order
-        # numpy copies for LAPACK column by column
+        # Cholesky factor; eigvalsh decides only the near-misses Cholesky refuses.
+        # H is exactly Hermitian, so read by columns work is conj(H): zpotrf's input
         work.flat[::n + 1] -= EIG_FLOOR
-        try:
-            np.linalg.cholesky(work.T)
-        except np.linalg.LinAlgError:
+        if _cholesky_in_place(work):
             ev = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
             if ev.min() < EIG_FLOOR:
-                raise QuantumError(f"DensityOperator: min eigenvalue {ev.min():g}") from None
+                raise QuantumError(f"DensityOperator: min eigenvalue {ev.min():g}")
         if mat.flags.writeable:  # the caller's to change: hold a copy, made in the work buffer
             np.copyto(work, mat)
             mat = work
@@ -285,15 +312,15 @@ def _measure_nodes(mat, dim_done, n, key0, node):
         new = {}
         for key, M in branches.items():
             F, keys = node(key)
-            n_out, m, P = F.shape
+            _, m, P = F.shape
             rest = M.shape[0] // (dim_done * P)
-            # ket side for every outcome at once, then the bra side of every
-            # outcome by one broadcast matmul; V is laid out like U, so the
-            # reshape below copies each outcome's part
-            U = np.matmul(F.reshape(n_out * m, P), M.reshape(dim_done, P, -1))
-            U = U.reshape(dim_done, n_out, m, rest * dim_done, P, rest)
-            V = np.matmul(F.conj()[:, None, None, None], U.swapaxes(0, 1))
-            for k, part in zip(keys, V.reshape(n_out, dim_done * m * rest, -1)):
+            # one outcome at a time, ket side then bra side: each product is
+            # C-ordered, so the reshapes are views, and rebinding U frees the
+            # ket side before the next outcome's
+            for Fo, k in zip(F, keys):
+                U = np.matmul(Fo, M.reshape(dim_done, P, -1))
+                U = np.matmul(Fo.conj(), U.reshape(dim_done, m, rest * dim_done, P, rest))
+                part = U.reshape(dim_done * m * rest, -1)
                 new[k] = new[k] + part if k in new else part
         branches = new
         dim_done *= m

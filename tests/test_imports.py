@@ -16,20 +16,24 @@ runs the CLI holds no scipy package.  The package has one LP solver path:
 no module reaches `linprog`, and only `lp.py` loads scipy's HiGHS binding.
 The package does its dense linear algebra with numpy only, since
 `scipy.linalg` loads a second OpenBLAS thread pool that stalls numpy's: no
-module imports or reads `scipy.linalg`.
+module imports or reads `scipy.linalg`.  Only `qstate.py` imports `ctypes`,
+to call LAPACK's zpotrf in numpy's own OpenBLAS.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
 """
 
 import ast
+import ctypes
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from entlink import qstate
 from entlink.lp import load_scipy_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -274,6 +278,31 @@ def test_guard_sees_a_dynamic_import():
 def test_only_lp_loads_modules_by_name():
     assert [(p.name, found) for p in PACKAGE if p.name != "lp.py"
             for found in dynamic_imports(p.read_text())] == []
+
+
+def ctypes_imports(source):
+    return [(line, name) for line, name in imported_names(source)
+            if name.split(".")[0] == "ctypes"]
+
+
+def test_guard_sees_a_ctypes_import():
+    source = "import ctypes\nfrom ctypes import CDLL\nimport ctypes.util as cu\nimport os\n"
+    assert ctypes_imports(source) == [(1, "ctypes"), (2, "ctypes.CDLL"), (3, "ctypes.util")]
+
+
+def test_only_qstate_imports_ctypes():
+    assert [(p.name, found) for p in PACKAGE if p.name != "qstate.py"
+            for found in ctypes_imports(p.read_text())] == []
+
+
+def test_qstate_binds_zpotrf_in_numpys_own_openblas():
+    # the routine qstate calls is the ILP64 one that numpy's linalg module
+    # resolves, not one of a second OpenBLAS (scipy's is LP64)
+    name = qstate._zpotrf.__name__
+    numpys = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+    assert name.endswith("zpotrf_64_")
+    assert (ctypes.cast(qstate._zpotrf, ctypes.c_void_p).value
+            == ctypes.cast(numpys, ctypes.c_void_p).value)
 
 
 COLD_START = """\

@@ -620,3 +620,132 @@ def test_channel_outputs_keep_their_bits():
             digest.update(out.mat.tobytes())
     assert digest.hexdigest() == (
         "e3765e3d5bf65298d4071b6429f01f351cf43e31f25dc5b5bcf67772aaa229c8")
+
+
+# ---------------------------------------------------------------------------
+# DensityOperator's in-place Cholesky factor (LAPACK zpotrf through ctypes)
+
+def test_a_missing_zpotrf_symbol_is_an_import_error_naming_it():
+    with pytest.raises(ImportError, match="no_such_zpotrf_64_"):
+        Q._lapack_routine(("no_such_zpotrf_64_",))
+
+
+def test_an_illegal_zpotrf_argument_raises_instead_of_deciding(monkeypatch):
+    # info < 0 is a fault of the binding: it must not reach eigvalsh, which
+    # would accept the state without any Cholesky factor
+    def illegal_lda(uplo, n, a, lda, info):
+        info.value = -4
+
+    monkeypatch.setattr(Q, "_zpotrf", illegal_lda)
+    with pytest.raises(RuntimeError, match=r"illegal argument 4 \(lda\)"):
+        Q.DensityOperator(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("work", [np.eye(3), np.eye(3, dtype=np.complex64),
+                                  np.ones((2, 3), dtype=complex),
+                                  np.arange(9, dtype=complex).reshape(3, 3).T,
+                                  np.eye(4, dtype=complex)[::2, ::2]],
+                         ids=["float64", "complex64", "not-square", "F-order", "strided"])
+def test_cholesky_in_place_takes_only_a_c_ordered_square_complex128_array(work):
+    with pytest.raises(TypeError, match="C-ordered square complex128"):
+        Q._cholesky_in_place(work)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=130), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([Q.EIG_FLOOR * (1 + 1e-3), Q.EIG_FLOOR * (1 - 1e-3), 1.0, -1.0]))
+def test_in_place_cholesky_is_bitwise_numpys(n, seed, lowest):
+    # n up to 130 crosses OpenBLAS's 64x64 blocks; the lowest eigenvalue is
+    # planted just below and just above the floor, and far from it
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    ev = np.concatenate([[lowest], abs(lowest) + rng.uniform(0, 1, n - 1)])
+    H = (U * ev) @ U.conj().T
+    H = (H + H.conj().T) / 2  # exactly Hermitian, like DensityOperator's work buffer
+    H.flat[::n + 1] -= Q.EIG_FLOOR
+    work = H.copy()
+    info = Q._cholesky_in_place(work)
+    try:
+        reference = np.linalg.cholesky(H.T)
+    except np.linalg.LinAlgError:
+        assert info > 0
+    else:
+        assert info == 0
+        assert np.tril(work.T).tobytes() == reference.tobytes()
+
+
+def _state_1024_with_lowest_eigenvalue(lowest, rng):
+    """U diag(lowest, positive rest) U^dag of unit trace, U a tensor product
+    of five random two-qubit unitaries."""
+    U = Q.tensor(*[np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+                   for _ in range(5)])
+    rest = rng.uniform(0.5, 1.5, 1023)
+    ev = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
+    return (U * ev) @ U.conj().T
+
+
+def test_density_operator_at_dim_1024_decides_the_floor_and_keeps_the_callers_array(
+        monkeypatch):
+    rng = np.random.default_rng(34)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    below, above = (_state_1024_with_lowest_eigenvalue(x, rng) for x in (-2e-9, -5e-10))
+    kept = below.copy()
+    with pytest.raises(Q.QuantumError, match="min eigenvalue -2e-09"):
+        Q.DensityOperator(below)  # Cholesky refuses, eigvalsh confirms
+    assert len(calls) == 1 and below.flags.writeable and below.tobytes() == kept.tobytes()
+    kept = above.copy()
+    assert Q.DensityOperator(above).mat.tobytes() == kept.tobytes()  # Cholesky accepts
+    assert len(calls) == 1 and above.flags.writeable and above.tobytes() == kept.tobytes()
+    # a refusal after zpotrf has overwritten the work buffer with a factor:
+    # eigvalsh reads the caller's matrix, and the state held is that matrix
+    zpotrf = Q._zpotrf
+
+    def refuse(uplo, n, a, lda, info):
+        zpotrf(uplo, n, a, lda, info)
+        info.value = 1
+
+    monkeypatch.setattr(Q, "_zpotrf", refuse)
+    assert Q.DensityOperator(above).mat.tobytes() == kept.tobytes()
+    assert len(calls) == 2 and above.flags.writeable and above.tobytes() == kept.tobytes()
+
+
+MEMORY = """\
+import resource, tracemalloc
+import numpy as np
+from entlink import qstate as Q
+def random_density(rng, d):
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+rng = np.random.default_rng(1)
+mat = Q.tensor(*[random_density(rng, 4) for _ in range(5)])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+Q.DensityOperator(mat, (2,) * 10)
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss
+peaks = []
+for run in (lambda: Q.DensityOperator(mat, (2,) * 10),
+            lambda: Q.swap_chain_channel(joint, 4, 2), lambda: Q.ghz_swap_channel(joint, 4)):
+    joint = Q.DensityOperator(mat, (2,) * 10)
+    tracemalloc.start()
+    run()
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(growth / 1024, *(p / 2**20 for p in peaks))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_dim_1024_validation_and_channels_need_no_second_full_size_buffer():
+    # a 1024 x 1024 complex state is 16 MB.  Validation holds one work
+    # buffer, which becomes the state held; the swap and GHZ chains hold one
+    # outcome's ket side and the outcome branches.  Where numpy's Cholesky
+    # copied the buffer and wrote a factor, and the chains applied every
+    # outcome at once, the peaks were 32.0, 25.0 and 36.1 MB and validation
+    # grew the resident set by ~50 MB.
+    r = subprocess.run([sys.executable, "-c", MEMORY], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    growth, validate, swap, ghz = map(float, r.stdout.split())
+    assert growth <= 24 and validate <= 17 and swap <= 9 and ghz <= 17, r.stdout
