@@ -16,12 +16,13 @@ actions where a state carries no mass.  `solve` hands a
 that ships with scipy (Huangfu & Hall 2018, Math. Prog. Comp. 10), with
 the options `scipy.optimize.linprog(method="highs")` would pass, so HiGHS
 does the same computation, presolve and dual simplex from no basis, and
-returns the same bits.  One HiGHS object, made with those options on the
-first solve, serves every solve in the process: `passModel` clears the
-last model, its solution and its info, as in a new object.  That object
-is not for two threads at once.  `solve` then checks the answer as
-linprog did (no NaN, no entry below -10 sqrt(1e-9)) and against a
-tighter primal residual bound.
+returns the same bits.  The binding is loaded, and one HiGHS object made
+with those options, on the first `solve`: only the oracles and `--selftest`
+solve LPs, so no other command maps HiGHS.  That object serves every solve
+in the process: `passModel` clears the last model, its solution and its
+info, as in a new object.  It is not for two threads at once.  `solve`
+then checks the answer as linprog did (no NaN, no entry below
+-10 sqrt(1e-9)) and against a tighter primal residual bound.
 
 scipy's compiled kernels are loaded from their files by `load_scipy_module`,
 since the `__init__` of a scipy package imports most of scipy: two thirds
@@ -77,11 +78,6 @@ try:
 finally:
     if _unset:
         del os.environ["OPENBLAS_NUM_THREADS"]
-# scipy's private binding to its bundled HiGHS.  linprog reaches the same
-# calls only after cleaning its inputs, a CSC -> COO -> CSC round trip and
-# one options manager per option checked: about three quarters of a small
-# LP's solve time
-highs = load_scipy_module("optimize._highspy._core")
 
 FEAS_TOL = 1e-8
 # HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
@@ -91,28 +87,32 @@ DUAL_FEAS_TOL = 1e-10
 # linprog's result check: no entry of x below -10 sqrt(tol), tol = 1e-9
 BOUND_TOL = 10 * np.sqrt(1e-9)
 
-# the options linprog(method="highs") sets, at the two tolerances above
-_OPTIONS = highs.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
-_OPTIONS.dual_feasibility_tolerance = DUAL_FEAS_TOL
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
-_VERDICT = {highs.HighsModelStatus.kInfeasible: "infeasible",
-            highs.HighsModelStatus.kModelError: "infeasible",
-            highs.HighsModelStatus.kUnbounded: "unbounded"}
-
 
 # a new _Highs() with passOptions costs ~88 us (2-core host), a quarter of
 # a small steady-state LP's solve, and the selftest solves 100 of those
 @functools.cache
 def _solver():
-    """The one HiGHS object of the process, made on the first solve."""
+    """scipy's private HiGHS binding, the one HiGHS object of the process,
+    with the options linprog(method="highs") sets at the two tolerances
+    above, and the verdict of each failing model status, all made on the
+    first solve.  linprog reaches the same calls only after a CSC -> COO ->
+    CSC round trip and one options manager per option checked: about three
+    quarters of a small LP's solve time."""
+    highs = load_scipy_module("optimize._highspy._core")
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
+    options.dual_feasibility_tolerance = DUAL_FEAS_TOL
+    options.output_flag = False
+    options.log_to_console = False
     solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
-    return solver
+    solver.passOptions(options)
+    verdict = {highs.HighsModelStatus.kInfeasible: "infeasible",
+               highs.HighsModelStatus.kModelError: "infeasible",
+               highs.HighsModelStatus.kUnbounded: "unbounded"}
+    return highs, solver, verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +188,7 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     and its simplex iteration count; also when the answer has a NaN, an
     entry below -BOUND_TOL or a primal residual above 10 FEAS_TOL."""
     m, n = lp.A.shape
+    highs, solver, verdict = _solver()
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = n, m
     model.a_matrix_.num_col_, model.a_matrix_.num_row_ = n, m
@@ -199,7 +200,6 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, highs.kHighsInf)
     model.row_lower_ = model.row_upper_ = lp.b
-    solver = _solver()
     if solver.passModel(model) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
@@ -211,7 +211,7 @@ def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
         else "no iteration count")
     if status != highs.HighsModelStatus.kOptimal:
         raise NumericalError(f"solve: HiGHS reports the LP "
-                             f"{_VERDICT.get(status, 'stopped early')} ({detail})")
+                             f"{verdict.get(status, 'stopped early')} ({detail})")
     x = np.array(solver.getSolution().col_value)
     if np.isnan(x).any() or (x < -BOUND_TOL).any():
         raise NumericalError(f"solve: HiGHS reported optimal, but x has a NaN "

@@ -95,29 +95,28 @@ def qbers_from_state(rho: DensityOperator):
     return qx, qy, qz
 
 
+_FLOAT_CAP = 1 << 24  # floats in the exhaustive oracle's largest array (128 MB)
+
+
 def exhaustive_markov_policy_value(model: ElemLinkModel, t: int) -> float:
     """Best expected figure of merit at horizon t over every deterministic
-    time-indexed Markov policy, by full enumeration.  Each of the
-    n_actions**n step matrices is built once, and policies that share a
-    prefix share its propagated distribution."""
-    if t < 1:
-        raise ModelError("exhaustive_markov_policy_value: t must be >= 1")
+    time-indexed Markov policy, by full enumeration: the k = n_actions**n
+    step matrices, built once as a (k, n, n) array, take every policy
+    prefix's distribution one step on in one stacked matmul.  Those matrices
+    and the last step's k**(t - 1) distributions hold at most _FLOAT_CAP
+    floats each."""
     T = build_mdp(model)
-    n = model.n
-    n_actions = len(T)
-    steps = []
-    for code in range(n_actions ** n):
-        P = np.empty((n, n))
-        for s in range(n):
-            P[:, s] = T[(code // n_actions ** s) % n_actions][:, s]
-        steps.append(P)
-
-    def best(dist, remaining):
-        if remaining == 0:
-            return float(model.f @ dist)
-        return max(best(P @ dist, remaining - 1) for P in steps)
-
-    return best(g_vector(model), t - 1)
+    n, na = model.n, len(T)
+    bits = n * np.log2(na)  # log2 k, exact for two actions: no big int is formed
+    if t < 1 or max(bits + np.log2(n * n), (t - 1) * bits + np.log2(n)) > np.log2(_FLOAT_CAP):
+        raise ModelError(f"exhaustive_markov_policy_value: t must be >= 1, and the step "
+                         f"matrices and the policy prefixes at most {_FLOAT_CAP} floats")
+    codes = np.arange(na ** n)
+    steps = np.stack([T[codes // na ** s % na, :, s] for s in range(n)], axis=2)
+    dists = g_vector(model)[None, :, None]
+    for _ in range(t - 1):
+        dists = (steps[None] @ dists[:, None]).reshape(-1, n, 1)
+    return float(np.max(model.f[None, None, :] @ dists))
 
 
 _HISTORY_T_CAP = 8

@@ -17,8 +17,9 @@ The whole package does its dense linear algebra with numpy's OpenBLAS
 only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
 stall each other: on a 2-core host one 81x81 numpy matmul took 0.08 ms
 alone and 4.0 ms right after a 9x9 `scipy.linalg.expm`.  Of scipy the
-package loads only the compiled SuperLU and HiGHS modules (see `lp`),
-which were measured and do not stall.  zpotrf is numpy's OpenBLAS one,
+package loads only the compiled SuperLU module at import and HiGHS on the
+first LP solve, which only the oracles and `--selftest` make (see `lp`);
+both were measured and do not stall.  zpotrf is numpy's OpenBLAS one,
 called through ctypes, and only in its ILP64 (64-bit integer) build.
 """
 

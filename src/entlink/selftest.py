@@ -161,7 +161,7 @@ def criterion_collective_waiting(seed=DEFAULT_SEED):
         for p in [round(0.1 * k, 1) for k in range(1, 10)]:
             for t_req in (0, 1, 5):
                 exp_cf = waiting.collective_expected_infty(M, p, t_req)
-                s = math.fsum(t * waiting.collective_pmf_infty(M, p, t_req, t))
+                s = math.fsum((t * waiting.collective_pmf_infty(M, p, t_req, t)).tolist())
                 max_err = max(max_err, abs(exp_cf - s))
     exact = abs(waiting.collective_expected_infty(1, 0.5, 0) - 2.0)
     for p in (0.2, 0.5, 0.9):

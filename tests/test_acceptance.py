@@ -2,13 +2,24 @@
 
 Criteria 1-9 run the same checks as the CLI --selftest; criterion 10 runs
 the CLI in a new process and in this one and compares their CSV byte for
-byte.
+byte, and with the pinned bytes.
+
+A pin holds for one build of numpy and its OpenBLAS: another build may sum
+in another order and change the last bits of a printed float.  The pins
+were set on numpy 2.4.6 with its bundled OpenBLAS.
 """
 
+import hashlib
 import subprocess
 import sys
 
 from entlink import cli, selftest, twolink
+
+# SHA-256 of `entlink --selftest`'s CSV, keyed by the seed
+SELFTEST_CSV_SHA256 = {
+    20260824: "5556056e6ad4ff666658715ffb9fe0c1ae7a8d4d5e1ad3133b39bfc0350c0fd6",
+    1: "4b47ce2268146449b6e1b44bd086f517b72691029d7c6e8deceaf0032cad423a",
+}
 
 
 def _run(fn, *args):
@@ -75,3 +86,10 @@ def test_criterion_10_selftest_determinism(tmp_path):
     print(f"[{'PASS' if identical else 'FAIL'}] selftest CSV byte-identical "
           f"across same-seed runs ({len(outs[0])} bytes)")
     assert identical
+    assert hashlib.sha256(outs[0]).hexdigest() == SELFTEST_CSV_SHA256[20260824]
+
+
+def test_selftest_csv_is_pinned_at_another_seed(capsys):
+    assert cli.main(["--selftest", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_CSV_SHA256[1]

@@ -321,6 +321,19 @@ def test_exhaustive_oracle_equals_literal_enumeration(rng):
         oracles.exhaustive_markov_policy_value(m, 0)
 
 
+def test_exhaustive_oracle_caps_its_arrays():
+    # at m* = 2 the last step holds 16**(t - 1) distributions of 4 floats:
+    # 2**22 at t = 6, 2**26 at t = 7; at m* = 100 the step matrices alone
+    # would be 2**102; each call over the cap raises before it allocates
+    m = E.ElemLinkModel(0.5, 2, np.array([0.0, 1.0, 0.9, 0.8]))
+    assert oracles.exhaustive_markov_policy_value(m, 6) == pytest.approx(
+        E.optimal_backward(m, 6)[0], rel=0, abs=1e-12)
+    big = E.ElemLinkModel(0.5, 100, np.append(0.0, np.linspace(1, 0, 101)))
+    for model, t in ((m, 7), (m, 10 ** 12), (big, 1)):
+        with pytest.raises(ModelError, match="at most 16777216 floats"):
+            oracles.exhaustive_markov_policy_value(model, t)
+
+
 def test_history_equals_markov(rng):
     for ms in range(4):
         for t in range(1, 7):

@@ -12,8 +12,10 @@ package imports much of scipy, which was most of a cold start.  scipy's
 compiled kernels (HiGHS, SuperLU, brentq's loop) come in through
 `lp.load_scipy_module` alone, which loads each from its file; only `lp.py`
 imports `importlib`, and an interpreter that imports `entlink.cli` and
-runs the CLI holds no scipy package.  The package has one LP solver path:
-no module reaches `linprog`, and only `lp.py` loads scipy's HiGHS binding.
+runs the CLI holds no scipy package.  SuperLU is loaded at import, HiGHS by
+the first LP solve: only the oracles and `--selftest` solve LPs, so no
+other README command loads it.  The package has one LP solver path: no
+module reaches `linprog`, and only `lp.py` loads scipy's HiGHS binding.
 The package does its dense linear algebra with numpy only, since
 `scipy.linalg` loads a second OpenBLAS thread pool that stalls numpy's: no
 module imports or reads `scipy.linalg`.  Only `qstate.py` imports `ctypes`,
@@ -25,8 +27,10 @@ imports change the compiler, so both are exempt from the import check.
 
 import ast
 import ctypes
+import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -35,6 +39,7 @@ import pytest
 
 from entlink import qstate
 from entlink.lp import load_scipy_module
+from test_readme import readme_cli_lines
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "entlink").glob("*.py"))
@@ -306,21 +311,23 @@ def test_qstate_binds_zpotrf_in_numpys_own_openblas():
 
 
 COLD_START = """\
-import contextlib, io, sys
+import contextlib, io, json, sys
 PACKAGES = {"scipy", "scipy.sparse", "scipy.linalg", "scipy.optimize"}
+HIGHS = "scipy.optimize._highspy._core"
 import entlink.cli
-print(sorted(PACKAGES & set(sys.modules)))
+print(sorted(PACKAGES & set(sys.modules)), HIGHS in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    assert entlink.cli.main(["twolink", "lp-waiting", "--p1", "0.5", "--p2", "0.5",
-                             "--q", "0.5", "--m1-star", "2", "--m2-star", "2"]) == 0
+    for argv in json.loads(sys.argv[1]):
+        assert entlink.cli.main(argv) == 0, argv
+        assert HIGHS not in sys.modules, argv
     assert entlink.cli.main(["--selftest"]) == 0
-print(sorted(PACKAGES & set(sys.modules)))
+print(sorted(PACKAGES & set(sys.modules)), HIGHS in sys.modules)
 zeros = sys.modules["scipy.optimize._zeros"]
 from scipy.optimize._highspy import _core
 from scipy.sparse.linalg._dsolve import _superlu
 from scipy.optimize import _zeros, brentq
 root = lambda x: x * x - 2
-print(_core is entlink.lp.highs, _superlu is entlink.lp.superlu, _zeros is zeros,
+print(_core is entlink.lp._solver()[0], _superlu is entlink.lp.superlu, _zeros is zeros,
       entlink.selftest._brentq(root, 0, 2) == brentq(root, 0, 2, xtol=1e-12))
 """
 
@@ -328,11 +335,14 @@ print(_core is entlink.lp.highs, _superlu is entlink.lp.superlu, _zeros is zeros
 def test_cli_loads_no_scipy_package():
     # `import entlink.cli` loaded 795 modules, scipy.sparse, scipy.linalg and
     # all of scipy.optimize among them; a later import of a kernel, also
-    # through its package, gets the module the package loaded from its file
-    r = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
-                       timeout=120)
+    # through its package, gets the module the package loaded from its file.
+    # HiGHS (~3.5 MB) is loaded by the first LP solve, which no README command
+    # but --selftest makes
+    argvs = [shlex.split(line)[1:] for line in readme_cli_lines()]
+    r = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                       capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "[]\n[]\nTrue True True True\n"
+    assert r.stdout == "[] False\n[] True\nTrue True True True\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")

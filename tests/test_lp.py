@@ -205,12 +205,6 @@ def test_failed_solve_names_status_and_writes_nothing(capfd, monkeypatch):
     assert capfd.readouterr() == ("", "")
 
 
-def _fresh_solver():
-    solver = L.highs._Highs()
-    solver.passOptions(L._OPTIONS)
-    return solver
-
-
 def _outcome(lp):
     try:
         value, x = L.solve(lp)
@@ -237,15 +231,17 @@ def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
                 infeasible, stopped, feasible[1]]
     shared = [_outcome(lp) for lp in sequence]
     assert L._solver() is L._solver()
-    monkeypatch.setattr(L, "_solver", _fresh_solver)
+    # the uncached helper loads nothing new but makes a new object, with new
+    # options, on every call
+    monkeypatch.setattr(L, "_solver", L._solver.__wrapped__)
     assert shared == [_outcome(lp) for lp in sequence]
     assert [type(o) for o in shared] == [str, tuple, str, tuple, str, tuple, str, str, tuple]
     assert "stopped early" in shared[4] and "unbounded" in shared[2]
 
 
 def test_solver_is_made_on_the_first_solve():
-    # an import-time HiGHS object would add to the memory of every process,
-    # also those that solve no LP
+    # an import-time HiGHS binding or object would add to the memory of
+    # every process, also those that solve no LP
     code = ("from entlink import cli, lp as L\n"
             "print(L._solver.cache_info().currsize)\n"
             "A = L.csc_from_entries([0], [0], [1.0], (1, 1))\n"
