@@ -27,7 +27,7 @@ then checks the answer as linprog did (no NaN, no entry below
 scipy's compiled kernels are loaded from their files by `load_scipy_module`,
 since the `__init__` of a scipy package imports most of scipy: two thirds
 of a cold `import entlink.cli`.  So sparse matrices here are `Csc` records
-of plain arrays, and `splu` calls SuperLU (Li 2005, ACM TOMS 31(3)).
+of plain arrays.
 """
 
 from __future__ import annotations
@@ -65,19 +65,6 @@ def load_scipy_module(name):
     spec.loader.exec_module(module)
     return module
 
-
-# SuperLU links scipy's own OpenBLAS.  Each thread OpenBLAS starts
-# busy-waits for ~0.1 s of CPU, on 2 cores long into the first computation,
-# where it took a core from numpy's BLAS.  SuperLU's supernodes here are
-# too small for threads, so unless OPENBLAS_NUM_THREADS is set, scipy's
-# OpenBLAS loads with one thread and starts none (numpy's is loaded already)
-_unset = "OPENBLAS_NUM_THREADS" not in os.environ
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-try:
-    superlu = load_scipy_module("sparse.linalg._dsolve._superlu")
-finally:
-    if _unset:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 FEAS_TOL = 1e-8
 # HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
@@ -117,8 +104,8 @@ def _solver():
 
 @dataclass(frozen=True, eq=False)
 class Csc:
-    """A sparse matrix in compressed sparse column form, as HiGHS and
-    SuperLU take it: column j holds data[indptr[j]:indptr[j + 1]] at the
+    """A sparse matrix in compressed sparse column form, as HiGHS takes
+    it: column j holds data[indptr[j]:indptr[j + 1]] at the
     rows indices[indptr[j]:indptr[j + 1]], sorted and distinct, with int32
     indices (HiGHS's HighsInt).  Made by `csc_from_entries`."""
 
@@ -147,16 +134,6 @@ def csc_from_entries(rows, cols, vals, shape) -> Csc:
     data = np.bincount(at, weights=vals).astype(float)  # int64 when there are none
     indptr = np.append(0, np.cumsum(np.bincount(cols[first], minlength=shape[1])))
     return Csc(data, rows[first].astype(np.int32), indptr.astype(np.int32), tuple(shape))
-
-
-def splu(A: Csc):
-    """SuperLU's LU factors of the square A, made with the options that
-    `scipy.sparse.linalg.splu(A)` passes, so with the same bits; their
-    `solve(b)` solves A x = b (L and U are not built).  RuntimeError when A
-    is exactly singular."""
-    options = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
-    return superlu.gstrf(A.shape[0], A.data.size, A.data, A.indices, A.indptr,
-                         csc_construct_func=None, ilu=False, options=options)
 
 
 @dataclass

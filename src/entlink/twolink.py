@@ -16,7 +16,8 @@ z = (I - K^d)^{-1} g, satisfy S.z = 1; the expected wait is 1^T z / q
 sum_s S_s f(s) z_s.  The optima solve the LPs sum_a (I - K^a) z_a = g,
 z >= 0, by Howard's steps, which the simplex takes on them (Puterman 1994,
 sec. 6.9), so q enters no solve; `oracles.two_link_lp` is the LP.  Each K^a
-is a sparse Kronecker product of the two links' own matrices.
+is a sparse Kronecker product of the two links' own matrices.  Each solve
+with I - K^d is a dense solve on its boundary states (`_censor`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .markov import (MASS_RTOL, DecisionFunction, ModelError, NumericalError, is_count,
                      is_probability)
 from . import lp as _lp
-from .lp import splu
 from .elemlink import WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
                      bell_overlap_table, swap_fidelity)
@@ -209,44 +209,98 @@ def _closure(seed, src, dst):
     return seen
 
 
-def _cycle_lu(rows, cols, vals, exits, what):
-    """SuperLU's factors of I - K^d, K^d the entries (rows, cols, vals), with
-    the diagonal the off-diagonal column sum plus the exit mass, not 1 - K_ss,
-    which cancels near 1 (Grassmann, Taksar & Heyman 1985)."""
-    k, off = exits.size, rows != cols
-    diag = np.bincount(cols[off], weights=vals[off], minlength=k) + exits
-    A = _lp.csc_from_entries(np.append(rows[off], range(k)), np.append(cols[off], range(k)),
-                             np.append(-vals[off], diag), (k, k))
+def _censor(model: TwoLinkModel, kernel, S):
+    """I - K^d censored onto the boundary states B, those with an age of -1
+    or 0, 2(n1 + n2) - 4 of them: the stochastic complement (Meyer 1989,
+    SIAM Review 31(2)).  Under "00" both ages advance, so a state with both
+    ages >= 1 is entered only from its diagonal predecessor, by the K^d entry
+    W, and is visited C times per visit to the state e of B that enters its
+    diagonal, C the product of W along it.  Folding each column t of K^d,
+    scaled by C_t, into e(t) gives I - K_B, with the diagonal the
+    off-diagonal column sum plus the censored exit mass sum C S, not
+    1 - K_ee, which cancels near 1 (Grassmann, Taksar & Heyman 1985).
+    Returns I - K_B as K_B's positive entries off the diagonal (row, column,
+    value) and the diagonal, B as a mask, e as a position in B, C, W as an
+    (n1, n2) grid, and K^d's nonzeros in B's rows (row in B, column, value)."""
+    rows, cols, vals = (x[kernel[2] != 0] for x in kernel)
+    i, j = np.indices((model.n1, model.n2))
+    k = np.maximum(np.minimum(i, j) - 1, 0)  # the steps from the entry state
+    border = (k == 0).ravel()
+    at = np.cumsum(border) - 1  # the states of B, renumbered
+    entry = at[((i - k) * model.n2 + j - k).ravel()]
+    inner = ~border[rows]
+    W = np.bincount(rows[inner], vals[inner], model.n).reshape(i.shape)
+    C = np.ones(i.shape)
+    for a in range(2, model.n1):
+        C[a, 2:] = C[a - 1, 1:-1] * W[a, 2:]
+    C = C.ravel()
+    r, c, v = at[rows[~inner]], cols[~inner], vals[~inner]
+    e, w = entry[c], v * C[c]
+    nb, off = at[-1] + 1, (r != e) & (w > 0)
+    diag = np.bincount(e[off], w[off], nb) + np.bincount(entry, C * S, nb)
+    return (r[off], e[off], w[off], diag), border, entry, C, W, (r, c, v)
+
+
+def _solve(system, b, what, keep=True, trans=False):
+    """x with A x = b, or A^T x = b, for A = I - K_B (`_censor`'s system) on
+    the states `keep`, which lead to no other state, 0 elsewhere, by LAPACK.
+    A state whose column holds only a nonzero diagonal leads to no other, so
+    it is solved apart, by substitution.  NumericalError if A is singular."""
+    i, j, w, diag = system
+    lone = keep & (np.bincount(j, minlength=diag.size) == 0) & (diag > 0)
+    rest, x = keep & ~lone, np.zeros(b.shape)
+    k, nl = np.count_nonzero(rest), np.count_nonzero(lone)
+    at = np.where(rest, np.cumsum(rest), k + np.cumsum(lone)) - 1  # rest first, then lone
+    t = rest[j]  # the entries in rest columns, all in kept rows
+    A = np.bincount(at[i[t]] * k + at[j[t]], -w[t], (k + nl) * k).reshape(k + nl, k)
+    A.flat[:k * k:k + 1] = diag[rest]  # A[:k] is rest x rest, A[k:] lone x rest
     try:
-        return splu(A)
-    except RuntimeError as exc:  # exactly singular
+        if trans:
+            x[lone] = b[lone] / diag[lone, None]
+            x[rest] = np.linalg.solve(A[:k].T, b[rest] - A[k:].T @ x[lone])
+        else:
+            x[rest] = np.linalg.solve(A[:k], b[rest])
+            x[lone] = (b[lone] - A[k:] @ x[rest]) / diag[lone, None]
+    except np.linalg.LinAlgError as exc:  # an exactly zero pivot
         raise NumericalError(f"{what}: ill-conditioned, I - K^d is singular") from exc
+    return x
+
+
+def _cycle_values(model: TwoLinkModel, kernel, S, b, what):
+    """x with (I - K^d)^T x = b, b (n, k): I - K_B solved transposed for b
+    censored alike (sum_t C_t b_t at each entry state), then one backward
+    sweep, x_t = b_t + (K^d's B rows)^T x + W x at t's diagonal successor."""
+    system, border, entry, C, W, (r, c, v) = _censor(model, kernel, S)
+    y = np.column_stack([np.bincount(entry, C * col, system[3].size) for col in b.T])
+    y = _solve(system, y, what, trans=True)
+    x = b + np.column_stack([np.bincount(c, v * col[r], model.n) for col in y.T])
+    x[border] = y
+    x = x.reshape(*W.shape, -1)
+    for a in range(model.n1 - 2, 1, -1):
+        x[a, 2:-1] += W[a + 1, 3:, None] * x[a + 1, 3:]
+    return x.reshape(model.n, -1)
 
 
 def evaluate_policy(model: TwoLinkModel, d: DecisionFunction):
     """Expected waiting time and expected f of the end-to-end link under d:
     the ratios 1^T z / (q S.z) and sum_s S_s f(s) z_s / S.z, whose division
     by S.z (= 1 exactly) cancels the solve's scale error at small p.  z is
-    solved on the states g reaches, which lead to no other.  Raises
-    ModelError when a reached state cannot reach a swap attempt, and then
-    NumericalError for a singular factor, negative or non-finite visits, or
-    S.z off 1 by more than MASS_RTOL."""
+    solved on the states of B that g reaches, which lead to no other, and is
+    C z_e elsewhere.  Raises ModelError when a reached state cannot reach a
+    swap attempt, and then NumericalError for a singular I - K_B, negative
+    or non-finite visits, or S.z off 1 by more than MASS_RTOL."""
     if model.q <= 0:
         raise ModelError("evaluate_policy: the end-to-end link is unreachable (q = 0)")
-    (rows, cols, vals), S = policy_kernel(model, d)
-    g = initial_distribution(model)
-    pos = vals > 0
-    live = _closure(g > 0, cols[pos], rows[pos])
-    pos &= live[cols]
-    at = np.cumsum(live) - 1  # the reached states, renumbered
-    rows, cols, vals = at[rows[pos]], at[cols[pos]], vals[pos]
-    if not _closure(S[live] > 0, rows, cols).all():  # backward from the swap attempts
+    kernel, S = policy_kernel(model, d)
+    system, border, entry, C, _, _ = _censor(model, kernel, S)
+    g = initial_distribution(model)[border]
+    live = _closure(g > 0, system[1], system[0])  # along B's edges, column to row
+    ends = live & (np.bincount(entry, C * S, g.size) > 0)  # the swap attempts, censored
+    if not _closure(ends, *system[:2])[live].all():  # backward
         raise ModelError("evaluate_policy: the end-to-end link is unreachable from the start")
-    visits = _cycle_lu(rows, cols, vals, S[live], "evaluate_policy").solve(g[live])
-    if not (np.all(np.isfinite(visits)) and np.all(visits >= -1e-9 * visits.max())):
+    z = C * _solve(system, g[:, None], "evaluate_policy", live)[entry, 0]
+    if not (np.all(np.isfinite(z)) and np.all(z >= -1e-9 * z.max())):
         raise NumericalError("evaluate_policy: ill-conditioned, negative or non-finite visits")
-    z = np.zeros(model.n)
-    z[live] = visits
     exits = S * z  # summed alike below, so that f <= 1 gives E[f] <= 1
     mass = exits.sum()
     if abs(mass - 1) > MASS_RTOL:
@@ -274,7 +328,7 @@ def optimum_setup(model: TwoLinkModel, sense, what):
 def _howard(model: TwoLinkModel, sense, what):
     """Howard's policy iteration (Howard 1960) from `optimum_setup`'s start.
     Each step solves (I - K^d)^T v = r_d for the values and prices every
-    action, Q = r + K^T v.  The same factor solves (I - K^d)^T x = S, whose
+    action, Q = r + K^T v.  The same solve gives (I - K^d)^T x = S, whose
     answer is 1 exactly, so err = max|x - 1| is the solve's error.  A state
     switches to its best action where the gain exceeds max(HOWARD_RTOL,
     ERROR_MARGIN err) max(1, max|v|): switching on smaller, noisy gains
@@ -288,8 +342,7 @@ def _howard(model: TwoLinkModel, sense, what):
     for _ in range(HOWARD_STEPS):
         d = DecisionFunction.deterministic(act, len(ACTIONS))
         kernel, S = policy_kernel(model, d)
-        v, x = _cycle_lu(*kernel, S, what).solve(np.column_stack([r[act, states], S]),
-                                                 trans="T").T
+        v, x = _cycle_values(model, kernel, S, np.column_stack([r[act, states], S]), what).T
         if not (np.isfinite(v).all() and np.isfinite(x).all()):
             raise NumericalError(f"{what}: ill-conditioned, non-finite values")
         Q = r + np.bincount(cols, B.data * v[B.indices], B.shape[1]).reshape(r.shape)

@@ -9,17 +9,19 @@ tests read are named exceptions.
 
 No module of the package imports scipy: the `__init__` of each scipy
 package imports much of scipy, which was most of a cold start.  scipy's
-compiled kernels (HiGHS, SuperLU, brentq's loop) come in through
+compiled kernels (HiGHS, brentq's loop) come in through
 `lp.load_scipy_module` alone, which loads each from its file; only `lp.py`
 imports `importlib`, and an interpreter that imports `entlink.cli` and
-runs the CLI holds no scipy package.  SuperLU is loaded at import, HiGHS by
-the first LP solve: only the oracles and `--selftest` solve LPs, so no
-other README command loads it.  The package has one LP solver path: no
-module reaches `linprog`, and only `lp.py` loads scipy's HiGHS binding.
-The package does its dense linear algebra with numpy only, since
-`scipy.linalg` loads a second OpenBLAS thread pool that stalls numpy's: no
-module imports or reads `scipy.linalg`.  Only `qstate.py` imports `ctypes`,
-to call LAPACK's zpotrf in numpy's own OpenBLAS.
+runs the CLI holds no scipy package.  `import entlink.cli` loads no scipy
+module at all, HiGHS is loaded by the first LP solve: only the oracles and
+`--selftest` solve LPs, so no other README command loads it.  The package
+has one LP solver path: no module reaches `linprog`, and only `lp.py`
+loads scipy's HiGHS binding.  The package does its dense linear algebra
+with numpy only, since scipy's second OpenBLAS (which `scipy.linalg` and
+SuperLU link) starts a thread pool that stalls numpy's: no module imports
+or reads `scipy.linalg`, and no CLI command maps scipy's OpenBLAS.  Only
+`qstate.py` imports `ctypes`, to call LAPACK's zpotrf in numpy's own
+OpenBLAS.
 
 `__init__.py` files re-export what they import, and `from __future__`
 imports change the compiler, so both are exempt from the import check.
@@ -313,21 +315,21 @@ def test_qstate_binds_zpotrf_in_numpys_own_openblas():
 COLD_START = """\
 import contextlib, io, json, sys
 PACKAGES = {"scipy", "scipy.sparse", "scipy.linalg", "scipy.optimize"}
-HIGHS = "scipy.optimize._highspy._core"
+HIGHS, SUPERLU = "scipy.optimize._highspy._core", "scipy.sparse.linalg._dsolve._superlu"
+scipy_modules = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
 import entlink.cli
-print(sorted(PACKAGES & set(sys.modules)), HIGHS in sys.modules)
+print(scipy_modules())
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         assert entlink.cli.main(argv) == 0, argv
-        assert HIGHS not in sys.modules, argv
+        assert scipy_modules() == [], argv
     assert entlink.cli.main(["--selftest"]) == 0
-print(sorted(PACKAGES & set(sys.modules)), HIGHS in sys.modules)
+print(sorted(PACKAGES & set(sys.modules)), HIGHS in sys.modules, SUPERLU in sys.modules)
 zeros = sys.modules["scipy.optimize._zeros"]
 from scipy.optimize._highspy import _core
-from scipy.sparse.linalg._dsolve import _superlu
 from scipy.optimize import _zeros, brentq
 root = lambda x: x * x - 2
-print(_core is entlink.lp._solver()[0], _superlu is entlink.lp.superlu, _zeros is zeros,
+print(_core is entlink.lp._solver()[0], _zeros is zeros,
       entlink.selftest._brentq(root, 0, 2) == brentq(root, 0, 2, xtol=1e-12))
 """
 
@@ -336,19 +338,53 @@ def test_cli_loads_no_scipy_package():
     # `import entlink.cli` loaded 795 modules, scipy.sparse, scipy.linalg and
     # all of scipy.optimize among them; a later import of a kernel, also
     # through its package, gets the module the package loaded from its file.
-    # HiGHS (~3.5 MB) is loaded by the first LP solve, which no README command
-    # but --selftest makes
+    # `import entlink.cli` and every README command but --selftest load no
+    # scipy module: SuperLU is gone, and HiGHS (~3.5 MB) is loaded by the
+    # first LP solve, which only --selftest makes
     argvs = [shlex.split(line)[1:] for line in readme_cli_lines()]
     r = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "[] False\n[] True\nTrue True True True\n"
+    assert r.stdout == "[]\n[] True False\nTrue True True\n"
+
+
+MAPS = """\
+import contextlib, importlib.util, io, json, os, sys
+# numpy's own OpenBLAS is numpy.libs/libscipy_openblas64_*, scipy's LP64 one
+# is scipy.libs/libscipy_openblas-*
+LIBS = os.path.dirname(importlib.util.find_spec("scipy").submodule_search_locations[0])
+LIBS = os.path.join(LIBS, "scipy.libs", "libscipy_openblas")
+def scipy_blas():
+    with open("/proc/self/maps") as maps:
+        return LIBS in maps.read()
+import numpy
+assert not scipy_blas()
+import entlink.cli
+print(scipy_blas())
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        assert entlink.cli.main(argv) == 0, argv
+print(scipy_blas())
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="reads /proc/self/maps")
+def test_cli_maps_no_scipy_openblas():
+    # SuperLU linked scipy's own OpenBLAS, whose load cost +1.9 MB of peak
+    # RSS at `import entlink.cli` and +0.7 MB more on the first factor
+    argvs = [shlex.split(line)[1:] for line in readme_cli_lines()]
+    r = subprocess.run([sys.executable, "-c", MAPS, json.dumps(argvs)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\nFalse\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_scipy_blas_starts_no_thread():
-    # each new OpenBLAS thread busy-waits for ~0.1 s of CPU: scipy's, loaded
-    # with SuperLU, took a core from numpy's BLAS in the first computation
+    # each new OpenBLAS thread busy-waits for ~0.1 s of CPU: scipy's, which
+    # SuperLU linked, took a core from numpy's BLAS in the first computation.
+    # No module links it now, so `import entlink.cli` starts no thread and
+    # leaves OPENBLAS_NUM_THREADS as it found it
     code = ("import os, numpy\nn = len(os.listdir('/proc/self/task'))\nimport entlink.cli\n"
             "print(len(os.listdir('/proc/self/task')) - n, os.environ.get('OPENBLAS_NUM_THREADS'))")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

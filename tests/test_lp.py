@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse.linalg import splu
 
 from entlink import lp as L
 from entlink import twolink as TL
@@ -158,19 +157,6 @@ def test_csc_from_entries_sums_duplicates_as_scipy_does(rng):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         # what the benchmark counts as the nonzeros of an LP's matrix
         assert int((got != 0).sum()) == int((want != 0).sum())
-
-
-def test_splu_matches_scipys_bitwise(rng):
-    for n in (1, 4, 30):
-        A = (rng.uniform(size=(n, n)) < 0.3) * rng.normal(size=(n, n)) + n * np.eye(n)
-        rows, cols = np.nonzero(A)
-        C = L.csc_from_entries(rows, cols, A[rows, cols], A.shape)
-        b = rng.normal(size=n)
-        lu, want = L.splu(C), splu(scipy_csc(C))
-        assert lu.solve(b).tobytes() == want.solve(b).tobytes()
-        assert np.array_equal(lu.perm_c, want.perm_c) and np.array_equal(lu.perm_r, want.perm_r)
-    with pytest.raises(RuntimeError, match="singular"):
-        L.splu(L.csc_from_entries([0, 1], [0, 0], [1.0, 1.0], (2, 2)))
 
 
 def test_duplicate_entry_lp_solves():

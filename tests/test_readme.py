@@ -55,13 +55,16 @@ STDOUT_SHA256 = {
         "3bd3e6c0fc006e4f1442cddea7883da4644d6b2297275014b6197449ef4938e7",
     "twolink analytic --p 0.5 --q 0.5 --t-star 0":
         "7e92daefca36d2a52f2ff4799a376cdffad4ce469754a17ec937d0c875d6a34d",
+    # the wait 28/5 prints as 5.6000000000000005, one ulp above the double
+    # nearest it: the censored solve's visits sum to 2.8000000000000003 and
+    # its exit mass S.z to 1 exactly
     "twolink evaluate --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t1-star 2 --t2-star 2":
-        "54e791ca1152f6b11c1fdff8bbdb93bd786b42d2a0f1b502322d8b88a380f249",
+        "c713cdb5e1700e2b931c2680eb0fe6627a085057c4e65cb3e18cee207874017f",
     "twolink lp-fidelity --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2 --t-coh 12":
         "09ee6f4f3c1c4d110ededd55d6ddce694d456d81fec1c15d7ca6570cf2e6c22d",
-    # prints 5.6, the exact wait
+    # prints the wait 5.6000000000000005 too (cutoff (2, 2) is optimal)
     "twolink lp-waiting --p1 0.5 --p2 0.5 --q 0.5 --m1-star 2 --m2-star 2":
-        "a840276a273f5fbdda475b5279e4ce122b12bfad450ec6fd1a5da4fac24e76c0",
+        "fc9d33afebbe878e06df17c3b38749ccad09bfbe3d8b6fd6dfe02437c4e044c2",
     "waiting collective --M 4 --p 0.3 --t-req 2 --q 0.5":
         "dc5b6e9c0f854e50f4a689cd319fc555647f354ad8594a358acb18000ec04b96",
 }

@@ -508,17 +508,20 @@ def test_two_link_f_from_physics_rejects_bad_storage_bounds(m1, m2):
 def test_evaluate_policy_solves_once(monkeypatch):
     calls = []
 
-    def counting_splu(A):
-        calls.append(A)
-        return L.splu(A)
+    def counting_solve(system, b, what, keep=True, trans=False):
+        calls.append((system, keep))
+        return real(system, b, what, keep, trans)
 
-    monkeypatch.setattr(TL, "splu", counting_splu)
+    real = TL._solve
+    monkeypatch.setattr(TL, "_solve", counting_solve)
     model = sym_model(0.4, 0.5, 4)
-    wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 2, 3))
+    wait, f_abs = TL.evaluate_policy(model, TL.cutoff_decision(model, 4, 4))
     assert len(calls) == 1
     assert np.isfinite(wait) and f_abs == pytest.approx(1.0)
-    # one sparse LU of I - K^d, with no zeros stored
-    assert isinstance(calls[0], L.Csc) and np.all(calls[0].data != 0)
+    # one solve of the (|B|, |B|) I - K_B on the boundary states B, an age
+    # -1 or 0, all of which the start reaches under this cutoff
+    (_, _, _, diag), keep = calls[0]
+    assert diag.shape == (2 * (model.n1 + model.n2) - 4,) and keep.all()
 
 
 def test_initial_distribution():
@@ -623,6 +626,80 @@ def test_evaluate_policy_raises_model_error_exactly_for_reached_traps():
 
 
 
+def test_censored_evaluation_skips_an_unreached_trap_and_raises_on_a_reached_one():
+    # "00" at (-1, -1) is a trap.  At p1 = p2 = 1 every cycle starts at
+    # (0, 0), attempts the swap there, and never reaches it, so the wait is
+    # 1/q; at p = 0.5 the start puts mass 1/4 on it
+    for p in (1.0, 0.5):
+        model = TL.TwoLinkModel(p, p, 0.5, 3, 2, TL.uniform_f_table(3, 2))
+        table = TL.cutoff_decision(model, 3, 2).table.copy()
+        table[model.idx(-1, -1)] = np.eye(len(TL.ACTIONS))[0b00]
+        d = markov.DecisionFunction(table)
+        assert reaches_a_trap(model, d) == (p < 1)
+        if p < 1:
+            with pytest.raises(ModelError, match="unreachable") as info:
+                TL.evaluate_policy(model, d)
+            assert not isinstance(info.value, markov.NumericalError)
+        else:
+            assert TL.evaluate_policy(model, d) == (2.0, 1.0)
+
+
+@st.composite
+def censored_cases(draw):
+    """m1*, m2* in 0..6, p1, p2, q in 10^U[-3, 0], a uniform random f, and
+    a cutoff decision or a random mixed one."""
+    m1, m2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    p1, p2, q = (10 ** draw(st.floats(-3, 0)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = TL.uniform_f_table(m1, m2)
+    f[1, 1:, 1:] = rng.uniform(0, 1, (m1 + 1, m2 + 1))
+    model = TL.TwoLinkModel(p1, p2, q, m1, m2, f)
+    if draw(st.booleans()):
+        return model, TL.cutoff_decision(model, draw(st.integers(0, m1)),
+                                         draw(st.integers(0, m2)))
+    return model, DecisionFunction(rng.dirichlet(np.ones(len(TL.ACTIONS)), size=model.n))
+
+
+def subtraction_free(K, S):
+    """I - K with the diagonal the off-diagonal column sum plus S."""
+    A = -K
+    A[np.diag_indices(len(K))] = (K * (1 - np.eye(len(K)))).sum(axis=0) + S
+    return A
+
+
+@settings(max_examples=100, deadline=None)
+@given(censored_cases())
+def test_censored_solves_match_dense_solves(case):
+    # The wait and f against np.linalg.solve on the oracle's dense chain in
+    # renewal form: "swap" at the both-active states ends the cycle.  The
+    # absorbing form's 1 - P_ss lost up to 2e-5 of the wait at p = q = 1e-3.
+    model, d = case
+    T, _, g = two_link_absorbing_chain(model)
+    T = T[:, :-1, :-1].copy()
+    T[TL.SWAP][:, both_active(model)] = 0.0
+    K, S = policy_chain(T, d), d.table[:, TL.SWAP] * both_active(model)
+    z = np.linalg.solve(subtraction_free(K, S), g[:-1])
+    wait, f_abs = TL.evaluate_policy(model, d)
+    assert wait == pytest.approx(z.sum() / (model.q * (S @ z)), rel=1e-12, abs=0)
+    assert f_abs == pytest.approx((model.f[1].ravel() * S) @ z / (S @ z), rel=1e-12, abs=1e-300)
+    # Howard's values, for both optima's rewards, and its probe x (exactly
+    # 1) against a dense transposed solve of the same entries.  Both
+    # solves lose up to ~1e-9 max|v| at p = q = 1e-3, m* = 0 (as SuperLU
+    # did), which their probes show: the bound is the larger of 1e-10 and
+    # ERROR_MARGIN times either probe's error
+    kernel, S = TL.policy_kernel(model, d)
+    K = np.zeros((model.n, model.n))
+    np.add.at(K, kernel[:2], kernel[2])
+    b = np.column_stack([-np.ones(model.n), S * model.f[1].ravel(), S])
+    got = TL._cycle_values(model, kernel, S, b, "test")
+    want = np.linalg.solve(subtraction_free(K, S).T, b)
+    err = max(np.abs(got[:, 2] - 1).max(), np.abs(want[:, 2] - 1).max())
+    tol = max(1e-10, TL.ERROR_MARGIN * err)
+    for k in (0, 1):
+        assert np.abs(got[:, k] - want[:, k]).max() <= tol * np.abs(want[:, k]).max()
+    assert np.abs(got[:, 2] - want[:, 2]).max() <= tol
+
+
 _probability = st.floats(0.01, 1.0)
 
 
@@ -706,8 +783,9 @@ def test_large_waiting_lp_memory():
 
 
 def test_waiting_optimum_at_m_star_256():
-    # the renewal LP took 2.7 s and 340 MB here; Howard's steps take one
-    # factor of I - K^d per step, ~0.2 s and ~110 MB (2 cores)
+    # the renewal LP took 2.7 s and 340 MB here; Howard's steps on SuperLU
+    # ~0.2 s, on the censored system of 1028 states ~0.15 s, and ~110 MB
+    # (2 cores)
     code = ("import time\n"
             "from entlink import twolink as TL\n"
             "model = TL.TwoLinkModel(0.3, 0.3, 0.5, 256, 256, TL.uniform_f_table(256, 256))\n"
@@ -721,7 +799,27 @@ def test_waiting_optimum_at_m_star_256():
     assert r.returncode == 0, r.stderr
     wait, seconds, peak_kb = (float(x) for x in r.stdout.split())
     assert rel_err(wait, exact_symmetric_wait(0.3, 0.5, 256)) <= 1e-12
-    assert seconds < 1.5 and peak_kb / 1024 < 150, r.stdout
+    assert seconds < 0.5 and peak_kb / 1024 < 150, r.stdout
+
+
+def test_mixed_decision_at_m_star_128_evaluates_fast():
+    # SuperLU's fill-in on I - K^d took 16.9 s and 1.18 GB here; the
+    # censored system has 516 states, ~0.05 s with the blocks' build (2 cores)
+    code = ("import time\n"
+            "import numpy as np\n"
+            "from entlink import twolink as TL\n"
+            "from entlink.markov import DecisionFunction\n"
+            "model = TL.TwoLinkModel(0.3, 0.3, 0.5, 128, 128, TL.uniform_f_table(128, 128))\n"
+            "table = np.random.default_rng(0).dirichlet(np.ones(5), size=model.n)\n"
+            "t0 = time.perf_counter()\n"
+            "wait, f = TL.evaluate_policy(model, DecisionFunction(table))\n"
+            "print(wait, f, time.perf_counter() - t0)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    wait, f_abs, seconds = (float(x) for x in r.stdout.split())
+    assert 1 / 0.5 < wait < np.inf and f_abs == pytest.approx(1.0, rel=1e-12)
+    assert seconds < 0.3, r.stdout
 
 
 def _random_models(rng, count):
