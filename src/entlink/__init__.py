@@ -6,7 +6,6 @@ Carlo cross-checks.
 
 from . import (  # noqa: F401
     elemlink,
-    lp,
     markov,
     mc,
     oracles,

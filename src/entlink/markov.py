@@ -1,17 +1,20 @@
-"""Decision rules, policies, and the predicates that check model inputs.
+"""Decision rules, policies, sparse matrices and the input predicates.
 
 A chain is a plain array built from a checked model (`elemlink`,
 `twolink`), so the inputs a caller supplies are checked here: a
 `DecisionFunction` table, a `Policy`, a count (`is_count`), a real
 number (`is_real`) or a probability (`is_probability`).  What is derived
 from them (P^d, an evolved distribution) is a plain array, checked no
-further.
+further.  A sparse matrix (`mc`'s successor tables, the LP oracles'
+constraints) is a `Csc` of plain arrays: scipy.sparse imports most of scipy.
 
 Conventions: matrices act on probability column vectors from the left,
 entry (s', s) is the transition probability s -> s'.  Columns sum to one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,3 +114,32 @@ class Policy:
         if t - 1 >= len(ds):
             raise ModelError(f"Policy horizon too short for step {t}")
         return ds[t - 1]
+
+
+@dataclass(frozen=True, eq=False)
+class Csc:
+    """A sparse matrix in compressed sparse column form, as HiGHS takes
+    it: column j holds data[indptr[j]:indptr[j + 1]] at the
+    rows indices[indptr[j]:indptr[j + 1]], sorted and distinct, with int32
+    indices (HiGHS's HighsInt).  Made by `csc_from_entries`."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def csc_from_entries(rows, cols, vals, shape) -> Csc:
+    """The Csc of vals at (rows, cols), zeros dropped, built from the stably
+    sorted entries.  Duplicates are summed by one `np.bincount`, left to
+    right in input order, as scipy's `sum_duplicates` sums them: the same
+    bits."""
+    nonzero = np.asarray(vals) != 0
+    rows, cols, vals = (np.asarray(x)[nonzero] for x in (rows, cols, vals))
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
+    at = np.cumsum(first) - 1  # the entry each one is summed into
+    data = np.bincount(at, weights=vals).astype(float)  # int64 when there are none
+    indptr = np.append(0, np.cumsum(np.bincount(cols[first], minlength=shape[1])))
+    return Csc(data, rows[first].astype(np.int32), indptr.astype(np.int32), tuple(shape))

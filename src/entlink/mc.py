@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp as _lp
 from .elemlink import ElemLinkModel, g_vector, policy_matrix
-from .markov import ModelError, NumericalError, Policy, is_count
+from .markov import ModelError, NumericalError, Policy, csc_from_entries, is_count
 from .twolink import TwoLinkModel, initial_distribution, policy_kernel
 from .waiting import _check
 
@@ -48,7 +47,7 @@ def _successor_table(rows, cols, vals, shape):
     padded to the widest by repeating its last successor with probability 0,
     so the rounding remainder that Generator.multinomial gives its last
     category stays with that successor."""
-    C = _lp.csc_from_entries(rows, cols, vals, shape)
+    C = csc_from_entries(rows, cols, vals, shape)
     width = np.diff(C.indptr)
     s = np.repeat(np.arange(shape[1]), width)
     rank = np.arange(C.data.size) - C.indptr[s]

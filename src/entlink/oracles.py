@@ -3,15 +3,34 @@ suite.  Nothing here shares code paths with the implementations it checks:
 stationary vectors come from a least-squares solve on the one closed class
 of the chain's graph and, checking that, an eigendecomposition;
 Bell-diagonal states from the Bell projectors; Pauli error rates from
-traces against the state; optimal policies from
-exhaustive enumeration, Howard's policy iteration on an explicit dense
-absorbing chain, or, for the two-link optimum that production finds by
-Howard's steps, the renewal LP by HiGHS's dual simplex from no basis (so
-not Howard's method); the single-link steady-state optimum from the
-occupation LP (not the best cutoff),
-finite-horizon optima from a literal history-indexed recursion, and the
-heralded satellite link from an explicit beamsplitter dilation on
-truncated Fock spaces.
+traces against the state; optimal policies from exhaustive enumeration or
+from occupation-measure LPs (Puterman 1994, *Markov Decision Processes*,
+ch. 6-8) by HiGHS's dual simplex from no basis: the single-link
+steady-state optimum (not the best cutoff) and the two-link optima that
+production finds by Howard's steps (not Howard's method); finite-horizon
+optima from a literal history-indexed recursion, and the heralded
+satellite link from an explicit beamsplitter dilation on truncated Fock
+spaces.
+
+`mdp_occupation_lp` builds the LP over one renewal cycle from the blocks
+K^a side by side as a `Csc`, K^a being T^a with the mass that ends the
+cycle removed.  Its variables z_a(s) >= 0 are the expected visits to s
+choosing a before the cycle ends, sum_a (I - K^a) z_a = `initial`, and
+its objective is the total reward over the cycle.  The decision is
+d(s)(a) = z_a(s) / sum_a z_a(s), uniform over the actions where s carries
+no mass.  `solve` hands a `LinearProgram`'s CSC arrays straight to the
+HiGHS binding that ships with scipy (Huangfu & Hall 2018, Math. Prog.
+Comp. 10), with the options `scipy.optimize.linprog(method="highs")`
+would pass: the same computation, presolve and dual simplex from no basis,
+and the same bits.  The binding is loaded, and one HiGHS object made, on
+the first `solve`, so only the oracles and `--selftest` map HiGHS.  That
+object serves every solve in the process (`passModel` clears the last
+model, its solution and its info, as in a new object), and not two threads
+at once.  `solve` checks the answer as linprog did (no NaN, no entry
+below -10 sqrt(1e-9)) and against a tighter primal residual bound.
+scipy's compiled kernels are loaded from their files by
+`load_scipy_module`, since the `__init__` of a scipy package imports most
+of scipy: two thirds of a cold `import entlink.cli`.
 
 The dilation's unitary comes from numpy's `eigh`, not `scipy.linalg.expm`:
 dense linear algebra uses numpy's OpenBLAS pool only (see `qstate`), since
@@ -21,19 +40,187 @@ scipy's HiGHS was measured and causes no such stall).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .elemlink import REQUEST, WAIT, ElemLinkModel, build_mdp, g_vector
-from .markov import DecisionFunction, ModelError, NumericalError
+from .markov import Csc, DecisionFunction, ModelError, NumericalError, csc_from_entries
 from .qstate import (DensityOperator, QuantumError, bell, bell_basis, partial_trace,
                      permute_subsystems, tensor, weyl_x, weyl_z)
-from .twolink import (SWAP, TwoLinkModel, evaluate_policy, initial_distribution,
+from .twolink import (ACTIONS, SWAP, TwoLinkModel, evaluate_policy, initial_distribution,
                       optimum_setup)
 
 LP_RTOL = 1e-9  # an LP's value may differ from its decision's value by this share
+
+
+def load_scipy_module(name):
+    """scipy's compiled module `scipy.<name>`, loaded from its file with no
+    scipy package's `__init__` run.  It enters sys.modules under its dotted
+    name before it is executed, so a later import of it, also through its
+    packages, gets this same object.  ImportError names a missing one."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")  # finds scipy, does not import it
+    base = scipy and os.path.join(scipy.submodule_search_locations[0], *name.split("."))
+    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if base and os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"load_scipy_module: scipy has no compiled module {full}",
+                          name=full)
+    spec = importlib.util.spec_from_file_location(full, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+FEAS_TOL = 1e-8
+# HiGHS's default 1e-7 leaves two-link LP values up to ~1e-7 relative away
+# from the exact value of the decision they return
+PRIMAL_FEAS_TOL = 1e-10
+DUAL_FEAS_TOL = 1e-10
+# linprog's result check: no entry of x below -10 sqrt(tol), tol = 1e-9
+BOUND_TOL = 10 * np.sqrt(1e-9)
+
+
+# a new _Highs() with passOptions costs ~88 us (2-core host), a quarter of
+# a small steady-state LP's solve, and the selftest solves 100 of those
+@functools.cache
+def _solver():
+    """scipy's private HiGHS binding, the one HiGHS object of the process,
+    with the options linprog(method="highs") sets at the two tolerances
+    above, and the verdict of each failing model status, all made on the
+    first solve.  linprog reaches the same calls only after a CSC -> COO ->
+    CSC round trip and one options manager per option checked: about three
+    quarters of a small LP's solve time."""
+    highs = load_scipy_module("optimize._highspy._core")
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
+    options.dual_feasibility_tolerance = DUAL_FEAS_TOL
+    options.output_flag = False
+    options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    verdict = {highs.HighsModelStatus.kInfeasible: "infeasible",
+               highs.HighsModelStatus.kModelError: "infeasible",
+               highs.HighsModelStatus.kUnbounded: "unbounded"}
+    return highs, solver, verdict
+
+
+@dataclass
+class LinearProgram:
+    """maximize/minimize c.x subject to A x = b, x >= 0, with A a Csc.
+    Every entry of c, b and A must be finite."""
+
+    objective: np.ndarray
+    sense: str  # "max" | "min"
+    A: Csc
+    b: np.ndarray
+
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=float)
+        if not isinstance(self.A, Csc):
+            raise ModelError("LinearProgram: A must be a markov.Csc")
+        self.b = np.asarray(self.b, dtype=float)
+        if self.A.shape != (self.b.size, self.objective.size):
+            raise ModelError("LinearProgram: constraint matrix shape mismatch")
+        if self.sense not in ("max", "min"):
+            raise ModelError("LinearProgram: sense must be 'max' or 'min'")
+        if not all(np.isfinite(v).all() for v in (self.objective, self.b, self.A.data)):
+            raise ModelError("LinearProgram: objective, A and b must be finite")
+
+
+def solve(lp: LinearProgram) -> tuple[float, np.ndarray]:
+    """Optimal value and an optimal x, or NumericalError naming HiGHS's
+    verdict ("infeasible", "unbounded" or "stopped early"), its model status
+    and its simplex iteration count; also when the answer has a NaN, an
+    entry below -BOUND_TOL or a primal residual above 10 FEAS_TOL."""
+    m, n = lp.A.shape
+    highs, solver, verdict = _solver()
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = n, m
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.A.indptr
+    model.a_matrix_.index_ = lp.A.indices
+    model.a_matrix_.value_ = lp.A.data
+    model.col_cost_ = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, highs.kHighsInf)
+    model.row_lower_ = model.row_upper_ = lp.b
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    info = solver.getInfo()
+    detail = f"model status {solver.modelStatusToString(status)!r}, " + (
+        f"{info.simplex_iteration_count} simplex iterations" if info.valid
+        else "no iteration count")
+    if status != highs.HighsModelStatus.kOptimal:
+        raise NumericalError(f"solve: HiGHS reports the LP "
+                             f"{verdict.get(status, 'stopped early')} ({detail})")
+    x = np.array(solver.getSolution().col_value)
+    if np.isnan(x).any() or (x < -BOUND_TOL).any():
+        raise NumericalError(f"solve: HiGHS reported optimal, but x has a NaN "
+                             f"or an entry below {-BOUND_TOL:.3g} ({detail})")
+    A = lp.A
+    Ax = np.bincount(A.indices, A.data * np.repeat(x, np.diff(A.indptr)), minlength=m)
+    resid = np.max(np.abs(Ax - lp.b)) if m else 0.0
+    if resid > FEAS_TOL * 10:
+        raise NumericalError(f"solve: HiGHS reported optimal, but the primal "
+                             f"residual is {resid:.3g} ({detail})")
+    x = np.maximum(x, 0.0)
+    return float(lp.objective @ x), x
+
+
+def mdp_occupation_lp(K: Csc, reward, sense: str, initial) -> tuple[float, DecisionFunction]:
+    """Best total reward over one cycle from `initial`, and a decision that
+    attains it.
+
+    K = [K^0 | K^1 | ...], a Csc, holds one (n, n) block per action side by
+    side: K^a's column s falls short of 1 by the chance that the cycle ends
+    when a is taken at s.  `reward` is r(s) or r(a, s), and `initial` an
+    array over the n states.  The models here give feasible, bounded LPs
+    (two links once p1, p2, q > 0), so `solve` raises NumericalError for
+    any other status."""
+    if not isinstance(K, Csc):
+        raise ModelError("mdp_occupation_lp: K must be a markov.Csc")
+    n = K.shape[0]
+    na = K.shape[1] // max(n, 1)
+    if n == 0 or K.shape[1] != na * n:
+        raise ModelError("mdp_occupation_lp: K must be (n, actions * n)")
+    reward = np.asarray(reward, dtype=float)
+    if reward.shape not in ((n,), (na, n)):
+        raise ModelError("mdp_occupation_lp: reward must have shape (n,) or "
+                         "(actions, n)")
+    rhs = np.asarray(initial, dtype=float)
+    if rhs.shape != (n,):
+        raise ModelError("mdp_occupation_lp: initial size mismatch")
+    j = np.arange(na * n)  # stacked column j = a*n + s of I - K is (I - K^a)[:, s]
+    c = np.repeat(j, np.diff(K.indptr))
+    on = K.indices == c % n
+    diag = np.ones(j.size)
+    diag[c[on]] -= K.data[on]
+    A = csc_from_entries(np.append(K.indices[~on], j % n), np.append(c[~on], j),
+                         np.append(-K.data[~on], diag), (n, j.size))
+    lp = LinearProgram(np.broadcast_to(reward, (na, n)).ravel(), sense, A, rhs)
+    value, x = solve(lp)
+    z = x.reshape(na, n)
+    mass = z.sum(axis=0)  # uniform over the actions where a state has no mass
+    table = np.where(mass > 0, z / np.where(mass > 0, mass, 1.0), 1 / na)
+    return value, DecisionFunction(table.T)
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -166,8 +353,8 @@ def steady_state_lp(T: np.ndarray, reward) -> float:
     off = T * (1 - np.eye(n))
     A = np.vstack([np.hstack([np.diag(o.sum(axis=0)) - o for o in off]), np.ones(na * n)])
     rows, cols = np.nonzero(A)
-    A = lp.csc_from_entries(rows, cols, A[rows, cols], A.shape)
-    return lp.solve(lp.LinearProgram(np.tile(reward, na), "max", A, np.append(np.zeros(n), 1.0)))[0]
+    A = csc_from_entries(rows, cols, A[rows, cols], A.shape)
+    return solve(LinearProgram(np.tile(reward, na), "max", A, np.append(np.zeros(n), 1.0)))[0]
 
 
 def random_decision(rng, n_states: int, n_actions: int) -> DecisionFunction:
@@ -200,31 +387,6 @@ def two_link_absorbing_chain(model: TwoLinkModel):
     return T, reward, np.append(np.kron(g1, g2), 0.0)
 
 
-def policy_iteration_absorbing(T: np.ndarray, reward, sense: str, initial) -> float:
-    """Best total reward until absorption from `initial`, by Howard's policy
-    iteration (Howard 1960): evaluate with (I - Q)^{-1}, then switch each
-    state to its greedy action where that is strictly better.  A state is
-    absorbing when no action moves mass off it; `reward` is r(s) or r(a, s)
-    over all states.  The start is the uniform decision, which must reach
-    absorption."""
-    na, n, _ = T.shape
-    tra = np.flatnonzero(np.any(T * (1 - np.eye(n)) != 0, axis=(0, 1)))
-    sign = 1.0 if sense == "max" else -1.0
-    r = sign * np.broadcast_to(np.asarray(reward, dtype=float), (na, n))[:, tra]
-    Q = T[:, tra[:, None], tra]
-    table = np.full((len(tra), na), 1.0 / na)
-    for _ in range(1000):
-        Qd = np.einsum("ats,sa->ts", Q, table)
-        v = np.linalg.solve(np.eye(len(tra)) - Qd.T, (r.T * table).sum(axis=1))
-        q = r + np.einsum("ats,t->as", Q, v)
-        best = q.argmax(axis=0)
-        better = q[best, np.arange(len(tra))] > v + 1e-12 * max(1.0, np.abs(v).max())
-        if not better.any():
-            return sign * float(np.asarray(initial, dtype=float)[tra] @ v)
-        table[better] = np.eye(na)[best[better]]
-    raise ModelError("policy_iteration_absorbing: no convergence")
-
-
 def two_link_lp(model: TwoLinkModel, sense: str):
     """The two-link optimum of `sense` by the paper's renewal LP, solved by
     HiGHS's dual simplex from no basis, not by Howard's steps: the LP
@@ -232,7 +394,8 @@ def two_link_lp(model: TwoLinkModel, sense: str):
     when the LP's own value is further than LP_RTOL from that value (at
     small p HiGHS can call a wrong optimum optimal)."""
     reward, _ = optimum_setup(model, sense, "two_link_lp")
-    value, d = lp.mdp_occupation_lp(model.blocks, reward, sense, initial_distribution(model))
+    K = csc_from_entries(*model.blocks, (model.n, len(ACTIONS) * model.n))
+    value, d = mdp_occupation_lp(K, reward, sense, initial_distribution(model))
     wait, f = evaluate_policy(model, d)
     value, evaluated = (value / model.q, wait) if sense == "min" else (value, f)
     if not abs(value - evaluated) <= LP_RTOL * abs(evaluated):  # NaN fails too

@@ -18,7 +18,7 @@ only.  `scipy.linalg` loads a second OpenBLAS thread pool, and the two
 stall each other: on a 2-core host one 81x81 numpy matmul took 0.08 ms
 alone and 4.0 ms right after a 9x9 `scipy.linalg.expm`.  Of scipy the
 package loads only the compiled HiGHS module on the first LP solve, which
-only the oracles and `--selftest` make (see `lp`), and brentq's; neither
+only the oracles and `--selftest` make (see `oracles`), and brentq's; neither
 links an OpenBLAS.  zpotrf is numpy's OpenBLAS one, called through
 ctypes, and only in its ILP64 (64-bit integer) build.
 """

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from . import elemlink, mc, oracles, qstate, satlink, twolink, waiting
-from .lp import load_scipy_module
 
 DEFAULT_SEED = 20260824  # of every criterion, run_all and the CLI's --seed
 
@@ -254,7 +253,7 @@ def _brentq(f, a, b):
     """`scipy.optimize.brentq(f, a, b, xtol=1e-12)`: its compiled loop,
     loaded on first use, with the arguments brentq passes (rtol 4 eps, at
     most 100 iterations, RuntimeError when it does not converge)."""
-    zeros = load_scipy_module("optimize._zeros")
+    zeros = oracles.load_scipy_module("optimize._zeros")
     return zeros._brentq(f, a, b, 1e-12, 4 * np.finfo(float).eps, 100, (), False, True)
 
 

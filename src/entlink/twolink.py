@@ -16,8 +16,9 @@ z = (I - K^d)^{-1} g, satisfy S.z = 1; the expected wait is 1^T z / q
 sum_s S_s f(s) z_s.  The optima solve the LPs sum_a (I - K^a) z_a = g,
 z >= 0, by Howard's steps, which the simplex takes on them (Puterman 1994,
 sec. 6.9), so q enters no solve; `oracles.two_link_lp` is the LP.  Each K^a
-is a sparse Kronecker product of the two links' own matrices.  Each solve
-with I - K^d is a dense solve on its boundary states (`_censor`).
+is a sparse Kronecker product of the two links' own matrices, kept as its
+nonzero entries (`TwoLinkModel.blocks`).  Each solve with I - K^d is a
+dense solve on its boundary states (`_censor`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from .markov import (MASS_RTOL, DecisionFunction, ModelError, NumericalError, is_count,
                      is_probability)
-from . import lp as _lp
 from .elemlink import WAIT, ElemLinkModel, build_mdp, g_vector
 from .qstate import (DensityOperator, KrausChannel, QuantumError, bell,
                      bell_overlap_table, swap_fidelity)
@@ -90,7 +90,8 @@ class TwoLinkModel:
     @cached_property
     def blocks(self):
         """[K^00 | K^01 | K^10 | K^11 | K^swap], the five actions' blocks side
-        by side as one read-only (n, 5n) `lp.Csc`, built on first use."""
+        by side as one (n, 5n) matrix: its nonzero entries (rows, cols, vals),
+        read-only and ordered by column, then row; built on first use."""
         return _stacked_blocks(self)
 
 
@@ -132,10 +133,13 @@ def _stacked_blocks(model: TwoLinkModel):
         rows.append(np.add.outer(r1 * model.n2, r2).ravel()[keep])
         cols.append(k * n + c[keep])
         vals.append(np.multiply.outer(T1[a1][r1, c1], T2[a2][r2, c2]).ravel()[keep])
-    K = _lp.csc_from_entries(*map(np.concatenate, (rows, cols, vals)), (n, len(ACTIONS) * n))
-    for a in (K.data, K.indices, K.indptr):
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    keep = vals != 0  # a product of two tiny probabilities can round to 0
+    order = np.lexsort((rows[keep], cols[keep]))  # the positions are distinct
+    entries = tuple(x[keep][order] for x in (rows, cols, vals))
+    for a in entries:
         a.setflags(write=False)
-    return K
+    return entries
 
 
 def initial_distribution(model: TwoLinkModel) -> np.ndarray:
@@ -152,9 +156,8 @@ def policy_kernel(model: TwoLinkModel, d: DecisionFunction):
     if d.table.shape != (model.n, len(ACTIONS)):
         raise ModelError(f"policy_kernel: decision table shape {d.table.shape} does "
                          f"not match ({model.n}, {len(ACTIONS)})")
-    B = model.blocks
-    cols = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))
-    return ((B.indices, cols % model.n, B.data * d.table.T.ravel()[cols]),
+    rows, cols, vals = model.blocks
+    return ((rows, cols % model.n, vals * d.table.T.ravel()[cols]),
             d.table[:, SWAP] * _both_active(model))
 
 
@@ -335,8 +338,7 @@ def _howard(model: TwoLinkModel, sense, what):
     cycled.  Once none switches, returns the decision's `evaluate_policy`
     value (the wait for "min", f for "max") and the decision."""
     reward, start = optimum_setup(model, sense, what)
-    B, states = model.blocks, np.arange(model.n)
-    cols = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))
+    (rows, cols, vals), states = model.blocks, np.arange(model.n)
     r = reward if sense == "max" else -reward
     act = start.table.argmax(axis=1)
     for _ in range(HOWARD_STEPS):
@@ -345,7 +347,7 @@ def _howard(model: TwoLinkModel, sense, what):
         v, x = _cycle_values(model, kernel, S, np.column_stack([r[act, states], S]), what).T
         if not (np.isfinite(v).all() and np.isfinite(x).all()):
             raise NumericalError(f"{what}: ill-conditioned, non-finite values")
-        Q = r + np.bincount(cols, B.data * v[B.indices], B.shape[1]).reshape(r.shape)
+        Q = r + np.bincount(cols, vals * v[rows], r.size).reshape(r.shape)
         best = Q.argmax(axis=0)
         gain = Q[best, states] - Q[act, states]
         err = np.abs(x - 1).max()

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import entlink
-from entlink import lp
-from entlink.markov import DecisionFunction
+from entlink.markov import DecisionFunction, csc_from_entries
 
 # The CLI tests run `python -m entlink.cli` in subprocesses: point them at the
 # package these tests import, also when pytest alone put `src` on sys.path.
@@ -54,7 +53,7 @@ def deterministic_decisions(n, na):
 
 
 def csc(A):
-    """A dense test matrix as the `lp.Csc` of its nonzero entries."""
+    """A dense test matrix as the `markov.Csc` of its nonzero entries."""
     A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
-    return lp.csc_from_entries(rows, cols, A[rows, cols], A.shape)
+    return csc_from_entries(rows, cols, A[rows, cols], A.shape)

@@ -10,12 +10,12 @@ tests read are named exceptions.
 No module of the package imports scipy: the `__init__` of each scipy
 package imports much of scipy, which was most of a cold start.  scipy's
 compiled kernels (HiGHS, brentq's loop) come in through
-`lp.load_scipy_module` alone, which loads each from its file; only `lp.py`
-imports `importlib`, and an interpreter that imports `entlink.cli` and
+`oracles.load_scipy_module` alone, which loads each from its file; only
+`oracles.py` imports `importlib`, and an interpreter that imports `entlink.cli` and
 runs the CLI holds no scipy package.  `import entlink.cli` loads no scipy
 module at all, HiGHS is loaded by the first LP solve: only the oracles and
 `--selftest` solve LPs, so no other README command loads it.  The package
-has one LP solver path: no module reaches `linprog`, and only `lp.py`
+has one LP solver path: no module reaches `linprog`, and only `oracles.py`
 loads scipy's HiGHS binding.  The package does its dense linear algebra
 with numpy only, since scipy's second OpenBLAS (which `scipy.linalg` and
 SuperLU link) starts a thread pool that stalls numpy's: no module imports
@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from entlink import qstate
-from entlink.lp import load_scipy_module
+from entlink.oracles import load_scipy_module
 from test_readme import readme_cli_lines
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -219,7 +219,7 @@ def _loaded_scipy_modules(tree):
 
 def second_solver_paths(sources):
     """(file, line, what) of every import or attribute read of `linprog`,
-    and every load of scipy's HiGHS binding outside lp.py."""
+    and every load of scipy's HiGHS binding outside oracles.py."""
     out = []
     for path, text in sources.items():
         tree = ast.parse(text)
@@ -227,19 +227,21 @@ def second_solver_paths(sources):
                 if "linprog" in name.split(".")]
         out += [(path, node.lineno, node.attr) for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "linprog"]
-        if path != "lp.py":
+        if path != "oracles.py":
             out += [(path, line, name) for line, name in _loaded_scipy_modules(tree)
                     if name.startswith("optimize._highspy")]
     return sorted(out)
 
 
 def test_guard_sees_a_second_solver_path():
-    sources = {"lp.py": 'highs = load_scipy_module("optimize._highspy._core")\n',
+    sources = {"oracles.py": 'highs = load_scipy_module("optimize._highspy._core")\n',
                "a.py": "from scipy.optimize import linprog\n",
-               "b.py": ('from .lp import load_scipy_module\nload_scipy_module("optimize._zeros")\n'
+               "b.py": ('from .oracles import load_scipy_module\n'
+                        'load_scipy_module("optimize._zeros")\n'
                         'h = load_scipy_module("optimize._highspy._core")\n'),
                "c.py": "from scipy import optimize\noptimize.linprog\n",
-               "d.py": 'import os\nfrom . import lp\nlp.load_scipy_module("optimize._highspy")\n'}
+               "d.py": ('import os\nfrom . import oracles\n'
+                        'oracles.load_scipy_module("optimize._highspy")\n')}
     assert second_solver_paths(sources) == [
         ("a.py", 1, "scipy.optimize.linprog"), ("b.py", 3, "optimize._highspy._core"),
         ("c.py", 2, "linprog"), ("d.py", 3, "optimize._highspy")]
@@ -257,7 +259,7 @@ def scipy_imports(source):
 def test_guard_sees_a_scipy_import():
     assert scipy_imports("import numpy as np\nfrom scipy import linalg\n") == [
         (2, "scipy.linalg")]
-    assert scipy_imports("from .lp import solve\nfrom . import scipy\n") == []
+    assert scipy_imports("from .oracles import solve\nfrom . import scipy\n") == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -283,7 +285,8 @@ def test_guard_sees_a_dynamic_import():
 
 
 def test_only_lp_loads_modules_by_name():
-    assert [(p.name, found) for p in PACKAGE if p.name != "lp.py"
+    # the LP code, in oracles.py, loads scipy's kernels by file
+    assert [(p.name, found) for p in PACKAGE if p.name != "oracles.py"
             for found in dynamic_imports(p.read_text())] == []
 
 
@@ -329,7 +332,7 @@ zeros = sys.modules["scipy.optimize._zeros"]
 from scipy.optimize._highspy import _core
 from scipy.optimize import _zeros, brentq
 root = lambda x: x * x - 2
-print(_core is entlink.lp._solver()[0], _zeros is zeros,
+print(_core is entlink.oracles._solver()[0], _zeros is zeros,
       entlink.selftest._brentq(root, 0, 2) == brentq(root, 0, 2, xtol=1e-12))
 """
 

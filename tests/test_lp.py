@@ -7,10 +7,10 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from entlink import lp as L
+from entlink import oracles as L
 from entlink import twolink as TL
-from entlink.lp import mdp_occupation_lp
-from entlink.oracles import (policy_iteration_absorbing, stationary_distribution, steady_state_lp,
+from entlink.markov import Csc, csc_from_entries
+from entlink.oracles import (mdp_occupation_lp, stationary_distribution, steady_state_lp,
                              two_link_lp)
 
 from conftest import (csc, deterministic_decisions, policy_chain, random_absorbing_mdp,
@@ -63,7 +63,7 @@ def test_random_lps_match_vertex_enumeration(rng):
 
 
 def scipy_csc(C):
-    """An `lp.Csc` as the scipy.sparse array of the same arrays."""
+    """A `markov.Csc` as the scipy.sparse array of the same arrays."""
     return sparse.csc_array((C.data, C.indices, C.indptr), shape=C.shape)
 
 
@@ -144,27 +144,27 @@ def test_csc_from_entries_sums_duplicates_as_scipy_does(rng):
         k = int(rng.integers(0, 30))
         rows, cols = rng.integers(0, shape[0], k), rng.integers(0, shape[1], k)
         vals = rng.normal(size=k) * (rng.uniform(size=k) < 0.8)  # some exact zeros
-        got = L.csc_from_entries(rows, cols, vals, shape)
+        got = csc_from_entries(rows, cols, vals, shape)
         keep = vals != 0
         order = np.lexsort((rows[keep], cols[keep]))
         indptr = np.append(0, np.cumsum(np.bincount(cols[keep], minlength=shape[1])))
         want = sparse.csc_array((vals[keep][order], rows[keep][order].astype(np.int32),
                                  indptr.astype(np.int32)), shape=shape)
         want.sum_duplicates()
-        assert isinstance(got, L.Csc) and got.shape == want.shape
+        assert isinstance(got, Csc) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        # what the benchmark counts as the nonzeros of an LP's matrix
-        assert int((got != 0).sum()) == int((want != 0).sum())
+        assert np.count_nonzero(got.data) == int((want != 0).sum())
 
 
 def test_duplicate_entry_lp_solves():
     # a column with a repeated row index made HiGHS abort the interpreter
     # ("double free or corruption"), so the solve of repeated entries runs
     # in its own process
-    code = ("from entlink import lp as L\n"
-            "A = L.csc_from_entries([0, 0, 0], [0, 0, 1], [0.5, 0.5, 1.0], (1, 2))\n"
+    code = ("from entlink import oracles as L\n"
+            "from entlink.markov import csc_from_entries\n"
+            "A = csc_from_entries([0, 0, 0], [0, 0, 1], [0.5, 0.5, 1.0], (1, 2))\n"
             "v, x = L.solve(L.LinearProgram([1.0, 2.0], 'min', A, [1.0]))\n"
             "print(v, x.tolist())")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -228,9 +228,10 @@ def test_reused_solver_matches_a_fresh_one_after_failures(monkeypatch):
 def test_solver_is_made_on_the_first_solve():
     # an import-time HiGHS binding or object would add to the memory of
     # every process, also those that solve no LP
-    code = ("from entlink import cli, lp as L\n"
+    code = ("from entlink import cli, oracles as L\n"
+            "from entlink.markov import csc_from_entries\n"
             "print(L._solver.cache_info().currsize)\n"
-            "A = L.csc_from_entries([0], [0], [1.0], (1, 1))\n"
+            "A = csc_from_entries([0], [0], [1.0], (1, 1))\n"
             "L.solve(L.LinearProgram([1.0], 'min', A, [1.0]))\n"
             "print(L._solver.cache_info().currsize)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -323,8 +324,6 @@ def test_absorbing_value_lp_vs_exhaustive(rng):
             y = _visits(K, dd, init[:nt])
             best = max(best, float((reward[:, :nt].T * dd.table).sum(axis=1) @ y))
         assert value == pytest.approx(best, abs=1e-7)
-        assert policy_iteration_absorbing(T, reward, "max", init) == pytest.approx(
-            best, abs=1e-9)
         y = _visits(K, d, init[:nt])
         assert float((reward[:, :nt].T * d.table).sum(axis=1) @ y) == pytest.approx(
             value, abs=1e-7)
@@ -339,9 +338,6 @@ def test_min_absorption_lp_vs_exhaustive(rng):
         value, d = L.mdp_occupation_lp(csc(np.hstack(K)), np.ones(nt), "min", init)
         best = min(_visits(K, dd, init).sum() for dd in deterministic_decisions(nt, na))
         assert value == pytest.approx(best, abs=1e-7)
-        assert policy_iteration_absorbing(
-            T, np.ones(nt + nb), "min", np.append(init, 0.0)) == pytest.approx(
-            best, abs=1e-9)
         assert _visits(K, d, init).sum() == pytest.approx(value, abs=1e-7)
 
 
@@ -372,9 +368,9 @@ def test_absorbing_lp_counts_initial_absorbed_mass(rng):
 ], ids=["LinearProgram-scipy-sparse", "mdp_occupation_lp-scipy-sparse",
         "LinearProgram-dense", "mdp_occupation_lp-dense"])
 def test_malformed_input_raises_model_error(make):
-    # a matrix is an lp.Csc, nothing else: scipy.sparse and dense arrays
+    # a matrix is a markov.Csc, nothing else: scipy.sparse and dense arrays
     # were converted
-    with pytest.raises(L.ModelError, match="lp.Csc"):
+    with pytest.raises(L.ModelError, match="markov.Csc"):
         make()
 
 
@@ -386,13 +382,11 @@ def test_reward_shape_checked():
 
 def test_rounded_self_loop_absorbs_in_the_oracle_and_the_renewal_lp():
     # a self-loop summed as 0.7 + 0.2 + 0.1 is 1 - 1.1e-16, not 1.0; the
-    # oracle's policy iteration still treats the state as absorbing
+    # renewal LP takes the transient block alone, so the rounded loop of the
+    # absorbing state never enters it: half the mass ends each step
     loop = 0.7 + 0.2 + 0.1
     assert loop != 1.0
     T = np.array([[0.5, 0.0], [0.5, loop]])
-    assert policy_iteration_absorbing(T[None], np.ones(2), "min", [1.0, 0.0]) == pytest.approx(
-        2.0, abs=1e-12)
-    # the renewal LP of the transient block: half the mass ends each step
     value, _ = mdp_occupation_lp(csc(T[:1, :1]), np.ones(1), "min", [1.0])
     assert value == pytest.approx(2.0, abs=1e-9)
 
@@ -435,7 +429,7 @@ def test_constraint_matrix_matches_dense_construction(rng, monkeypatch):
         K = _transient(T, nt)
         L.mdp_occupation_lp(csc(np.hstack(K)), np.ones(nt), "min", rng.dirichlet(np.ones(nt)))
         got, want = seen[-1].A, _dense_reference_matrix(K)
-        assert isinstance(got, L.Csc) and got.shape == want.shape
+        assert isinstance(got, Csc) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
